@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_X_y
 
@@ -21,6 +20,8 @@ def _safe_stats(values: np.ndarray) -> dict[str, float]:
 
 def statistical_metafeatures(X, y) -> dict[str, float]:
     """Skewness / kurtosis / class-probability / PCA meta-features."""
+    from scipy import stats  # imported on use: scipy is slow to import
+
     X, y = check_X_y(X, y)
     n_samples, n_features = X.shape
 

@@ -28,7 +28,7 @@ from repro.models.registry import (
     get_classifier_class,
     make_classifier,
 )
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor, TreeNode
+from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
     "Classifier",
@@ -38,7 +38,6 @@ __all__ = [
     "LinearDiscriminantAnalysis",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
-    "TreeNode",
     "RandomForestClassifier",
     "RandomForestRegressor",
     "GradientBoostingClassifier",

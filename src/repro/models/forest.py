@@ -13,7 +13,7 @@ import numpy as np
 from repro.models.base import Classifier
 from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.utils.random import check_random_state, spawn_rng
-from repro.utils.validation import check_is_fitted
+from repro.utils.validation import check_is_fitted, check_X_y
 
 
 class RandomForestClassifier(Classifier):
@@ -117,10 +117,7 @@ class RandomForestRegressor:
         return RandomForestRegressor(**self.get_params())
 
     def fit(self, X, y) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X, y = check_X_y(X, y, y_numeric=True)
         rng = check_random_state(self.random_state)
         rngs = spawn_rng(rng, int(self.n_estimators))
         if self.n_estimators == 1:

@@ -4,13 +4,15 @@ The Yeo-Johnson transform (Equation 1 of the paper) maps each feature through
 an exponential, monotonic transformation whose parameter ``lambda`` is chosen
 per feature by maximising the profile log-likelihood of a normal model of the
 transformed data — the same criterion scikit-learn uses.  The optimisation is
-done with a bounded Brent search from scipy.
+a bounded Brent search ported from scipy (see :func:`_minimize_bounded`), so
+importing this module does not import scipy.
 """
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
-from scipy import optimize
 
 from repro.preprocessing.base import Preprocessor
 
@@ -54,14 +56,104 @@ def yeo_johnson_log_likelihood(x: np.ndarray, lmbda: float) -> float:
     return float(loglike)
 
 
+def _minimize_bounded(func, bounds: tuple[float, float]) -> float:
+    """Minimise a scalar function on ``bounds`` by bounded Brent search.
+
+    A port of ``scipy.optimize._optimize._minimize_scalar_bounded`` at its
+    default tolerances, without its option checks, messages and result
+    object.  The arithmetic and its order are unchanged, so the returned
+    minimiser equals ``scipy.optimize.minimize_scalar(func, bounds=bounds,
+    method="bounded").x``.
+    """
+    # Ported from SciPy: Copyright (c) 2001-2002 Enthought, Inc. 2003,
+    # SciPy Developers.  All rights reserved.  Used under the BSD 3-Clause
+    # licence, whose conditions and disclaimer ship with SciPy (LICENSE.txt).
+    xatol, maxiter = 1e-5, 500
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    a, b = bounds
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:  # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            break
+    return float(xf)
+
+
 def optimal_lambda(x: np.ndarray, bounds: tuple[float, float] = (-4.0, 4.0)) -> float:
     """Find the lambda maximising the Yeo-Johnson profile log-likelihood."""
-    result = optimize.minimize_scalar(
-        lambda lmbda: -yeo_johnson_log_likelihood(x, lmbda),
-        bounds=bounds,
-        method="bounded",
-    )
-    return float(result.x)
+    return _minimize_bounded(lambda lmbda: -yeo_johnson_log_likelihood(x, lmbda),
+                             bounds)
 
 
 class PowerTransformer(Preprocessor):

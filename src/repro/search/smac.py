@@ -10,7 +10,6 @@ across-tree spread, and evaluates the single best-scoring candidate.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.core.result import TrialRecord
 from repro.core.search_space import SearchSpace
@@ -20,11 +19,19 @@ from repro.search.base import SearchAlgorithm
 
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
                          xi: float = 0.01) -> np.ndarray:
-    """Expected improvement of maximising candidates over the incumbent ``best``."""
+    """Expected improvement of maximising candidates over the incumbent ``best``.
+
+    The standard-normal CDF and PDF are the ones ``scipy.stats.norm``
+    evaluates (``ndtr`` and the density formula), without importing
+    ``scipy.stats`` on every process's import path.
+    """
+    from scipy.special import ndtr
+
     std = np.maximum(std, 1e-9)
     improvement = mean - best - xi
     z = improvement / std
-    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+    return improvement * ndtr(z) + std * pdf
 
 
 class SMAC(SearchAlgorithm):

@@ -50,14 +50,22 @@ def column_or_1d(y, *, name: str = "y") -> np.ndarray:
     return arr
 
 
-def check_X_y(X, y, *, allow_nan: bool = False):
-    """Validate a feature matrix and its label vector jointly."""
+def check_X_y(X, y, *, allow_nan: bool = False, y_numeric: bool = False):
+    """Validate a feature matrix and its label vector jointly.
+
+    With ``y_numeric`` (regression targets) ``y`` is converted to float64
+    and must be finite.
+    """
     X = check_array(X, allow_nan=allow_nan)
     y = column_or_1d(y)
     if X.shape[0] != y.shape[0]:
         raise ValidationError(
             f"X and y have inconsistent lengths: {X.shape[0]} != {y.shape[0]}"
         )
+    if y_numeric:
+        y = y.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("y contains NaN or infinite values")
     return X, y
 
 

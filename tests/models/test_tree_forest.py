@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import NotFittedError
+from repro.exceptions import NotFittedError, ValidationError
 from repro.models import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -37,13 +37,8 @@ class TestDecisionTreeClassifier:
     def test_min_samples_leaf_respected(self, small_binary_data):
         X, y = small_binary_data
         model = DecisionTreeClassifier(min_samples_leaf=20).fit(X, y)
-
-        def leaf_sizes(node):
-            if node.is_leaf():
-                return [node.n_samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(model.tree_)) >= 20
+        tree = model.tree_
+        assert tree.n_samples[tree.feature < 0].min() >= 20
 
     def test_scale_invariance(self, small_binary_data):
         """Trees are invariant to monotone feature rescaling (unlike LR/MLP)."""
@@ -158,3 +153,16 @@ class TestRandomForestRegressor:
         model = RandomForestRegressor(n_estimators=3, max_depth=2)
         clone = model.clone()
         assert clone.get_params() == model.get_params()
+
+
+@pytest.mark.parametrize("model", [DecisionTreeRegressor(), RandomForestRegressor(n_estimators=2)],
+                         ids=["tree", "forest"])
+@pytest.mark.parametrize("X, y", [
+    (np.empty((0, 2)), np.empty(0)),
+    (np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 0.0]]), np.array([0.0, 1.0, 2.0])),
+    (np.array([[0.0], [1.0], [2.0]]), np.array([0.0, np.inf, 1.0])),
+    (np.arange(12.0).reshape(6, 2), np.arange(6.0).reshape(3, 2)),
+], ids=["empty", "nan-in-X", "inf-in-y", "2d-y"])
+def test_regressors_reject_invalid_input(model, X, y):
+    with pytest.raises(ValidationError):
+        model.clone().fit(X, y)

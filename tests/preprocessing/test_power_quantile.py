@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from repro.exceptions import ValidationError
 from repro.preprocessing import PowerTransformer, QuantileTransformer
@@ -48,6 +48,23 @@ class TestYeoJohnsonFunction:
         lmbda = optimal_lambda(x)
         transformed = yeo_johnson_transform(x, lmbda)
         assert abs(stats.skew(transformed)) < abs(stats.skew(x))
+
+
+def test_brent_port_matches_scipy_bounded_minimize_scalar():
+    """The ported search returns the very lambda scipy's would."""
+    rng = np.random.default_rng(2024)
+    columns = {
+        "normal": lambda size: rng.normal(size=size),
+        "exponential": lambda size: rng.exponential(scale=3.0, size=size),
+        "integer": lambda size: rng.integers(-5, 20, size=size).astype(np.float64),
+        "lognormal": lambda size: rng.lognormal(sigma=1.5, size=size) - 2.0,
+    }
+    for index in range(1000):
+        column = list(columns.values())[index % 4](int(rng.integers(3, 60)))
+        expected = optimize.minimize_scalar(
+            lambda lmbda: -yeo_johnson_log_likelihood(column, lmbda),
+            bounds=(-4, 4), method="bounded").x
+        assert optimal_lambda(column) == expected, (index, column)
 
 
 class TestPowerTransformer:

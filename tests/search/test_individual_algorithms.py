@@ -53,6 +53,19 @@ class TestExpectedImprovement:
         ei = expected_improvement(np.array([0.5, 0.5]), np.array([0.01, 0.3]), best=0.6)
         assert ei[1] > ei[0]
 
+    def test_equals_scipy_norm_formula(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(11)
+        mean = rng.uniform(0.3, 1.0, size=500)
+        std = rng.uniform(0.0, 0.2, size=500)
+        std[::7] = 0.0
+        best, xi = 0.7, 0.01
+        clipped = np.maximum(std, 1e-9)
+        z = (mean - best - xi) / clipped
+        expected = (mean - best - xi) * stats.norm.cdf(z) + clipped * stats.norm.pdf(z)
+        assert np.array_equal(expected_improvement(mean, std, best, xi), expected)
+
 
 class TestSMACAndTPE:
     def test_smac_initialisation_count(self, lr_problem):

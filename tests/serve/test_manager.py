@@ -361,14 +361,17 @@ class TestFairScheduling:
             flood = [manager.submit({**SPEC, "tenant": "heavy"})
                      for _ in range(3)]
             light = manager.submit({**SPEC, "tenant": "light"})
-            assert _wait_settled(manager, light)["status"] == "done"
-            # the light session finished while the flood still waits:
-            # under FIFO it would have been last
-            statuses = [manager.status(session_id)["status"]
-                        for session_id in flood]
-            assert statuses.count("queued") >= 2
-            for session_id in [blocker, *flood]:
+            for session_id in [blocker, *flood, light]:
                 assert _wait_settled(manager, session_id)["status"] == "done"
+            # One slot runs sessions back to back, so a session's last
+            # update (its finish) orders it.  The light session overtook
+            # at least two of the flood; under FIFO it would have been
+            # last.  A snapshot of statuses would race the 50 ms poll.
+            finished = {session_id: manager.status(session_id)["updated"]
+                        for session_id in [*flood, light]}
+            overtaken = [session_id for session_id in flood
+                         if finished[session_id] > finished[light]]
+            assert len(overtaken) >= 2
         finally:
             manager.shutdown()
 
