@@ -499,7 +499,10 @@ class _RecoveringEvalFuture:
             if self._entry is not None:
                 return self._entry
             remaining = self._remaining()
-            if remaining is not None and remaining <= 0:
+            # A finished evaluation read after its deadline still counts:
+            # only one still running when the deadline passes has timed out.
+            if remaining is not None and remaining <= 0 \
+                    and not self._inner.done():
                 return self._expire()
             try:
                 entry = self._inner.result(timeout=remaining)

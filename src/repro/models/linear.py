@@ -5,12 +5,21 @@ with full-batch gradient descent on the softmax cross-entropy with L2
 regularisation; the learning rate is adapted with a simple backtracking
 scheme so no tuning is needed across datasets of very different scales —
 which is exactly the sensitivity to feature scaling the paper studies.
+
+Each step computes one softmax: the loss that judges a step needs the
+probabilities at the stepped weights, and an accepted step keeps them for
+the next gradient.  A rejected step is undone by adding the step back,
+and ``(w - s * g) + s * g`` need not equal ``w`` bit for bit, so the next
+gradient computes the probabilities of the undone weights afresh.  This is
+what the recompute-every-step loop in ``tests/models/test_linear.py``
+computed, with the same values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import ValidationError
 from repro.models.base import Classifier, one_hot, softmax
 
 
@@ -51,6 +60,14 @@ class LogisticRegression(Classifier):
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         from repro.utils.random import check_random_state
 
+        if not self.C > 0:
+            raise ValidationError(f"C must be positive, got {self.C!r}")
+        if not self.learning_rate > 0:
+            raise ValidationError(
+                f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not self.max_iter >= 0:
+            raise ValidationError(
+                f"max_iter must be non-negative, got {self.max_iter!r}")
         rng = check_random_state(self.random_state)
         n_samples, n_features = X.shape
         n_classes = int(y.max()) + 1
@@ -62,25 +79,30 @@ class LogisticRegression(Classifier):
         alpha = 1.0 / (self.C * n_samples)
         step = float(self.learning_rate)
         previous_loss = np.inf
+        probabilities = None
 
         for _ in range(int(self.max_iter)):
-            logits = X @ weights
-            probabilities = softmax(logits)
+            if probabilities is None:
+                probabilities = softmax(X @ weights)
             grad = X.T @ (probabilities - targets) / n_samples + alpha * weights
             max_grad = np.abs(grad).max()
             if max_grad < self.tol:
                 break
             weights -= step * grad
-            loss = self._loss(X, targets, weights, alpha)
+            loss, stepped = self._loss(X, targets, weights, alpha)
             if loss > previous_loss:
                 # Overshot: undo, shrink the step and retry next iteration.
+                # Undoing need not restore the weights bit for bit, so the
+                # next step recomputes their probabilities.
                 weights += step * grad
                 step *= 0.5
                 if step < 1e-6:
                     break
+                probabilities = None
             else:
                 step *= 1.05
                 previous_loss = loss
+                probabilities = stepped
 
         if self.fit_intercept:
             self.coef_ = weights[:-1]
@@ -90,13 +112,14 @@ class LogisticRegression(Classifier):
             self.intercept_ = np.zeros(n_classes)
 
     @staticmethod
-    def _loss(X, targets, weights, alpha) -> float:
+    def _loss(X, targets, weights, alpha) -> tuple[float, np.ndarray]:
+        """The regularised loss at ``weights`` and the probabilities behind it."""
         logits = X @ weights
         probabilities = softmax(logits)
         eps = 1e-12
         data_term = -np.mean(np.sum(targets * np.log(probabilities + eps), axis=1))
         reg_term = 0.5 * alpha * float(np.sum(weights * weights))
-        return data_term + reg_term
+        return data_term + reg_term, probabilities
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         logits = X @ self.coef_ + self.intercept_

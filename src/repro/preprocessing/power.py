@@ -6,15 +6,85 @@ per feature by maximising the profile log-likelihood of a normal model of the
 transformed data — the same criterion scikit-learn uses.  The optimisation is
 a bounded Brent search ported from scipy (see :func:`_minimize_bounded`), so
 importing this module does not import scipy.
+
+The search evaluates the likelihood about a dozen times per feature, so
+:class:`_YeoJohnsonColumn` computes what does not depend on lambda once per
+feature: the sign mask, the bases ``x + 1`` and ``1 - x``, their ``log1p``
+branches (for lambda 0 and 2) and the Jacobian term
+``sum(sign(x) * log1p(|x|))``, and it reuses one output buffer.  The
+expressions that do depend on lambda keep the order of the per-call form
+they replaced, which ``tests/preprocessing/test_power_quantile.py`` keeps as
+the oracle, so lambdas and outputs are unchanged bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
 
 from repro.preprocessing.base import Preprocessor
+
+_EPS = np.finfo(np.float64).eps
+_LAMBDA_BOUNDS = (-4.0, 4.0)
+
+
+class _YeoJohnsonColumn:
+    """One feature ``x`` with its lambda-independent Yeo-Johnson terms.
+
+    The logarithms and the Jacobian are computed on first use: transforming
+    with a fitted lambda needs neither.
+    """
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = np.asarray(x, dtype=np.float64)
+        self.positive = self.x >= 0
+        self.negative = ~self.positive
+        self.positive_base = self.x[self.positive] + 1.0
+        self.negative_base = 1.0 - self.x[self.negative]
+        self.buffer = np.empty_like(self.x)
+
+    @cached_property
+    def positive_log(self) -> np.ndarray:
+        return np.log1p(self.x[self.positive])
+
+    @cached_property
+    def negative_log(self) -> np.ndarray:
+        return -np.log1p(-self.x[self.negative])
+
+    @cached_property
+    def jacobian(self) -> np.floating:
+        return np.sum(np.sign(self.x) * np.log1p(np.abs(self.x)))
+
+    def transform(self, lmbda: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The transformed feature, written to ``out`` (a new array if None)."""
+        if out is None:
+            out = np.empty_like(self.x)
+        if abs(lmbda) < _EPS:
+            out[self.positive] = self.positive_log
+        else:
+            out[self.positive] = (np.power(self.positive_base, lmbda) - 1.0) / lmbda
+        if abs(lmbda - 2.0) < _EPS:
+            out[self.negative] = self.negative_log
+        else:
+            out[self.negative] = -(np.power(self.negative_base, 2.0 - lmbda)
+                                   - 1.0) / (2.0 - lmbda)
+        return out
+
+    def log_likelihood(self, lmbda: float) -> float:
+        """Profile log-likelihood of the transform with parameter ``lmbda``."""
+        var = self.transform(lmbda, self.buffer).var()
+        if not np.isfinite(var) or var <= 0:
+            return -np.inf
+        loglike = -0.5 * self.x.shape[0] * np.log(var)
+        loglike += (lmbda - 1.0) * self.jacobian
+        return float(loglike)
+
+    def optimal_lambda(self, bounds: tuple[float, float] = _LAMBDA_BOUNDS) -> float:
+        """The lambda in ``bounds`` maximising :meth:`log_likelihood`."""
+        return _minimize_bounded(lambda lmbda: -self.log_likelihood(lmbda),
+                                 bounds)
 
 
 def yeo_johnson_transform(x: np.ndarray, lmbda: float) -> np.ndarray:
@@ -27,33 +97,12 @@ def yeo_johnson_transform(x: np.ndarray, lmbda: float) -> np.ndarray:
     * ``x <  0, lambda != 2``:  ``-((1 - x) ** (2 - lambda) - 1) / (2 - lambda)``
     * ``x <  0, lambda == 2``:  ``-log(1 - x)``
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    eps = np.finfo(np.float64).eps
-
-    if abs(lmbda) < eps:
-        out[pos] = np.log1p(x[pos])
-    else:
-        out[pos] = (np.power(x[pos] + 1.0, lmbda) - 1.0) / lmbda
-
-    if abs(lmbda - 2.0) < eps:
-        out[~pos] = -np.log1p(-x[~pos])
-    else:
-        out[~pos] = -(np.power(1.0 - x[~pos], 2.0 - lmbda) - 1.0) / (2.0 - lmbda)
-    return out
+    return _YeoJohnsonColumn(x).transform(lmbda)
 
 
 def yeo_johnson_log_likelihood(x: np.ndarray, lmbda: float) -> float:
     """Profile log-likelihood of the Yeo-Johnson transform for one feature."""
-    n = x.shape[0]
-    transformed = yeo_johnson_transform(x, lmbda)
-    var = transformed.var()
-    if not np.isfinite(var) or var <= 0:
-        return -np.inf
-    loglike = -0.5 * n * np.log(var)
-    loglike += (lmbda - 1.0) * np.sum(np.sign(x) * np.log1p(np.abs(x)))
-    return float(loglike)
+    return _YeoJohnsonColumn(x).log_likelihood(lmbda)
 
 
 def _minimize_bounded(func, bounds: tuple[float, float]) -> float:
@@ -150,10 +199,10 @@ def _minimize_bounded(func, bounds: tuple[float, float]) -> float:
     return float(xf)
 
 
-def optimal_lambda(x: np.ndarray, bounds: tuple[float, float] = (-4.0, 4.0)) -> float:
+def optimal_lambda(x: np.ndarray,
+                   bounds: tuple[float, float] = _LAMBDA_BOUNDS) -> float:
     """Find the lambda maximising the Yeo-Johnson profile log-likelihood."""
-    return _minimize_bounded(lambda lmbda: -yeo_johnson_log_likelihood(x, lmbda),
-                             bounds)
+    return _YeoJohnsonColumn(x).optimal_lambda(bounds)
 
 
 class PowerTransformer(Preprocessor):
@@ -189,8 +238,9 @@ class PowerTransformer(Preprocessor):
                 means[j] = yeo_johnson_transform(col, 1.0).mean()
                 stds[j] = 1.0
                 continue
-            self.lambdas_[j] = optimal_lambda(col)
-            transformed = yeo_johnson_transform(col, self.lambdas_[j])
+            column = _YeoJohnsonColumn(col)
+            self.lambdas_[j] = column.optimal_lambda()
+            transformed = column.transform(self.lambdas_[j])
             means[j] = transformed.mean()
             std = transformed.std()
             stds[j] = std if std > 0 else 1.0

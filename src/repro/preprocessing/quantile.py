@@ -1,4 +1,16 @@
-"""QuantileTransformer: map features to a uniform or normal distribution."""
+"""QuantileTransformer: map features to a uniform or normal distribution.
+
+The landmarks are NumPy's ``method="linear"`` quantiles, but they are not
+taken with ``np.quantile``.  Given an array of quantiles, it partitions
+each column around both neighbours of every landmark index (up to
+``2 * n_quantiles`` kth values), and that multi-kth partition costs more
+than sorting the columns outright, even on input that is already sorted:
+about 30 ms against under 2 ms per 832 x 40 fit on a 2-core x86-64 host.
+:func:`_linear_quantiles` sorts once and repeats NumPy's index and
+interpolation arithmetic on the sorted columns, so the landmarks equal
+``np.quantile``'s by value; ``tests/preprocessing/test_power_quantile.py``
+checks them, and the transform bytes, against ``np.quantile`` itself.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +20,34 @@ from repro.exceptions import ValidationError
 from repro.preprocessing.base import Preprocessor
 
 _VALID_OUTPUTS = ("uniform", "normal")
+
+
+def _linear_quantiles(X: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """``np.quantile(X, references, axis=0)`` for finite ``X``, by one sort.
+
+    The steps are NumPy's own for ``method="linear"``: the virtual index
+    ``(n - 1) * q``, its floor and the next index (both ``-1``, the
+    maximum, where the virtual index reaches ``n - 1``), ``gamma`` as the
+    virtual index minus the floor index, and ``_lerp``, which switches to
+    ``b - (b - a) * (1 - gamma)`` for ``gamma >= 0.5``.
+    """
+    n_samples = X.shape[0]
+    ordered = np.sort(X, axis=0)
+    virtual = (n_samples - 1) * references
+    lower = np.floor(virtual)
+    upper = lower + 1
+    at_end = virtual >= n_samples - 1
+    lower[at_end] = -1
+    upper[at_end] = -1
+    lower = lower.astype(np.intp)
+    upper = upper.astype(np.intp)
+    gamma = (virtual - lower)[:, np.newaxis]
+    below = ordered[lower]
+    above = ordered[upper]
+    diff = above - below
+    out = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 class QuantileTransformer(Preprocessor):
@@ -53,7 +93,7 @@ class QuantileTransformer(Preprocessor):
         references = np.linspace(0.0, 1.0, self.n_quantiles_)
         self.references_ = references
         # One quantile-landmark column per feature, shape (n_quantiles_, n_features).
-        self.quantiles_ = np.quantile(X, references, axis=0)
+        self.quantiles_ = _linear_quantiles(X, references)
         # Ensure monotonicity for interpolation even with numerical noise.
         self.quantiles_ = np.maximum.accumulate(self.quantiles_, axis=0)
 

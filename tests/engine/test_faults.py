@@ -465,6 +465,26 @@ class TestProcessRecovery:
         assert _counter("engine.retries") >= 1
         assert _counter("engine.quarantined_tasks") == 0
 
+    def test_finished_evaluation_read_after_its_deadline_keeps_its_result(self):
+        # In-order collection can read a task only after its deadline,
+        # when the task itself finished long before: that is no timeout.
+        evaluator = _make_evaluator()
+        task = _sample_tasks(1)[0]
+        item = (task.pipeline, task.fidelity)
+        expected = SerialBackend().submit_evaluation(evaluator, item).result()
+        backend = ProcessBackend(n_workers=1, eval_timeout=1.0,
+                                 retry_policy=FAST_RETRY)
+        try:
+            future = backend.submit_evaluation(evaluator, item)
+            future._inner.result(timeout=60.0)
+            future._deadline = time.monotonic() - 1.0
+            entry = future.result()
+        finally:
+            backend.close()
+        assert entry.get("failure_kind") is None
+        assert entry["accuracy"] == expected["accuracy"]
+        assert _counter("engine.eval_timeouts") == 0
+
     @pytest.mark.slow
     def test_async_futures_survive_a_worker_kill(self):
         engine = _chaos_engine(

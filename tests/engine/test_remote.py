@@ -315,6 +315,21 @@ class TestRecovery:
         assert _counter("engine.eval_timeouts") >= 1
         assert _counter("engine.quarantined_tasks") == 0
 
+    def test_finished_evaluation_read_after_its_deadline_keeps_its_result(self):
+        # In-order collection can read a task only after its deadline,
+        # when the task itself finished long before: that is no timeout.
+        reference = _reference_rows(1)
+        task = _sample_tasks(1)[0]
+        with _Fleet(1, eval_timeout=1.0, retry_policy=FAST_RETRY) as backend:
+            future = backend.submit_evaluation(
+                _make_evaluator(), (task.pipeline, task.fidelity))
+            future._inner.result(timeout=30.0)
+            future._deadline = time.monotonic() - 1.0
+            entry = future.result()
+        assert entry.get("failure_kind") is None
+        assert entry["accuracy"] == reference[0][2]
+        assert _counter("engine.eval_timeouts") == 0
+
     def test_abrupt_worker_death_is_counted_and_survivable(self):
         reference = _reference_rows(4)
         backend, workers = start_loopback(2, retry_policy=FAST_RETRY)
