@@ -1,14 +1,13 @@
 """Pluggable execution backends: serial, thread-pool and process-pool.
 
-A backend does two things.  The batch path — ``map`` / ``run_evaluations``
-— applies a function over a list of items and returns the results *in
-input order*; that ordering guarantee is what lets the rest of the library
-stay bit-for-bit deterministic regardless of which backend executes the
-work, because the engine submits tasks in a stable order and merges
-results positionally.  The futures path — ``submit`` /
-``submit_evaluation`` / ``wait_any`` — hands out one future per task so
-callers (the engine's ``as_completed`` and the async search driver) can
-react to *each* completion instead of waiting for a whole batch barrier.
+A backend does two things.  ``map`` applies a function over a list of
+items and returns the results in input order (coarse fan-out such as
+experiment-grid cells).  ``submit`` / ``submit_evaluation`` /
+``wait_any`` hand out one future per task.  Every evaluation goes through
+``submit_evaluation`` — the engine's batches and its per-completion
+futures alike — so there is one dispatch path.  Results stay bit-for-bit
+deterministic on every backend because the engine submits in a stable
+order and merges results positionally, never by completion order.
 
 The serial backend's futures are lazy: the work runs in the calling thread
 the first time a result is requested, so completions arrive strictly in
@@ -16,23 +15,41 @@ submission order (the deterministic reference) and a future that is
 cancelled before consumption costs nothing — which is what lets a budget
 interruption refund never-dispatched tasks exactly.
 
-``run_evaluations`` is the evaluation-specific entry point: it receives a
-:class:`~repro.core.evaluation.PipelineEvaluator` plus ``(pipeline,
-fidelity)`` work items and returns the raw cache entries.  The default
-implementation closes over the evaluator (fine for threads, which share
-memory); :class:`ProcessBackend` overrides it to ship the evaluator to each
-worker process once via the pool initializer instead of once per task.
+``submit_evaluation`` takes a
+:class:`~repro.core.evaluation.PipelineEvaluator` and one ``(pipeline,
+fidelity)`` work item (or a chaos
+:class:`~repro.engine.faults.FaultInjection` wrapper) and returns a future
+for the raw cache entry.  Every evaluation runs under the backend's
+:class:`~repro.engine.faults.RetryPolicy` and optional ``eval_timeout``:
 
-Evaluation dispatch is *fault tolerant* (see :mod:`repro.engine.faults`):
-every path runs under the backend's :class:`~repro.engine.faults.RetryPolicy`
-and optional ``eval_timeout`` deadline.  The process backend survives
-worker crashes — a ``BrokenProcessPool`` discards the broken
-fingerprint-keyed pool, rebuilds it, and resubmits the lost in-flight
-tasks; a task that keeps killing its worker is quarantined as a
-``failure_kind="worker_crash"`` entry instead of killing the search, and
-a hung evaluation is detected by a watchdog and recorded as
-``failure_kind="timeout"``.  The serial/thread backends apply the same
-policy with soft deadline checks (they cannot interrupt in-flight work).
+* The serial and thread backends run ``_guarded_evaluation``: retries in
+  process and a soft deadline.  They have no pool to lose and cannot
+  interrupt in-flight work.
+* The process backend, and the remote backend in
+  :mod:`repro.engine.remote.backend`, wrap each evaluation in one
+  :class:`_RecoveringEvalFuture`.  It talks to a three-call transport:
+  submit an item (shared or alone), report it lost, expire it.
+
+The recovering future's attribution rule:
+
+* An error raised inside a live worker is charged to its task: one of
+  ``max_attempts``.  A task out of attempts is quarantined as a
+  ``failure_kind="worker_crash"`` entry.
+* Losing a pool or a worker charges nobody.  The lost task is
+  re-dispatched alone: in a private one-worker pool, or on a remote worker
+  that holds no other lease.
+* A loss while the task runs alone is charged to it.
+
+So each task gets at most one free loss, then ``max_attempts`` charged
+ones, and an innocent task is never quarantined.  The price is that a
+poison task's first shared loss is free: a sticky crash on a worker
+holding several leases costs one more worker, and remote workers are not
+respawned.  A deadline is measured from each dispatch; an evaluation
+still running when it passes has its pool killed (or its remote lease
+forgotten) and resolves as ``failure_kind="timeout"``, and siblings lost
+with that pool are re-dispatched uncharged.  ``wait_any`` is bounded by
+the nearest deadline, so a hung worker never blocks a caller past it.
+
 Recovery is observable through the ``engine.worker_crashes`` /
 ``engine.eval_timeouts`` / ``engine.retries`` / ``engine.quarantined_tasks``
 registry counters and ``engine.retry`` trace spans.
@@ -46,6 +63,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
+    BrokenExecutor,
     CancelledError,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -58,6 +76,7 @@ from repro.engine.faults import (
     FAILURE_KIND_CRASH,
     FAILURE_KIND_TIMEOUT,
     TRANSIENT_ERROR_TYPES,
+    EvaluationTimeoutError,
     RetryPolicy,
     WorkerCrashError,
     apply_fault_in_worker,
@@ -96,16 +115,17 @@ def _trace_retry(evaluator, attempt: int, error_name: str) -> None:
 
 
 def _kill_pool(pool) -> None:
-    """Tear down a broken or stalled process pool without joining it.
+    """Tear down a broken or stalled process pool and reap its workers.
 
-    ``shutdown`` alone would *join* the workers, and a hung worker never
-    exits — so terminate the processes first.  ``_processes`` is a
+    ``shutdown`` alone would wait for the workers, and a hung worker never
+    exits — so terminate the processes first; the join that follows then
+    returns promptly and no worker outlives the pool.  ``_processes`` is a
     private executor attribute; when absent (already-reaped pool, test
     double) the plain shutdown still drops the queue.
     """
     for process in list((getattr(pool, "_processes", None) or {}).values()):
         process.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 class SerialFuture:
@@ -223,17 +243,6 @@ class ExecutionBackend:
         """Apply ``fn`` to every item; results are returned in input order."""
         raise NotImplementedError
 
-    def run_evaluations(self, evaluator, work: list) -> list:
-        """Evaluate ``(pipeline, fidelity)`` work items; return cache entries.
-
-        Work items may also be :class:`~repro.engine.faults.FaultInjection`
-        wrappers (attached by the chaos harness); every implementation
-        unwraps them through the guarded envelope.
-        """
-        return self.map(
-            lambda item: self._guarded_evaluation(evaluator, item), work
-        )
-
     def _guarded_evaluation(self, evaluator, item) -> dict:
         """Evaluate one work item under the retry policy and soft deadline.
 
@@ -255,9 +264,8 @@ class ExecutionBackend:
             except TRANSIENT_ERROR_TYPES as error:
                 if isinstance(error, WorkerCrashError):
                     get_registry().counter("engine.worker_crashes").inc()
-                    # Crash observed without a pool involved (serial/thread
-                    # or the single-item inline path): still surfaced to
-                    # /healthz, same shape as a pool loss.
+                    # Crash observed without a pool involved: still
+                    # surfaced to /healthz, same shape as a pool loss.
                     self.last_crash = {"kind": FAILURE_KIND_CRASH,
                                        "time": time.time(),
                                        "fingerprint":
@@ -294,16 +302,37 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def submit_evaluation(self, evaluator, item):
-        """Submit one ``(pipeline, fidelity)`` evaluation; return a future."""
+        """Dispatch one ``(pipeline, fidelity)`` evaluation; return a future.
+
+        The only way an evaluation reaches a backend.
+        """
         return self.submit(
             lambda work: self._guarded_evaluation(evaluator, work), item
         )
 
     def wait_any(self, futures) -> None:
-        """Block until at least one of ``futures`` is done (or all are)."""
-        pending = [future for future in futures if not future.done()]
-        if pending:
-            wait(pending, return_when=FIRST_COMPLETED)
+        """Block until one of ``futures`` is done or a deadline passes.
+
+        Recovering futures are unwrapped to their current attempt and the
+        wait is bounded by the nearest evaluation deadline: when it passes
+        with nothing done, the overdue future reports ``done()`` and
+        resolves to its timeout entry.
+        """
+        timeout = None
+        inner = []
+        for future in futures:
+            if future.done():
+                return
+            if isinstance(future, _RecoveringEvalFuture):
+                remaining = future._remaining()
+                if remaining is not None:
+                    timeout = (remaining if timeout is None
+                               else min(timeout, remaining))
+                future = future._inner
+            inner.append(future)
+        if inner:
+            wait(inner, timeout=None if timeout is None else max(0.0, timeout),
+                 return_when=FIRST_COMPLETED)
 
     def close(self) -> None:
         """Release any pooled workers (no-op for poolless backends)."""
@@ -437,32 +466,46 @@ def _evaluate_in_worker(item):
     return entry
 
 
-class _RecoveringEvalFuture:
-    """Future for one submitted evaluation that survives pool crashes.
+#: how a lost pool or worker surfaces on an evaluation future: the pool
+#: broke or was torn down under it, or its remote worker died
+_LOSS_TYPES = (CancelledError, BrokenExecutor, WorkerCrashError)
 
-    Wraps the real pool future and owns the task's retry/deadline state.
-    :meth:`result` never raises on an *infrastructure* failure — a crashed
-    or hung evaluation resolves to a ``failure_kind`` entry instead — so
-    the engine's ``resolve_task`` path needs no fault-specific cases.  The
-    deadline covers queue time plus run time, measured from submission.
+
+class _RecoveringEvalFuture:
+    """Future for one evaluation that survives losing its pool or worker.
+
+    Wraps the transport future of the current attempt and owns the task's
+    retry, isolation and deadline state, applying the attribution rule in
+    the module docstring.  :meth:`result` never raises on an
+    infrastructure failure: a lost, crashed or hung evaluation resolves to
+    a retried attempt or a ``failure_kind`` entry.  The transport (the
+    process or remote backend) implements three calls, each taking the
+    evaluator and the opaque ``token`` of one dispatch:
+
+    * ``_dispatch(evaluator, item, alone) -> (token, future)`` submits an
+      item, shared or alone;
+    * ``_lose(evaluator, token)`` reports a lost item;
+    * ``_expire(evaluator, token)`` expires an overdue item.
     """
 
-    __slots__ = ("_backend", "_evaluator", "_item", "_pool", "_inner",
-                 "_attempt", "_deadline", "_entry", "_user_cancelled",
-                 "__weakref__")
+    __slots__ = ("_transport", "_evaluator", "_item", "_token", "_inner",
+                 "_attempt", "_alone", "_deadline", "_entry",
+                 "_user_cancelled", "__weakref__")
 
-    def __init__(self, backend, evaluator, item) -> None:
-        self._backend = backend
+    def __init__(self, transport, evaluator, item) -> None:
+        self._transport = transport
         self._evaluator = evaluator
         self._item = item
         self._attempt = 1
+        self._alone = False
         self._entry = None
         self._user_cancelled = False
-        self._pool, self._inner = backend._submit_item(evaluator, item)
-        self._reset_deadline()
+        self._dispatch()
 
-    def _reset_deadline(self) -> None:
-        timeout = self._backend.eval_timeout
+    def _dispatch(self) -> None:
+        self._token, self._inner = self._transport._dispatch(
+            self._evaluator, self._item, self._alone)
+        timeout = self._transport.eval_timeout
         self._deadline = (None if timeout is None
                           else time.monotonic() + timeout)
 
@@ -481,8 +524,8 @@ class _RecoveringEvalFuture:
         cancelled = self._inner.cancel()
         if cancelled:
             # Remember a *caller's* cancellation: a CancelledError from a
-            # pool that was torn down under us must be retried, but a
-            # legitimately cancelled task must not silently re-run.
+            # pool torn down under us is a loss, but a cancelled task must
+            # not silently re-run.
             self._user_cancelled = True
         return cancelled
 
@@ -494,67 +537,54 @@ class _RecoveringEvalFuture:
 
     def result(self, timeout=None):
         # ``timeout`` mirrors the Future interface; the evaluation deadline
-        # (backend.eval_timeout) is what actually bounds this call.
-        while True:
-            if self._entry is not None:
-                return self._entry
+        # (eval_timeout) is what actually bounds this call.
+        while self._entry is None:
             remaining = self._remaining()
             # A finished evaluation read after its deadline still counts:
             # only one still running when the deadline passes has timed out.
             if remaining is not None and remaining <= 0 \
                     and not self._inner.done():
-                return self._expire()
+                self._time_out()
+                continue
             try:
-                entry = self._inner.result(timeout=remaining)
-            except FuturesTimeoutError:
-                return self._expire()
-            except CancelledError:
+                self._entry = self._inner.result(timeout=remaining)
+            except (FuturesTimeoutError, EvaluationTimeoutError):
+                # the deadline passed here, or a remote worker reported
+                # its own soft deadline blown
+                self._time_out()
+            except _LOSS_TYPES as error:
                 if self._user_cancelled:
                     raise
-                # The pool was torn down under this future (a sibling's
-                # crash or timeout discard) — a crash casualty, not a
-                # caller's cancellation.
-                if self._retry_or_quarantine(
-                        WorkerCrashError("evaluation pool was torn down "
-                                         "with this task in flight")):
-                    return self._entry
-            except BrokenProcessPool as error:
-                self._backend._note_broken(self._evaluator, self._pool)
-                if self._retry_or_quarantine(error):
-                    return self._entry
+                self._transport._lose(self._evaluator, self._token)
+                # Shared: nobody can be blamed, so run alone from now on.
+                # Alone: the loss is this task's own.
+                self._retry(error, charge=self._alone)
             except TRANSIENT_ERROR_TYPES as error:
-                # Raised *inside* the worker; the pool itself is intact.
-                if self._retry_or_quarantine(error):
-                    return self._entry
-            else:
-                self._entry = entry
-                return entry
-
-    def _expire(self) -> dict:
-        """Deadline blown: kill the pool, resolve as a timeout record."""
-        get_registry().counter("engine.eval_timeouts").inc()
-        self._backend._discard_pool(self._evaluator, self._pool,
-                                    kind=FAILURE_KIND_TIMEOUT)
-        self._entry = failure_entry(FAILURE_KIND_TIMEOUT)
+                # raised inside a live worker: the task's own failure
+                self._retry(error, charge=True)
         return self._entry
 
-    def _retry_or_quarantine(self, error) -> bool:
-        """True when resolved (quarantined); False when resubmitted."""
-        policy = self._backend.retry_policy
-        if not policy.should_retry(self._attempt, error):
+    def _time_out(self) -> None:
+        get_registry().counter("engine.eval_timeouts").inc()
+        self._transport._expire(self._evaluator, self._token)
+        self._entry = failure_entry(FAILURE_KIND_TIMEOUT)
+
+    def _retry(self, error, *, charge: bool) -> None:
+        """Re-dispatch after a failed attempt, or quarantine the task."""
+        policy = self._transport.retry_policy
+        if charge and not policy.should_retry(self._attempt):
             get_registry().counter("engine.quarantined_tasks").inc()
             self._entry = failure_entry(FAILURE_KIND_CRASH)
-            return True
+            return
         get_registry().counter("engine.retries").inc()
         _trace_retry(self._evaluator, self._attempt, type(error).__name__)
         policy.sleep(self._attempt)
-        self._attempt += 1
+        if charge:
+            self._attempt += 1
+        else:
+            self._alone = True
         self._item = strip_fault(self._item)
-        self._pool, self._inner = self._backend._submit_item(
-            self._evaluator, self._item
-        )
-        self._reset_deadline()
-        return False
+        self._dispatch()
 
 
 class ProcessBackend(ExecutionBackend):
@@ -581,17 +611,10 @@ class ProcessBackend(ExecutionBackend):
     snapshot) persists across batches, those caches keep accumulating and
     reusing fitted prefixes for the whole search, not just one batch.
 
-    A worker death does not kill the search: the broken pool is discarded
-    and rebuilt, lost in-flight tasks are resubmitted under the retry
-    policy, and a task that keeps crashing its worker is quarantined as a
-    ``worker_crash`` failure entry.  Batch dispatch attributes crashes by
-    running the round after a crash in one-task isolation, so only the
-    poison task is ever charged — co-pending innocents always survive,
-    keeping recovered runs bit-for-bit repeatable.  With ``eval_timeout`` set, a hung
-    evaluation is detected (no completion within the deadline), its pool
-    is killed and rebuilt, and the task resolves as a ``timeout`` entry —
-    queued innocents from the same pool are resubmitted without being
-    charged an attempt.
+    Each evaluation is a :class:`_RecoveringEvalFuture` over this
+    backend's transport.  A broken or overdue shared pool is dropped from
+    the LRU, killed and rebuilt on the next dispatch; a task dispatched
+    *alone* gets a private one-worker pool.  ``close`` reaps both kinds.
     """
 
     name = "process"
@@ -613,6 +636,8 @@ class ProcessBackend(ExecutionBackend):
         self._lock = threading.Lock()
         #: fingerprint -> initializer-seeded pool, most recently used last
         self._eval_pools: "OrderedDict[str, ProcessPoolExecutor]" = OrderedDict()
+        #: one-shot pool -> the future of the one item it runs
+        self._private_pools: dict = {}
         self._submit_pool: ProcessPoolExecutor | None = None
 
     def map(self, fn, items: list) -> list:
@@ -632,9 +657,6 @@ class ProcessBackend(ExecutionBackend):
         return pool.submit(fn, item)
 
     def submit_evaluation(self, evaluator, item):
-        # Reuse the initializer-seeded evaluation pool so the evaluator is
-        # pickled once per pool, not once per submitted task; the wrapper
-        # owns crash recovery and the deadline for this one task.
         return _RecoveringEvalFuture(self, evaluator, item)
 
     # --------------------------------------------------- pool bookkeeping
@@ -663,7 +685,7 @@ class ProcessBackend(ExecutionBackend):
         return pool
 
     def _discard_pool(self, evaluator, pool, *, kind: str) -> bool:
-        """Drop ``pool`` from the LRU (if still installed) and kill it.
+        """Drop ``pool`` (shared or private, if still held) and kill it.
 
         Many observers can report the same dead pool — every in-flight
         future raises ``BrokenProcessPool`` at once — so the removal is
@@ -673,34 +695,53 @@ class ProcessBackend(ExecutionBackend):
         """
         key = evaluator.fingerprint()
         with self._lock:
-            evicted = self._eval_pools.get(key) is pool
-            if evicted:
+            if self._eval_pools.get(key) is pool:
                 del self._eval_pools[key]
+                evicted = True
+            else:
+                evicted = self._private_pools.pop(pool, None) is not None
+            if evicted:
                 self.last_crash = {"kind": kind, "time": time.time(),
                                    "fingerprint": key[:12]}
         if evicted:
             _kill_pool(pool)
         return evicted
 
-    def _note_broken(self, evaluator, pool) -> None:
-        """Record one worker-crash event for a broken pool."""
-        if self._discard_pool(evaluator, pool, kind=FAILURE_KIND_CRASH):
-            get_registry().counter("engine.worker_crashes").inc()
+    # ---------------------------------------------------------- transport
+    def _dispatch(self, evaluator, item, alone: bool):
+        """Submit one item; returns ``(pool, future)``.
 
-    def _submit_item(self, evaluator, item):
-        """Submit one item, rebuilding the fingerprint pool if it is broken.
-
-        Returns ``(pool, future)``.  A pool that keeps breaking faster
-        than it can accept work raises :class:`WorkerCrashError` — under
-        ``repro serve`` that fails only the owning session.
+        Shared items go to the fingerprint's warm pool, rebuilt when it is
+        broken; a pool that keeps breaking faster than it can accept work
+        raises :class:`WorkerCrashError` (under ``repro serve`` that fails
+        only the owning session).  An item dispatched alone gets a private
+        one-worker pool, reaped by the first dispatch after its item is
+        done — unless the pool broke: its owner's :meth:`_lose` kills it
+        and counts the crash.
         """
+        with self._lock:
+            finished = [pool for pool, future in self._private_pools.items()
+                        if future.done() and (future.cancelled() or not
+                            isinstance(future.exception(), BrokenExecutor))]
+            for pool in finished:
+                del self._private_pools[pool]
+        for pool in finished:
+            pool.shutdown(wait=True)
+        if alone:
+            pool = ProcessPoolExecutor(max_workers=1,
+                                       initializer=_init_evaluation_worker,
+                                       initargs=(evaluator,))
+            future = pool.submit(_evaluate_in_worker, item)
+            with self._lock:
+                self._private_pools[pool] = future
+            return pool, future
         attempt = 1
         while True:
             pool = self._evaluation_pool(evaluator)
             try:
                 return pool, pool.submit(_evaluate_in_worker, item)
             except BrokenProcessPool as error:
-                self._note_broken(evaluator, pool)
+                self._lose(evaluator, pool)
                 if attempt >= self.retry_policy.max_attempts:
                     raise WorkerCrashError(
                         f"evaluation pool for fingerprint "
@@ -709,183 +750,14 @@ class ProcessBackend(ExecutionBackend):
                     ) from error
                 attempt += 1
 
-    # ----------------------------------------------------------- batch path
-    def run_evaluations(self, evaluator, work: list) -> list:
-        work = list(work)
-        if len(work) <= 1:
-            # A single evaluation is cheaper inline than one IPC round-trip
-            # — still routed through the guarded envelope so chaos faults
-            # and the soft deadline apply identically.
-            return [self._guarded_evaluation(evaluator, item) for item in work]
-        return self._run_recovering(evaluator, work)
+    def _lose(self, evaluator, pool) -> None:
+        """Record one worker-crash event for a broken pool."""
+        if self._discard_pool(evaluator, pool, kind=FAILURE_KIND_CRASH):
+            get_registry().counter("engine.worker_crashes").inc()
 
-    def _run_recovering(self, evaluator, work: list) -> list:
-        """Ordered batch evaluation that survives crashes and hangs.
-
-        Tasks are dispatched in rounds.  A clean round resolves every
-        submitted future; a watchdog round resolves only the hung tasks as
-        timeouts (queued innocents carry over uncharged); a *crashed*
-        round — the pool broke — cannot tell which task killed the worker,
-        so nobody is charged an attempt.  Instead the next round runs in
-        **isolation**: one task at a time, in dispatch order, until a
-        crash is attributed to the single in-flight task (which is then
-        charged, retried with backoff, and eventually quarantined) or the
-        round completes cleanly and parallel dispatch resumes.  Innocent
-        tasks are therefore never quarantined by a co-tenant poison task,
-        which keeps the surviving records of a crash-and-recover run
-        identical across repeats of the same fault plan.
-
-        The loop terminates: every round either resolves at least one
-        task, or charges the isolated culprit one of its bounded
-        attempts; unattributed crashes are always followed by an
-        isolation round, and the shared backoff grows with the crash
-        streak.
-        """
-        results: list = [None] * len(work)
-        pending: dict[int, object] = dict(enumerate(work))
-        attempts = {index: 1 for index in pending}
-        policy = self.retry_policy
-        isolate = False
-        crash_streak = 0
-        while pending:
-            pool = self._evaluation_pool(evaluator)
-            batch = sorted(pending.items())
-            if isolate:
-                batch = batch[:1]
-            futures: dict = {}
-            broke_at_submit = False
-            try:
-                for index, item in batch:
-                    futures[pool.submit(_evaluate_in_worker, item)] = index
-            except BrokenProcessPool:
-                self._note_broken(evaluator, pool)
-                broke_at_submit = True
-            if not broke_at_submit:
-                if self._collect_round(evaluator, pool, futures, pending,
-                                       results, attempts):
-                    isolate = False
-                    crash_streak = 0
-                    continue
-            crash_streak += 1
-            if isolate:
-                # Exactly one task was in flight: the crash is its.
-                index = batch[0][0]
-                if not policy.should_retry(attempts[index]):
-                    results[index] = failure_entry(FAILURE_KIND_CRASH)
-                    get_registry().counter("engine.quarantined_tasks").inc()
-                    del pending[index]
-                    isolate = False
-                else:
-                    get_registry().counter("engine.retries").inc()
-                    _trace_retry(evaluator, attempts[index],
-                                 "BrokenProcessPool")
-                    policy.sleep(attempts[index])
-                    attempts[index] += 1
-                    pending[index] = strip_fault(pending[index])
-            else:
-                # Unattributed crash: the round consumed one attempt of
-                # every in-flight item (strip spent one-shot faults), but
-                # nobody can fairly be charged — isolate the culprit
-                # instead.  One shared backoff per crash, not per task:
-                # the whole pool died at once.
-                for index in sorted(pending):
-                    get_registry().counter("engine.retries").inc()
-                    _trace_retry(evaluator, attempts[index],
-                                 "BrokenProcessPool")
-                    pending[index] = strip_fault(pending[index])
-                isolate = True
-                policy.sleep(min(crash_streak, policy.max_attempts))
-        return results
-
-    def _collect_round(self, evaluator, pool, futures, pending, results,
-                       attempts) -> bool:
-        """Drain one round's futures; ``False`` means the pool broke.
-
-        ``futures`` maps in-flight future -> work index.  With an
-        ``eval_timeout``, the watchdog window restarts after every
-        completion: a worker is declared hung once *nothing* finishes for
-        a full deadline while it is running.
-        """
-        policy = self.retry_policy
-        while futures:
-            done, _ = wait(list(futures), timeout=self.eval_timeout,
-                           return_when=FIRST_COMPLETED)
-            if not done:
-                victims = [future for future in futures if future.running()]
-                if not victims:
-                    # Nothing running and nothing finishing: the pool lost
-                    # its workers without marking itself broken yet.
-                    self._note_broken(evaluator, pool)
-                    return False
-                for future in victims:
-                    index = futures.pop(future)
-                    results[index] = failure_entry(FAILURE_KIND_TIMEOUT)
-                    get_registry().counter("engine.eval_timeouts").inc()
-                    del pending[index]
-                # A hung worker cannot be cancelled — kill its pool.  Tasks
-                # still queued behind it are innocent: they stay pending
-                # for the next round without an attempt charge.
-                self._discard_pool(evaluator, pool, kind=FAILURE_KIND_TIMEOUT)
-                return True
-            broken = False
-            for future in done:
-                index = futures.pop(future)
-                try:
-                    entry = future.result()
-                except (BrokenProcessPool, CancelledError):
-                    # The pool died under this future; leave its task
-                    # pending — the caller strips spent faults and
-                    # isolates the culprit before resubmitting.
-                    broken = True
-                except TRANSIENT_ERROR_TYPES as error:
-                    # Raised inside the worker — the pool is intact, so
-                    # retry (or quarantine) just this task.
-                    if not policy.should_retry(attempts[index], error):
-                        results[index] = failure_entry(FAILURE_KIND_CRASH)
-                        get_registry().counter("engine.quarantined_tasks").inc()
-                        del pending[index]
-                        continue
-                    get_registry().counter("engine.retries").inc()
-                    _trace_retry(evaluator, attempts[index],
-                                 type(error).__name__)
-                    policy.sleep(attempts[index])
-                    attempts[index] += 1
-                    pending[index] = strip_fault(pending[index])
-                    try:
-                        futures[pool.submit(_evaluate_in_worker,
-                                            pending[index])] = index
-                    except BrokenProcessPool:
-                        broken = True
-                else:
-                    results[index] = entry
-                    del pending[index]
-            if broken:
-                self._note_broken(evaluator, pool)
-                return False
-        return True
-
-    def wait_any(self, futures) -> None:
-        # Unwrap the recovery wrappers and bound the wait by the nearest
-        # evaluation deadline, so a hung worker can never block the driver:
-        # when the deadline passes with nothing done, the expired wrapper
-        # reports done() and resolves to its timeout entry on result().
-        pending = [future for future in futures if not future.done()]
-        if not pending:
-            return
-        timeout = None
-        inner = []
-        for future in pending:
-            if isinstance(future, _RecoveringEvalFuture):
-                remaining = future._remaining()
-                if remaining is not None:
-                    timeout = (remaining if timeout is None
-                               else min(timeout, remaining))
-                inner.append(future._inner)
-            else:
-                inner.append(future)
-        if timeout is not None:
-            timeout = max(0.0, timeout)
-        wait(inner, timeout=timeout, return_when=FIRST_COMPLETED)
+    def _expire(self, evaluator, pool) -> None:
+        """A hung worker cannot be cancelled: kill its pool."""
+        self._discard_pool(evaluator, pool, kind=FAILURE_KIND_TIMEOUT)
 
     def close(self) -> None:
         # cancel_futures drops queued-but-unstarted work so shutdown joins
@@ -893,8 +765,9 @@ class ProcessBackend(ExecutionBackend):
         # wait=True then reaps every worker process (no orphans), even when
         # a budget interrupted the owning search mid-flight.
         with self._lock:
-            pools = list(self._eval_pools.values())
+            pools = [*self._eval_pools.values(), *self._private_pools]
             self._eval_pools = OrderedDict()
+            self._private_pools = {}
             submit_pool, self._submit_pool = self._submit_pool, None
         for pool in pools:
             pool.shutdown(wait=True, cancel_futures=True)

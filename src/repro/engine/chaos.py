@@ -5,12 +5,16 @@ The chaos harness exists so every recovery path in
 :class:`FaultPlan` schedules faults at specific task indices (worker
 kills, raised transient errors, hangs), and a :class:`ChaosBackend` wraps
 any real backend and attaches those faults to the matching work items as
-they are dispatched.  Task indices count evaluations in dispatch order,
-which the engine keeps deterministic (stable submission order, LPT sort
-on a deterministic key) — so two runs of the same plan hit the same
-pipelines with the same faults, and a crash-and-recover run produces
-bit-for-bit the same surviving records as a no-fault run (non-sticky
-faults fire once; the retry runs clean).
+they are dispatched.  Every evaluation is dispatched through
+``submit_evaluation`` — by ``ExecutionEngine.run`` in LPT order and by
+the futures layer in submission order, both deterministic — so task
+indices count evaluations in one dispatch order, and two runs of the same
+plan hit the same pipelines with the same faults.  Recovery re-dispatches
+happen inside the wrapped backend and never consume plan indices.  By
+the attribution rule in :mod:`repro.engine.backends`, a one-shot fault
+quarantines nobody (its retry runs clean), and a sticky one quarantines
+only the task that carries it, so the surviving records of a
+crash-and-recover run equal a no-fault run bit for bit.
 
 Wired through :class:`~repro.core.context.ExecutionContext` via the
 ``chaos`` field / ``REPRO_CHAOS`` env var using a compact spec grammar::
@@ -178,9 +182,8 @@ class ChaosBackend(ExecutionBackend):
     is assigned the next task index (thread-safe counter, dispatch
     order), and indices the plan names get their work item wrapped in a
     :class:`~repro.engine.faults.FaultInjection` before delegation.  The
-    *inner* backend's guarded envelope / recovery machinery then applies
-    the fault and survives it — recovery resubmissions happen inside the
-    inner backend and never consume plan indices.  Deliberately does not
+    *inner* backend's guarded envelope or recovering future then applies
+    the fault and survives it.  Deliberately does not
     call ``ExecutionBackend.__init__``: it owns no workers and no
     settings of its own; ``n_workers``, ``eval_timeout``,
     ``retry_policy`` and ``last_crash`` all delegate to the wrapped
@@ -268,11 +271,6 @@ class ChaosBackend(ExecutionBackend):
     # ----------------------------------------------------------------- API
     def map(self, fn, items: list) -> list:
         return self.inner.map(fn, items)
-
-    def run_evaluations(self, evaluator, work: list) -> list:
-        return self.inner.run_evaluations(
-            evaluator, [self._wrap(item) for item in work]
-        )
 
     def submit(self, fn, item):
         return self.inner.submit(fn, item)

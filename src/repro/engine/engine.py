@@ -5,21 +5,29 @@ independent :class:`~repro.engine.tasks.EvalTask` objects (the evaluator's
 ``evaluate_many``, the search framework's batched proposal loop, the
 experiment runner's grid fan-out) and an
 :class:`~repro.engine.backends.ExecutionBackend` that actually executes
-them.  For every batch it
+them.  For every batch :meth:`ExecutionEngine.run`
 
 1. answers cached tasks straight from the evaluator's memoization cache,
 2. deduplicates the remaining tasks by cache key so each unique
    ``(pipeline spec, fidelity)`` is evaluated exactly once,
-3. dispatches the unique work to the backend in a stable order,
-4. merges the results back into the evaluator's cache — both the
-   in-memory LRU and, when the evaluator has a ``cache_dir``, the
-   persistent cross-run cache (one batched append per shard), and
+3. submits the unique work longest pipeline first through
+   ``backend.submit_evaluation``, keeping at most ``backend.n_workers``
+   evaluations in flight and refilling a slot as each one completes,
+4. merges the results back into the evaluator's cache in one batch — both
+   the in-memory LRU and, when the evaluator has a ``cache_dir``, the
+   persistent cross-run cache (one append per shard), and
 5. returns trial records in the original task order.
 
-Determinism: tasks are dispatched and merged in submission order, and the
-evaluator derives every low-fidelity subsample seed from the task itself
-(seed, pipeline spec, fidelity) rather than from a shared RNG, so the
-serial, thread and process backends produce bit-for-bit identical results.
+The futures layer (:meth:`ExecutionEngine.submit_task` /
+:meth:`ExecutionEngine.as_completed`) dispatches through the same
+``submit_evaluation``, so batches and the completion-driven search loop
+share one dispatch path and one recovery rule (see
+:mod:`repro.engine.backends`).
+
+Determinism: results are merged in submission order, whatever order they
+complete in, and the evaluator derives every low-fidelity subsample seed
+from the task itself (seed, pipeline spec, fidelity) rather than from a
+shared RNG, so every backend produces bit-for-bit identical results.
 """
 
 from __future__ import annotations
@@ -198,23 +206,31 @@ class ExecutionEngine:
             # at the speed of their slowest member, so a long pipeline
             # landing last tail-blocks the whole batch.  Pipeline length is
             # the natural cost proxy (each step adds a fit+transform pass
-            # over the data); ties keep submission order, and the results
-            # are scattered back to submission order below, so every
-            # downstream consumer — records, cache merge-back — is
-            # oblivious to the reordering.  Serial backends skip the sort:
-            # submission order IS the deterministic reference order.
+            # over the data); ties keep submission order, and each result
+            # lands at its group's index, so every downstream consumer —
+            # records, cache merge-back — is oblivious to the reordering.
+            # Serial backends skip the sort: submission order IS the
+            # deterministic reference order.  At most n_workers are in
+            # flight (a deadline runs from submission, so nothing waits in
+            # a pool queue on its own clock); a completion frees a slot.
             order = list(range(len(groups)))
             if len(order) > 1 and self.backend.n_workers > 1:
                 order.sort(key=lambda i: (-len(tasks[groups[i][0]].pipeline), i))
-            work = [
-                (tasks[groups[i][0]].pipeline, tasks[groups[i][0]].fidelity)
-                for i in order
-            ]
+            order.reverse()  # pop() from the end dispatches in LPT order
+            entries: list = [None] * len(groups)
+            futures: dict = {}
             try:
-                dispatched = [
-                    evaluator.absorb_worker_counters(entry)
-                    for entry in self.backend.run_evaluations(evaluator, work)
-                ]
+                while order or futures:
+                    while order and len(futures) < self.backend.n_workers:
+                        first = tasks[groups[order[-1]][0]]
+                        futures[order.pop()] = self.backend.submit_evaluation(
+                            evaluator, (first.pipeline, first.fidelity))
+                    done = [i for i, future in futures.items() if future.done()]
+                    if not done:
+                        self.backend.wait_any(list(futures.values()))
+                    for i in done:
+                        entries[i] = evaluator.absorb_worker_counters(
+                            futures.pop(i).result())
             finally:
                 inflight.dec(len(groups))
             if tracer is not None:
@@ -222,9 +238,6 @@ class ExecutionEngine:
                             dur=time.perf_counter() - batch_start,
                             tasks=len(tasks), dispatched=len(groups),
                             backend=type(self.backend).__name__)
-            entries: list = [None] * len(groups)
-            for position, index in enumerate(order):
-                entries[index] = dispatched[position]
             merged = []
             for group, entry in zip(groups, entries):
                 first = tasks[group[0]]

@@ -6,11 +6,11 @@ worker connections, ships pickled evaluator snapshots once per
 core count, and resolves one :class:`concurrent.futures.Future` per
 task.  It deliberately contains **no retry logic**: a dead worker's
 in-flight tasks fail with :class:`WorkerCrashError`, and the
-:class:`~repro.engine.remote.backend.RemoteBackend` wrapper feeds those
-through the exact PR-9 ``RetryPolicy`` / quarantine machinery that the
-process backend uses, so recovery semantics (poison-task isolation,
-budget refunds, bit-for-bit surviving records) are shared, not
-reimplemented.
+:class:`~repro.engine.remote.backend.RemoteBackend` resolves each task
+through the same recovering future as the process backend.  The one
+recovery hook here is the *alone* lease: such a task goes only to a
+worker holding no other lease, and that worker takes no other lease
+until it is done, so a death during it is the task's own.
 
 Death detection is two-channel: a monitor thread declares any worker
 dead whose last message is older than ``worker_timeout`` (missed
@@ -94,15 +94,17 @@ class _TaskState:
     """One submitted work item: queue entry, lease owner, result future."""
 
     __slots__ = ("task_id", "fingerprint", "item", "future", "worker_id",
-                 "eval_timeout")
+                 "eval_timeout", "alone")
 
-    def __init__(self, task_id, fingerprint, item, future, eval_timeout):
+    def __init__(self, task_id, fingerprint, item, future, eval_timeout,
+                 alone):
         self.task_id = task_id
         self.fingerprint = fingerprint
         self.item = item
         self.future = future
         self.worker_id = None
         self.eval_timeout = eval_timeout
+        self.alone = alone
 
 
 class Coordinator:
@@ -186,11 +188,13 @@ class Coordinator:
                 self._membership.wait(remaining)
         return True
 
-    def submit(self, evaluator, item, *, eval_timeout=None) -> _TaskState:
+    def submit(self, evaluator, item, *, eval_timeout=None,
+               alone=False) -> _TaskState:
         """Queue one work item; the returned state's ``.future`` resolves
         to the entry dict, or to an exception from ``_ERROR_TYPES`` /
         :class:`RemoteTaskError`.  Tasks queue while no worker is
-        connected and dispatch as soon as one registers (elasticity)."""
+        connected and dispatch as soon as one registers (elasticity).
+        An ``alone`` task is leased to an idle worker and holds it."""
         fingerprint = evaluator.fingerprint()
         blob = None
         if fingerprint not in self._evaluator_blobs:
@@ -204,7 +208,8 @@ class Coordinator:
                 self._evaluator_blobs[fingerprint] = blob
             task_id = self._next_task_id
             self._next_task_id += 1
-            state = _TaskState(task_id, fingerprint, item, future, eval_timeout)
+            state = _TaskState(task_id, fingerprint, item, future,
+                               eval_timeout, alone)
             self._tasks[task_id] = state
             self._queue.append(state)
         self._pump()
@@ -221,6 +226,8 @@ class Coordinator:
             link = self._workers.get(state.worker_id)
             if link is not None:
                 link.leased.discard(state.task_id)
+        # the freed lease may be the idle worker a queued alone task needs
+        self._pump()
 
     def drop_worker(self, worker_id=None):
         """Forcibly disconnect a worker (chaos ``drop_worker`` fault).
@@ -308,15 +315,15 @@ class Coordinator:
 
         Least-loaded worker first, ties to the lowest worker_id, so
         dispatch order is a pure function of membership + queue state.
+        The queue is FIFO: an alone task at its head waits for an idle
+        worker, and a worker running an alone task takes nothing else.
         """
         while self._queue:
-            candidates = [link for link in self._workers.values()
-                          if len(link.leased) < link.cores]
-            if not candidates:
+            state = self._queue[0]
+            link = self._free_link_locked(state.alone)
+            if link is None and not state.future.cancelled():
                 return None
-            link = min(candidates,
-                       key=lambda l: (len(l.leased), l.worker_id))
-            state = self._queue.popleft()
+            self._queue.popleft()
             if not state.future.set_running_or_notify_cancel():
                 # cancelled while queued (budget refund): drop silently
                 self._tasks.pop(state.task_id, None)
@@ -328,6 +335,19 @@ class Coordinator:
                 link.fingerprints.add(state.fingerprint)
             return link, state, need_evaluator
         return None
+
+    def _free_link_locked(self, alone):
+        """The least-loaded worker that can take a lease, or None."""
+        if alone:
+            candidates = [link for link in self._workers.values()
+                          if not link.leased]
+        else:
+            candidates = [link for link in self._workers.values()
+                          if len(link.leased) < link.cores
+                          and not any(self._tasks[task_id].alone
+                                      for task_id in link.leased)]
+        return min(candidates, default=None,
+                   key=lambda link: (len(link.leased), link.worker_id))
 
     # -- connection handling --------------------------------------------
 

@@ -309,6 +309,13 @@ def _close_quietly(sock, rfile=None) -> None:
     if sock is None:
         return
     try:
+        # close() alone leaves the descriptor open while the reader's
+        # makefile still holds it: shutdown wakes that reader and sends the
+        # coordinator its EOF now, not at the next message or heartbeat.
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        log.debug("socket already shut down", exc_info=True)
+    try:
         sock.close()
     except OSError:
         log.debug("socket close failed", exc_info=True)

@@ -147,7 +147,7 @@ class TestEngineDispatch:
         first = evaluator.evaluate(pipeline)
 
         class ExplodingBackend(SerialBackend):
-            def run_evaluations(self, evaluator, work):
+            def submit_evaluation(self, evaluator, item):
                 raise AssertionError("cached task reached the backend")
 
         engine = ExecutionEngine(ExplodingBackend())
@@ -175,9 +175,9 @@ class TestLongestFirstDispatch:
             super().__init__(n_workers=n_workers)
             self.dispatched: list[tuple] = []
 
-        def run_evaluations(self, evaluator, work):
-            self.dispatched.extend(pipeline.names() for pipeline, _ in work)
-            return super().run_evaluations(evaluator, work)
+        def submit_evaluation(self, evaluator, item):
+            self.dispatched.append(item[0].names())
+            return super().submit_evaluation(evaluator, item)
 
     @staticmethod
     def _pipelines():

@@ -14,6 +14,7 @@ smoke step opts into them); one compact process crash-recovery test
 stays in the tier-1 default selection.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -518,6 +519,93 @@ class TestProcessRecovery:
         assert surviving == {row for row in _reference_rows()
                              if row[0] != failed[0][0]}
         assert _counter("engine.quarantined_tasks") == 1
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("plan", ["crash@1", "crash@1!"])
+    @pytest.mark.parametrize("dispatch", ["run", "as_completed"])
+    def test_only_the_faulty_task_is_ever_quarantined(self, dispatch, plan):
+        # One attempt each: a lost pool must not cost an innocent task its
+        # only try, on the batch path and the futures path alike.
+        policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
+        engine = _chaos_engine(
+            ProcessBackend(n_workers=2, retry_policy=policy), plan
+        )
+        evaluator = _make_evaluator()
+        tasks = _sample_tasks()
+        children = set(multiprocessing.active_children())
+        try:
+            if dispatch == "run":
+                records = engine.run(evaluator, tasks)
+            else:
+                pending = engine.submit_tasks(evaluator, tasks)
+                records = [None] * len(tasks)
+                for index, record in engine.as_completed(evaluator, pending):
+                    records[index] = record
+        finally:
+            engine.close()
+        # Dispatch index 1: the second task in LPT order under run(), the
+        # second submitted under submit_tasks().
+        order = sorted(range(len(tasks)),
+                       key=lambda i: (-len(tasks[i].pipeline), i))
+        culprit = order[1] if dispatch == "run" else 1
+        rows = _rows(records)
+        reference = _reference_rows()
+        failed = [i for i, row in enumerate(rows) if row[4] is not None]
+        if plan.endswith("!"):
+            assert failed == [culprit]
+            assert rows[culprit][2:] == (0.0, 0, FAILURE_KIND_CRASH)
+            assert _counter("engine.quarantined_tasks") == 1
+        else:
+            assert failed == []
+            assert _counter("engine.quarantined_tasks") == 0
+        assert [row for i, row in enumerate(rows) if i not in failed] \
+            == [row for i, row in enumerate(reference) if i not in failed]
+        # close() reaps every worker, private recovery pools included
+        assert set(multiprocessing.active_children()) <= children
+
+    @pytest.mark.slow
+    def test_task_lost_to_a_siblings_deadline_is_not_charged(self):
+        # Dispatch index 0 hangs; index 2 starts once index 1 is done and
+        # is mid-run when index 0's deadline kills the shared pool.  With
+        # one attempt each it must rerun alone, neither timed out nor
+        # quarantined.
+        policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
+        engine = _chaos_engine(
+            ProcessBackend(n_workers=2, eval_timeout=1.0,
+                           retry_policy=policy),
+            "delay@0:30,delay@1:0.3,delay@2:0.9",
+        )
+        try:
+            records = engine.run(_make_evaluator(), _sample_tasks(3))
+        finally:
+            engine.close()
+        rows = _rows(records)
+        failed = [row for row in rows if row[4] is not None]
+        assert [(row[2], row[4]) for row in failed] \
+            == [(0.0, FAILURE_KIND_TIMEOUT)]
+        assert {row for row in rows if row[4] is None} \
+            == {row for row in _reference_rows(3) if row[0] != failed[0][0]}
+        assert _counter("engine.eval_timeouts") == 1
+        assert _counter("engine.retries") == 1  # the one uncharged rerun
+        assert _counter("engine.quarantined_tasks") == 0
+
+    @pytest.mark.slow
+    def test_deadline_never_counts_time_queued_behind_the_window(self):
+        # Each task takes ~0.6s of a 1.0s deadline, 8 tasks on 2 workers:
+        # only dispatching as slots free keeps queue time off the clock.
+        plan = ",".join(f"delay@{index}:0.6" for index in range(8))
+        engine = _chaos_engine(
+            ProcessBackend(n_workers=2, eval_timeout=1.0,
+                           retry_policy=FAST_RETRY),
+            plan,
+        )
+        try:
+            records = engine.run(_make_evaluator(), _sample_tasks(8))
+        finally:
+            engine.close()
+        assert [r.failure_kind for r in records] == [None] * 8
+        assert _rows(records) == _reference_rows(8)
+        assert _counter("engine.eval_timeouts") == 0
 
     @pytest.mark.slow
     def test_watchdog_kills_hung_evaluations(self):

@@ -15,6 +15,8 @@ sockets on ephemeral ports, so every test crosses the actual wire.
 """
 
 import socket
+import sys
+import threading
 import time
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import ChaosBackend, EvalTask, ExecutionEngine, RetryPolicy
 from repro.engine.backends import make_backend
 from repro.engine.remote import (
+    Coordinator,
     RemoteBackend,
     RemoteProtocolError,
     RemoteWorker,
@@ -297,6 +300,69 @@ class TestRecovery:
         # exhausted FAST_RETRY: 2 resubmissions, then quarantine
         assert _counter("engine.retries") == 2
         assert _counter("engine.quarantined_tasks") == 1
+
+    def test_worker_loss_on_a_multicore_fleet_charges_nobody(self):
+        # Two 2-core workers, one attempt each: the crash at dispatch index
+        # 1 takes a worker down with two leases, and neither lost task may
+        # be quarantined for it — each reruns alone on the survivor.
+        reference = _reference_rows(6)
+        policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
+        with _Fleet(2, cores_each=2, retry_policy=policy) as backend:
+            engine = ExecutionEngine(ChaosBackend(backend, "crash@1"))
+            rows = _rows(engine.run(_make_evaluator(), _sample_tasks(6)))
+        assert rows == reference
+        assert _counter("engine.quarantined_tasks") == 0
+        assert _counter("engine.worker_crashes") == 1
+
+    def test_alone_leases_hold_their_worker_under_concurrent_submits(
+            self, monkeypatch):
+        # Four submitting threads on a 2-core host, alone and shared work
+        # interleaved: after every lease, a worker holding an alone task
+        # holds nothing else, and every task still gets its own entry.
+        violations = []
+        lease = Coordinator._next_assignment_locked
+
+        def checked_lease(coordinator):
+            assignment = lease(coordinator)
+            for link in coordinator._workers.values():
+                if len(link.leased) > 1 and any(
+                        coordinator._tasks[task_id].alone
+                        for task_id in link.leased):
+                    violations.append(sorted(link.leased))
+            return assignment
+
+        monkeypatch.setattr(Coordinator, "_next_assignment_locked",
+                            checked_lease)
+        reference = _reference_rows(12)
+        tasks = _sample_tasks(12)
+        evaluator = _make_evaluator()
+        futures = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _Fleet(2, cores_each=2) as backend:
+                def submit(indices):
+                    for index in indices:
+                        task = tasks[index]
+                        futures[index] = backend._dispatch(
+                            evaluator, (task.pipeline, task.fidelity),
+                            alone=index % 3 == 0)[1]
+
+                threads = [threading.Thread(target=submit,
+                                            args=(range(start, 12, 4),))
+                           for start in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                accuracies = {index: future.result(timeout=30.0)["accuracy"]
+                              for index, future in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert violations == []
+        assert [accuracies[index] for index in range(12)] \
+            == [row[2] for row in reference]
 
     def test_blown_deadline_scores_as_timeout(self):
         # 3 workers so the clean tasks never queue behind the hang: the
