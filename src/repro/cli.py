@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: off)")
         command.add_argument("--telemetry-dir", default=None, metavar="DIR",
                              help="directory for telemetry artifacts "
-                                  "(trace.jsonl, heartbeat.json)")
+                                  "(trace.jsonl, heartbeat-<id>.json)")
 
     search = subparsers.add_parser("search", help="run one Auto-FP search")
     search.add_argument("--dataset", default=None,

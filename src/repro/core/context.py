@@ -86,8 +86,8 @@ class ExecutionContext:
         search results — only what is observed about them.
     telemetry_dir:
         Directory receiving telemetry artifacts (``trace.jsonl``,
-        ``heartbeat.json``).  Required for span tracing; ``None`` keeps
-        counters in-memory only.
+        ``heartbeat-<session_id>.json``).  Required for span tracing;
+        ``None`` keeps counters in-memory only.
     eval_timeout:
         Optional per-evaluation deadline in seconds.  Enforced by a
         watchdog on the process backend (a hung worker is killed and its

@@ -364,7 +364,7 @@ class PipelineEvaluator:
         ``engine.n_workers`` tasks, the granularity at which parallel work
         can stop — and the batch is cut short once it expires.  The returned
         list is then a prefix of the tasks; callers account for the
-        undispatched remainder (see ``SearchAlgorithm._evaluate_proposals``).
+        undispatched remainder (see ``AsyncSearchDriver.drive``).
         Count-based budgets never interrupt a batch: their admission is
         settled up front, so results stay bit-for-bit identical across
         backends and worker counts.

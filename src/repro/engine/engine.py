@@ -2,8 +2,8 @@
 
 :class:`ExecutionEngine` sits between callers that produce batches of
 independent :class:`~repro.engine.tasks.EvalTask` objects (the evaluator's
-``evaluate_many``, the search framework's batched proposal loop, the
-experiment runner's grid fan-out) and an
+``evaluate_many``, the barrier waves of the search loop, the experiment
+runner's grid fan-out) and an
 :class:`~repro.engine.backends.ExecutionBackend` that actually executes
 them.  For every batch :meth:`ExecutionEngine.run`
 
@@ -20,8 +20,8 @@ them.  For every batch :meth:`ExecutionEngine.run`
 
 The futures layer (:meth:`ExecutionEngine.submit_task` /
 :meth:`ExecutionEngine.as_completed`) dispatches through the same
-``submit_evaluation``, so batches and the completion-driven search loop
-share one dispatch path and one recovery rule (see
+``submit_evaluation``, so batches and the completion-driven schedule of the
+search loop share one dispatch path and one recovery rule (see
 :mod:`repro.engine.backends`).
 
 Determinism: results are merged in submission order, whatever order they

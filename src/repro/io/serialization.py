@@ -178,52 +178,39 @@ def load_search_result(path) -> SearchResult:
 
 
 # ---------------------------------------------------- session checkpoints
-#: schema version of SearchSession checkpoint documents; newer documents
-#: are refused rather than misread (mirroring search-result handling).
-#: Version history:
-#:
-#: * 0 — pre-versioning documents (no ``format_version`` field)
-#: * 1 — versioned documents with ``driver``/``loop`` sections
-#: * 2 — the context dict carries ``telemetry_mode``/``telemetry_dir``
-SESSION_CHECKPOINT_VERSION = 2
+#: schema version of SearchSession checkpoint documents.  Version 3 holds
+#: one loop-state shape for both drivers; documents of any other version
+#: are refused rather than misread.
+SESSION_CHECKPOINT_VERSION = 3
 
 #: the ``kind`` marker distinguishing checkpoints from result documents
 SESSION_CHECKPOINT_KIND = "search-session-checkpoint"
 
-
-def _migrate_checkpoint_v0(document: dict) -> dict:
-    """v0 → v1: stamp the version and the sections v1 made mandatory."""
-    document.setdefault("driver", "sync")
-    document.setdefault("loop", {})
-    return document
-
-
-def _migrate_checkpoint_v1(document: dict) -> dict:
-    """v1 → v2: give the stored context its telemetry fields."""
-    context = document.get("context")
-    if isinstance(context, dict):
-        context.setdefault("telemetry_mode", "off")
-        context.setdefault("telemetry_dir", None)
-    return document
-
-
-#: migrations applied in sequence until a loaded document reaches
-#: :data:`SESSION_CHECKPOINT_VERSION`; each entry upgrades *from* its key
-_SESSION_CHECKPOINT_MIGRATIONS = {
-    0: _migrate_checkpoint_v0,
-    1: _migrate_checkpoint_v1,
-}
+#: the sections ``SearchSession.resume`` reads, with their JSON types
+#: (dotted names are nested)
+_CHECKPOINT_SECTIONS = (
+    ("context", dict),
+    ("problem", dict),
+    ("session_id", str),
+    ("driver", str),
+    ("budget", dict),
+    ("budget.max_trials", (int, float)),
+    ("budget.used", (int, float)),
+    ("trials", list),
+    ("state_blob", str),
+)
 
 
 def encode_state_blob(state) -> str:
     """Pickle ``state`` and return it base64-encoded for a JSON document.
 
-    The checkpoint document is JSON end to end — trial history, budget,
-    RNG state and context are all plain data — except for the algorithm's
-    internal state (surrogate models, populations, rungs), which is
-    arbitrary Python and goes through pickle.  The blob therefore carries
-    pickle's usual trust model: only load checkpoints you (or your own
-    interrupted runs) wrote, exactly as with any ``.pkl`` artifact.
+    The checkpoint document is JSON end to end — trial history, budget
+    and context are all plain data — except for the algorithm's internal
+    state (surrogate models, populations, rungs), its RNG and the search
+    loop's queued tasks, which are arbitrary Python and go through pickle.
+    The blob therefore carries pickle's usual trust model: only load
+    checkpoints you (or your own interrupted runs) wrote, exactly as with
+    any ``.pkl`` artifact.
     """
     return base64.b64encode(
         pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
@@ -272,22 +259,26 @@ def load_session_checkpoint(path) -> dict:
         raise ValidationError(
             f"{path} is not a search-session checkpoint document"
         )
-    version = document.get("format_version")
-    if not isinstance(version, int):
-        version = 0  # pre-versioning document
-    if version > SESSION_CHECKPOINT_VERSION:
+    version = document.get("format_version", 0)
+    if version != SESSION_CHECKPOINT_VERSION:
+        if isinstance(version, int) and version > SESSION_CHECKPOINT_VERSION:
+            advice = "load it with a newer release, or re-run the search"
+        else:
+            advice = "older formats are not migrated; re-run the search"
         raise ValidationError(
-            f"session checkpoint uses format version {version}; this build "
-            f"reads up to {SESSION_CHECKPOINT_VERSION} — load it with a "
-            f"newer release, or re-run the search to produce a fresh "
-            f"checkpoint"
+            f"session checkpoint uses format version {version!r}; this "
+            f"build reads only version {SESSION_CHECKPOINT_VERSION} — "
+            f"{advice} to produce a fresh checkpoint"
         )
-    # Upgrade older documents in place, one version step at a time, so a
-    # single load path serves every format this build has ever written.
-    while version < SESSION_CHECKPOINT_VERSION:
-        document = _SESSION_CHECKPOINT_MIGRATIONS[version](document)
-        version += 1
-        document["format_version"] = version
+    for name, kind in _CHECKPOINT_SECTIONS:
+        value = document
+        for part in name.split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValidationError(
+                f"session checkpoint at {path} has a missing or malformed "
+                f"{name!r} section"
+            )
     return document
 
 

@@ -1,43 +1,50 @@
-"""Completion-driven search execution: overlap Pick with Prep/Train.
+"""The one search loop: Algorithm 1 of the paper, in two schedules.
 
-The synchronous skeleton in :mod:`repro.search.session` evaluates each
-iteration's proposals as one *barrier*: the algorithm cannot propose again
-until the whole batch has returned, so with a parallel backend the Pick
-step idles while stragglers finish, and fast workers idle once their share
-of the batch is done.  :class:`AsyncSearchDriver` removes the barrier: it
-keeps up to ``n_workers`` evaluations in flight, feeds every completed
+:meth:`AsyncSearchDriver.drive` runs every search.  It admits the
+algorithm's proposals against the budget, dispatches them, feeds each
 :class:`~repro.core.result.TrialRecord` back through the algorithm's
-``_observe`` hook the moment it lands, and asks the algorithm for new
-proposals (``_update`` + ``_propose_batch``) as soon as a worker slot
-frees — the scheduling model of asynchronous successive halving (Li et
-al., ASHA) generalised to every algorithm of the registry.
+``_observe`` hook, and asks for new proposals (``_update`` +
+``_propose_batch``) when work runs out.  Two schedules share that loop:
+
+* **barrier** (``driver="sync"``) — every admitted proposal batch runs as
+  one *wave* through ``evaluator.evaluate_tasks`` (the engine's batch
+  path, or serial evaluation without an engine), and its records are
+  observed in proposal order before the algorithm is asked again;
+* **completion-driven** (``driver="async"``) — up to ``n_workers``
+  evaluations stay in flight, every completion is observed the moment it
+  lands, and Pick overlaps Prep/Train: the algorithm proposes as soon as a
+  worker slot frees — the scheduling model of asynchronous successive
+  halving (Li et al., ASHA) generalised to every algorithm of the
+  registry.
 
 Determinism contract:
 
-* On the serial backend (or with no engine attached) the driver is
-  **bit-for-bit identical** to ``SearchAlgorithm.search``: with one
-  in-flight slot, a proposal batch drains completely — each task evaluated
-  and observed in proposal order — before the next ``_update`` /
-  ``_propose_batch`` call, which is exactly the synchronous hook sequence,
-  RNG consumption and budget arithmetic.
-* On thread/process backends, results are reproducible given the same
-  completion order (completions are always *observed* in submission
-  order among those currently done); algorithms whose proposals depend
-  only on completed trials — ASHA by construction — additionally keep
-  every worker saturated.
+* On the serial backend (or with no engine attached) both schedules are
+  **bit-for-bit identical**: with one in-flight slot, a proposal batch
+  drains completely — each task evaluated and observed in proposal order
+  — before the next ``_update`` / ``_propose_batch`` call, which is
+  exactly the barrier's hook sequence, RNG consumption and budget
+  arithmetic.
+* On thread/process backends, completion-driven results are reproducible
+  given the same completion order (completions are always *observed* in
+  submission order among those currently done); algorithms whose
+  proposals depend only on completed trials — ASHA by construction —
+  additionally keep every worker saturated.  Barrier runs under a trial
+  budget match the serial run on every backend.
 
-Budget semantics are checked at *completion* granularity: admission
-(``budget.admits`` / fractional ``admissible``) mirrors the synchronous
-driver exactly, and a wall-clock budget is consulted after every observed
-completion — the search stops within one completion of expiry, cancels the
-admitted-but-never-dispatched backlog and refunds its charges.
+Budget semantics: admission (``budget.admits`` / fractional
+``admissible``) clips every batch to what the budget has left.  A
+wall-clock budget is consulted after every observed completion, or
+between dispatch chunks of a wave; the search stops within one completion
+(one chunk) of expiry, and the admitted-but-never-dispatched backlog is
+cancelled and refunded.
 
-The loop core is :meth:`AsyncSearchDriver.drive`: it starts from an
-explicit *loop state* (iteration counter, stall counter, the
-admitted-but-undispatched queue, deferred proposals) and can hand that
-state back when a :class:`~repro.search.session.SearchSession` asks it to
-pause — which is what makes asynchronous runs checkpointable and
-resumable.  :meth:`search` is the stateless wrapper for direct use.
+The loop starts from an explicit *loop state* (iteration counter, stall
+counter, the admitted-but-unobserved queue, deferred proposals) and hands
+the state back when a :class:`~repro.search.session.SearchSession` asks
+it to pause — which is what makes every run checkpointable and
+resumable.  :meth:`AsyncSearchDriver.search` is the stateless wrapper for
+direct completion-driven use.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ def fresh_loop_state() -> dict:
 
 
 class AsyncSearchDriver:
-    """Run a :class:`~repro.search.base.SearchAlgorithm` completion-driven.
+    """Run a :class:`~repro.search.base.SearchAlgorithm` through the loop.
 
     Parameters
     ----------
@@ -71,8 +78,9 @@ class AsyncSearchDriver:
         The search algorithm whose hooks (``_setup``, ``_initial_pipelines``,
         ``_update``, ``_propose_batch``, ``_observe``) the driver calls.
     n_workers:
-        Evaluations kept in flight.  Defaults to the worker count of the
-        problem evaluator's execution engine (1 when evaluation is serial).
+        Evaluations the completion-driven schedule keeps in flight.
+        Defaults to the worker count of the problem evaluator's execution
+        engine (1 when evaluation is serial).
     """
 
     def __init__(self, algorithm, *, n_workers: int | None = None) -> None:
@@ -82,7 +90,7 @@ class AsyncSearchDriver:
     # ----------------------------------------------------------------- API
     def search(self, problem, budget: Budget | None = None, *,
                max_trials: int = 50) -> SearchResult:
-        """Run the search on ``problem``; same contract as the sync driver."""
+        """Run the completion-driven search on ``problem``."""
         algorithm = self.algorithm
         budget = budget or TrialBudget(max_trials)
         rng = check_random_state(algorithm.random_state)
@@ -92,34 +100,44 @@ class AsyncSearchDriver:
         return result
 
     def drive(self, problem, budget: Budget, result: SearchResult, rng,
-              state: dict, *, control=None) -> dict | None:
-        """Run the completion-driven loop from ``state``.
+              state: dict, *, control=None, barrier: bool = False) -> dict:
+        """Run the search loop from ``state``; return the state to go on from.
 
         ``state`` is the serializable loop state (see
         :func:`fresh_loop_state`): the iteration and stall counters, the
-        admitted-but-undispatched ``queue`` of ``(task, charge)`` pairs
+        admitted-but-unobserved ``queue`` of ``(task, charge)`` pairs
         (their budget charges are already consumed), proposals ``deferred``
         by a fractional budget crumb, and whether the initial pipelines
         were already admitted.  ``_setup`` must have been called by the
         caller; trials already in ``result`` are treated as observed.
+
+        ``barrier`` selects the synchronous schedule (see the module
+        docstring): each admitted batch runs as one wave through
+        ``evaluator.evaluate_tasks``.  A wave that comes back short was cut
+        by a wall-clock budget; the run ends there and the undispatched
+        tail is refunded.
 
         ``control`` (a :class:`~repro.search.session.SearchSession`) gets
         two hooks: ``_driver_admitted(iteration, tasks)`` after each
         proposal-batch admission and ``_driver_observed(record, capture)``
         after each observed completion — ``capture`` is a zero-argument
         closure snapshotting the current loop state for a checkpoint, and
-        a True return pauses the run.  On pause the still-cancellable
-        in-flight work is folded back into the queue (charges intact),
-        anything already running is drained and observed, and the loop
-        state is returned: resuming with it continues the search exactly
-        where it stopped.  A run that completes returns ``None``.
+        a True return pauses the run.  Its ``session_id`` labels the
+        refund counter, and its ``tracer`` receives the ``propose`` spans.
+        On pause the unobserved rest of a wave and the still-cancellable
+        in-flight work stay queued (charges intact), anything a worker
+        already started is drained and observed, and the returned state
+        resumes the search exactly where it stopped.  After a run that
+        finished, the returned state holds no work.
         """
         algorithm = self.algorithm
         space = problem.space
         evaluator = problem.evaluator
+        tracer = getattr(control if control is not None else evaluator,
+                         "tracer", None)
 
         engine = evaluator.engine
-        own_engine = engine is None
+        own_engine = engine is None and not barrier
         if own_engine:
             # No engine attached: completion-driven execution degenerates to
             # the serial reference via a private lazy-futures engine.
@@ -132,14 +150,13 @@ class AsyncSearchDriver:
         #: budget crumb only spendable once everything in flight drains);
         #: retried before the algorithm is asked again, so state the
         #: algorithm mutated while proposing (ASHA's promoted set) is
-        #: never silently discarded.  Serial runs admit like the sync
-        #: driver and never defer.
+        #: never silently discarded.  Serial and barrier runs never defer.
         deferred: tuple | None = state.get("deferred")
         initial_done = bool(state.get("initial_done", False))
 
         #: admitted (task, key, charge) triples not yet handed to the
-        #: engine; restored entries keep their original charges (already
-        #: consumed when they were first admitted)
+        #: engine (or, under a barrier, not yet observed); restored entries
+        #: keep their original charges (consumed when first admitted)
         queue: deque = deque(
             (task, evaluator.cache_key(task.pipeline, task.fidelity), charge)
             for task, charge in state.get("queue", ())
@@ -148,18 +165,21 @@ class AsyncSearchDriver:
         inflight: list = []
         #: cache keys of queued/in-flight work, so a parallel run never
         #: re-dispatches (or re-charges) a proposal that is already running;
-        #: empty whenever the serial driver proposes, preserving parity
+        #: empty whenever a serial or barrier run proposes
         pending_keys: set = {key for _task, key, _charge in queue}
 
         def admit(proposals, pick_per_proposal: float,
                   admit_iteration: int) -> int:
-            """Mirror of the sync driver's batch admission.
+            """Admit a proposal batch, clipped to what the budget has left.
 
-            Duplicates *within* one proposal batch are admitted and charged
-            exactly as the sync driver does (the engine aliases their
-            execution); only proposals that duplicate work still pending
-            from an earlier batch are skipped — a situation the sync driver
-            can never be in, so serial parity is untouched.
+            A batch of k proposals can never over-admit a count budget.  The
+            one exception is the first proposal when only a fractional trial
+            remains and no other work is anywhere — it still runs, charged
+            only the remainder, so the search always makes progress.
+            Duplicates *within* one batch are admitted and charged (the
+            engine aliases their execution); only proposals that duplicate
+            work still pending from an earlier batch are skipped, which
+            never happens when nothing is pending at proposal time.
             """
             already_pending = frozenset(pending_keys)
             admitted_tasks: list[EvalTask] = []
@@ -190,18 +210,25 @@ class AsyncSearchDriver:
             return len(admitted_tasks)
 
         def capture() -> dict:
-            """Serializable snapshot of the loop, for a mid-run checkpoint.
+            """Serializable snapshot of the loop, for a checkpoint.
 
             Work in flight is recorded as queued (charges intact): a resume
             re-dispatches it in submission order, which on the deterministic
-            configurations (serial evaluation, one worker) reproduces the
-            uninterrupted observation order exactly.
+            configurations (serial evaluation, one worker, barrier waves)
+            reproduces the uninterrupted observation order exactly.
             """
             outstanding = [(entry[0].task, entry[2]) for entry in inflight]
             outstanding += [(task, charge) for task, _key, charge in queue]
             return {"iteration": iteration, "stalled": stalled,
                     "deferred": deferred, "queue": outstanding,
                     "initial_done": True}
+
+        def observe(record) -> bool:
+            """Record one completion; True when the control asks to pause."""
+            result.add(record)
+            algorithm._observe(record)
+            return control is not None \
+                and control._driver_observed(record, capture)
 
         if not initial_done:
             admit(list(algorithm._initial_pipelines(space, rng)), 0.0, 0)
@@ -210,12 +237,27 @@ class AsyncSearchDriver:
         paused = False
         try:
             while True:
+                if barrier and queue:
+                    # One wave: the whole admitted batch, observed in
+                    # proposal order.  Each record leaves the queue only
+                    # when observed, so a pause keeps the rest queued.
+                    wave = [task for task, _key, _charge in queue]
+                    records = evaluator.evaluate_tasks(wave, budget=budget)
+                    for record in records:
+                        pending_keys.discard(queue.popleft()[1])
+                        if observe(record):
+                            paused = True
+                            break
+                    if paused or len(records) < len(wave):
+                        break  # short: the wall-clock budget cut the wave
+
                 # Re-read capacity every cycle: an elastic backend (the
                 # remote fleet) grows and shrinks as workers join and
                 # leave, and the in-flight depth must track it.  Fixed
                 # backends return a constant, so this changes nothing
-                # for them.
-                n_workers = self.n_workers or engine.n_workers
+                # for them.  A barrier run keeps nothing in flight.
+                n_workers = 1 if barrier \
+                    else self.n_workers or engine.n_workers
 
                 # Fill free worker slots from the admitted backlog.
                 while queue and len(inflight) < n_workers:
@@ -236,7 +278,6 @@ class AsyncSearchDriver:
                         # Still unadmittable: wait for more completions.
                     else:
                         iteration += 1
-                        tracer = getattr(evaluator, "tracer", None)
                         pick_wall = time.time() if tracer is not None else 0.0
                         pick_start = time.perf_counter()
                         algorithm._update(result.trials, space, rng)
@@ -252,10 +293,10 @@ class AsyncSearchDriver:
                         if not proposals and not inflight:
                             stalled += 1
                             if stalled >= 3:
-                                # Same fallback as the sync driver: keep
-                                # honouring the budget with random samples
-                                # once the algorithm has nothing left to
-                                # propose.
+                                # The algorithm has nothing left to propose
+                                # (e.g. PNAS exhausted its beam): keep
+                                # honouring the budget with random samples,
+                                # as the paper's framework does.
                                 proposals = [space.sample_pipeline(rng)]
                             else:
                                 continue
@@ -288,11 +329,7 @@ class AsyncSearchDriver:
                     inflight.remove(entry)
                     pending, key, _charge = entry
                     pending_keys.discard(key)
-                    record = engine.resolve_task(evaluator, pending)
-                    result.add(record)
-                    algorithm._observe(record)
-                    if control is not None \
-                            and control._driver_observed(record, capture):
+                    if observe(engine.resolve_task(evaluator, pending)):
                         paused = True
                         break
                     if interruptible and budget.interrupted():
@@ -304,12 +341,12 @@ class AsyncSearchDriver:
             if paused:
                 return self._pause(engine, evaluator, result, control,
                                    queue, inflight, capture)
-            return None
         finally:
-            self._wind_down(engine, evaluator, budget, result,
+            self._wind_down(engine, evaluator, budget, result, control,
                             queue, inflight)
             if own_engine:
                 engine.close()
+        return capture()
 
     # ------------------------------------------------------------ internals
     def _pause(self, engine, evaluator, result, control, queue, inflight,
@@ -343,17 +380,16 @@ class AsyncSearchDriver:
         queue.clear()
         return state
 
-    def _wind_down(self, engine, evaluator, budget, result, queue,
+    def _wind_down(self, engine, evaluator, budget, result, control, queue,
                    inflight) -> None:
         """Refund never-dispatched work; drain what is already running.
 
         On a normal (or paused) exit both collections are empty and this is
         a no-op.  After a wall-clock interruption (or an error) the admitted
         backlog is cancelled and refunded — ``budget.used`` then reflects
-        exactly the work that ran, matching the sync driver's refund
-        semantics — while evaluations a thread/process worker already
-        started are allowed to finish and are observed like any other
-        completion.
+        exactly the work that ran — while evaluations a thread/process
+        worker already started are allowed to finish and are observed like
+        any other completion.
         """
         algorithm = self.algorithm
         refunded = 0
@@ -371,7 +407,11 @@ class AsyncSearchDriver:
                 algorithm._observe(record)
         inflight.clear()
         if refunded:
-            get_registry().counter("budget.refunded_trials").inc(refunded)
+            # Labelled per session: an unlabelled series would show up in
+            # every session's metrics_snapshot().
+            labels = {} if control is None else {"session": control.session_id}
+            get_registry().counter("budget.refunded_trials",
+                                   **labels).inc(refunded)
             log.debug("refunded %d admitted-but-undispatched task(s)",
                       refunded)
 

@@ -12,18 +12,20 @@ Every search algorithm follows the same iterative skeleton:
 algorithms override four of them — ``_initial_pipelines``, ``_update``,
 ``_propose`` and ``_observe`` — and inherit budget accounting, pick-time
 measurement (the "Pick" component of the bottleneck analysis) and result
-collection.  The loop itself lives in
+collection.  The loop itself is
+:meth:`~repro.search.async_driver.AsyncSearchDriver.drive`, run by
 :class:`~repro.search.session.SearchSession` (the lifecycle facade that
 also provides callbacks, interruption and checkpoint/resume);
 :meth:`SearchAlgorithm.search` is a thin wrapper constructing a session.
 
-Step 4 evaluates each iteration's proposals as *one batch* through
-``evaluator.evaluate_tasks``: algorithms that propose whole generations or
+Under the default ``"sync"`` driver, step 4 evaluates each iteration's
+proposals as *one wave*: algorithms that propose whole generations or
 rungs (PBT, Hyperband/BOHB, batched random search via the
 :meth:`SearchAlgorithm._propose_batch` hook) therefore parallelise
 automatically when the problem's evaluator carries an execution engine
 (:mod:`repro.engine`).  Records are observed in proposal order, so batched
-and serial execution produce identical search trajectories.
+and serial execution produce identical search trajectories.  The
+``"async"`` driver observes each evaluation as it completes instead.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ class SearchAlgorithm:
         """Run the search on ``problem`` and return a :class:`SearchResult`.
 
         A convenience wrapper over :class:`~repro.search.session.SearchSession`
-        — the session owns the canonical search loop, so plain searches and
-        checkpointable sessions share one implementation of admission,
-        budget accounting and driver selection.  Use a session directly for
-        progress callbacks, interruption and checkpoint/resume.
+        — plain searches and checkpointable sessions run through the same
+        session, and so share one search loop with one implementation of
+        admission, budget accounting and driver selection.  Use a session
+        directly for progress callbacks, interruption and checkpoint/resume.
 
         Parameters
         ----------
@@ -95,12 +97,12 @@ class SearchAlgorithm:
             Evaluation budget used when ``budget`` is not given; ``None``
             falls back to the context's ``default_budget``, then 50.
         driver:
-            ``"sync"`` runs the barrier loop, ``"async"`` the
-            completion-driven :class:`~repro.search.async_driver.AsyncSearchDriver`
-            (which keeps the evaluator engine's workers saturated).  The
-            default ``None`` follows the context's / problem's
-            ``async_mode`` flag.  Both drivers are bit-for-bit identical
-            under serial evaluation.
+            ``"sync"`` runs the search loop in barrier waves (one per
+            proposal batch), ``"async"`` completion-driven (keeping the
+            evaluator engine's workers saturated); see
+            :mod:`repro.search.async_driver`.  The default ``None`` follows
+            the context's / problem's ``async_mode`` flag.  Both drivers
+            are bit-for-bit identical under serial evaluation.
         context:
             Optional :class:`~repro.core.context.ExecutionContext`
             overriding the problem's own; decides the driver and default

@@ -48,19 +48,11 @@ TELEMETRY_MODES: tuple[str, ...] = ("off", "counters", "trace")
 #: trace-sink file name inside a telemetry directory
 TRACE_FILE_NAME = "trace.jsonl"
 
-#: legacy heartbeat-snapshot file name inside a telemetry directory; kept
-#: alive (as an alias of the per-session file) while a telemetry dir has
-#: exactly one writing session, so single-run dashboards keep working
-HEARTBEAT_FILE_NAME = "heartbeat.json"
-
-
 def heartbeat_file_name(session_id: str) -> str:
     """The per-session heartbeat file name inside a telemetry directory.
 
     Sessions sharing one telemetry dir each write their own
-    ``heartbeat-<session_id>.json`` — the fix for the single-tenant
-    assumption where every session clobbered one shared
-    :data:`HEARTBEAT_FILE_NAME`.
+    ``heartbeat-<session_id>.json``, so no session clobbers another's.
     """
     return f"heartbeat-{session_id}.json"
 
@@ -79,6 +71,5 @@ __all__ = [
     "trace_span",
     "TELEMETRY_MODES",
     "TRACE_FILE_NAME",
-    "HEARTBEAT_FILE_NAME",
     "heartbeat_file_name",
 ]

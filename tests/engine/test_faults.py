@@ -564,6 +564,41 @@ class TestProcessRecovery:
         assert set(multiprocessing.active_children()) <= children
 
     @pytest.mark.slow
+    @pytest.mark.parametrize("plan", ["crash@1", "crash@1!"])
+    def test_async_search_loses_only_the_faulty_task(self, plan):
+        # The completion-driven search loop on process futures, one attempt
+        # each: a lost pool costs no innocent trial, and only a sticky
+        # crash ends in a quarantined record.
+        policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
+        engine = _chaos_engine(
+            ProcessBackend(n_workers=2, retry_policy=policy), plan
+        )
+        problem = _make_problem()
+        problem.evaluator.set_engine(engine)
+        searcher = make_search_algorithm("rs", random_state=0, batch_size=4)
+        children = set(multiprocessing.active_children())
+        try:
+            result = searcher.search(problem, max_trials=12, driver="async")
+        finally:
+            engine.close()
+        assert len(result) == 12
+        assert _counter("engine.worker_crashes") >= 1
+        failed = [t.failure_kind for t in result.trials
+                  if t.failure_kind is not None]
+        if plan.endswith("!"):
+            assert failed == [FAILURE_KIND_CRASH]
+            assert _counter("engine.quarantined_tasks") == 1
+        else:
+            assert failed == []
+        serial = _make_problem().evaluator
+        for trial in result.trials:
+            if trial.failure_kind is None:
+                assert trial.accuracy == serial.evaluate(
+                    trial.pipeline, fidelity=trial.fidelity).accuracy
+        # close() reaps every worker, private recovery pools included
+        assert set(multiprocessing.active_children()) <= children
+
+    @pytest.mark.slow
     def test_task_lost_to_a_siblings_deadline_is_not_charged(self):
         # Dispatch index 0 hangs; index 2 starts once index 1 is done and
         # is mid-run when index 0's deadline kills the shared pool.  With

@@ -18,7 +18,7 @@ from repro.lint import lint_paths, render_text
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: every tree the CI lint step sweeps
-LINTED_TREES = ("src/repro", "tests", "benchmarks", "examples")
+LINTED_TREES = ("src/repro", "tests", "benchmarks", "examples", "scripts")
 
 
 @pytest.mark.parametrize("tree", LINTED_TREES)

@@ -12,12 +12,13 @@ import threading
 
 import pytest
 
+from repro.core.budget import TimeBudget
 from repro.core.context import ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.models.linear import LogisticRegression
 from repro.search import SearchSession, make_search_algorithm
-from repro.telemetry import HEARTBEAT_FILE_NAME, heartbeat_file_name
+from repro.telemetry import heartbeat_file_name
 from repro.telemetry.metrics import get_registry
 
 
@@ -56,31 +57,6 @@ class TestHeartbeatIsolation:
         assert beat_a["trials"] == 3
         assert beat_b["session_id"] == "tenant-b"
         assert beat_b["trials"] == 5
-
-    def test_legacy_alias_only_with_a_sole_writer(self, tmp_path):
-        # One session in the dir: heartbeat.json keeps working as before.
-        solo_dir = tmp_path / "solo"
-        solo_dir.mkdir()
-        context = ExecutionContext(telemetry_mode="counters",
-                                   telemetry_dir=solo_dir)
-        solo = _session(context, session_id="only-one")
-        solo.run(max_trials=2)
-        legacy = json.loads((solo_dir / HEARTBEAT_FILE_NAME)
-                            .read_text(encoding="utf-8"))
-        assert legacy["session_id"] == "only-one"
-
-        # Two sessions sharing a dir: neither may clobber the alias.
-        shared_dir = tmp_path / "shared"
-        shared_dir.mkdir()
-        context = ExecutionContext(telemetry_mode="counters",
-                                   telemetry_dir=shared_dir)
-        a = _session(context, session_id="pair-a")
-        b = _session(context, session_id="pair-b")
-        a.run(max_trials=2)
-        b.run(max_trials=2)
-        assert (shared_dir / heartbeat_file_name("pair-a")).exists()
-        assert (shared_dir / heartbeat_file_name("pair-b")).exists()
-        assert not (shared_dir / HEARTBEAT_FILE_NAME).exists()
 
     def test_resumed_session_keeps_its_heartbeat_identity(self, tmp_path):
         telemetry = tmp_path / "telemetry"
@@ -191,6 +167,32 @@ class TestConcurrentDeterminism:
         assert reading.get(key, 0) >= 1
         assert session.metrics_snapshot()["budget.refunded_trials"] \
             == reading[key]
+
+    @pytest.mark.parametrize("driver", ["sync", "async"])
+    def test_refunds_never_reach_a_bystander_session(self, driver):
+        owner = SearchSession(
+            _problem(ExecutionContext()),
+            make_search_algorithm("pbt", random_state=0),
+            session_id=f"refunder-{driver}",
+        )
+        bystander = _session(ExecutionContext(),
+                             session_id=f"bystander-{driver}")
+        now = [0.0]
+        evaluator = owner.problem.evaluator
+        original = evaluator._evaluate_uncached
+
+        def ticking(pipeline, fidelity):
+            now[0] += 1.0  # each evaluation "takes" one fake second
+            return original(pipeline, fidelity)
+
+        evaluator._evaluate_uncached = ticking
+        # PBT admits its 8-wide initial population at once; the clock
+        # expires after 4 evaluations and the rest is refunded.
+        result = owner.run(TimeBudget(3.5, clock=lambda: now[0]),
+                           driver=driver)
+        assert len(result) == 4
+        assert owner.metrics_snapshot()["budget.refunded_trials"] == 4
+        assert "budget.refunded_trials" not in bystander.metrics_snapshot()
 
 
 @pytest.fixture(autouse=True)

@@ -107,14 +107,14 @@ class TestStopAndContinue:
 
     def test_stop_mid_batch_parks_pending_records(self):
         # PBT's initial population is one 8-wide batch; stopping at the
-        # second observation leaves six evaluated-but-unobserved records.
+        # second observation leaves six charged-but-unobserved tasks queued.
         session = SearchSession(
             _problem(), make_search_algorithm("pbt", random_state=0),
             on_trial=lambda s, r: s.stop() if len(s.result) == 2 else None,
         )
         partial = session.run(max_trials=10)
         assert len(partial) == 2
-        assert len(session._pending_records) == 6
+        assert len(session._state["queue"]) == 6
         session.on_trial = None
         full = session.run()
         reference = make_search_algorithm("pbt", random_state=0).search(

@@ -17,7 +17,7 @@ from repro.core.problem import AutoFPProblem
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.models.linear import LogisticRegression
 from repro.search import SearchSession, make_search_algorithm
-from repro.telemetry import HEARTBEAT_FILE_NAME, TRACE_FILE_NAME
+from repro.telemetry import TRACE_FILE_NAME, heartbeat_file_name
 from repro.telemetry.tracing import TRIAL_PHASES, read_trace, summarize_trace
 
 
@@ -85,8 +85,11 @@ class TestTrialSpans:
 
 class TestHeartbeat:
     def test_heartbeat_reflects_the_finished_run(self, traced_run):
-        _, result, _, tmp_path = traced_run
-        heartbeat = json.loads((tmp_path / HEARTBEAT_FILE_NAME).read_text(encoding="utf-8"))
+        session, result, _, tmp_path = traced_run
+        heartbeat = json.loads(
+            (tmp_path / heartbeat_file_name(session.session_id))
+            .read_text(encoding="utf-8")
+        )
         assert heartbeat["algorithm"] == "rs"
         assert heartbeat["trials"] == len(result)
         assert heartbeat["best_accuracy"] == result.best_accuracy
@@ -136,5 +139,6 @@ class TestOffMode:
                                 make_search_algorithm("rs", random_state=0))
         result = session.run(max_trials=4)
         assert not (tmp_path / TRACE_FILE_NAME).exists()
-        assert not (tmp_path / HEARTBEAT_FILE_NAME).exists()
+        heartbeat = tmp_path / heartbeat_file_name(session.session_id)
+        assert not heartbeat.exists()
         assert all(t.phase_timings is None for t in result.trials)

@@ -2,8 +2,9 @@
 
 Covers the worker→parent shipping protocol (snapshot, diff, merge), the
 attribute-compatibility shim (:func:`metric_property`), pickling of a
-``MetricSet`` across process boundaries, and the process-wide registry's
-series semantics (labels, kind stability, flat snapshots).
+``MetricSet`` across process boundaries, the process-wide registry's
+series semantics (labels, kind stability, flat snapshots), and that the
+library's counter owners keep their counters on metric sets.
 """
 
 import pickle
@@ -212,3 +213,22 @@ class TestWorkerDeltaShippingUnderProcessBackend:
         info = evaluator.cache_info()
         assert info["prefix_hits"] == merged["prefix.hits"]
         assert info["steps_reused"] == merged["prefix.steps_reused"]
+
+
+def test_library_counters_live_on_metric_sets():
+    """The migrated classes expose their counters through a MetricSet."""
+    from repro.core.evaluation import PipelineEvaluator
+    from repro.core.prefixcache import PrefixTransformCache
+    from repro.io.evalcache import PersistentEvalCache
+    from repro.telemetry.metrics import MetricSet
+
+    for owner in (PipelineEvaluator, PrefixTransformCache, PersistentEvalCache):
+        names = getattr(owner, "COUNTER_NAMES")
+        assert names, f"{owner.__name__} declares no counter names"
+        for name in names:
+            assert isinstance(getattr(owner, name), property), (
+                f"{owner.__name__}.{name} is not a metric_property"
+            )
+
+    cache = PrefixTransformCache(max_bytes=1024)
+    assert isinstance(cache.metrics, MetricSet)
