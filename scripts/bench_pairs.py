@@ -5,11 +5,21 @@ command that ``BENCHMARK.json`` declares (``layerbench/run.py``) for one
 workload, once in each tree per pair, never concurrently.  Each tree
 benchmarks its own sources.  The side that runs first alternates from pair
 to pair, and pair ``i`` passes ``--seed S+i`` to both sides.  For each
-end-to-end metric the script prints the median and quartiles per side, how
-many pairs the working tree won (a tie counts for neither), and whether
-that meets the claim rule: at least nine tenths of the pairs won, and a
-median gap larger than the parent's interquartile range.  It also prints
-the failed and attempted operations per side.
+end-to-end metric the script prints the median and quartiles per side, the
+relative change of the median, how many pairs the working tree won (a tie
+counts for neither), and whether that meets the claim rule: at least nine
+tenths of the pairs won, and a median gap larger than the parent's
+interquartile range.  Each metric also gets a regression verdict against
+its ``BENCHMARK.json`` bound:
+
+* ``worse``: the median moved the wrong way by more than the bound;
+* ``unresolved``: the parent's interquartile range is wider than the
+  bound (relative to its median), and not every run of the change beat
+  every run of the parent;
+* ``ok``: otherwise.
+
+Last come the failed and attempted operations per side, flagged when the
+change's failed share is larger than the parent's.
 
 Run from the repository root::
 
@@ -74,10 +84,26 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return low, median, high
 
 
+def verdict(parent: list, change: list, metric: dict) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for one metric's runs."""
+    higher = metric["better"] == "higher"
+    parent_q, change_q = quartiles(parent), quartiles(change)
+    relative = (change_q[1] - parent_q[1]) / parent_q[1]
+    if (-relative if higher else relative) > metric["bound"]:
+        return "worse"
+    every_run_better = (min(change) > max(parent) if higher
+                        else max(change) < min(parent))
+    spread = (parent_q[2] - parent_q[0]) / parent_q[1]
+    if spread > metric["bound"] and not every_run_better:
+        return "unresolved"
+    return "ok"
+
+
 def summarise(runs: dict, benchmark: dict) -> list:
     """One line per end-to-end metric, then the failures per side."""
     lines = [f"{'metric':<14} {'parent median [q1, q3]':>32} "
-             f"{'change median [q1, q3]':>32} {'wins':>6}  claim"]
+             f"{'change median [q1, q3]':>32} {'change':>8} {'wins':>6}  "
+             f"claim  verdict"]
     pairs = len(runs["parent"])
     for metric in benchmark["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -93,11 +119,19 @@ def summarise(runs: dict, benchmark: dict) -> list:
         cells = [f"{q[1]:.3f} [{q[0]:.3f}, {q[2]:.3f}]"
                  for q in (parent_q, change_q)]
         lines.append(f"{name:<14} {cells[0]:>32} {cells[1]:>32} "
-                     f"{wins:>3}/{pairs}  {'yes' if claim else 'no'}")
-    for side, side_runs in runs.items():
-        failed = sum(run["failed"] for run in side_runs)
-        attempted = sum(run["attempted"] for run in side_runs)
-        lines.append(f"failed {side:<7} {failed}/{attempted}")
+                     f"{gap / parent_q[1]:>+8.1%} {wins:>3}/{pairs}  "
+                     f"{'yes' if claim else 'no':<5}  "
+                     f"{verdict(sides['parent'], sides['change'], metric)}")
+    counts = {side: (sum(run["failed"] for run in side_runs),
+                     sum(run["attempted"] for run in side_runs))
+              for side, side_runs in runs.items()}
+    shares = {side: failed / attempted if attempted else 0.0
+              for side, (failed, attempted) in counts.items()}
+    for side, (failed, attempted) in counts.items():
+        grew = side == "change" and shares["change"] > shares["parent"]
+        lines.append(f"failed {side:<7} {failed}/{attempted} "
+                     f"({shares[side]:.1%})"
+                     + ("  more than the parent" if grew else ""))
     return lines
 
 

@@ -11,6 +11,17 @@ The space supports the operations the 15 search algorithms need:
 * progressive expansion by one position (Progressive NAS / ENAS),
 * a fixed-length integer / one-hot encoding (surrogate models, REINFORCE),
 * full enumeration for small lengths (the motivating experiment, Figure 2).
+
+Sampling, mutation and the one-hot encoding also come in an *index-tuple*
+form: a pipeline written as the tuple of its steps' candidate indices.
+:meth:`SearchSpace.sample_indices` and :meth:`SearchSpace.mutate_indices`
+consume exactly the random draws of :meth:`SearchSpace.sample_pipeline` and
+:meth:`SearchSpace.mutate`, which are built on them, so either form leaves
+a generator in the same state.  :meth:`SearchSpace.encode_indices` is the
+one encoder; :meth:`SearchSpace.encode` and :meth:`SearchSpace.encode_many`
+look up a pipeline's indices and call it.  A surrogate that scores many
+candidates (SMAC) samples, mutates and encodes tuples and builds a
+:class:`~repro.core.pipeline.Pipeline` only for the candidate it picks.
 """
 
 from __future__ import annotations
@@ -74,16 +85,20 @@ class SearchSpace:
         """Sample a pipeline length uniformly from ``1..max_length``."""
         return int(rng.integers(1, self.max_length + 1))
 
-    def sample_pipeline(self, random_state=None, length: int | None = None) -> Pipeline:
-        """Sample a pipeline uniformly (first a length, then each position)."""
+    def sample_indices(self, random_state=None,
+                       length: int | None = None) -> tuple[int, ...]:
+        """Sample a pipeline's index tuple: first a length, then each position."""
         rng = check_random_state(random_state)
         length = self.sample_length(rng) if length is None else int(length)
         if not 1 <= length <= self.max_length:
             raise SearchSpaceError(
                 f"length must be in [1, {self.max_length}], got {length}"
             )
-        indices = rng.integers(0, self.n_candidates, size=length)
-        return self.pipeline_from_indices(indices)
+        return tuple(rng.integers(0, self.n_candidates, size=length).tolist())
+
+    def sample_pipeline(self, random_state=None, length: int | None = None) -> Pipeline:
+        """Sample a pipeline uniformly (first a length, then each position)."""
+        return self.pipeline_from_indices(self.sample_indices(random_state, length))
 
     def sample_pipelines(self, n: int, random_state=None) -> list[Pipeline]:
         """Sample ``n`` pipelines independently."""
@@ -113,22 +128,41 @@ class SearchSpace:
 
     def mutate(self, pipeline: Pipeline, random_state=None) -> Pipeline:
         """Return a single random one-edit mutation of ``pipeline``."""
+        position, index = self._draw_edit(len(pipeline), random_state)
+        if index is None:
+            return pipeline.truncate(position)
+        if position == len(pipeline):
+            return pipeline.append(self.candidates[index])
+        return pipeline.replace(position, self.candidates[index])
+
+    def mutate_indices(self, indices: Sequence[int],
+                       random_state=None) -> tuple[int, ...]:
+        """:meth:`mutate` on an index tuple, with the same random draws."""
+        position, index = self._draw_edit(len(indices), random_state)
+        head, tail = tuple(indices[:position]), tuple(indices[position + 1:])
+        return head + tail if index is None else (*head, index, *tail)
+
+    def _draw_edit(self, length: int, random_state) -> tuple[int, int | None]:
+        """Draw one edit of a ``length``-step pipeline: ``(position, index)``.
+
+        The edit replaces the step at ``position`` with candidate ``index``,
+        appends that candidate when ``position == length``, or drops the
+        last step when ``index`` is None.
+        """
         rng = check_random_state(random_state)
         moves = ["replace"]
-        if len(pipeline) < self.max_length:
+        if length < self.max_length:
             moves.append("append")
-        if len(pipeline) > 1:
+        if length > 1:
             moves.append("drop")
         move = moves[int(rng.integers(0, len(moves)))]
 
-        if move == "append" or len(pipeline) == 0:
-            new_step = self.candidates[int(rng.integers(0, self.n_candidates))]
-            return pipeline.append(new_step)
+        if move == "append" or length == 0:
+            return length, int(rng.integers(0, self.n_candidates))
         if move == "drop":
-            return pipeline.truncate(len(pipeline) - 1)
-        position = int(rng.integers(0, len(pipeline)))
-        new_step = self.candidates[int(rng.integers(0, self.n_candidates))]
-        return pipeline.replace(position, new_step)
+            return length - 1, None
+        position = int(rng.integers(0, length))
+        return position, int(rng.integers(0, self.n_candidates))
 
     def crossover(self, first: Pipeline, second: Pipeline, random_state=None) -> Pipeline:
         """Single-point crossover used by the genetic-programming baseline."""
@@ -163,23 +197,42 @@ class SearchSpace:
                 yield self.pipeline_from_indices(combo)
 
     # ------------------------------------------------------------ encoding
+    def encode_indices(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """One-hot design matrix of index tuples, one row per tuple.
+
+        A row has ``max_length`` blocks of ``n_candidates + 1`` entries;
+        each block one-hot encodes the candidate at that position, with the
+        extra entry meaning "empty" (pipeline shorter than the position).
+        A tuple longer than ``max_length`` or an index that names no
+        candidate raises :class:`SearchSpaceError`.
+        """
+        width, empty = self.max_length, self.n_candidates
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        if lengths.size and lengths.max() > width:
+            raise SearchSpaceError(
+                f"a pipeline of {lengths.max()} steps does not fit "
+                f"max_length={width}"
+            )
+        steps = np.fromiter(itertools.chain.from_iterable(rows),
+                            dtype=np.intp, count=int(lengths.sum()))
+        if steps.size and not 0 <= steps.min() <= steps.max() < empty:
+            raise SearchSpaceError(
+                f"candidate indices must be in [0, {empty}), got "
+                f"{steps.min()}..{steps.max()}"
+            )
+        codes = np.full((len(rows), width), empty, dtype=np.intp)
+        # Row-major order of the mask matches the concatenated tuples.
+        codes[np.arange(width) < lengths[:, None]] = steps
+        matrix = np.zeros((len(rows), width, empty + 1))
+        matrix[np.arange(len(rows))[:, None], np.arange(width), codes] = 1.0
+        return matrix.reshape(len(rows), self.encoding_dim())
+
     def encode(self, pipeline: Pipeline) -> np.ndarray:
         """Fixed-length one-hot encoding used by surrogate models.
 
-        The encoding has ``max_length`` blocks of ``n_candidates + 1``
-        entries; each block one-hot encodes the candidate at that position,
-        with the extra entry meaning "empty" (pipeline shorter than the
-        position).
+        The row :meth:`encode_indices` gives the pipeline's indices.
         """
-        block = self.n_candidates + 1
-        vector = np.zeros(self.max_length * block, dtype=np.float64)
-        indices = self.indices_of(pipeline)
-        for position in range(self.max_length):
-            if position < len(indices):
-                vector[position * block + indices[position]] = 1.0
-            else:
-                vector[position * block + self.n_candidates] = 1.0
-        return vector
+        return self.encode_indices([self.indices_of(pipeline)])[0]
 
     def encoding_dim(self) -> int:
         """Dimensionality of :meth:`encode`'s output."""
@@ -187,9 +240,7 @@ class SearchSpace:
 
     def encode_many(self, pipelines: Sequence[Pipeline]) -> np.ndarray:
         """Encode a list of pipelines into a 2-D design matrix."""
-        if not pipelines:
-            return np.zeros((0, self.encoding_dim()))
-        return np.stack([self.encode(p) for p in pipelines])
+        return self.encode_indices([self.indices_of(p) for p in pipelines])
 
     def __repr__(self) -> str:
         names = [candidate.name for candidate in self.candidates]

@@ -42,12 +42,20 @@ MAX_BODY_BYTES = 1 << 20
 #: cap on a single long-poll wait so handler threads always cycle
 MAX_POLL_SECONDS = 60.0
 
+#: socket read timeout: a client that stops sending mid-request loses its
+#: connection instead of pinning a handler thread (long-polls wait in the
+#: manager, not on the socket)
+READ_TIMEOUT_SECONDS = 30.0
+
 
 class ServeHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests to the owning server's ``manager``."""
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: StreamRequestHandler applies it to the socket; the stdlib's
+    #: handle_one_request closes the connection on a TimeoutError
+    timeout = READ_TIMEOUT_SECONDS
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -68,11 +76,15 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0 or length > MAX_BODY_BYTES:
+        header = (self.headers.get("Content-Length") or "0").strip()
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body's extent is unknown or unread, so the connection
+            # cannot carry another request.
+            self.close_connection = True
             raise ValidationError(
-                f"request body must be 0..{MAX_BODY_BYTES} bytes, "
-                f"got {length}"
+                f"Content-Length must be an integer in 0..{MAX_BODY_BYTES}, "
+                f"got {header!r}"
             )
         raw = self.rfile.read(length) if length else b""
         if not raw:

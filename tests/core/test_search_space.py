@@ -1,11 +1,60 @@
-"""Tests for the Auto-FP search space."""
+"""Tests for the Auto-FP search space.
+
+The index-tuple forms replaced code that worked on pipelines: a
+per-pipeline encoding loop, and a sampler and a mutation that drew and
+built pipelines in one routine.  The old forms stay below as oracles; the
+new forms must give equal pipelines, byte-equal matrices and the same
+generator state.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Pipeline, SearchSpace
 from repro.exceptions import SearchSpaceError
 from repro.preprocessing import Binarizer, Normalizer, StandardScaler
+
+
+# ----------------------------------------------------------------- oracles
+def per_pipeline_encode(space, pipeline):
+    """The one-hot loop that :meth:`SearchSpace.encode_indices` replaced."""
+    block = space.n_candidates + 1
+    vector = np.zeros(space.max_length * block, dtype=np.float64)
+    indices = space.indices_of(pipeline)
+    for position in range(space.max_length):
+        if position < len(indices):
+            vector[position * block + indices[position]] = 1.0
+        else:
+            vector[position * block + space.n_candidates] = 1.0
+    return vector
+
+
+def draw_and_build_sample(space, rng, length=None):
+    """:meth:`SearchSpace.sample_pipeline` before it wrapped the tuple form."""
+    length = space.sample_length(rng) if length is None else int(length)
+    indices = rng.integers(0, space.n_candidates, size=length)
+    return space.pipeline_from_indices(indices)
+
+
+def draw_and_apply_mutate(space, pipeline, rng):
+    """:meth:`SearchSpace.mutate` before it shared its draws with tuples."""
+    moves = ["replace"]
+    if len(pipeline) < space.max_length:
+        moves.append("append")
+    if len(pipeline) > 1:
+        moves.append("drop")
+    move = moves[int(rng.integers(0, len(moves)))]
+
+    if move == "append" or len(pipeline) == 0:
+        new_step = space.candidates[int(rng.integers(0, space.n_candidates))]
+        return pipeline.append(new_step)
+    if move == "drop":
+        return pipeline.truncate(len(pipeline) - 1)
+    position = int(rng.integers(0, len(pipeline)))
+    new_step = space.candidates[int(rng.integers(0, space.n_candidates))]
+    return pipeline.replace(position, new_step)
 
 
 class TestSpaceBasics:
@@ -108,6 +157,71 @@ class TestMutation:
         for _ in range(20):
             child = space.crossover(first, second, rng)
             assert 1 <= len(child) <= 3
+
+
+class TestIndexTupleForms:
+    @given(seed=st.integers(0, 10_000), max_length=st.integers(1, 7),
+           fixed=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_draws_match_the_pipeline_forms(self, seed, max_length, fixed):
+        """Sampling and mutating tuples draws what the pipeline forms draw."""
+        space = SearchSpace(max_length=max_length)
+        tuples, pipelines, oracle = (np.random.default_rng(seed)
+                                     for _ in range(3))
+        length = max_length if fixed else None
+        for _ in range(15):
+            indices = space.sample_indices(tuples, length=length)
+            pipeline = space.sample_pipeline(pipelines, length=length)
+            expected = draw_and_build_sample(space, oracle, length)
+            assert space.pipeline_from_indices(indices) == pipeline == expected
+            for _ in range(3):
+                indices = space.mutate_indices(indices, tuples)
+                pipeline = space.mutate(pipeline, pipelines)
+                expected = draw_and_apply_mutate(space, expected, oracle)
+                assert space.pipeline_from_indices(indices) == pipeline \
+                    == expected
+            state = tuples.bit_generator.state
+            assert pipelines.bit_generator.state == state
+            assert oracle.bit_generator.state == state
+
+    def test_mutating_an_empty_tuple_appends(self):
+        space = SearchSpace(max_length=2)
+        assert len(space.mutate_indices((), random_state=0)) == 1
+        assert len(space.mutate(Pipeline([]), random_state=0)) == 1
+
+    @given(seed=st.integers(0, 10_000), max_length=st.integers(1, 7),
+           n=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_encoder_is_byte_equal_to_the_loop(self, seed, max_length, n):
+        space = SearchSpace(max_length=max_length)
+        pipelines = space.sample_pipelines(n, random_state=seed)
+        expected = np.zeros((n, space.encoding_dim()))
+        for row, pipeline in enumerate(pipelines):
+            expected[row] = per_pipeline_encode(space, pipeline)
+            assert space.encode(pipeline).tobytes() == expected[row].tobytes()
+        matrices = [
+            space.encode_many(pipelines),
+            space.encode_indices([space.indices_of(p) for p in pipelines]),
+        ]
+        for matrix in matrices:
+            assert matrix.shape == expected.shape
+            assert matrix.dtype == np.float64
+            assert matrix.tobytes() == expected.tobytes()
+
+    def test_over_long_pipeline_is_rejected(self):
+        """A 3-step pipeline no longer encodes as its 2-step prefix."""
+        space = SearchSpace(max_length=2)
+        pipeline = SearchSpace(max_length=3).sample_pipeline(random_state=0,
+                                                             length=3)
+        with pytest.raises(SearchSpaceError, match="max_length=2"):
+            space.encode(pipeline)
+        with pytest.raises(SearchSpaceError, match="max_length=2"):
+            space.encode_many([pipeline.truncate(1), pipeline])
+
+    @pytest.mark.parametrize("indices", [(7,), (0, -1), (3, 8)])
+    def test_index_naming_no_candidate_is_rejected(self, indices):
+        with pytest.raises(SearchSpaceError, match="candidate indices"):
+            SearchSpace(max_length=2).encode_indices([(0,), indices])
 
 
 class TestProgressiveOperations:

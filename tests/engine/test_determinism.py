@@ -283,8 +283,9 @@ class TestPrefixCacheDeterminism:
 
 #: (algorithm, kwargs) cells of the checkpoint/resume matrix: one per
 #: paper category with non-trivial internal state — evolution (TEVO_H),
-#: progressive NAS (PMNE, surrogate + beam), TPE (density estimators) and
-#: ASHA (rungs + promotion sets, fractional fidelities)
+#: progressive NAS (PMNE, surrogate + beam), TPE (density estimators),
+#: ASHA (rungs + promotion sets, fractional fidelities) and SMAC (forest
+#: surrogate over its trial history)
 CHECKPOINT_ALGORITHMS = [
     ("tevo_h", {}),
     ("pmne", {"beam_width": 3}),
@@ -294,6 +295,10 @@ CHECKPOINT_ALGORITHMS = [
     # propose draws interleave on one stream): the regression case for
     # checkpointing the generator together with the algorithm state.
     ("anneal", {}),
+    # SMAC keeps its own history of observed index tuples and accuracies;
+    # with n_init=3 the interruption falls after the forest's first fits,
+    # so the history and the fitted surrogate both cross the checkpoint.
+    ("smac", {"n_init": 3}),
 ]
 
 

@@ -1,7 +1,11 @@
 """Behavioural tests of individual search algorithms."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Pipeline, SearchSpace
 from repro.core.result import SearchResult, TrialRecord
@@ -20,6 +24,7 @@ from repro.search import (
     expected_improvement,
 )
 from repro.exceptions import ValidationError
+from repro.search.smac import _erf, _erfc, ndtr
 
 
 class TestRandomSearchAndAnneal:
@@ -67,7 +72,57 @@ class TestExpectedImprovement:
         assert np.array_equal(expected_improvement(mean, std, best, xi), expected)
 
 
+class TestNdtrPort:
+    """The Cephes ``ndtr`` port equals ``scipy.special.ndtr`` byte for byte.
+
+    Its ``erf``/``erfc`` helpers are checked against scipy's too, so the
+    branches ``ndtr`` never takes are still the ported ones.
+    """
+
+    #: branch edges of ndtr/erf/erfc, underflow, infinities and denormals
+    EDGES = [0.0, 1.0, math.sqrt(2), 8.0, 8 * math.sqrt(2), 38.5, math.inf,
+             1e-300, 5e-324, 1e308]
+
+    @staticmethod
+    def assert_equals_scipy(values):
+        from scipy import special
+
+        values = np.asarray(values, dtype=np.float64)
+        assert ndtr(values).tobytes() == special.ndtr(values).tobytes()
+        for port, reference in ((_erf, special.erf), (_erfc, special.erfc)):
+            ported = np.array([port(value) for value in values.tolist()])
+            assert ported.tobytes() == reference(values).tobytes()
+
+    def test_edge_values(self):
+        edges = np.array(self.EDGES)
+        near = [np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+        values = np.concatenate([edges, *near, [np.nan]])
+        self.assert_equals_scipy(np.concatenate([values, -values]))
+
+    def test_normal_draws(self):
+        rng = np.random.default_rng(5)
+        self.assert_equals_scipy(np.concatenate([
+            rng.normal(size=20_000), rng.normal(scale=5.0, size=20_000),
+        ]))
+
+    @given(st.lists(st.one_of(st.floats(), st.floats(-40.0, 40.0),
+                              st.floats(-1.5, 1.5)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_values(self, values):
+        self.assert_equals_scipy(values)
+
+    def test_keeps_the_input_shape(self):
+        assert ndtr(np.zeros((2, 3))).shape == (2, 3)
+        assert ndtr(np.zeros((2, 3)))[1, 2] == 0.5
+
+
 class TestSMACAndTPE:
+    @pytest.mark.parametrize("option", ["n_candidates", "n_trees"])
+    def test_smac_rejects_an_empty_pool(self, option):
+        with pytest.raises(ValidationError, match=option):
+            SMAC(**{option: 0})
+
     def test_smac_initialisation_count(self, lr_problem):
         result = SMAC(n_init=5, random_state=0).search(lr_problem, max_trials=12)
         init_trials = [t for t in result.trials if t.iteration == 0]

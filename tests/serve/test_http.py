@@ -7,6 +7,8 @@ mid-search and asserts a restarted server resumes the session to a result
 bit-for-bit identical to an uninterrupted run.
 """
 
+import json
+import socket
 import threading
 import time
 
@@ -14,6 +16,7 @@ import pytest
 
 from repro.exceptions import ReproError
 from repro.serve import ServeAPIError, ServeClient, SessionManager, build_server
+from repro.serve.http import READ_TIMEOUT_SECONDS, ServeHandler
 
 SPEC = {"dataset": "blood", "max_trials": 4, "seed": 3, "scale": 0.5}
 
@@ -117,6 +120,48 @@ class TestEndpoints:
         client = ServeClient("http://127.0.0.1:9", timeout=1.0)
         with pytest.raises(ReproError, match="cannot reach"):
             client.healthz()
+
+
+def _raw_request(server, request: bytes, *, timeout: float = 10.0) -> bytes:
+    """Send ``request`` on a raw socket; everything read until the server closes."""
+    host, port = server.server.server_address[:2]
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _handler_threads() -> set:
+    return {thread for thread in threading.enumerate()
+            if "process_request_thread" in thread.name}
+
+
+class TestHostileRequests:
+    @pytest.mark.parametrize("length", ["abc", "12abc", "1.5", "-1"])
+    def test_bad_content_length_is_a_400(self, served, length):
+        reply = _raw_request(served, (
+            f"POST /sessions HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}").encode("ascii"))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_short_body_times_out_and_frees_the_handler(self, served,
+                                                        monkeypatch):
+        assert ServeHandler.timeout == READ_TIMEOUT_SECONDS > 0
+        monkeypatch.setattr(ServeHandler, "timeout", 0.5)
+        before = _handler_threads()
+        start = time.monotonic()
+        reply = _raw_request(served, (
+            b"POST /sessions HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 100\r\n\r\n{}"))
+        assert reply == b""
+        assert time.monotonic() - start < 5.0
+        for thread in _handler_threads() - before:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
 
 
 class TestServerRestart:

@@ -2,7 +2,9 @@
 
 scipy takes most of a second to import, and every CLI call, ``repro
 worker`` and spawned pool process pays for whatever ``import repro.cli``
-pulls in.  Modules that need scipy import it where it is used.
+pulls in.  Modules that need scipy import it where it is used, and the
+search algorithms on the benchmark's paths (SMAC's expected improvement
+included) do not need it at all.
 """
 
 import os
@@ -12,7 +14,12 @@ from pathlib import Path
 
 import repro
 
-SCRIPT = """
+REPORT_SCIPY = """
+print(sorted(name for name in sys.modules
+             if name == "scipy" or name.startswith("scipy.")))
+"""
+
+FITS = """
 import sys
 
 import numpy as np
@@ -28,14 +35,33 @@ for name in DEFAULT_PREPROCESSOR_NAMES:
     make_preprocessor(name).fit(X).transform(X)
 for name in ("xgb", "lr"):
     make_classifier(name).fit(X, y).predict(X)
-print(sorted(name for name in sys.modules
-             if name == "scipy" or name.startswith("scipy.")))
+"""
+
+SMAC_SEARCH = """
+import sys
+
+from repro.core.problem import AutoFPProblem
+from repro.search import SMAC
+
+problem = AutoFPProblem.from_registry("blood", "lr", scale=0.4, random_state=0)
+smac = SMAC(n_init=3, random_state=0)
+result = smac.search(problem, max_trials=6)
+assert len(result) == 6 and smac._surrogate is not None
 """
 
 
-def test_cli_and_default_fits_do_not_import_scipy():
+def loaded_scipy_modules(script: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
-    completed = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
-                               capture_output=True, text=True, timeout=120,
-                               check=True)
-    assert completed.stdout.strip() == "[]"
+    completed = subprocess.run([sys.executable, "-c", script + REPORT_SCIPY],
+                               env=env, capture_output=True, text=True,
+                               timeout=120, check=True)
+    return completed.stdout.strip()
+
+
+def test_cli_and_default_fits_do_not_import_scipy():
+    assert loaded_scipy_modules(FITS) == "[]"
+
+
+def test_smac_search_does_not_import_scipy():
+    """Past ``n_init`` SMAC scores candidates by expected improvement."""
+    assert loaded_scipy_modules(SMAC_SEARCH) == "[]"
