@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 import zlib
 
+from repro.core.context import ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.core.evaluation import PipelineEvaluator
 from repro.core.search_space import SearchSpace
@@ -71,7 +72,8 @@ def make_problem(*, delay: float, engine=None, async_mode: bool = False,
     )
     evaluator.set_engine(engine)
     return AutoFPProblem(evaluator=evaluator, space=SearchSpace(max_length=3),
-                         name="async-overlap/lr", async_mode=async_mode)
+                         name="async-overlap/lr",
+                         context=ExecutionContext(async_mode=async_mode))
 
 
 def timed_search(algorithm: str, *, delay: float, n_workers: int,

@@ -53,14 +53,12 @@ def main() -> None:
     transformed_valid = fitted.transform(problem.evaluator.X_valid)
     print(f"\ntransformed validation set shape: {transformed_valid.shape}")
 
-    # 5. ExecutionContext: ONE object for every runtime knob.  Earlier
-    #    releases threaded n_jobs/backend/cache_dir/prefix_cache_bytes/
-    #    async_mode separately through every layer; those keywords still
-    #    work but are deprecated.  A context is frozen, hashable and
-    #    JSON-serializable (to_dict/from_dict), can be read from REPRO_*
-    #    environment variables (ExecutionContext.from_env()) or a JSON
-    #    file (`repro search --context run.json`), and configures
-    #    problems, searches, whole experiment grids and the CLI alike:
+    # 5. ExecutionContext: ONE object for every runtime knob.  A context
+    #    is frozen, hashable and JSON-serializable (to_dict/from_dict),
+    #    can be read from REPRO_* environment variables
+    #    (ExecutionContext.from_env()) or a JSON file (`repro search
+    #    --context run.json`), and configures problems, searches, whole
+    #    experiment grids and the CLI alike:
     #
     #    * n_jobs/backend fan evaluation batches (PBT generations,
     #      Hyperband rungs) out to worker threads or processes — results

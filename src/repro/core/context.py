@@ -1,16 +1,12 @@
 """The unified runtime-configuration surface: :class:`ExecutionContext`.
 
-Four PRs of scaling work each added their own keyword argument to every
-layer of the public API: ``n_jobs``/``backend`` (parallel engine),
-``cache_dir`` (persistent evaluation cache), ``async_mode``
-(completion-driven scheduling) and ``prefix_cache_bytes``
-(prefix-transform reuse) were threaded separately through
-``AutoFPProblem``, ``SearchAlgorithm.search``, ``ExperimentConfig``,
-``run_experiment``/``run_single`` and the CLI.  ``ExecutionContext``
-collapses that sprawl into one frozen, serializable object: every runtime
-knob lives here, every entry point accepts ``context=``, and the old
-per-kwarg spellings keep working through a deprecation shim
-(:func:`fold_legacy_kwargs`) that folds them into a context.
+Every runtime knob of a run — parallel backend and worker count, the
+persistent evaluation cache, prefix-transform reuse, the async driver,
+telemetry, deadlines and fault injection — lives in one frozen,
+serializable object, and every entry point (``AutoFPProblem``,
+``SearchAlgorithm.search``, ``ExperimentConfig``,
+``run_experiment``/``run_single`` and the CLI) accepts it as
+``context=``.
 
 Because the context is a frozen dataclass of plain scalars it is
 
@@ -32,18 +28,31 @@ configure any number of problems/evaluators.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
-from repro.exceptions import ReproDeprecationWarning, ValidationError
+from repro.exceptions import ValidationError
 
-#: sentinel distinguishing "kwarg not passed" from an explicit None/False,
-#: so the deprecation shim only warns about spellings the caller actually
-#: used
+#: sentinel distinguishing "``random_state`` not passed" from an explicit
+#: value, so entry points can default it to the context's ``seed``
 _UNSET = object()
 
 #: environment variables read by :meth:`ExecutionContext.from_env`
 _ENV_PREFIX = "REPRO_"
+
+
+def convert_field(name: str, value, kind):
+    """``kind(value)``, or a :class:`ValidationError` naming the field.
+
+    For scalars read from outside the program (context files, request
+    bodies, result documents), where a bare ``int("abc")`` would escape
+    as an untyped ``ValueError``, ``TypeError`` or ``OverflowError``.
+    """
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ValidationError(
+            f"{name} cannot be read from {value!r}: {error}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,7 @@ class ExecutionContext:
                     f"got {self.backend!r}"
                 )
         if self.n_jobs is not None:
-            n_jobs = int(self.n_jobs)
+            n_jobs = convert_field("n_jobs", self.n_jobs, int)
             if n_jobs == 0 or n_jobs < -1:
                 raise ValidationError(
                     f"n_jobs must be a positive worker count, -1 (all cores) "
@@ -147,9 +156,11 @@ class ExecutionContext:
         if self.cache_dir is not None:
             # Normalise Path-likes to str so the context stays hashable and
             # JSON-serializable.
-            object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
+            object.__setattr__(self, "cache_dir", convert_field(
+                "cache_dir", self.cache_dir, os.fspath))
         if self.prefix_cache_bytes is not None:
-            prefix_bytes = int(self.prefix_cache_bytes)
+            prefix_bytes = convert_field("prefix_cache_bytes",
+                                         self.prefix_cache_bytes, int)
             if prefix_bytes < 0:
                 raise ValidationError(
                     f"prefix_cache_bytes must be >= 0 or None, "
@@ -158,15 +169,20 @@ class ExecutionContext:
             object.__setattr__(self, "prefix_cache_bytes",
                                prefix_bytes or None)
         if self.default_budget is not None:
-            budget = int(self.default_budget)
+            budget = convert_field("default_budget", self.default_budget, int)
             if budget < 1:
                 raise ValidationError(
                     f"default_budget must be at least 1, got {budget}"
                 )
             object.__setattr__(self, "default_budget", budget)
         if self.seed is not None:
-            object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "async_mode", bool(self.async_mode))
+            object.__setattr__(self, "seed",
+                               convert_field("seed", self.seed, int))
+        if not isinstance(self.async_mode, bool):
+            # bool("false") is True: only a real bool says what was meant.
+            raise ValidationError(
+                f"async_mode must be true or false, got {self.async_mode!r}"
+            )
         from repro.telemetry import TELEMETRY_MODES
 
         if self.telemetry_mode not in TELEMETRY_MODES:
@@ -175,10 +191,11 @@ class ExecutionContext:
                 f"got {self.telemetry_mode!r}"
             )
         if self.telemetry_dir is not None:
-            object.__setattr__(self, "telemetry_dir",
-                               os.fspath(self.telemetry_dir))
+            object.__setattr__(self, "telemetry_dir", convert_field(
+                "telemetry_dir", self.telemetry_dir, os.fspath))
         if self.eval_timeout is not None:
-            eval_timeout = float(self.eval_timeout)
+            eval_timeout = convert_field("eval_timeout", self.eval_timeout,
+                                         float)
             if eval_timeout <= 0:
                 raise ValidationError(
                     f"eval_timeout must be a positive number of seconds or "
@@ -201,7 +218,8 @@ class ExecutionContext:
                 self, "remote_coordinator",
                 format_address(parse_address(self.remote_coordinator)))
         if self.worker_timeout is not None:
-            worker_timeout = float(self.worker_timeout)
+            worker_timeout = convert_field("worker_timeout",
+                                           self.worker_timeout, float)
             if worker_timeout <= 0:
                 raise ValidationError(
                     f"worker_timeout must be a positive number of seconds "
@@ -445,36 +463,3 @@ class ExecutionContext:
             parts.append(f"worker_timeout={self.worker_timeout:g}s")
         return " ".join(parts)
 
-
-#: the per-knob keywords the context replaced, mapped to their context field
-LEGACY_CONTEXT_KWARGS: tuple[str, ...] = (
-    "n_jobs", "backend", "cache_dir", "prefix_cache_bytes", "async_mode",
-)
-
-
-def fold_legacy_kwargs(context: ExecutionContext | None, *, where: str,
-                       stacklevel: int = 3, **legacy) -> ExecutionContext:
-    """The deprecation shim: fold per-knob keywords into a context.
-
-    ``legacy`` values equal to :data:`_UNSET` were not passed by the
-    caller and are ignored — as are explicit ``None``/``False``, the
-    historical "off" defaults, which change nothing when folded; each
-    *meaningful* value the caller passed emits a single
-    :class:`~repro.exceptions.ReproDeprecationWarning` (naming ``where``,
-    the entry point) and overrides the corresponding field of ``context``.
-    With no legacy keywords this is a plain ``context or
-    ExecutionContext()`` defaulting step, so modern callers pay nothing.
-    """
-    passed = {name: value for name, value in legacy.items()
-              if value is not _UNSET and value is not None
-              and value is not False}
-    context = context if context is not None else ExecutionContext()
-    if not passed:
-        return context
-    names = ", ".join(f"{name}=" for name in sorted(passed))
-    warnings.warn(
-        f"{where}: the keyword argument(s) {names} are deprecated; pass "
-        f"context=ExecutionContext({', '.join(sorted(passed))}, ...) instead",
-        ReproDeprecationWarning, stacklevel=stacklevel,
-    )
-    return context.replace(**passed)

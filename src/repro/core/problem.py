@@ -6,17 +6,14 @@ into a :class:`~repro.core.evaluation.PipelineEvaluator`, and exposes the
 no-preprocessing baseline that the paper uses as its reference point.
 
 Runtime configuration — parallel backend, caches, async scheduling — comes
-from one :class:`~repro.core.context.ExecutionContext` (``context=``); the
-per-knob keywords of earlier releases (``n_jobs=``/``backend=``/
-``cache_dir=``/``prefix_cache_bytes=``/``async_mode=``) still work through
-the deprecation shim, which folds them into a context.
+from one :class:`~repro.core.context.ExecutionContext` (``context=``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.context import _UNSET, ExecutionContext, fold_legacy_kwargs
+from repro.core.context import _UNSET, ExecutionContext
 from repro.core.evaluation import PipelineEvaluator
 from repro.core.search_space import SearchSpace
 from repro.models.base import Classifier
@@ -41,10 +38,6 @@ class AutoFPProblem:
     evaluator: PipelineEvaluator
     space: SearchSpace
     name: str = "auto-fp"
-    #: when True, ``SearchAlgorithm.search`` hands runs on this problem to
-    #: the completion-driven :class:`~repro.search.async_driver.AsyncSearchDriver`
-    #: (overlapping Pick with Prep/Train) instead of the barrier loop
-    async_mode: bool = False
     #: the runtime configuration the problem was built with; searches and
     #: :class:`~repro.search.session.SearchSession` default to it
     context: ExecutionContext | None = None
@@ -60,8 +53,6 @@ class AutoFPProblem:
                     fast_model: bool = True, random_state=_UNSET,
                     name: str = "auto-fp",
                     context: ExecutionContext | None = None,
-                    n_jobs=_UNSET, backend=_UNSET, cache_dir=_UNSET,
-                    async_mode=_UNSET, prefix_cache_bytes=_UNSET,
                     ) -> "AutoFPProblem":
         """Build a problem from raw arrays.
 
@@ -76,14 +67,9 @@ class AutoFPProblem:
         alive between batches — call ``problem.evaluator.engine.close()``
         when done with the problem to release it eagerly (it is also
         released at interpreter exit).  ``random_state`` defaults to the
-        context's ``seed`` (0 when neither is set).  The per-knob
-        keywords are deprecated spellings folded into the context.
+        context's ``seed`` (0 when neither is set).
         """
-        context = fold_legacy_kwargs(
-            context, where="AutoFPProblem.from_arrays",
-            n_jobs=n_jobs, backend=backend, cache_dir=cache_dir,
-            async_mode=async_mode, prefix_cache_bytes=prefix_cache_bytes,
-        )
+        context = context if context is not None else ExecutionContext()
         if random_state is _UNSET:
             random_state = context.seed_or(0)
         if isinstance(model, str):
@@ -93,24 +79,18 @@ class AutoFPProblem:
             **context.evaluator_options(),
         )
         return cls(evaluator=evaluator, space=space or SearchSpace(),
-                   name=name, async_mode=context.async_mode, context=context)
+                   name=name, context=context)
 
     @classmethod
     def from_registry(cls, dataset_name: str, model: Classifier | str, *,
                       space: SearchSpace | None = None, scale: float = 1.0,
                       fast_model: bool = True, random_state=_UNSET,
                       context: ExecutionContext | None = None,
-                      n_jobs=_UNSET, backend=_UNSET, cache_dir=_UNSET,
-                      async_mode=_UNSET, prefix_cache_bytes=_UNSET,
                       ) -> "AutoFPProblem":
         """Build a problem from a named dataset of the benchmark registry."""
         from repro.datasets.registry import load_dataset
 
-        context = fold_legacy_kwargs(
-            context, where="AutoFPProblem.from_registry",
-            n_jobs=n_jobs, backend=backend, cache_dir=cache_dir,
-            async_mode=async_mode, prefix_cache_bytes=prefix_cache_bytes,
-        )
+        context = context if context is not None else ExecutionContext()
         if random_state is _UNSET:
             random_state = context.seed_or(0)
         X, y = load_dataset(dataset_name, scale=scale)

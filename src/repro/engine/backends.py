@@ -1,9 +1,8 @@
 """Pluggable execution backends: serial, thread-pool and process-pool.
 
-A backend does two things.  ``map`` applies a function over a list of
-items and returns the results in input order (coarse fan-out such as
-experiment-grid cells).  ``submit`` / ``submit_evaluation`` /
-``wait_any`` hand out one future per task.  Every evaluation goes through
+A backend hands out one future per task through ``submit`` (any
+picklable callable, such as an experiment-grid cell),
+``submit_evaluation`` and ``wait_any``.  Every evaluation goes through
 ``submit_evaluation`` — the engine's batches and its per-completion
 futures alike — so there is one dispatch path.  Results stay bit-for-bit
 deterministic on every backend because the engine submits in a stable
@@ -195,7 +194,7 @@ class SerialFuture:
 
 
 class ExecutionBackend:
-    """Backend protocol: ordered ``map`` plus evaluation dispatch.
+    """Backend protocol: generic and evaluation futures.
 
     Parameters
     ----------
@@ -239,10 +238,6 @@ class ExecutionBackend:
         self.last_crash: dict | None = None
 
     # ------------------------------------------------------------------ API
-    def map(self, fn, items: list) -> list:
-        """Apply ``fn`` to every item; results are returned in input order."""
-        raise NotImplementedError
-
     def _guarded_evaluation(self, evaluator, item) -> dict:
         """Evaluate one work item under the retry policy and soft deadline.
 
@@ -297,7 +292,7 @@ class ExecutionBackend:
         """Start ``fn(item)`` and return a future for its result.
 
         With a process backend ``fn`` must be a picklable module-level
-        function (the same constraint as :meth:`map`).
+        function.
         """
         raise NotImplementedError
 
@@ -359,9 +354,6 @@ class SerialBackend(ExecutionBackend):
             )
         super().__init__(n_workers=1, **options)
 
-    def map(self, fn, items: list) -> list:
-        return [fn(item) for item in items]
-
     def submit(self, fn, item) -> SerialFuture:
         return SerialFuture(fn, item)
 
@@ -396,19 +388,12 @@ class ThreadBackend(ExecutionBackend):
         self._lock = threading.Lock()
         self._submit_pool: ThreadPoolExecutor | None = None
 
-    def map(self, fn, items: list) -> list:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.n_workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-
     def submit(self, fn, item):
-        # Unlike map's per-batch pools, submissions share one long-lived
-        # pool: futures of different batches must be able to run
-        # concurrently, and the async driver submits continuously.  The
-        # lazy creation is lock-guarded — two sessions racing on a shared
-        # engine would otherwise each build a pool and leak one.
+        # Submissions share one long-lived pool: futures of different
+        # batches must be able to run concurrently, and the async driver
+        # submits continuously.  The lazy creation is lock-guarded — two
+        # sessions racing on a shared engine would otherwise each build a
+        # pool and leak one.
         with self._lock:
             if self._submit_pool is None:
                 self._submit_pool = ThreadPoolExecutor(
@@ -639,13 +624,6 @@ class ProcessBackend(ExecutionBackend):
         #: one-shot pool -> the future of the one item it runs
         self._private_pools: dict = {}
         self._submit_pool: ProcessPoolExecutor | None = None
-
-    def map(self, fn, items: list) -> list:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=min(self.n_workers, len(items))) as pool:
-            return list(pool.map(fn, items))
 
     def submit(self, fn, item):
         with self._lock:

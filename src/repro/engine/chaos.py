@@ -269,9 +269,6 @@ class ChaosBackend(ExecutionBackend):
         return FaultInjection(item, fault)
 
     # ----------------------------------------------------------------- API
-    def map(self, fn, items: list) -> list:
-        return self.inner.map(fn, items)
-
     def submit(self, fn, item):
         return self.inner.submit(fn, item)
 

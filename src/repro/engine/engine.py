@@ -2,8 +2,7 @@
 
 :class:`ExecutionEngine` sits between callers that produce batches of
 independent :class:`~repro.engine.tasks.EvalTask` objects (the evaluator's
-``evaluate_many``, the barrier waves of the search loop, the experiment
-runner's grid fan-out) and an
+``evaluate_many``, the barrier waves of the search loop) and an
 :class:`~repro.engine.backends.ExecutionBackend` that actually executes
 them.  For every batch :meth:`ExecutionEngine.run`
 
@@ -113,8 +112,9 @@ class ExecutionEngine:
     Parameters
     ----------
     backend:
-        Backend name (``"serial"``, ``"thread"``, ``"process"``) or an
-        :class:`~repro.engine.backends.ExecutionBackend` instance.
+        Backend name (``"serial"``, ``"thread"``, ``"process"``,
+        ``"remote"``) or an :class:`~repro.engine.backends.ExecutionBackend`
+        instance.
     n_workers:
         Worker count for named backends; ``None`` or ``-1`` uses one
         worker per CPU core.
@@ -150,16 +150,6 @@ class ExecutionEngine:
     @property
     def n_workers(self) -> int:
         return self.backend.n_workers
-
-    # ------------------------------------------------------------- generic
-    def map(self, fn, items) -> list:
-        """Map ``fn`` over ``items`` on the backend, preserving input order.
-
-        Used for coarse-grained fan-out (e.g. whole experiment-grid cells);
-        with a process backend ``fn`` must be a picklable module-level
-        function.
-        """
-        return self.backend.map(fn, list(items))
 
     # ---------------------------------------------------------- evaluation
     def run(self, evaluator, tasks) -> list[TrialRecord]:

@@ -130,13 +130,8 @@ class RemoteBackend(ExecutionBackend):
                            "fingerprint": fingerprint}
 
     # ------------------------------------------------------------- dispatch
-    def map(self, fn, items: list) -> list:
-        # Generic fan-out stays inline: only *evaluations* are
-        # distributed (arbitrary callables are not worth a pickle round
-        # trip, and most map() users are tiny metadata transforms).
-        return [fn(item) for item in items]
-
     def submit(self, fn, item) -> Future:
+        # Generic tasks run inline: only *evaluations* are distributed.
         future: Future = Future()
         future.set_running_or_notify_cancel()
         try:

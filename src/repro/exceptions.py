@@ -47,16 +47,3 @@ class CopyOnWriteViolationError(ReproError):
 class ConvergenceWarning(UserWarning):
     """Warning emitted when an iterative solver stops before converging."""
 
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Warning emitted for deprecated repro API spellings.
-
-    A dedicated subclass so the test-suite can turn exactly *this
-    library's* deprecations into errors (``filterwarnings`` in
-    ``pytest.ini``) without being disturbed by deprecations emitted by
-    the interpreter or third-party packages.  The current members of the
-    deprecated surface are the per-knob runtime keywords
-    (``n_jobs=``/``backend=``/``cache_dir=``/``prefix_cache_bytes=``/
-    ``async_mode=``) that :class:`repro.core.context.ExecutionContext`
-    replaced.
-    """

@@ -9,12 +9,10 @@ more time.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.context import ExecutionContext
 from repro.datasets.registry import list_datasets
-from repro.exceptions import ReproDeprecationWarning
 from repro.search.registry import ALL_ALGORITHM_NAMES
 
 
@@ -47,10 +45,6 @@ class ExperimentConfig:
         cell's search completion-driven and ``prefix_cache_bytes`` gives
         each cell evaluator a prefix-transform cache.  Defaults to a
         plain serial context.
-    n_jobs / backend / cache_dir / async_mode / prefix_cache_bytes:
-        Deprecated per-knob spellings of the context fields.  Setting one
-        warns and folds it into :attr:`context`; after construction they
-        mirror the context's values, so existing readers keep working.
     """
 
     datasets: tuple[str, ...]
@@ -61,61 +55,7 @@ class ExperimentConfig:
     random_state: int = 0
     fast_models: bool = True
     dataset_scale: float = 1.0
-    context: ExecutionContext | None = None
-    n_jobs: int = 1
-    backend: str | None = None
-    cache_dir: str | None = None
-    async_mode: bool = False
-    prefix_cache_bytes: int | None = None
-
-    def __post_init__(self) -> None:
-        context = self.context if self.context is not None else ExecutionContext()
-        # Only values that *deviate* from the context count as caller-passed
-        # legacy spellings: a config round-tripped through
-        # ``dataclasses.replace`` carries consistent mirrored fields and
-        # must not re-warn.
-        legacy: dict = {}
-        if self.n_jobs != 1 and self.n_jobs != (context.n_jobs or 1):
-            legacy["n_jobs"] = self.n_jobs
-        if self.backend is not None and self.backend != context.backend:
-            legacy["backend"] = self.backend
-        if self.cache_dir is not None and str(self.cache_dir) != context.cache_dir:
-            legacy["cache_dir"] = str(self.cache_dir)
-        if bool(self.async_mode) != context.async_mode and self.async_mode:
-            legacy["async_mode"] = True
-        if self.prefix_cache_bytes is not None \
-                and self.prefix_cache_bytes != context.prefix_cache_bytes:
-            legacy["prefix_cache_bytes"] = int(self.prefix_cache_bytes)
-        if legacy:
-            names = ", ".join(f"{name}=" for name in sorted(legacy))
-            warnings.warn(
-                f"ExperimentConfig: the field(s) {names} are deprecated; "
-                f"pass context=ExecutionContext(...) instead",
-                ReproDeprecationWarning, stacklevel=3,
-            )
-            context = context.replace(**legacy)
-        self.context = context
-        # Mirror the context back into the legacy fields (reads stay warning
-        # free and consistent with the context, whichever spelling was used).
-        self.n_jobs = context.n_jobs if context.n_jobs is not None else 1
-        self.backend = context.backend
-        self.cache_dir = context.cache_dir
-        self.async_mode = context.async_mode
-        self.prefix_cache_bytes = context.prefix_cache_bytes
-
-    def with_context(self, context: ExecutionContext) -> "ExperimentConfig":
-        """A copy of this config running under ``context``.
-
-        Keeps the mirrored legacy fields consistent, so the copy never
-        trips the deprecation shim.
-        """
-        return replace(
-            self, context=context,
-            n_jobs=context.n_jobs if context.n_jobs is not None else 1,
-            backend=context.backend, cache_dir=context.cache_dir,
-            async_mode=context.async_mode,
-            prefix_cache_bytes=context.prefix_cache_bytes,
-        )
+    context: ExecutionContext = ExecutionContext()
 
     def cell_context(self) -> ExecutionContext:
         """The context each grid *cell* evaluates under.

@@ -18,8 +18,7 @@ bit-for-bit identical for every worker count and backend.
 
 Runtime configuration flows through one
 :class:`~repro.core.context.ExecutionContext` (``config.context`` or the
-``context=`` override); the per-knob keywords of earlier releases keep
-working via the deprecation shim.
+``context=`` override).
 """
 
 from __future__ import annotations
@@ -27,13 +26,13 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.analysis.bottleneck import BottleneckReport, analyze_result
 from repro.analysis.ranking import Scenario, average_rankings
-from repro.core.context import _UNSET, ExecutionContext, fold_legacy_kwargs
+from repro.core.context import _UNSET, ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.core.result import SearchResult
 from repro.core.search_space import SearchSpace
@@ -74,23 +73,16 @@ def run_single(dataset: str, model: str, algorithm: str, *, max_trials: int = 25
                dataset_scale: float = 1.0,
                space: SearchSpace | None = None,
                context: ExecutionContext | None = None,
-               n_jobs=_UNSET, backend=_UNSET, cache_dir=_UNSET,
-               async_mode=_UNSET,
-               prefix_cache_bytes=_UNSET) -> tuple[SearchResult, float]:
+               ) -> tuple[SearchResult, float]:
     """Run one search and return ``(result, baseline_accuracy)``.
 
     ``context`` carries every runtime knob: its engine parallelises the
     *within-search* evaluation batches (generations, rungs),
     ``async_mode`` schedules them completion-driven, ``cache_dir``
     persists every evaluation so a repeated run is answered from disk and
-    ``prefix_cache_bytes`` reuses fitted pipeline prefixes.  The per-knob
-    keywords are deprecated spellings folded into the context.
+    ``prefix_cache_bytes`` reuses fitted pipeline prefixes.
     """
-    context = fold_legacy_kwargs(
-        context, where="run_single", n_jobs=n_jobs, backend=backend,
-        cache_dir=cache_dir, async_mode=async_mode,
-        prefix_cache_bytes=prefix_cache_bytes,
-    )
+    context = context if context is not None else ExecutionContext()
     if random_state is _UNSET:
         random_state = context.seed_or(0)
     X, y = load_dataset(dataset, scale=dataset_scale)
@@ -165,7 +157,8 @@ def _run_cell(cell: tuple) -> tuple:
     search result is only shipped back for the first repeat (the only one
     the outcome retains), keeping inter-process traffic small.
     ``uncached`` counts the evaluations this cell actually executed — zero
-    when a warm persistent cache (``config.cache_dir``) answered them all.
+    when a warm persistent cache (``config.context.cache_dir``) answered them
+    all.
     """
     config, dataset, model, algorithm, repeat = cell
     problem, baseline, fresh_evals = _cell_problem(config, dataset, model)
@@ -183,7 +176,7 @@ def _run_cell(cell: tuple) -> tuple:
 def _collect_cells(engine: ExecutionEngine, cells, cell_callback=None) -> list:
     """Submit every grid cell as its own future; collect as they complete.
 
-    Unlike a barrier ``map``, a long-running cell cannot hold progress
+    With no barrier over the grid, a long-running cell cannot hold progress
     reporting hostage: ``cell_callback(dataset, model, algorithm, repeat,
     n_done, n_total)`` fires the moment each cell finishes, in completion
     order.  Outputs still come back in submission (grid) order, so the
@@ -214,10 +207,7 @@ def _collect_cells(engine: ExecutionEngine, cells, cell_callback=None) -> list:
 def run_experiment(config: ExperimentConfig, *, progress_callback=None,
                    cell_callback=None,
                    context: ExecutionContext | None = None,
-                   n_jobs=_UNSET,
-                   backend=_UNSET,
-                   cache_dir=_UNSET,
-                   prefix_cache_bytes=_UNSET) -> ExperimentOutcome:
+                   ) -> ExperimentOutcome:
     """Run the full (dataset x model x algorithm x repeat) grid of ``config``.
 
     Repetitions of the same (dataset, model, algorithm) cell are averaged:
@@ -240,19 +230,12 @@ def run_experiment(config: ExperimentConfig, *, progress_callback=None,
     zero uncached evaluations (``outcome.uncached_evaluations``) while
     producing bit-for-bit identical scenarios.  Its
     ``prefix_cache_bytes`` gives every cell evaluator a prefix-transform
-    cache of that byte budget — same scenarios, less Prep time.  The
-    per-knob keywords are deprecated spellings folded into the context.
+    cache of that byte budget — same scenarios, less Prep time.
     """
-    effective = fold_legacy_kwargs(
-        context if context is not None else config.context,
-        where="run_experiment", n_jobs=n_jobs, backend=backend,
-        cache_dir=cache_dir, prefix_cache_bytes=prefix_cache_bytes,
-    )
-    if effective is not config.context:
-        config = config.with_context(effective)
+    if context is not None:
+        config = replace(config, context=context)
     # An unset n_jobs means ONE grid worker even under an explicit
-    # parallel backend (matching the pre-context behaviour of
-    # config.n_jobs defaulting to 1); only -1 asks for every core.
+    # parallel backend; only -1 asks for every core.
     n_jobs = config.context.n_jobs
     engine = ExecutionEngine(
         config.context.backend_name(),

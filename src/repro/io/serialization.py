@@ -20,19 +20,25 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro.core.context import convert_field
 from repro.core.pipeline import Pipeline
 from repro.core.result import SearchResult, TrialRecord
 from repro.exceptions import ValidationError
 from repro.preprocessing.extended import EXTENDED_PREPROCESSOR_CLASSES
 from repro.preprocessing.registry import PREPROCESSOR_CLASSES
 
-#: schema version stamped into every saved search-result document.  Version
-#: 2 marks results written since the ``ResultStore`` tagged-file-stem
-#: separator changed from ``-`` to ``--``: a document *without* the marker
-#: may predate that change, and the store's loader shim then disambiguates
-#: its file stem against the document's ``algorithm`` field (see
-#: :meth:`repro.io.store.ResultStore.keys`).
+#: schema version stamped into every saved search-result document; readers
+#: refuse a document from a newer format rather than misread it
 RESULT_FORMAT_VERSION = 2
+
+
+def _mapping(value, what: str) -> Mapping:
+    """``value`` if it is a JSON object, else a :class:`ValidationError`."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(
+            f"{what} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
 
 
 def pipeline_to_dict(pipeline: Pipeline) -> dict:
@@ -51,16 +57,27 @@ def pipeline_from_dict(data: Mapping) -> Pipeline:
     Both the seven default preprocessors and the extension preprocessors are
     resolvable, so serialized results from extended search spaces load too.
     """
+    entries = _mapping(data, "pipeline").get("steps", [])
+    if not isinstance(entries, list):
+        raise ValidationError(
+            f"pipeline 'steps' must be a list, got {type(entries).__name__}"
+        )
     steps = []
-    for entry in data.get("steps", []):
-        name = entry["name"]
-        params = dict(entry.get("params", {}))
-        if name in PREPROCESSOR_CLASSES:
-            steps.append(PREPROCESSOR_CLASSES[name](**params))
-        elif name in EXTENDED_PREPROCESSOR_CLASSES:
-            steps.append(EXTENDED_PREPROCESSOR_CLASSES[name](**params))
-        else:
+    for entry in entries:
+        name = _mapping(entry, "pipeline step").get("name")
+        if not isinstance(name, str) or not (
+                name in PREPROCESSOR_CLASSES
+                or name in EXTENDED_PREPROCESSOR_CLASSES):
             raise ValidationError(f"unknown preprocessor name in pipeline data: {name!r}")
+        params = _mapping(entry.get("params", {}), f"params of step {name!r}")
+        step_class = PREPROCESSOR_CLASSES.get(name) \
+            or EXTENDED_PREPROCESSOR_CLASSES[name]
+        try:
+            steps.append(step_class(**params))
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ValidationError(
+                f"bad params for pipeline step {name!r}: {error}"
+            ) from None
     return Pipeline(steps)
 
 
@@ -88,18 +105,36 @@ def trial_to_dict(trial: TrialRecord) -> dict:
 
 
 def trial_from_dict(data: Mapping) -> TrialRecord:
-    """Rebuild a trial from :func:`trial_to_dict` output."""
+    """Rebuild a trial from :func:`trial_to_dict` output.
+
+    A malformed trial raises a :class:`ValidationError` naming its field.
+    """
+    data = _mapping(data, "trial")
+    for name in ("pipeline", "accuracy"):
+        if name not in data:
+            raise ValidationError(f"trial lacks the {name!r} field")
+
+    def number(name: str, default, kind=float):
+        return convert_field(f"trial {name!r}", data.get(name, default), kind)
+
     phase_timings = data.get("phase_timings")
+    if phase_timings:
+        phase_timings = dict(_mapping(phase_timings, "trial 'phase_timings'"))
+    failure_kind = data.get("failure_kind")
+    if failure_kind is not None and not isinstance(failure_kind, str):
+        raise ValidationError(
+            f"trial 'failure_kind' must be a string, got {failure_kind!r}"
+        )
     return TrialRecord(
         pipeline=pipeline_from_dict(data["pipeline"]),
-        accuracy=float(data["accuracy"]),
-        pick_time=float(data.get("pick_time", 0.0)),
-        prep_time=float(data.get("prep_time", 0.0)),
-        train_time=float(data.get("train_time", 0.0)),
-        fidelity=float(data.get("fidelity", 1.0)),
-        iteration=int(data.get("iteration", 0)),
-        phase_timings=dict(phase_timings) if phase_timings else None,
-        failure_kind=data.get("failure_kind"),
+        accuracy=number("accuracy", None),
+        pick_time=number("pick_time", 0.0),
+        prep_time=number("prep_time", 0.0),
+        train_time=number("train_time", 0.0),
+        fidelity=number("fidelity", 1.0),
+        iteration=number("iteration", 0, int),
+        phase_timings=phase_timings or None,
+        failure_kind=failure_kind,
     )
 
 
@@ -118,19 +153,37 @@ def search_result_from_dict(data: Mapping) -> SearchResult:
 
     Documents without a ``format_version`` (written before the marker
     existed) load normally; documents from a *newer* format are refused
-    rather than silently misread.
+    rather than silently misread, and a malformed document raises a
+    :class:`ValidationError` naming the bad field.
     """
-    version = data.get("format_version")
-    if isinstance(version, int) and version > RESULT_FORMAT_VERSION:
+    data = _mapping(data, "search result")
+    version = data.get("format_version", RESULT_FORMAT_VERSION)
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise ValidationError(
+            f"search result format_version must be an integer, "
+            f"got {version!r}"
+        )
+    if version > RESULT_FORMAT_VERSION:
         raise ValidationError(
             f"search result uses format version {version}; this build "
             f"reads up to {RESULT_FORMAT_VERSION}"
         )
-    result = SearchResult(
-        algorithm=data.get("algorithm", "unknown"),
-        baseline_accuracy=data.get("baseline_accuracy"),
-    )
-    for entry in data.get("trials", []):
+    algorithm = data.get("algorithm", "unknown")
+    if not isinstance(algorithm, str):
+        raise ValidationError(
+            f"search result 'algorithm' must be a string, got {algorithm!r}"
+        )
+    baseline = data.get("baseline_accuracy")
+    if baseline is not None:
+        baseline = convert_field("baseline_accuracy", baseline, float)
+    trials = data.get("trials", [])
+    if not isinstance(trials, list):
+        raise ValidationError(
+            f"search result 'trials' must be a list, "
+            f"got {type(trials).__name__}"
+        )
+    result = SearchResult(algorithm=algorithm, baseline_accuracy=baseline)
+    for entry in trials:
         result.add(trial_from_dict(entry))
     return result
 
@@ -174,7 +227,13 @@ def save_search_result(result: SearchResult, path) -> Path:
 def load_search_result(path) -> SearchResult:
     """Load a search result previously written by :func:`save_search_result`."""
     path = Path(path)
-    return search_result_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:
+        raise ValidationError(
+            f"cannot read search result at {path}: {error}"
+        ) from error
+    return search_result_from_dict(document)
 
 
 # ---------------------------------------------------- session checkpoints
@@ -250,7 +309,7 @@ def load_session_checkpoint(path) -> dict:
     path = Path(path)
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, ValueError) as error:
         raise ValidationError(
             f"cannot read session checkpoint at {path}: {error}"
         ) from error

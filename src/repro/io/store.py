@@ -9,23 +9,11 @@ offers listing, loading and flattening into summary rows for CSV export.
 Tagged runs are stored as ``<algorithm>--<tag>.json``: the double-hyphen
 separator cannot appear inside a validated key component, so hyphenated
 algorithm names like ``random-search`` round-trip through
-:meth:`ResultStore.keys` unambiguously (a single ``-`` used to be the
-separator, which split such names into a wrong (algorithm, tag) pair).
-
-Saved documents carry a ``format_version`` marker
-(:data:`~repro.io.serialization.RESULT_FORMAT_VERSION`).  Stores written
-*before* the separator change lack the marker and used single-hyphen stems
-for tagged runs — after the change those stems re-parsed with the whole
-``<algorithm>-<tag>`` absorbed into the algorithm name.  :meth:`ResultStore.keys`
-now shims such legacy files: an unmarked stem containing a hyphen is
-disambiguated against the document's own ``algorithm`` field, and
-:meth:`ResultStore.load` falls back to the legacy path, so old tagged runs
-round-trip correctly (re-saving them migrates to the ``--`` layout).
+:meth:`ResultStore.keys` unambiguously.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +21,6 @@ from pathlib import Path
 from repro.core.result import SearchResult
 from repro.exceptions import ValidationError
 from repro.io.serialization import (
-    RESULT_FORMAT_VERSION,
     load_search_result,
     load_session_checkpoint,
     save_search_result,
@@ -88,9 +75,6 @@ class ResultStore:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        #: (algorithm, tag) per ambiguous file, keyed by (path, mtime_ns) so
-        #: keys() does not re-read whole documents on every listing call
-        self._stem_memo: dict = {}
 
     # ------------------------------------------------------------------ API
     def key(self, dataset: str, model: str, algorithm: str, tag: str = "") -> ResultKey:
@@ -107,30 +91,19 @@ class ResultStore:
         return self.root / key.relative_path()
 
     def save(self, key: ResultKey, result: SearchResult) -> Path:
-        """Persist ``result`` under ``key``; returns the written path.
-
-        Saving a tagged key that so far only existed at its legacy
-        single-hyphen path migrates it: the current ``--`` layout is
-        written first, then the superseded legacy file is removed so the
-        run is not listed twice by :meth:`keys`.
-        """
-        path = save_search_result(result, self.path_for(key))
-        if key.tag:
-            legacy = self._legacy_path(key)
-            if self._is_legacy_file_for(key, legacy):
-                legacy.unlink()
-        return path
+        """Persist ``result`` under ``key``; returns the written path."""
+        return save_search_result(result, self.path_for(key))
 
     def load(self, key: ResultKey) -> SearchResult:
         """Load the result stored under ``key``."""
-        path = self._existing_path(key)
+        path = self.path_for(key)
         if not path.exists():
             raise ValidationError(f"no stored result for {key}")
         return load_search_result(path)
 
     def exists(self, key: ResultKey) -> bool:
         """Whether a result is stored under ``key``."""
-        return self._existing_path(key).exists()
+        return self.path_for(key).exists()
 
     def keys(self) -> list[ResultKey]:
         """All keys currently stored, sorted for reproducible iteration."""
@@ -138,9 +111,7 @@ class ResultStore:
         if not self.root.exists():
             return found
         for path in sorted(self.root.glob("*/*/*.json")):
-            algorithm, separator, tag = path.stem.partition(_TAG_SEPARATOR)
-            if not separator and "-" in path.stem:
-                algorithm, tag = self._parse_unmarked_stem(path)
+            algorithm, _, tag = path.stem.partition(_TAG_SEPARATOR)
             found.append(ResultKey(
                 dataset=path.parent.parent.name,
                 model=path.parent.name,
@@ -202,80 +173,6 @@ class ResultStore:
             return False
         path.unlink()
         return True
-
-    # ------------------------------------------------------------ internals
-    def _legacy_path(self, key: ResultKey) -> Path:
-        """Where a pre-``--`` store would have written a tagged ``key``."""
-        return (self.root / key.dataset / key.model
-                / f"{key.algorithm}-{key.tag}.json")
-
-    def _existing_path(self, key: ResultKey) -> Path:
-        """The file backing ``key``: current layout, else the legacy one.
-
-        Tagged runs saved before the ``--`` separator live at
-        ``<algorithm>-<tag>.json``; loading them through the shimmed key
-        works in place, and re-saving writes the current layout.
-        """
-        path = self.path_for(key)
-        if path.exists() or not key.tag:
-            return path
-        legacy = self._legacy_path(key)
-        return legacy if self._is_legacy_file_for(key, legacy) else path
-
-    def _is_legacy_file_for(self, key: ResultKey, legacy: Path) -> bool:
-        """Whether ``legacy`` really is ``key``'s pre-``--`` file.
-
-        The stem ``<algorithm>-<tag>`` alone is ambiguous: the same name
-        could belong to a *modern untagged* run of a hyphenated algorithm
-        (``tevo-h.json`` for algorithm ``tevo-h``).  Only a document that
-        re-parses to exactly this key's (algorithm, tag) — i.e. an
-        unmarked legacy document naming ``key.algorithm`` — may be loaded
-        through, or deleted after migration by, the shim.
-        """
-        if not legacy.exists():
-            return False
-        return self._parse_unmarked_stem(legacy) == (key.algorithm, key.tag)
-
-    def _parse_unmarked_stem(self, path: Path) -> tuple[str, str]:
-        """Disambiguate a hyphenated stem with no ``--`` separator.
-
-        Such a stem is either a modern untagged run of a hyphenated
-        algorithm (``random-search.json``) or a *legacy* tagged run whose
-        single-hyphen separator predates the format marker
-        (``rs-seed1.json``).  The document itself settles it: a marked
-        document (``format_version`` >= 2) was written under the current
-        layout, and an unmarked one names its algorithm, so whatever the
-        stem carries beyond ``<algorithm>-`` is the tag.
-        """
-        try:
-            memo_key = (path, path.stat().st_mtime_ns)
-        except OSError:
-            memo_key = None
-        if memo_key is not None and memo_key in self._stem_memo:
-            return self._stem_memo[memo_key]
-        parsed = self._parse_unmarked_document(path)
-        if memo_key is not None:
-            self._stem_memo[memo_key] = parsed
-            if len(self._stem_memo) > 4096:  # bound pathological stores
-                self._stem_memo.pop(next(iter(self._stem_memo)))
-        return parsed
-
-    def _parse_unmarked_document(self, path: Path) -> tuple[str, str]:
-        stem = path.stem
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return stem, ""
-        if not isinstance(data, dict):
-            return stem, ""
-        version = data.get("format_version")
-        if isinstance(version, int) and version >= RESULT_FORMAT_VERSION:
-            return stem, ""
-        algorithm = data.get("algorithm")
-        if isinstance(algorithm, str) and algorithm \
-                and stem.startswith(algorithm + "-"):
-            return algorithm, stem[len(algorithm) + 1:]
-        return stem, ""
 
     def __len__(self) -> int:
         return len(self.keys())

@@ -19,13 +19,12 @@ drivers produce identical results on the serial backend.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.pipeline import Pipeline
 from repro.core.result import TrialRecord
 from repro.core.search_space import SearchSpace
+from repro.search.bandit import rung_ladder
 from repro.search.base import SearchAlgorithm
 
 
@@ -54,23 +53,13 @@ class ASHA(SearchAlgorithm):
     def __init__(self, eta: float = 3.0, min_fidelity: float = 1.0 / 9.0,
                  random_state: int | None = 0) -> None:
         super().__init__(random_state=random_state)
-        if eta <= 1:
-            from repro.exceptions import ValidationError
-
-            raise ValidationError("eta must be greater than 1")
-        if not 0.0 < min_fidelity <= 1.0:
-            from repro.exceptions import ValidationError
-
-            raise ValidationError("min_fidelity must be in (0, 1]")
         self.eta = float(eta)
         self.min_fidelity = float(min_fidelity)
+        self._ladder = rung_ladder(self.eta, self.min_fidelity)
 
     # ---------------------------------------------------------------- setup
     def _setup(self, problem, rng) -> None:
-        s_max = max(0, int(math.floor(math.log(1.0 / self.min_fidelity,
-                                               self.eta))))
-        fidelities = [min(1.0, self.min_fidelity * self.eta ** rung)
-                      for rung in range(s_max + 1)]
+        fidelities = list(self._ladder)
         if fidelities[-1] < 1.0 - 1e-9:
             fidelities.append(1.0)  # always finish at full fidelity
         self._fidelities: list[float] = fidelities

@@ -19,8 +19,26 @@ import numpy as np
 from repro.core.pipeline import Pipeline
 from repro.core.result import TrialRecord
 from repro.core.search_space import SearchSpace
+from repro.exceptions import ValidationError
 from repro.search.base import SearchAlgorithm
 from repro.surrogates.kde import TwoDensityModel
+
+
+def rung_ladder(eta: float, min_fidelity: float) -> list[float]:
+    """The successive-halving fidelity ladder shared by every bandit search.
+
+    Rung ``k`` trains on ``min(1, min_fidelity * eta**k)`` of the training
+    rows, for ``k = 0 .. s_max`` with ``s_max = floor(log_eta(1 /
+    min_fidelity))`` — the ``r * eta**k`` budget schedule of successive
+    halving.  Raises :class:`ValidationError` unless ``eta > 1`` and
+    ``0 < min_fidelity <= 1``.
+    """
+    if eta <= 1:
+        raise ValidationError("eta must be greater than 1")
+    if not 0.0 < min_fidelity <= 1.0:
+        raise ValidationError("min_fidelity must be in (0, 1]")
+    s_max = max(0, int(math.floor(math.log(1.0 / min_fidelity, eta))))
+    return [min(1.0, min_fidelity * eta ** k) for k in range(s_max + 1)]
 
 
 @dataclass
@@ -68,24 +86,16 @@ class Hyperband(SearchAlgorithm):
     def __init__(self, eta: float = 3.0, min_fidelity: float = 1.0 / 9.0,
                  random_state: int | None = 0) -> None:
         super().__init__(random_state=random_state)
-        if eta <= 1:
-            from repro.exceptions import ValidationError
-
-            raise ValidationError("eta must be greater than 1")
-        if not 0.0 < min_fidelity <= 1.0:
-            from repro.exceptions import ValidationError
-
-            raise ValidationError("min_fidelity must be in (0, 1]")
         self.eta = float(eta)
         self.min_fidelity = float(min_fidelity)
+        self._ladder = rung_ladder(self.eta, self.min_fidelity)
 
     # ---------------------------------------------------------------- setup
     def _setup(self, problem, rng) -> None:
-        self._s_max = max(0, int(math.floor(math.log(1.0 / self.min_fidelity, self.eta))))
+        self._s_max = len(self._ladder) - 1
         self._bracket_order = list(range(self._s_max, -1, -1))
         self._bracket_cursor = 0
         self._current_rung: _Rung | None = None
-        self._pending_promotions: list[tuple[list[Pipeline], float]] = []
 
     # -------------------------------------------------------------- helpers
     def _generate_configurations(self, n: int, space: SearchSpace,
@@ -97,9 +107,10 @@ class Hyperband(SearchAlgorithm):
         s = self._bracket_order[self._bracket_cursor % len(self._bracket_order)]
         self._bracket_cursor += 1
         n_configs = max(1, int(math.ceil((self._s_max + 1) / (s + 1) * self.eta ** s)))
-        fidelity = min(1.0, self.min_fidelity * self.eta ** (self._s_max - s))
         configs = self._generate_configurations(n_configs, space, rng)
-        self._current_rung = _Rung(fidelity=fidelity, pipelines=configs)
+        # Bracket s starts s rungs below the top and climbs one per halving.
+        self._current_rung = _Rung(fidelity=self._ladder[self._s_max - s],
+                                   pipelines=configs)
         self._remaining_halvings = s
 
     def _advance(self, space: SearchSpace, rng: np.random.Generator) -> None:
@@ -110,9 +121,9 @@ class Hyperband(SearchAlgorithm):
         if self._remaining_halvings > 0 and len(rung.pipelines) > 1:
             n_keep = max(1, int(len(rung.pipelines) / self.eta))
             survivors = rung.top(n_keep)
-            next_fidelity = min(1.0, rung.fidelity * self.eta)
-            self._current_rung = _Rung(fidelity=next_fidelity, pipelines=survivors)
             self._remaining_halvings -= 1
+            next_fidelity = self._ladder[self._s_max - self._remaining_halvings]
+            self._current_rung = _Rung(fidelity=next_fidelity, pipelines=survivors)
         else:
             self._current_rung = None
 

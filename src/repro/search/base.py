@@ -101,8 +101,8 @@ class SearchAlgorithm:
             proposal batch), ``"async"`` completion-driven (keeping the
             evaluator engine's workers saturated); see
             :mod:`repro.search.async_driver`.  The default ``None`` follows
-            the context's / problem's ``async_mode`` flag.  Both drivers
-            are bit-for-bit identical under serial evaluation.
+            the context's ``async_mode`` flag.  Both drivers are
+            bit-for-bit identical under serial evaluation.
         context:
             Optional :class:`~repro.core.context.ExecutionContext`
             overriding the problem's own; decides the driver and default

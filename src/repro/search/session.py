@@ -161,7 +161,7 @@ class SearchSession:
         else to ``TrialBudget(max_trials)`` with ``max_trials`` falling
         back to the context's ``default_budget`` (then 50).  ``driver``
         (``"sync"``/``"async"``) defaults to the session's earlier choice,
-        then to the context/problem ``async_mode`` flag.  Calling ``run``
+        then to the context's ``async_mode`` flag.  Calling ``run``
         again after :meth:`stop` continues the same search.
         """
         if self._running:
@@ -178,9 +178,7 @@ class SearchSession:
         if driver is None:
             driver = self._driver
         if driver is None:
-            driver = "async" if (self.context.async_mode
-                                 or getattr(self.problem, "async_mode", False)) \
-                else "sync"
+            driver = "async" if self.context.async_mode else "sync"
         if driver not in ("sync", "async"):
             raise ValidationError(
                 f"driver must be 'sync' or 'async', got {driver!r}"

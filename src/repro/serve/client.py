@@ -9,6 +9,7 @@ and the server's ``error`` message.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.parse
@@ -71,6 +72,11 @@ class ServeClient:
             raise ReproError(
                 f"cannot reach serve endpoint {self.base_url}: "
                 f"{error.reason}"
+            ) from error
+        except (http.client.HTTPException, ConnectionError) as error:
+            raise ReproError(
+                f"serve endpoint {self.base_url} closed the connection "
+                f"without a reply: {error}"
             ) from error
 
     # ------------------------------------------------------------ endpoints

@@ -20,7 +20,8 @@ Routes::
     POST /sessions/<id>/checkpoint      snapshot at the next trial boundary
 
 Errors map onto status codes the obvious way: a malformed request is 400
-(:class:`~repro.exceptions.ValidationError`), an unknown session id 404,
+(:class:`~repro.exceptions.ValidationError`, or an unknown dataset or
+algorithm name), an unknown session id 404,
 an exhausted tenant quota 429 (:class:`~repro.serve.manager.AdmissionError`).
 Every response body — errors included — is a JSON object.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.exceptions import ValidationError
+from repro.exceptions import UnknownComponentError, ValidationError
 from repro.serve.manager import AdmissionError, UnknownSessionError
 from repro.utils.log import get_logger
 
@@ -112,6 +113,10 @@ class ServeHandler(BaseHTTPRequestHandler):
             handler()
         except UnknownSessionError as error:
             self._send_json({"error": str(error)}, status=404)
+        except UnknownComponentError as error:
+            # A KeyError: str() would quote the message.
+            self._send_json({"error": error.args[0] if error.args else ""},
+                            status=400)
         except AdmissionError as error:
             self._send_json({"error": str(error)}, status=429)
         except ValidationError as error:

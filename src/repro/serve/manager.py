@@ -55,7 +55,7 @@ import uuid
 from pathlib import Path
 
 from repro.core.budget import TrialBudget
-from repro.core.context import ExecutionContext
+from repro.core.context import ExecutionContext, convert_field
 from repro.exceptions import ReproError, ValidationError
 from repro.io.serialization import atomic_write_text
 from repro.telemetry import heartbeat_file_name
@@ -128,7 +128,8 @@ def normalize_spec(payload, *, default_max_trials: int = 20) -> dict:
     if not dataset or not isinstance(dataset, str):
         raise ValidationError("a submission needs a registry dataset name "
                               "under 'dataset'")
-    max_trials = int(payload.get("max_trials", default_max_trials))
+    max_trials = convert_field(
+        "max_trials", payload.get("max_trials", default_max_trials), int)
     if max_trials < 1:
         raise ValidationError(f"max_trials must be at least 1, got {max_trials}")
     context = payload.get("context") or {}
@@ -147,8 +148,8 @@ def normalize_spec(payload, *, default_max_trials: int = 20) -> dict:
         "model": str(payload.get("model", "lr")),
         "algorithm": str(payload.get("algorithm", "rs")),
         "max_trials": max_trials,
-        "seed": int(payload.get("seed", 0)),
-        "scale": float(payload.get("scale", 1.0)),
+        "seed": convert_field("seed", payload.get("seed", 0), int),
+        "scale": convert_field("scale", payload.get("scale", 1.0), float),
         "tenant": str(payload.get("tenant", "default")),
         "context": dict(context),
     }

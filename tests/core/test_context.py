@@ -1,36 +1,26 @@
 """ExecutionContext: the unified runtime-configuration object.
 
 Covers the serialization round-trips (dict, env), resource construction
-(``build_engine`` / ``evaluator_options``) and — the compatibility
-contract of the API redesign — the deprecation shim: every legacy
-per-knob keyword spelling (``n_jobs=``, ``backend=``, ``cache_dir=``,
-``prefix_cache_bytes=``, ``async_mode=``) warns
-:class:`~repro.exceptions.ReproDeprecationWarning` and produces results
-identical to the equivalent ``context=ExecutionContext(...)`` call.
+(``build_engine`` / ``evaluator_options``), field validation, and that the
+per-knob keywords the context replaced (``n_jobs=``, ``backend=``,
+``cache_dir=``, ``prefix_cache_bytes=``, ``async_mode=``) are refused by
+every entry point.
 """
-
-import warnings
 
 import pytest
 
-from repro.core.context import ExecutionContext, fold_legacy_kwargs
+from repro.core.context import ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import ExecutionEngine
-from repro.exceptions import ReproDeprecationWarning, ValidationError
+from repro.exceptions import ValidationError
 from repro.experiments import ExperimentConfig, quick_config, run_experiment, run_single
-from repro.search import make_search_algorithm
 
 
 def _data():
     X, y = make_classification(n_samples=120, n_features=6, n_classes=2,
                                class_sep=2.0, random_state=3)
     return distort_features(X, random_state=3), y
-
-
-def _trials(result):
-    return [(t.pipeline.spec(), round(t.fidelity, 6), t.accuracy, t.iteration)
-            for t in result.trials]
 
 
 class TestExecutionContext:
@@ -62,6 +52,16 @@ class TestExecutionContext:
             ExecutionContext(default_budget=0)
         # 0 prefix bytes normalises to "disabled", and Paths become strings.
         assert ExecutionContext(prefix_cache_bytes=0).prefix_cache_bytes is None
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_jobs", "abc"), ("prefix_cache_bytes", [1]),
+        ("default_budget", float("inf")), ("seed", "abc"),
+        ("eval_timeout", "soon"), ("worker_timeout", [1]), ("cache_dir", 5),
+        ("telemetry_dir", 5), ("async_mode", "false"), ("async_mode", 1),
+    ])
+    def test_unreadable_field_is_named(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ExecutionContext(**{field: value})
 
     def test_context_is_hashable_and_frozen(self):
         context = ExecutionContext(n_jobs=2, backend="thread")
@@ -125,123 +125,33 @@ class TestExecutionContext:
         assert "cache_dir=/tmp/c" in text
 
 
-class TestFoldLegacyKwargs:
-    def test_unset_and_off_values_fold_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            context = fold_legacy_kwargs(None, where="here", n_jobs=None,
-                                         backend=None, async_mode=False)
-        assert context == ExecutionContext()
-
-    def test_meaningful_values_warn_and_override(self):
-        base = ExecutionContext(cache_dir="/keep")
-        with pytest.warns(ReproDeprecationWarning, match="here"):
-            context = fold_legacy_kwargs(base, where="here", n_jobs=2,
-                                         backend="thread")
-        assert context == base.replace(n_jobs=2, backend="thread")
-
-
-class TestDeprecationShimEquivalence:
-    """Every legacy spelling warns AND matches its context equivalent."""
-
-    def test_from_arrays_legacy_kwargs_warn_and_match(self):
-        X, y = _data()
-        modern = AutoFPProblem.from_arrays(
-            X, y, "lr", random_state=0,
-            context=ExecutionContext(n_jobs=2, backend="thread",
-                                     prefix_cache_bytes=1 << 22,
-                                     async_mode=True),
-        )
-        with pytest.warns(ReproDeprecationWarning) as caught:
-            legacy = AutoFPProblem.from_arrays(
-                X, y, "lr", random_state=0, n_jobs=2, backend="thread",
-                prefix_cache_bytes=1 << 22, async_mode=True,
-            )
-        assert any("n_jobs" in str(w.message) for w in caught)
-        assert legacy.context == modern.context
-        assert legacy.async_mode is True
-        assert legacy.evaluator.prefix_cache is not None
-        for problem in (modern, legacy):
-            problem.evaluator.engine.close()
-        modern_result = make_search_algorithm("rs", random_state=0).search(
-            AutoFPProblem.from_arrays(
-                X, y, "lr", random_state=0,
-                context=ExecutionContext(prefix_cache_bytes=1 << 22)),
-            max_trials=6,
-        )
-        with pytest.warns(ReproDeprecationWarning):
-            legacy_problem = AutoFPProblem.from_arrays(
-                X, y, "lr", random_state=0, prefix_cache_bytes=1 << 22)
-        legacy_result = make_search_algorithm("rs", random_state=0).search(
-            legacy_problem, max_trials=6)
-        assert _trials(legacy_result) == _trials(modern_result)
-
-    def test_from_registry_legacy_cache_dir_warns_and_matches(self, tmp_path):
-        modern = AutoFPProblem.from_registry(
-            "blood", "lr", scale=0.5, random_state=0,
-            context=ExecutionContext(cache_dir=str(tmp_path / "a")),
-        )
-        with pytest.warns(ReproDeprecationWarning, match="cache_dir"):
-            legacy = AutoFPProblem.from_registry(
-                "blood", "lr", scale=0.5, random_state=0,
-                cache_dir=str(tmp_path / "b"),
-            )
-        assert legacy.evaluator.disk_cache is not None
-        assert modern.baseline_accuracy() == legacy.baseline_accuracy()
-
-    def test_run_single_legacy_kwargs_warn_and_match(self):
-        modern, baseline_m = run_single(
-            "blood", "lr", "rs", max_trials=5, dataset_scale=0.5,
-            context=ExecutionContext(n_jobs=2, backend="thread"),
-        )
-        with pytest.warns(ReproDeprecationWarning):
-            legacy, baseline_l = run_single(
-                "blood", "lr", "rs", max_trials=5, dataset_scale=0.5,
-                n_jobs=2, backend="thread",
-            )
-        assert baseline_l == baseline_m
-        assert _trials(legacy) == _trials(modern)
-
-    def test_run_experiment_legacy_kwargs_warn_and_match(self, tmp_path):
-        config = quick_config(datasets=("blood",), algorithms=("rs",),
-                              max_trials=4, dataset_scale=0.5)
-        modern = run_experiment(
-            config, context=ExecutionContext(
-                n_jobs=2, backend="thread",
-                cache_dir=str(tmp_path / "modern"),
-                prefix_cache_bytes=1 << 22),
-        )
-        with pytest.warns(ReproDeprecationWarning):
-            legacy = run_experiment(
-                config, n_jobs=2, backend="thread",
-                cache_dir=str(tmp_path / "legacy"),
-                prefix_cache_bytes=1 << 22,
-            )
-        assert [s.accuracies for s in legacy.scenarios] == \
-            [s.accuracies for s in modern.scenarios]
-
-    def test_experiment_config_legacy_fields_warn_and_mirror(self):
-        with pytest.warns(ReproDeprecationWarning):
-            config = ExperimentConfig(datasets=("blood",), n_jobs=2,
-                                      backend="thread", async_mode=True,
-                                      prefix_cache_bytes=1 << 22)
-        assert config.context == ExecutionContext(
-            n_jobs=2, backend="thread", async_mode=True,
-            prefix_cache_bytes=1 << 22,
-        )
-        # Mirrored fields read back consistently, and a round-trip through
-        # dataclasses.replace does not re-warn.
-        from dataclasses import replace
-
-        assert config.n_jobs == 2 and config.backend == "thread"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            copy = replace(config, max_trials=9)
-        assert copy.context == config.context
-
     def test_context_seed_is_the_default_random_state(self):
         X, y = _data()
         seeded = AutoFPProblem.from_arrays(
             X, y, "lr", context=ExecutionContext(seed=5))
         explicit = AutoFPProblem.from_arrays(X, y, "lr", random_state=5)
         assert seeded.evaluator.fingerprint() == explicit.evaluator.fingerprint()
+
+
+#: the per-knob keywords ExecutionContext replaced, with sample values
+REMOVED_KEYWORDS = {"n_jobs": 2, "backend": "thread", "cache_dir": "unused",
+                    "async_mode": True, "prefix_cache_bytes": 1 << 20}
+
+#: every entry point that once accepted them, as ``call(**keyword)``
+ENTRY_POINTS = {
+    "from_arrays": lambda **kw: AutoFPProblem.from_arrays(*_data(), "lr", **kw),
+    "from_registry": lambda **kw: AutoFPProblem.from_registry("blood", "lr",
+                                                              **kw),
+    "run_single": lambda **kw: run_single("blood", "lr", "rs", **kw),
+    "run_experiment": lambda **kw: run_experiment(
+        quick_config(datasets=("blood",), algorithms=("rs",)), **kw),
+    "ExperimentConfig": lambda **kw: ExperimentConfig(datasets=("blood",),
+                                                      **kw),
+}
+
+
+@pytest.mark.parametrize("keyword", sorted(REMOVED_KEYWORDS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_removed_keyword_raises_type_error(entry, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        ENTRY_POINTS[entry](**{keyword: REMOVED_KEYWORDS[keyword]})

@@ -332,18 +332,6 @@ class TestAsyncModePlumbing:
         make_search_algorithm("rs", random_state=0).search(problem, max_trials=4)
         assert calls == [1]
 
-    def test_legacy_async_mode_kwarg_warns_and_still_works(self):
-        from repro.exceptions import ReproDeprecationWarning
-
-        X, y = make_classification(n_samples=110, n_features=6, class_sep=2.0,
-                                   random_state=7)
-        with pytest.warns(ReproDeprecationWarning):
-            problem = AutoFPProblem.from_arrays(
-                X, y, "lr", random_state=0, async_mode=True,
-            )
-        assert problem.async_mode is True
-        assert problem.context.async_mode is True
-
     def test_invalid_driver_rejected(self):
         from repro.exceptions import ValidationError
 

@@ -63,26 +63,33 @@ class TestBackendRegistry:
         assert ThreadBackend(n_workers=-1).n_workers >= 1
 
 
-class TestBackendMap:
-    # map() needs no workers even on "remote" (generic fan-out stays
-    # inline there), but the coordinator's listener must be reaped, so
-    # every backend is closed explicitly.
+class TestBackendSubmit:
+    # Generic tasks need no workers on "remote" (they run inline there),
+    # but the coordinator's listener must be reaped, so every backend is
+    # closed explicitly.
+    @staticmethod
+    def _collect(backend, items):
+        futures = [backend.submit(_double, item) for item in items]
+        while not all(future.done() for future in futures):
+            backend.wait_any([f for f in futures if not f.done()])
+        return [future.result() for future in futures]
+
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_map_preserves_input_order(self, name):
+    def test_submit_returns_results_in_submission_order(self, name):
         # serial refuses an explicit parallel worker count (see
         # TestSerialWorkerValidation); the parallel backends get two.
         backend = make_backend(name, n_workers=None if name == "serial" else 2)
         try:
-            assert backend.map(_double, list(range(7))) == \
+            assert self._collect(backend, list(range(7))) == \
                 [2 * i for i in range(7)]
         finally:
             backend.close()
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_map_empty_input(self, name):
+    def test_submit_empty_batch(self, name):
         backend = make_backend(name, n_workers=None if name == "serial" else 2)
         try:
-            assert backend.map(_double, []) == []
+            assert self._collect(backend, []) == []
         finally:
             backend.close()
 
@@ -249,8 +256,8 @@ class TestResolveEngine:
             def close(self):
                 closed.append(True)
 
-        with ExecutionEngine(Recording()) as engine:
-            assert engine.map(_double, [1]) == [2]
+        with ExecutionEngine(Recording()):
+            pass
         assert closed == [True]
 
     def test_evaluator_pickles_without_engine_or_cache(self, evaluator):

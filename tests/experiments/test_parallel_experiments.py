@@ -49,8 +49,8 @@ class TestParallelGrid:
                               max_trials=4,
                               context=ExecutionContext(n_jobs=2,
                                                        backend="thread"))
-        # The legacy fields mirror the context for existing readers.
-        assert config.n_jobs == 2 and config.backend == "thread"
+        assert config.context.n_jobs == 2
+        assert config.context.backend == "thread"
         outcome = run_experiment(config)  # options read from the config
         assert len(outcome.scenarios) == 1
 

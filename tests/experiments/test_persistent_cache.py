@@ -81,16 +81,6 @@ class TestPersistentExperimentCache:
         warm = run_experiment(config, context=override)
         assert warm.uncached_evaluations == 0
 
-    def test_legacy_cache_dir_kwarg_warns_and_works(self, tmp_path):
-        from repro.exceptions import ReproDeprecationWarning
-
-        config = _tiny_config()
-        with pytest.warns(ReproDeprecationWarning):
-            run_experiment(config, cache_dir=str(tmp_path / "cache"))
-        with pytest.warns(ReproDeprecationWarning):
-            warm = run_experiment(config, cache_dir=str(tmp_path / "cache"))
-        assert warm.uncached_evaluations == 0
-
     def test_outcome_counts_uncached_without_cache_dir(self):
         outcome = run_experiment(
             quick_config(datasets=("blood",), algorithms=("rs",),

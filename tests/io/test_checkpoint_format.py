@@ -133,3 +133,9 @@ class TestMalformedSections:
             state_blob=encode_state_blob({"algorithm": None, "rng": None})))
         with pytest.raises(ValidationError, match="loop state"):
             SearchSession.resume(checkpoint, problem=_problem())
+
+    def test_malformed_trial_is_refused_by_field(self, checkpoint):
+        _rewrite(checkpoint, lambda document: document["trials"].__setitem__(
+            0, {}))
+        with pytest.raises(ValidationError, match="'pipeline'"):
+            SearchSession.resume(checkpoint, problem=_problem())

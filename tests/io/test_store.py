@@ -109,7 +109,7 @@ class TestResultStore:
 
 
 class TestFormatMarkerAndLegacyShim:
-    """The format_version marker and the pre-PR-2 tagged-stem loader shim."""
+    """The format_version marker, and stems the store never reinterprets."""
 
     def _write_legacy(self, root, dataset, model, stem, algorithm,
                       accuracy=0.7):
@@ -146,34 +146,6 @@ class TestFormatMarkerAndLegacyShim:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ValidationError):
             store.load(key)
-
-    def test_legacy_tagged_stem_reparsed_from_document(self, tmp_path):
-        """rs-seed1.json from a pre-PR-2 store is (rs, seed1), not (rs-seed1, '')."""
-        store = ResultStore(tmp_path)
-        self._write_legacy(tmp_path, "heart", "lr", "rs-seed1", "rs")
-        [key] = store.keys()
-        assert key.algorithm == "rs"
-        assert key.tag == "seed1"
-
-    def test_legacy_tagged_run_round_trips_through_load_and_resave(self, tmp_path):
-        store = ResultStore(tmp_path)
-        legacy_path = self._write_legacy(tmp_path, "heart", "lr",
-                                         "tevo_h-rerun", "tevo_h",
-                                         accuracy=0.75)
-        [key] = store.keys()
-        assert store.exists(key)
-        loaded = store.load(key)  # served from the legacy single-hyphen path
-        assert loaded.algorithm == "tevo_h"
-        assert loaded.best_accuracy == 0.75
-        # Re-saving migrates to the current '--' layout and removes the
-        # superseded legacy file, so the run is never listed twice.
-        new_path = store.save(key, loaded)
-        assert new_path != legacy_path
-        assert new_path.name == "tevo_h--rerun.json"
-        assert not legacy_path.exists()
-        assert store.keys() == [key]
-        assert store.load(key).best_accuracy == 0.75
-        assert len(store.summary_rows()) == 1
 
     def test_legacy_hyphenated_algorithm_without_tag(self, tmp_path):
         """An unmarked random-search.json is an untagged hyphenated algorithm."""
@@ -221,14 +193,3 @@ class TestFormatMarkerAndLegacyShim:
         [key] = store.keys()
         assert key.algorithm == "some-stem"
         assert key.tag == ""
-
-    def test_summary_rows_include_legacy_tagged_runs(self, tmp_path):
-        store = ResultStore(tmp_path)
-        self._write_legacy(tmp_path, "heart", "lr", "rs-old", "rs",
-                           accuracy=0.7)
-        store.save(store.key("heart", "lr", "rs", tag="new"),
-                   _result("rs", 0.8))
-        rows = {(row["algorithm"], row["tag"]): row["best_accuracy"]
-                for row in store.summary_rows()}
-        assert rows[("rs", "old")] == 0.7
-        assert rows[("rs", "new")] == 0.8

@@ -164,6 +164,48 @@ class TestHostileRequests:
             assert not thread.is_alive()
 
 
+    @pytest.mark.parametrize("body, named", [
+        ({"dataset": "nope"}, "nope"),
+        ({"dataset": "blood", "algorithm": "nope"}, "nope"),
+        ({"dataset": "blood", "max_trials": "abc"}, "max_trials"),
+        ({"dataset": "blood", "scale": [1]}, "scale"),
+        ({"dataset": "blood", "context": {"seed": "abc"}}, "seed"),
+        ({"dataset": "blood", "context": {"async_mode": "false"}},
+         "async_mode"),
+    ])
+    def test_bad_submission_is_a_400_naming_the_field(self, served, body,
+                                                      named):
+        payload = json.dumps(body).encode("utf-8")
+        reply = _raw_request(served, (
+            b"POST /sessions HTTP/1.1\r\nHost: test\r\n"
+            b"Connection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(payload)) + payload)
+        head, _, raw = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert named in json.loads(raw)["error"]
+        assert served.manager.sessions() == []
+
+    def test_connection_closed_without_reply_is_a_repro_error(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def hang_up():
+            connection, _ = listener.accept()
+            connection.recv(65536)
+            connection.close()
+
+        thread = threading.Thread(target=hang_up, daemon=True)
+        thread.start()
+        try:
+            host, port = listener.getsockname()
+            client = ServeClient(f"http://{host}:{port}", timeout=5.0)
+            with pytest.raises(ReproError, match="without a reply"):
+                client.healthz()
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
+        assert not thread.is_alive()
+
+
 class TestServerRestart:
     def test_kill_and_restart_resumes_bit_for_bit(self, tmp_path):
         spec = {**SPEC, "max_trials": 8}

@@ -10,11 +10,14 @@ bit-for-bit identical to a run that was never interrupted.
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.context import ExecutionContext
 from repro.exceptions import ValidationError
 from repro.serve import AdmissionError, SessionManager, UnknownSessionError
-from repro.serve.manager import normalize_spec
+from repro.serve.http import ServeHandler
+from repro.serve.manager import SUBMIT_CONTEXT_FIELDS, normalize_spec
 from repro.telemetry.metrics import get_registry
 
 #: tiny-but-real search spec every test submits (blood is the smallest
@@ -54,6 +57,50 @@ def _reset_registry():
     get_registry().reset()
 
 
+#: any JSON value, NaN and infinities included (``json.loads`` accepts them)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+#: submission bodies with a JSON value drawn for each field and each
+#: submittable context field (the dataset stays valid half the time, so
+#: the later fields get checked too)
+submissions = st.fixed_dictionaries(
+    {"dataset": st.just("blood") | json_values},
+    optional={
+        **{name: json_values for name in ("model", "algorithm", "max_trials",
+                                          "seed", "scale", "tenant")},
+        "context": json_values | st.fixed_dictionaries(
+            {}, optional={name: json_values
+                          for name in SUBMIT_CONTEXT_FIELDS}),
+    },
+)
+
+
+class _StatusRecorder:
+    """Stands in for a handler: records the status ``_dispatch`` sends."""
+
+    status = None
+
+    def _send_json(self, payload, *, status=200):
+        self.status = status
+
+
+def _dispatched_status(call):
+    """The status the HTTP layer answers ``call``'s exception with.
+
+    ``None`` when ``call`` returns; an exception the layer does not map
+    propagates (and would drop the connection in a real server).
+    """
+    recorder = _StatusRecorder()
+    ServeHandler._dispatch(recorder, call)
+    return recorder.status
+
+
 class TestSpecValidation:
     def test_defaults_filled_in(self):
         spec = normalize_spec({"dataset": "blood"})
@@ -74,6 +121,16 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="owned by"):
             normalize_spec({"dataset": "blood",
                             "context": {"n_jobs": 8, "backend": "process"}})
+
+    @given(payload=submissions)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_submission_is_admitted_or_a_4xx(self, payload):
+        def admit():
+            spec = normalize_spec(payload)
+            ExecutionContext().layer(spec["context"])
+
+        status = _dispatched_status(admit)
+        assert status is None or 400 <= status < 500
 
     def test_submit_rejects_unknown_dataset_eagerly(self, manager):
         with pytest.raises(Exception, match="nope"):
