@@ -11,15 +11,15 @@ evaluations are still in flight — the ASHA scheduling model.
 This harness makes the idle time visible by giving evaluations
 deterministic, heterogeneous durations (a per-pipeline sleep derived from
 the pipeline spec's hash, so both modes pay identical per-task costs) and
-measuring wall-clock time for the same search in both modes on a thread
+measuring wall-clock time for the same search in both modes on a process
 backend.  Expected shape: identical per-pipeline results, and — because
 barriers always wait for the slowest task of each batch — a >1.1x async
 speedup with 4 workers even on a single-core machine (the sleeps dominate
-and release the GIL).
+and occupy no core).
 
 ``smoke_check()`` is the fast variant exercised by the tier-1 test-suite
 (see ``tests/engine/test_async_engine.py``): it verifies serial async is
-bit-for-bit identical to serial sync and that async thread execution
+bit-for-bit identical to serial sync and that async process execution
 completes a saturated ASHA run.
 """
 
@@ -49,8 +49,8 @@ class SleepyEvaluator(PipelineEvaluator):
 
     #: distinct duration levels (0 .. levels-1 times ``delay``)
     levels = 4
-    #: seconds per duration level; class attribute so worker threads and
-    #: pickled copies agree without extra constructor plumbing
+    #: seconds per duration level; class attribute so forked pool workers
+    #: agree without extra constructor plumbing
     delay = 0.0
 
     def _evaluate_uncached(self, pipeline, fidelity):
@@ -80,7 +80,7 @@ def timed_search(algorithm: str, *, delay: float, n_workers: int,
                  async_mode: bool, max_trials: int = 24,
                  algorithm_kwargs: dict | None = None):
     """Run one search and return ``(result, wall_seconds)``."""
-    engine = ExecutionEngine("thread", n_workers=n_workers)
+    engine = ExecutionEngine("process", n_workers=n_workers)
     problem = make_problem(delay=delay, engine=engine, async_mode=async_mode)
     searcher = make_search_algorithm(algorithm, random_state=0,
                                      **(algorithm_kwargs or {}))
@@ -100,7 +100,7 @@ def trial_values(result) -> dict:
 def smoke_check(*, n_workers: int = 3):
     """Fast async exercise for tier-1: correctness, not timing.
 
-    Returns ``(sync_serial, async_serial, async_threaded)`` results so
+    Returns ``(sync_serial, async_serial, async_parallel)`` results so
     callers can assert further.
     """
     sync_serial = make_search_algorithm("rs", random_state=0, batch_size=4).search(
@@ -115,16 +115,16 @@ def smoke_check(*, n_workers: int = 3):
                  for t in async_serial.trials]
     assert async_set == sync_set, "serial async diverged from serial sync"
 
-    async_threaded, _ = timed_search("asha", delay=0.002, n_workers=n_workers,
+    async_parallel, _ = timed_search("asha", delay=0.002, n_workers=n_workers,
                                      async_mode=True, max_trials=10)
-    assert len(async_threaded) > 0
+    assert len(async_parallel) > 0
     reference = make_problem(delay=0.0).evaluator
-    for trial in async_threaded.trials:
+    for trial in async_parallel.trials:
         expected = reference.evaluate(trial.pipeline, fidelity=trial.fidelity)
         assert trial.accuracy == expected.accuracy, (
-            "async thread evaluation changed a trial value"
+            "async process evaluation changed a trial value"
         )
-    return sync_serial, async_serial, async_threaded
+    return sync_serial, async_serial, async_parallel
 
 
 def test_async_overlap(once, artifact):
@@ -155,7 +155,7 @@ def test_async_overlap(once, artifact):
 
     # Hard requirement: scheduling must never change what a pipeline scores.
     assert identical, "async mode changed per-pipeline results"
-    # The sleeps dominate and release the GIL, so the speedup is structural
+    # The sleeps dominate and occupy no core, so the speedup is structural
     # (bounded idle time at each barrier), not hardware-dependent.
     assert speedup > 1.1, (
         f"expected >1.1x async speedup with {n_workers} workers, "

@@ -4,9 +4,9 @@ The bottleneck analysis (Figure 7 / Table 5) shows Auto-FP search time is
 dominated by pipeline evaluation, and the experiment grid's
 (dataset, model, algorithm, repeat) cells are embarrassingly parallel.
 This harness measures the wall-clock speedup of fanning a grid of
-independent cells across the execution engine's thread and process
-backends, and verifies the parallel outcomes are bit-for-bit identical to
-the serial baseline.
+independent cells across the execution engine's process backend, and
+verifies the parallel outcome is bit-for-bit identical to the serial
+baseline.
 
 Expected shape: identical scenario accuracies on every backend, and — on a
 multi-core machine — >1.5x speedup with 4 workers on a grid of 8+ cells.
@@ -64,7 +64,7 @@ def timed_grid(config: ExperimentConfig, *, n_jobs: int = 1,
     return outcome, time.perf_counter() - start
 
 
-def smoke_check(*, backend: str = "thread", n_jobs: int = 2):
+def smoke_check(*, backend: str = "process", n_jobs: int = 2):
     """Fast engine exercise: parallel grid outcome must equal serial.
 
     Returns the (serial, parallel) outcomes so callers can assert further.
@@ -85,23 +85,20 @@ def test_parallel_speedup(once, artifact):
     n_workers = 4
     serial_outcome, serial_seconds = once(timed_grid, SPEEDUP_GRID)
 
-    rows = [["serial", 1, serial_seconds, 1.0, "yes"]]
-    for backend in ("thread", "process"):
-        outcome, seconds = timed_grid(SPEEDUP_GRID, n_jobs=n_workers,
-                                      backend=backend)
-        identical = scenario_accuracies(outcome) == scenario_accuracies(serial_outcome)
-        rows.append([backend, n_workers, seconds,
-                     serial_seconds / max(seconds, 1e-9),
-                     "yes" if identical else "NO"])
-        # Hard requirement on every machine: parallel == serial, bit-for-bit.
-        assert identical, f"{backend} backend changed the experiment outcome"
-
+    outcome, seconds = timed_grid(SPEEDUP_GRID, n_jobs=n_workers,
+                                  backend="process")
+    identical = scenario_accuracies(outcome) == scenario_accuracies(serial_outcome)
+    process_speedup = serial_seconds / max(seconds, 1e-9)
+    rows = [["serial", 1, serial_seconds, 1.0, "yes"],
+            ["process", n_workers, seconds, process_speedup,
+             "yes" if identical else "NO"]]
     artifact("parallel_speedup",
              format_table(["backend", "workers", "seconds", "speedup",
                            "identical"], rows))
+    # Hard requirement on every machine: parallel == serial, bit-for-bit.
+    assert identical, "process backend changed the experiment outcome"
 
     if (os.cpu_count() or 1) >= 2:
-        process_speedup = rows[2][3]
         assert process_speedup > 1.5, (
             f"expected >1.5x speedup with {n_workers} process workers on "
             f"{len(SPEEDUP_GRID.datasets) * len(SPEEDUP_GRID.algorithms)} "
@@ -114,9 +111,8 @@ if __name__ == "__main__":
     print("smoke check passed: parallel outcome identical to serial")
     serial_outcome, serial_seconds = timed_grid(SPEEDUP_GRID)
     print(f"serial: {serial_seconds:.2f}s")
-    for backend in ("thread", "process"):
-        outcome, seconds = timed_grid(SPEEDUP_GRID, n_jobs=4, backend=backend)
-        same = scenario_accuracies(outcome) == scenario_accuracies(serial_outcome)
-        print(f"{backend} x4: {seconds:.2f}s "
-              f"(speedup {serial_seconds / max(seconds, 1e-9):.2f}x, "
-              f"identical={same})")
+    outcome, seconds = timed_grid(SPEEDUP_GRID, n_jobs=4, backend="process")
+    same = scenario_accuracies(outcome) == scenario_accuracies(serial_outcome)
+    print(f"process x4: {seconds:.2f}s "
+          f"(speedup {serial_seconds / max(seconds, 1e-9):.2f}x, "
+          f"identical={same})")

@@ -61,8 +61,8 @@ def main() -> None:
     #    experiment grids and the CLI alike:
     #
     #    * n_jobs/backend fan evaluation batches (PBT generations,
-    #      Hyperband rungs) out to worker threads or processes — results
-    #      are bit-for-bit identical to serial, only wall-clock changes;
+    #      Hyperband rungs) out to worker processes — results are
+    #      bit-for-bit identical to serial, only wall-clock changes;
     #    * cache_dir persists every evaluation across runs (a repeated
     #      search answers from disk: zero re-training);
     #    * prefix_cache_bytes resumes each pipeline from its longest
@@ -73,7 +73,7 @@ def main() -> None:
     #      while earlier evaluations are still in flight — pair with the
     #      "asha" extension algorithm).
     context = ExecutionContext(
-        n_jobs=2, backend="thread",
+        n_jobs=2, backend="process",
         prefix_cache_bytes=64 * 1024 * 1024,
         cache_dir=".eval-cache",
     )
@@ -98,7 +98,7 @@ def main() -> None:
     #    barriers, every worker saturated.
     async_problem = AutoFPProblem.from_arrays(
         X, y, model="lr", random_state=0, name="heart/lr",
-        context=ExecutionContext(n_jobs=4, backend="thread", async_mode=True),
+        context=ExecutionContext(n_jobs=4, backend="process", async_mode=True),
     )
     async_result = make_search_algorithm("asha", random_state=0).search(
         async_problem, max_trials=20

@@ -10,7 +10,7 @@ The package provides:
 * the Auto-FP problem abstraction: pipelines, search space, evaluator and
   budgets (``repro.core``),
 * the 15 search algorithms of the paper (``repro.search``),
-* a parallel execution engine with pluggable serial / thread / process
+* a parallel execution engine with pluggable serial / process / remote
   backends for batch evaluation and experiment-grid fan-out
   (``repro.engine``),
 * one serializable runtime-configuration object

@@ -42,8 +42,8 @@ Runtime configuration resolves into one
 :class:`~repro.core.context.ExecutionContext` per invocation, layered as
 ``REPRO_*`` environment variables < ``--context FILE`` (a JSON document of
 context fields) < explicit flags.  ``search``, ``compare`` and
-``experiment`` accept ``--n-jobs`` and ``--backend`` (serial / thread /
-process) to run evaluation batches or the experiment grid in parallel;
+``experiment`` accept ``--n-jobs`` and ``--backend`` (serial / process /
+remote) to run evaluation batches or the experiment grid in parallel;
 results are identical for every worker count.  ``search`` and
 ``experiment`` additionally accept ``--async`` for completion-driven
 scheduling (the algorithm proposes while earlier evaluations are still in
@@ -579,8 +579,7 @@ def _cmd_search(args, out) -> int:
                 out.flush()
         result = session.run(max_trials=args.max_trials)
 
-    if problem.evaluator.engine is not None:
-        problem.evaluator.engine.close()
+    problem.evaluator.engine.close()
 
     scale = (problem.provenance or {}).get("scale", args.scale) \
         if args.resume else args.scale
@@ -643,8 +642,7 @@ def _cmd_compare(args, out) -> int:
             problem, max_trials=args.max_trials
         )
         accuracies[name] = result.best_accuracy
-    if problem.evaluator.engine is not None:
-        problem.evaluator.engine.close()
+    problem.evaluator.engine.close()
 
     out.write(f"dataset {args.dataset}, model {args.model}, "
               f"budget {args.max_trials} trials, baseline {baseline:.4f}\n\n")

@@ -39,6 +39,10 @@ _UNSET = object()
 #: environment variables read by :meth:`ExecutionContext.from_env`
 _ENV_PREFIX = "REPRO_"
 
+#: spellings of a boolean environment variable, compared case-insensitively
+_ENV_TRUE = ("1", "true", "yes", "on")
+_ENV_FALSE = ("0", "false", "no", "off")
+
 
 def convert_field(name: str, value, kind):
     """``kind(value)``, or a :class:`ValidationError` naming the field.
@@ -62,10 +66,9 @@ class ExecutionContext:
     Attributes
     ----------
     backend:
-        Execution backend name (``"serial"``/``"thread"``/``"process"``/
-        ``"remote"``) or ``None`` to auto-select from ``n_jobs`` (process
-        when parallel, serial otherwise — see
-        :func:`repro.engine.resolve_backend_name`).
+        Execution backend name (``"serial"``/``"process"``/``"remote"``)
+        or ``None`` to auto-select from ``n_jobs`` (process when parallel,
+        serial otherwise — see :func:`repro.engine.resolve_backend_name`).
     n_jobs:
         Parallel workers (``-1`` = one per CPU core, ``None``/``1`` =
         serial).
@@ -101,15 +104,14 @@ class ExecutionContext:
         Optional per-evaluation deadline in seconds.  Enforced by a
         watchdog on the process backend (a hung worker is killed and its
         trial recorded with ``failure_kind="timeout"``) and as a soft
-        deadline on serial/thread backends.  Applies to engine-backed
-        runs; ``None`` disables deadlines.
+        deadline on the serial and remote backends.  ``None`` disables
+        deadlines.
     chaos:
         Optional :class:`~repro.engine.chaos.FaultPlan` spec string
         (e.g. ``"crash@1,delay@4:30"``) — deterministic fault injection
         for testing recovery paths.  :meth:`build_engine` wraps the
-        backend in a :class:`~repro.engine.chaos.ChaosBackend` (forcing
-        an engine even for serial runs, so faults have an envelope to
-        land in).  ``None`` (the default) injects nothing.
+        backend in a :class:`~repro.engine.chaos.ChaosBackend`.  ``None``
+        (the default) injects nothing.
     remote_coordinator:
         ``"host:port"`` the ``"remote"`` backend binds its coordinator
         on (workers connect there with ``repro worker``).  ``None``
@@ -261,7 +263,8 @@ class ExecutionContext:
         Recognised variables (unset ones keep ``base``'s value, or the
         field default): ``REPRO_BACKEND``, ``REPRO_N_JOBS``,
         ``REPRO_CACHE_DIR``, ``REPRO_PREFIX_CACHE_MB`` (MiB, converted to
-        bytes), ``REPRO_ASYNC`` (``1``/``true``/``yes`` enable),
+        bytes), ``REPRO_ASYNC`` (``1``/``true``/``yes``/``on`` enable,
+        ``0``/``false``/``no``/``off`` disable),
         ``REPRO_MAX_TRIALS`` (``default_budget``), ``REPRO_SEED``,
         ``REPRO_TELEMETRY`` (``off``/``counters``/``trace``),
         ``REPRO_TELEMETRY_DIR``, ``REPRO_EVAL_TIMEOUT`` (seconds),
@@ -301,8 +304,13 @@ class ExecutionContext:
                 ) from None
         raw = read("ASYNC")
         if raw is not None:
-            overrides["async_mode"] = raw.strip().lower() in ("1", "true",
-                                                              "yes", "on")
+            flag = raw.strip().lower()
+            if flag not in _ENV_TRUE + _ENV_FALSE:
+                raise ValidationError(
+                    f"{_ENV_PREFIX}ASYNC must be one of "
+                    f"{list(_ENV_TRUE + _ENV_FALSE)}, got {raw!r}"
+                )
+            overrides["async_mode"] = flag in _ENV_TRUE
         if read("TELEMETRY") is not None:
             overrides["telemetry_mode"] = read("TELEMETRY").strip().lower()
         if read("TELEMETRY_DIR") is not None:
@@ -365,31 +373,30 @@ class ExecutionContext:
     def build_engine(self):
         """Build the execution engine this context describes.
 
-        Returns ``None`` when the context resolves to plain single-worker
-        serial evaluation (no engine overhead) — the same rule as
-        :func:`repro.engine.resolve_engine`.  Each call builds a fresh
-        engine; the caller owns it (``engine.close()``).
-
-        With ``chaos`` set, the engine's backend is wrapped in a
-        :class:`~repro.engine.chaos.ChaosBackend` carrying this context's
-        fault plan — and an engine is built even for serial contexts, so
-        the injected faults always have a guarded envelope to land in.
+        Each call builds a fresh engine; the caller owns it
+        (``engine.close()``).  A context that asks for no parallelism gets
+        a serial engine, and so does an explicit ``backend="serial"``
+        whatever ``n_jobs`` says: the serial backend runs one worker.
+        ``remote_coordinator`` / ``worker_timeout`` are forwarded only to
+        the ``"remote"`` backend, so a globally exported
+        ``REPRO_REMOTE_COORDINATOR`` does not break serial or process
+        contexts.  With ``chaos`` set, the backend is wrapped in a
+        :class:`~repro.engine.chaos.ChaosBackend` carrying the fault plan.
         """
-        from repro.engine import resolve_engine
+        from repro.engine import ChaosBackend, ExecutionEngine
 
-        engine = resolve_engine(self.n_jobs, self.backend,
-                                eval_timeout=self.eval_timeout,
-                                remote_coordinator=self.remote_coordinator,
-                                worker_timeout=self.worker_timeout)
+        name = self.backend_name()
+        remote = name == "remote"
+        engine = ExecutionEngine(
+            name,
+            n_workers=(None if name == "serial" or self.n_jobs == -1
+                       else self.n_jobs),
+            eval_timeout=self.eval_timeout,
+            remote_coordinator=self.remote_coordinator if remote else None,
+            worker_timeout=self.worker_timeout if remote else None,
+        )
         if self.chaos is not None:
-            from repro.engine import ExecutionEngine
-            from repro.engine.chaos import ChaosBackend, FaultPlan
-
-            if engine is None:
-                engine = ExecutionEngine("serial",
-                                         eval_timeout=self.eval_timeout)
-            engine.backend = ChaosBackend(engine.backend,
-                                          FaultPlan.from_spec(self.chaos))
+            engine.backend = ChaosBackend(engine.backend, self.chaos)
         return engine
 
     def evaluator_options(self) -> dict:

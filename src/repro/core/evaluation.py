@@ -23,7 +23,7 @@ Evaluation is deterministic and memoized:
 * low-fidelity subsample seeds are derived from ``(random_state, pipeline
   spec, fidelity)`` rather than a shared RNG, so the result of a trial does
   not depend on evaluation order — the property that lets the execution
-  engine (:mod:`repro.engine`) run batches on serial, thread or process
+  engine (:mod:`repro.engine`) run batches on serial, process or remote
   backends with bit-for-bit identical outcomes;
 * with ``prefix_cache_bytes`` set, evaluation is *incremental*: a
   byte-budgeted :class:`~repro.core.prefixcache.PrefixTransformCache`
@@ -33,9 +33,9 @@ Evaluation is deterministic and memoized:
   extensions without re-running Prep).  Cached prefixes hold the exact
   arrays the cold path would recompute, so results stay bit-for-bit
   identical to cache-off evaluation;
-* ``evaluate_many`` / ``evaluate_tasks`` route whole batches through an
-  optional :class:`~repro.engine.engine.ExecutionEngine` for parallel
-  execution.
+* ``evaluate_many`` / ``evaluate_tasks`` route whole batches through the
+  evaluator's :class:`~repro.engine.engine.ExecutionEngine` — a serial
+  one unless a parallel engine is attached.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ class PipelineEvaluator:
         order or execution backend.
     engine:
         Optional :class:`~repro.engine.engine.ExecutionEngine` used by
-        :meth:`evaluate_many` / :meth:`evaluate_tasks` to run batches in
-        parallel.  ``None`` evaluates batches serially.
+        :meth:`evaluate_many` / :meth:`evaluate_tasks` to run batches.
+        ``None`` gives the evaluator a serial engine of its own.
     cache_dir:
         Optional directory for a persistent cross-run evaluation cache.
         Results are written through to disk (scoped by :meth:`fingerprint`)
@@ -139,9 +139,9 @@ class PipelineEvaluator:
         earlier work only pays Prep for its uncached suffix, and a prefix
         that already failed short-circuits all its extensions.  Results are
         bit-for-bit identical to cache-off evaluation; the budget trades
-        memory for Prep time (the dominant search cost).  Thread workers
-        share one locked cache; process workers each build their own,
-        persisting across batches for the lifetime of the worker pool.
+        memory for Prep time (the dominant search cost).  Process workers
+        each build their own, persisting across batches for the lifetime
+        of the worker pool.
         ``None`` (default) disables prefix reuse.
     """
 
@@ -227,7 +227,16 @@ class PipelineEvaluator:
     # ------------------------------------------------------------- engine
     @property
     def engine(self):
-        """The execution engine used for batch evaluation (``None`` = serial)."""
+        """The execution engine that runs batch evaluation.
+
+        Never ``None``: an evaluator built without an engine, detached
+        with ``set_engine(None)`` or unpickled gets a serial engine of its
+        own on first use.
+        """
+        if self._engine is None:
+            from repro.engine.engine import ExecutionEngine
+
+            self._engine = ExecutionEngine("serial")
         return self._engine
 
     def set_engine(self, engine) -> None:
@@ -328,8 +337,7 @@ class PipelineEvaluator:
             raise ValidationError(f"fidelity must be in (0, 1], got {fidelity}")
 
         key = self.cache_key(pipeline, fidelity)
-        with trace_span(self._tracer, "cache_lookup"):
-            entry = self.cache_lookup(key)
+        entry = self.cache_lookup(key)
         if entry is None:
             entry = self._evaluate_uncached(pipeline, fidelity)
             self.n_evaluations += 1
@@ -341,10 +349,9 @@ class PipelineEvaluator:
                       iteration: int = 0) -> list[TrialRecord]:
         """Evaluate a batch of pipelines at the same fidelity.
 
-        The batch is routed through the attached execution engine when one
-        is set (see :meth:`set_engine`), running on its backend's workers;
-        otherwise the pipelines are evaluated serially.  Either way the
-        records come back in input order with identical contents.
+        The batch runs through the evaluator's execution engine (see
+        :meth:`set_engine`) on its backend's workers.  The records come
+        back in input order with identical contents on every backend.
         """
         from repro.engine.tasks import EvalTask
 
@@ -355,14 +362,13 @@ class PipelineEvaluator:
     def evaluate_tasks(self, tasks, *, budget=None) -> list[TrialRecord]:
         """Evaluate a batch of :class:`~repro.engine.tasks.EvalTask` objects.
 
-        Records are returned in task order.  With no engine attached the
-        tasks run serially through :meth:`evaluate`.
+        Records are returned in task order.
 
         When ``budget`` is given, dispatch is *budget-aware*: a wall-clock
         budget (:class:`~repro.core.budget.TimeBudget`) is consulted between
-        tasks — or, with an engine attached, between chunks of
-        ``engine.n_workers`` tasks, the granularity at which parallel work
-        can stop — and the batch is cut short once it expires.  The returned
+        chunks of ``engine.n_workers`` tasks — the granularity at which
+        parallel work can stop, one task on the serial backend — and the
+        batch is cut short once it expires.  The returned
         list is then a prefix of the tasks; callers account for the
         undispatched remainder (see ``AsyncSearchDriver.drive``).
         Count-based budgets never interrupt a batch: their admission is
@@ -370,29 +376,18 @@ class PipelineEvaluator:
         backends and worker counts.
         """
         tasks = list(tasks)
-        interruptible = budget is not None and budget.can_interrupt()
-        if self._engine is None:
-            records = []
-            for task in tasks:
-                if interruptible and records and budget.interrupted():
-                    break
-                records.append(
-                    self.evaluate(task.pipeline, fidelity=task.fidelity,
-                                  pick_time=task.pick_time,
-                                  iteration=task.iteration)
-                )
-            return records
-        if not interruptible:
+        engine = self.engine
+        if budget is None or not budget.can_interrupt():
             # Count-only budgets settle admission up front and can never
             # interrupt: dispatch the whole batch in one engine call rather
             # than paying per-chunk barriers that could not fire anyway.
-            return self._engine.run(self, tasks)
+            return engine.run(self, tasks)
         records = []
-        chunk = max(1, self._engine.n_workers)
+        chunk = max(1, engine.n_workers)
         for start in range(0, len(tasks), chunk):
             if start and budget.interrupted():
                 break
-            records.extend(self._engine.run(self, tasks[start:start + chunk]))
+            records.extend(engine.run(self, tasks[start:start + chunk]))
         return records
 
     # --------------------------------------------------------------- cache
@@ -410,19 +405,20 @@ class PipelineEvaluator:
         """
         if not self.cache_enabled:
             return None
-        entry = self._cache.get(key)
-        if entry is not None:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            return entry
-        if self._disk_cache is not None:
-            entry = self._disk_cache.get(key)
+        with trace_span(self._tracer, "cache_lookup"):
+            entry = self._cache.get(key)
             if entry is not None:
-                self._memory_store(key, entry)
+                self._cache.move_to_end(key)
                 self.cache_hits += 1
                 return entry
-        self.cache_misses += 1
-        return None
+            if self._disk_cache is not None:
+                entry = self._disk_cache.get(key)
+                if entry is not None:
+                    self._memory_store(key, entry)
+                    self.cache_hits += 1
+                    return entry
+            self.cache_misses += 1
+            return None
 
     def cache_store(self, key: tuple, entry: dict) -> None:
         """Insert ``entry`` under ``key`` in the LRU and the disk cache.
@@ -442,9 +438,9 @@ class PipelineEvaluator:
     def cache_store_batch(self, items) -> None:
         """Insert a batch of ``(key, entry)`` pairs (one disk append per shard).
 
-        The execution engine merges every parallel batch back through this
-        method, so results computed by thread or process workers land in the
-        persistent cache in a handful of appends instead of one per task.
+        The execution engine merges every batch back through this method,
+        so results computed by workers land in the persistent cache in a
+        handful of appends instead of one per task.
         Infrastructure-failure entries are skipped for the same reason as
         in :meth:`cache_store`.
         """
@@ -457,19 +453,40 @@ class PipelineEvaluator:
         if self._disk_cache is not None:
             self._disk_cache.put_many(items)
 
+    def evaluate_in_worker(self, pipeline: Pipeline, fidelity: float) -> dict:
+        """Evaluate uncached in a worker, attaching the counter delta.
+
+        The worker side of :meth:`absorb_worker_counters`, called by
+        process-pool and remote workers.  A worker's prefix cache is
+        private to its process, so its counters would otherwise never
+        reach the parent (``prefix_hits`` reading 0 despite real reuse).
+        A before/after snapshot brackets the evaluation, and the delta
+        rides back on the entry under :data:`METRICS_DELTA_KEY`.
+        """
+        cache = self._prefix_cache
+        if cache is None:
+            return self._evaluate_uncached(pipeline, fidelity)
+        before = cache.counters()
+        entry = self._evaluate_uncached(pipeline, fidelity)
+        delta = cache.counters_since(before)
+        if delta:
+            entry[METRICS_DELTA_KEY] = {
+                f"prefix.{name}": value for name, value in delta.items()
+            }
+        return entry
+
     def absorb_worker_counters(self, entry: dict) -> dict:
         """Strip a worker's metric delta from ``entry`` and merge it.
 
-        Process-pool workers record metrics into *private* stores (their
-        own prefix cache's counters, their own registry); each evaluation
-        performed in a worker attaches the :class:`MetricsSnapshot` delta
-        it caused to the returned cache entry under the reserved
-        :data:`METRICS_DELTA_KEY`.  The engine routes every
-        worker-computed entry through here before caching it, so the
-        parent's :meth:`cache_info` reflects reuse that happened in the
-        workers — and the delta never leaks into the memoization LRU or
-        the persistent disk cache.  Idempotent: entries without a delta
-        pass through untouched.
+        Workers record metrics into *private* stores (their own prefix
+        cache's counters, their own registry); :meth:`evaluate_in_worker`
+        attaches the :class:`MetricsSnapshot` delta each evaluation caused
+        to the returned cache entry under the reserved
+        :data:`METRICS_DELTA_KEY`.  The engine routes every entry through
+        here before caching it, so the parent's :meth:`cache_info`
+        reflects reuse that happened in the workers — and the delta never
+        leaks into the memoization LRU or the persistent disk cache.
+        Idempotent: entries without a delta pass through untouched.
         """
         delta = entry.pop(METRICS_DELTA_KEY, None)
         if delta:
@@ -557,9 +574,10 @@ class PipelineEvaluator:
         Pure with respect to the evaluator's *results*: reads the split and
         the model prototype and computes the same values regardless of what
         other evaluations ran before — which is what makes it safe to call
-        concurrently from thread or process workers.  (The prefix cache, if
-        enabled, is mutated, but it is internally locked and only ever
-        changes *how fast* an entry is computed, never its value.)
+        from worker processes and concurrently from a remote worker's
+        threads.  (The prefix cache, if enabled, is mutated, but it is
+        internally locked and only ever changes *how fast* an entry is
+        computed, never its value.)
         """
         X_train, y_train = self._training_subset(fidelity, pipeline)
 

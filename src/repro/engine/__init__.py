@@ -8,8 +8,6 @@ experiment grids — on a pluggable backend:
 
 * :class:`~repro.engine.backends.SerialBackend` — inline execution, the
   deterministic reference;
-* :class:`~repro.engine.backends.ThreadBackend` — a thread pool, sharing
-  the evaluator's memory;
 * :class:`~repro.engine.backends.ProcessBackend` — a process pool for true
   CPU parallelism;
 * :class:`~repro.engine.remote.RemoteBackend` — a coordinator serving
@@ -24,12 +22,14 @@ a futures layer (:meth:`ExecutionEngine.submit_tasks` /
 :meth:`ExecutionEngine.as_completed`) yields results per *completion* —
 the substrate of the completion-driven search driver
 (:mod:`repro.search.async_driver`).  See :mod:`repro.engine.engine` for
-the dispatch logic and :func:`resolve_engine` for CLI-style option
-handling.
+the dispatch logic and
+:meth:`~repro.core.context.ExecutionContext.build_engine` for building
+an engine from CLI-style options.
 
 Execution is fault tolerant: :mod:`repro.engine.faults` defines the
-failure taxonomy and :class:`~repro.engine.faults.RetryPolicy`, the
-backends recover from worker crashes and enforce evaluation deadlines,
+failure taxonomy and :class:`~repro.engine.faults.RetryPolicy`, every
+backend recovers from worker crashes and enforces evaluation deadlines
+through one recovering future (see :mod:`repro.engine.backends`),
 and :mod:`repro.engine.chaos` provides a deterministic fault-injection
 harness (:class:`~repro.engine.chaos.ChaosBackend` +
 :class:`~repro.engine.chaos.FaultPlan`) that makes every recovery path
@@ -43,7 +43,6 @@ from repro.engine.backends import (
     ProcessBackend,
     SerialBackend,
     SerialFuture,
-    ThreadBackend,
     default_worker_count,
     make_backend,
 )
@@ -52,7 +51,6 @@ from repro.engine.engine import (
     ExecutionEngine,
     PendingTask,
     resolve_backend_name,
-    resolve_engine,
 )
 from repro.engine.remote import (
     Coordinator,
@@ -78,7 +76,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "SerialFuture",
-    "ThreadBackend",
     "ProcessBackend",
     "RemoteBackend",
     "RemoteWorker",
@@ -92,7 +89,6 @@ __all__ = [
     "make_backend",
     "ExecutionEngine",
     "resolve_backend_name",
-    "resolve_engine",
     "FaultPlan",
     "InjectedFault",
     "RetryPolicy",

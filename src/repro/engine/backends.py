@@ -1,4 +1,4 @@
-"""Pluggable execution backends: serial, thread-pool and process-pool.
+"""Pluggable execution backends: serial and process-pool.
 
 A backend hands out one future per task through ``submit`` (any
 picklable callable, such as an experiment-grid cell),
@@ -17,17 +17,14 @@ interruption refund never-dispatched tasks exactly.
 ``submit_evaluation`` takes a
 :class:`~repro.core.evaluation.PipelineEvaluator` and one ``(pipeline,
 fidelity)`` work item (or a chaos
-:class:`~repro.engine.faults.FaultInjection` wrapper) and returns a future
-for the raw cache entry.  Every evaluation runs under the backend's
-:class:`~repro.engine.faults.RetryPolicy` and optional ``eval_timeout``:
-
-* The serial and thread backends run ``_guarded_evaluation``: retries in
-  process and a soft deadline.  They have no pool to lose and cannot
-  interrupt in-flight work.
-* The process backend, and the remote backend in
-  :mod:`repro.engine.remote.backend`, wrap each evaluation in one
-  :class:`_RecoveringEvalFuture`.  It talks to a three-call transport:
-  submit an item (shared or alone), report it lost, expire it.
+:class:`~repro.engine.faults.FaultInjection` wrapper) and returns one
+:class:`_RecoveringEvalFuture` for the raw cache entry.  That future
+applies the backend's :class:`~repro.engine.faults.RetryPolicy` and
+optional ``eval_timeout`` over a three-call transport — submit an item
+(shared or alone), report it lost, expire it — which each backend
+implements: the serial backend inline, the process backend over pools,
+and the remote backend in :mod:`repro.engine.remote.backend` over a
+worker fleet.
 
 The recovering future's attribution rule:
 
@@ -36,7 +33,7 @@ The recovering future's attribution rule:
   ``failure_kind="worker_crash"`` entry.
 * Losing a pool or a worker charges nobody.  The lost task is
   re-dispatched alone: in a private one-worker pool, or on a remote worker
-  that holds no other lease.
+  that holds no other lease.  Inline, a chaos ``crash`` is such a loss.
 * A loss while the task runs alone is charged to it.
 
 So each task gets at most one free loss, then ``max_attempts`` charged
@@ -48,6 +45,10 @@ still running when it passes has its pool killed (or its remote lease
 forgotten) and resolves as ``failure_kind="timeout"``, and siblings lost
 with that pool are re-dispatched uncharged.  ``wait_any`` is bounded by
 the nearest deadline, so a hung worker never blocks a caller past it.
+Inline work cannot be interrupted, so the serial backend starts no clock
+at dispatch: an attempt that overran the deadline raises
+:class:`~repro.engine.faults.EvaluationTimeoutError` when it returns, as
+a remote worker's soft deadline does, and resolves the same way.
 
 Recovery is observable through the ``engine.worker_crashes`` /
 ``engine.eval_timeouts`` / ``engine.retries`` / ``engine.quarantined_tasks``
@@ -65,11 +66,11 @@ from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 from repro.engine.faults import (
     FAILURE_KIND_CRASH,
@@ -204,10 +205,10 @@ class ExecutionBackend:
     eval_timeout:
         Optional per-evaluation deadline in seconds.  The process backend
         enforces it with a watchdog (a hung worker is killed and the task
-        recorded as ``failure_kind="timeout"``); the serial and thread
-        backends, which cannot interrupt in-flight work, apply it as a
-        soft deadline — the evaluation runs to completion but is *scored*
-        as timed out, so results match what the watchdog records.
+        recorded as ``failure_kind="timeout"``); the serial backend, which
+        cannot interrupt in-flight work, applies it as a soft deadline —
+        the evaluation runs to completion but is *scored* as timed out,
+        so results match what the watchdog records.
     retry_policy:
         :class:`~repro.engine.faults.RetryPolicy` governing transient
         failures (worker crashes, injected chaos errors).  Defaults to
@@ -221,6 +222,11 @@ class ExecutionBackend:
     #: serial backend): ``as_completed`` consumers then iterate futures in
     #: the order they were submitted, which is the deterministic reference
     ordered_completion: bool = False
+
+    #: True when an evaluation's deadline runs from its dispatch and an
+    #: overdue attempt can be abandoned (its pool killed, its lease
+    #: forgotten); inline work cannot be, and reports its own overrun
+    deadline_at_dispatch: bool = True
 
     def __init__(self, n_workers: int | None = None, *,
                  eval_timeout: float | None = None,
@@ -237,56 +243,6 @@ class ExecutionBackend:
         #: loss, or ``None``; surfaced by ``repro serve``'s ``/healthz``
         self.last_crash: dict | None = None
 
-    # ------------------------------------------------------------------ API
-    def _guarded_evaluation(self, evaluator, item) -> dict:
-        """Evaluate one work item under the retry policy and soft deadline.
-
-        Transient failures (see :data:`~repro.engine.faults.TRANSIENT_ERROR_TYPES`)
-        are retried with backoff; a task that keeps failing is quarantined
-        as a ``worker_crash`` failure entry.  The loop is bounded by
-        ``retry_policy.max_attempts`` (every iteration either returns or
-        consumes one attempt).
-        """
-        policy = self.retry_policy
-        attempt = 1
-        while True:
-            pair, fault = unwrap_work_item(item)
-            start = time.monotonic()
-            try:
-                if fault is not None:
-                    apply_fault_inline(fault)
-                entry = evaluator._evaluate_uncached(pair[0], pair[1])
-            except TRANSIENT_ERROR_TYPES as error:
-                if isinstance(error, WorkerCrashError):
-                    get_registry().counter("engine.worker_crashes").inc()
-                    # Crash observed without a pool involved: still
-                    # surfaced to /healthz, same shape as a pool loss.
-                    self.last_crash = {"kind": FAILURE_KIND_CRASH,
-                                       "time": time.time(),
-                                       "fingerprint":
-                                           evaluator.fingerprint()[:12]}
-                if not policy.should_retry(attempt, error):
-                    get_registry().counter("engine.quarantined_tasks").inc()
-                    return failure_entry(FAILURE_KIND_CRASH)
-                get_registry().counter("engine.retries").inc()
-                _trace_retry(evaluator, attempt, type(error).__name__)
-                policy.sleep(attempt)
-                attempt += 1
-                item = strip_fault(item)
-                continue
-            if (self.eval_timeout is not None
-                    and time.monotonic() - start > self.eval_timeout):
-                # Soft deadline: the work already ran to completion in this
-                # thread, but it is scored exactly as the process watchdog
-                # would have scored it — a deterministic timeout record.
-                get_registry().counter("engine.eval_timeouts").inc()
-                self.last_crash = {"kind": FAILURE_KIND_TIMEOUT,
-                                   "time": time.time(),
-                                   "fingerprint":
-                                       evaluator.fingerprint()[:12]}
-                return failure_entry(FAILURE_KIND_TIMEOUT)
-            return entry
-
     # -------------------------------------------------------------- futures
     def submit(self, fn, item):
         """Start ``fn(item)`` and return a future for its result.
@@ -299,11 +255,10 @@ class ExecutionBackend:
     def submit_evaluation(self, evaluator, item):
         """Dispatch one ``(pipeline, fidelity)`` evaluation; return a future.
 
-        The only way an evaluation reaches a backend.
+        The only way an evaluation reaches a backend: a
+        :class:`_RecoveringEvalFuture` over this backend's transport.
         """
-        return self.submit(
-            lambda work: self._guarded_evaluation(evaluator, work), item
-        )
+        return _RecoveringEvalFuture(self, evaluator, item)
 
     def wait_any(self, futures) -> None:
         """Block until one of ``futures`` is done or a deadline passes.
@@ -337,10 +292,17 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Run every task inline in the calling thread (the reference backend)."""
+    """Run every task inline in the calling thread (the reference backend).
+
+    Its transport dispatches an evaluation as a lazy :class:`SerialFuture`
+    over one inline attempt.  A chaos ``crash`` cannot kill anything here,
+    so it surfaces as :class:`~repro.engine.faults.WorkerCrashError` — a
+    loss, attributed exactly as a process backend attributes a dead pool.
+    """
 
     name = "serial"
     ordered_completion = True
+    deadline_at_dispatch = False
 
     def __init__(self, n_workers: int | None = None, **options) -> None:
         if n_workers is not None and int(n_workers) != 1:
@@ -350,7 +312,7 @@ class SerialBackend(ExecutionBackend):
             raise ValidationError(
                 f"the serial backend runs exactly one worker; "
                 f"n_workers={n_workers!r} asks for parallelism — pick the "
-                f"'thread' or 'process' backend instead"
+                f"'process' or 'remote' backend instead"
             )
         super().__init__(n_workers=1, **options)
 
@@ -359,55 +321,52 @@ class SerialBackend(ExecutionBackend):
 
     def wait_any(self, futures) -> None:
         # Lazy futures never complete on their own: "waiting" means running
-        # the earliest-submitted pending one right here, which is exactly
-        # the serial execution order.
+        # the current attempt of the earliest-submitted pending one right
+        # here, which is exactly the serial execution order.
         for future in futures:
             if future.done():
                 return
         if futures:
-            futures[0].run()
+            first = futures[0]
+            if isinstance(first, _RecoveringEvalFuture):
+                first = first._inner
+            first.run()
 
+    # ---------------------------------------------------------- transport
+    def _dispatch(self, evaluator, item, alone: bool):
+        """A lazy future over one inline attempt; nothing runs yet."""
+        return None, SerialFuture(partial(self._evaluate_inline, evaluator),
+                                  item)
 
-class ThreadBackend(ExecutionBackend):
-    """Dispatch tasks to a thread pool.
+    def _evaluate_inline(self, evaluator, item) -> dict:
+        """Apply the item's fault, evaluate, then check the deadline.
 
-    Threads share the evaluator's memory, so nothing is pickled.  Workers
-    read shared state (the train/valid split) and the memoization-cache
-    writes happen in the calling thread after the batch completes, so those
-    need no locking.  The one piece of shared state workers *do* mutate is
-    the evaluator's prefix-transform cache (when enabled), which carries
-    its own internal lock — all workers then reuse one pool of fitted
-    prefixes.  Useful when evaluations release the GIL (numpy-heavy
-    preprocessing / training) or block on I/O.
-    """
+        The deadline covers fault and evaluation together, and an overrun
+        raises :class:`EvaluationTimeoutError` once the work has returned.
+        """
+        pair, fault = unwrap_work_item(item)
+        start = time.monotonic()
+        if fault is not None:
+            apply_fault_inline(fault)
+        entry = evaluator._evaluate_uncached(*pair)
+        if self.eval_timeout is not None \
+                and time.monotonic() - start > self.eval_timeout:
+            raise EvaluationTimeoutError(
+                f"evaluation exceeded the soft deadline of "
+                f"{self.eval_timeout}s"
+            )
+        return entry
 
-    name = "thread"
+    def _lose(self, evaluator, token) -> None:
+        """An inline crash: count it and surface it to ``/healthz``."""
+        get_registry().counter("engine.worker_crashes").inc()
+        self.last_crash = {"kind": FAILURE_KIND_CRASH, "time": time.time(),
+                           "fingerprint": evaluator.fingerprint()[:12]}
 
-    def __init__(self, n_workers: int | None = None, **options) -> None:
-        super().__init__(n_workers=n_workers, **options)
-        self._lock = threading.Lock()
-        self._submit_pool: ThreadPoolExecutor | None = None
-
-    def submit(self, fn, item):
-        # Submissions share one long-lived pool: futures of different
-        # batches must be able to run concurrently, and the async driver
-        # submits continuously.  The lazy creation is lock-guarded — two
-        # sessions racing on a shared engine would otherwise each build a
-        # pool and leak one.
-        with self._lock:
-            if self._submit_pool is None:
-                self._submit_pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers
-                )
-            pool = self._submit_pool
-        return pool.submit(fn, item)
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._submit_pool = self._submit_pool, None
-        if pool is not None:
-            # Joining worker threads can block; never do it under the lock.
-            pool.shutdown(wait=True, cancel_futures=True)
+    def _expire(self, evaluator, token) -> None:
+        """An overrun attempt: nothing to kill, only to surface."""
+        self.last_crash = {"kind": FAILURE_KIND_TIMEOUT, "time": time.time(),
+                           "fingerprint": evaluator.fingerprint()[:12]}
 
 
 # --------------------------------------------------------------- processes
@@ -427,28 +386,7 @@ def _evaluate_in_worker(item):
         # kills this process (the parent sees BrokenProcessPool), a
         # "delay" really hangs it (the parent's watchdog fires).
         apply_fault_in_worker(fault)
-    pipeline, fidelity = pair
-    cache = _WORKER_EVALUATOR.prefix_cache
-    if cache is None:
-        return _WORKER_EVALUATOR._evaluate_uncached(pipeline, fidelity)
-    # The worker's prefix cache is private to this process: its counters
-    # would otherwise never reach the parent (prefix_hits reading 0 under
-    # the process backend despite real reuse).  Pool workers run one task
-    # at a time, so a before/after snapshot brackets exactly this
-    # evaluation; the delta rides back on a copy of the entry (the
-    # original may be aliased by the worker's own caches) and is stripped
-    # by ``PipelineEvaluator.absorb_worker_counters`` before the entry is
-    # stored anywhere.
-    before = cache.counters()
-    entry = dict(_WORKER_EVALUATOR._evaluate_uncached(pipeline, fidelity))
-    delta = cache.counters_since(before)
-    if delta:
-        from repro.core.evaluation import METRICS_DELTA_KEY
-
-        entry[METRICS_DELTA_KEY] = {
-            f"prefix.{name}": value for name, value in delta.items()
-        }
-    return entry
+    return _WORKER_EVALUATOR.evaluate_in_worker(*pair)
 
 
 #: how a lost pool or worker surfaces on an evaluation future: the pool
@@ -464,8 +402,8 @@ class _RecoveringEvalFuture:
     the module docstring.  :meth:`result` never raises on an
     infrastructure failure: a lost, crashed or hung evaluation resolves to
     a retried attempt or a ``failure_kind`` entry.  The transport (the
-    process or remote backend) implements three calls, each taking the
-    evaluator and the opaque ``token`` of one dispatch:
+    serial, process or remote backend) implements three calls, each
+    taking the evaluator and the opaque ``token`` of one dispatch:
 
     * ``_dispatch(evaluator, item, alone) -> (token, future)`` submits an
       item, shared or alone;
@@ -488,9 +426,11 @@ class _RecoveringEvalFuture:
         self._dispatch()
 
     def _dispatch(self) -> None:
-        self._token, self._inner = self._transport._dispatch(
+        transport = self._transport
+        self._token, self._inner = transport._dispatch(
             self._evaluator, self._item, self._alone)
-        timeout = self._transport.eval_timeout
+        timeout = (transport.eval_timeout if transport.deadline_at_dispatch
+                   else None)
         self._deadline = (None if timeout is None
                           else time.monotonic() + timeout)
 
@@ -534,8 +474,8 @@ class _RecoveringEvalFuture:
             try:
                 self._entry = self._inner.result(timeout=remaining)
             except (FuturesTimeoutError, EvaluationTimeoutError):
-                # the deadline passed here, or a remote worker reported
-                # its own soft deadline blown
+                # the deadline passed here, or an inline attempt or a
+                # remote worker reported its own soft deadline blown
                 self._time_out()
             except _LOSS_TYPES as error:
                 if self._user_cancelled:
@@ -633,9 +573,6 @@ class ProcessBackend(ExecutionBackend):
                 )
             pool = self._submit_pool
         return pool.submit(fn, item)
-
-    def submit_evaluation(self, evaluator, item):
-        return _RecoveringEvalFuture(self, evaluator, item)
 
     # --------------------------------------------------- pool bookkeeping
     def _evaluation_pool(self, evaluator) -> ProcessPoolExecutor:
@@ -759,7 +696,6 @@ class ProcessBackend(ExecutionBackend):
 #: circular import)
 BACKEND_CLASSES: dict[str, type[ExecutionBackend]] = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 

@@ -182,8 +182,8 @@ class ChaosBackend(ExecutionBackend):
     is assigned the next task index (thread-safe counter, dispatch
     order), and indices the plan names get their work item wrapped in a
     :class:`~repro.engine.faults.FaultInjection` before delegation.  The
-    *inner* backend's guarded envelope or recovering future then applies
-    the fault and survives it.  Deliberately does not
+    *inner* backend's recovering future then applies the fault and
+    survives it.  Deliberately does not
     call ``ExecutionBackend.__init__``: it owns no workers and no
     settings of its own; ``n_workers``, ``eval_timeout``,
     ``retry_policy`` and ``last_crash`` all delegate to the wrapped

@@ -112,9 +112,8 @@ class ExecutionEngine:
     Parameters
     ----------
     backend:
-        Backend name (``"serial"``, ``"thread"``, ``"process"``,
-        ``"remote"``) or an :class:`~repro.engine.backends.ExecutionBackend`
-        instance.
+        Backend name (``"serial"``, ``"process"``, ``"remote"``) or an
+        :class:`~repro.engine.backends.ExecutionBackend` instance.
     n_workers:
         Worker count for named backends; ``None`` or ``-1`` uses one
         worker per CPU core.
@@ -237,10 +236,10 @@ class ExecutionEngine:
                 evaluator.n_evaluations += 1
                 for index in group:
                     records[index] = evaluator.record_from_entry(tasks[index], entry)
-            # One merge-back for the whole batch: results computed by
-            # thread/process workers land in the evaluator's LRU and — when
-            # a cache_dir is set — in the persistent cross-run cache, one
-            # append per touched shard instead of one write per task.
+            # One merge-back for the whole batch: results land in the
+            # evaluator's LRU and — when a cache_dir is set — in the
+            # persistent cross-run cache, one append per touched shard
+            # instead of one write per task.
             evaluator.cache_store_batch(merged)
 
         return records
@@ -353,7 +352,7 @@ class ExecutionEngine:
 
         ``index`` is the position in ``pending``.  On the serial backend
         completions arrive strictly in submission order with values
-        identical to :meth:`run`; on thread/process backends cache-resolved
+        identical to :meth:`run`; on process/remote backends cache-resolved
         tasks are yielded first (in submission order) and the rest as their
         futures finish, ties broken by submission order.
         """
@@ -408,40 +407,3 @@ def resolve_backend_name(n_jobs: int | None = None,
     if backend is not None:
         return backend
     return "process" if n_jobs not in (None, 1) else "serial"
-
-
-def resolve_engine(n_jobs: int | None = None,
-                   backend: str | ExecutionBackend | None = None, *,
-                   eval_timeout: float | None = None,
-                   retry_policy=None,
-                   remote_coordinator: str | None = None,
-                   worker_timeout: float | None = None
-                   ) -> ExecutionEngine | None:
-    """Build an engine from CLI-style ``n_jobs`` / ``backend`` options.
-
-    Returns ``None`` (meaning: plain serial evaluation, no engine overhead)
-    when the options resolve to single-worker serial execution (see
-    :func:`resolve_backend_name`).  ``n_jobs=-1`` means one worker per CPU
-    core.  ``eval_timeout`` / ``retry_policy`` configure the backend's
-    fault tolerance (ignored on the engineless serial path, which has no
-    pool to watch — use ``ExecutionContext.build_engine`` to force an
-    engine when a deadline matters).  ``remote_coordinator`` /
-    ``worker_timeout`` are forwarded only when the resolved backend is
-    ``"remote"``: a globally exported ``REPRO_REMOTE_COORDINATOR`` must
-    not break contexts that run serial or process backends.
-    """
-    if isinstance(backend, ExecutionBackend):
-        return ExecutionEngine(backend, eval_timeout=eval_timeout,
-                               retry_policy=retry_policy)
-    name = resolve_backend_name(n_jobs, backend)
-    if name == "serial":
-        return None
-    n_workers = None if n_jobs in (None, -1) else n_jobs
-    if name != "remote":
-        remote_coordinator = None
-        worker_timeout = None
-    return ExecutionEngine(name, n_workers=n_workers,
-                           eval_timeout=eval_timeout,
-                           retry_policy=retry_policy,
-                           remote_coordinator=remote_coordinator,
-                           worker_timeout=worker_timeout)

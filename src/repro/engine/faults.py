@@ -18,7 +18,8 @@ Fault tolerance is built from three small pieces that the backends
   inside a pool worker (:func:`apply_fault_in_worker` — a ``crash``
   genuinely kills the process) or inline
   (:func:`apply_fault_inline` — a ``crash`` raises
-  :class:`WorkerCrashError` for the serial/thread retry envelope).
+  :class:`WorkerCrashError`, which the serial backend's recovering
+  future treats as a lost worker).
 
 A task lost to infrastructure resolves to a :func:`failure_entry` — a
 normal cache-entry dict with ``failure_kind`` set — so it flows through
@@ -289,12 +290,12 @@ def apply_fault_in_worker(fault: InjectedFault) -> None:
 
 
 def apply_fault_inline(fault: InjectedFault) -> None:
-    """Apply ``fault`` in-process (serial/thread backends).
+    """Apply ``fault`` in-process (the serial backend).
 
-    A ``crash`` cannot kill anything here — the worker thread *is* the
-    search — so it raises :class:`WorkerCrashError` for the retry
-    envelope to catch, simulating the recovery path the process backend
-    takes for real.
+    A ``crash`` cannot kill anything here — the calling thread *is* the
+    search — so it raises :class:`WorkerCrashError`, which the recovering
+    future handles as a lost worker: the recovery path the process
+    backend takes for real.
     """
     if fault.kind == "drop_worker":
         raise ValidationError(

@@ -1,10 +1,10 @@
 """The ``"remote"`` execution backend: evaluations over a worker fleet.
 
-:class:`RemoteBackend` is the fourth :class:`ExecutionBackend`.  It owns
+:class:`RemoteBackend` is the third :class:`ExecutionBackend`.  It owns
 an in-process :class:`~repro.engine.remote.coordinator.Coordinator` that
 workers (``repro worker`` daemons, possibly on other machines) register
-with, and dispatches every evaluation through it.  Recovery is the
-process backend's, not a copy of it: each evaluation is the same
+with, and dispatches every evaluation through it.  Recovery is the one
+every backend shares, not a copy of it: each evaluation is the same
 :class:`~repro.engine.backends._RecoveringEvalFuture`, applying the
 attribution rule of :mod:`repro.engine.backends` over this backend's
 transport.  An item dispatched *alone* is leased only to a worker holding
@@ -31,11 +31,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future
 
-from repro.engine.backends import (
-    ExecutionBackend,
-    _RecoveringEvalFuture,
-    _validate_eval_timeout,
-)
+from repro.engine.backends import ExecutionBackend, _validate_eval_timeout
 from repro.engine.faults import (
     FAILURE_KIND_CRASH,
     FAILURE_KIND_TIMEOUT,
@@ -139,9 +135,6 @@ class RemoteBackend(ExecutionBackend):
         except BaseException as error:  # parity with Future semantics
             future.set_exception(error)
         return future
-
-    def submit_evaluation(self, evaluator, item) -> _RecoveringEvalFuture:
-        return _RecoveringEvalFuture(self, evaluator, item)
 
     # ---------------------------------------------------------- transport
     def _dispatch(self, evaluator, item, alone: bool):

@@ -51,8 +51,14 @@ log = logging.getLogger(__name__)
 #: seconds without any message before a worker is declared dead
 DEFAULT_WORKER_TIMEOUT = 10.0
 
+#: longest line read from a worker, newline included.  Worker messages
+#: (registrations, heartbeats, results, errors) are a few hundred bytes;
+#: the cap keeps a peer that never sends a newline from growing the
+#: coordinator's read buffer without bound.
+MAX_WORKER_MESSAGE_BYTES = 1 << 20
+
 #: worker-raised exception types reconstructed coordinator-side by name,
-#: so the backend's retry envelope sees the same taxonomy as local pools
+#: so the backend's recovering future sees the same taxonomy as local pools
 _ERROR_TYPES = {
     "WorkerCrashError": WorkerCrashError,
     "TransientEvaluationError": TransientEvaluationError,
@@ -80,7 +86,8 @@ class _WorkerLink:
         self.worker_id = worker_id
         self.sock = sock
         self.rfile = rfile
-        # named send_lock, not _lock: it serialises socket writes only
+        # named send_lock, not _lock: it serialises socket writes and
+        # guards ``fingerprints``, the snapshots already written
         self.send_lock = threading.Lock()
         self.cores = cores
         self.pid = pid
@@ -287,24 +294,24 @@ class Coordinator:
                 assignment = self._next_assignment_locked()
                 if assignment is None:
                     return
-                link, state, need_evaluator = assignment
-                blob = (self._evaluator_blobs[state.fingerprint]
-                        if need_evaluator else None)
-            messages = []
-            if blob is not None:
-                messages.append({"type": "evaluator",
-                                 "fingerprint": state.fingerprint,
-                                 "blob": blob})
+                link, state = assignment
+                blob = self._evaluator_blobs[state.fingerprint]
             task_message = {"type": "task", "task_id": state.task_id,
                             "fingerprint": state.fingerprint,
                             "item": dump_blob(state.item)}
             if state.eval_timeout is not None:
                 task_message["eval_timeout"] = state.eval_timeout
-            messages.append(task_message)
             try:
                 with link.send_lock:
-                    for message in messages:
-                        send_message(link.sock, message)
+                    # Decided under the lock that orders this link's
+                    # writes: a task sent by another thread can never
+                    # overtake the snapshot it depends on.
+                    if state.fingerprint not in link.fingerprints:
+                        link.fingerprints.add(state.fingerprint)
+                        send_message(link.sock, {
+                            "type": "evaluator",
+                            "fingerprint": state.fingerprint, "blob": blob})
+                    send_message(link.sock, task_message)
             except OSError:
                 # the dead-worker path fails this lease with a
                 # WorkerCrashError, which the backend retries elsewhere
@@ -330,10 +337,7 @@ class Coordinator:
                 continue
             state.worker_id = link.worker_id
             link.leased.add(state.task_id)
-            need_evaluator = state.fingerprint not in link.fingerprints
-            if need_evaluator:
-                link.fingerprints.add(state.fingerprint)
-            return link, state, need_evaluator
+            return link, state
         return None
 
     def _free_link_locked(self, alone):
@@ -366,7 +370,7 @@ class Coordinator:
     def _serve_connection(self, sock, address) -> None:
         rfile = sock.makefile("rb")
         try:
-            message = read_message(rfile)
+            message = read_message(rfile, MAX_WORKER_MESSAGE_BYTES)
         except RemoteProtocolError as error:
             log.warning("rejecting connection from %s: %s", address, error)
             message = None
@@ -409,7 +413,7 @@ class Coordinator:
         graceful = False
         while True:
             try:
-                message = read_message(link.rfile)
+                message = read_message(link.rfile, MAX_WORKER_MESSAGE_BYTES)
             except RemoteProtocolError as error:
                 log.warning("worker %d sent garbage, dropping it: %s",
                             link.worker_id, error)

@@ -98,7 +98,7 @@ def send_message(sock, payload: dict) -> None:
     sock.sendall(line.encode("utf-8"))
 
 
-def read_message(stream) -> dict | None:
+def read_message(stream, max_bytes: int | None = None) -> dict | None:
     """Read one message from a binary line stream; ``None`` on EOF/close.
 
     A socket closed from another thread (worker stop, coordinator drop)
@@ -106,14 +106,22 @@ def read_message(stream) -> dict | None:
     because for the reader loop it means the same thing: the peer is
     gone.  Bytes that are present but unparsable raise
     :class:`RemoteProtocolError` instead — that is a bug or a stray
-    client, not a death, and must be observable.
+    client, not a death, and must be observable.  So does a line that
+    reaches ``max_bytes`` (newline included) without ending: a peer that
+    never sends a newline must not make the reader buffer without bound.
     """
     try:
-        line = stream.readline()
+        line = stream.readline(-1 if max_bytes is None else max_bytes)
     except (OSError, ValueError):
         return None
     if not line:
         return None
+    if max_bytes is not None and len(line) >= max_bytes \
+            and not line.endswith(b"\n"):
+        raise RemoteProtocolError(
+            f"protocol line reached {max_bytes} bytes without a newline: "
+            f"{line[:120]!r}"
+        )
     try:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:

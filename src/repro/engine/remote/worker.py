@@ -4,10 +4,10 @@ A :class:`RemoteWorker` connects to a coordinator, registers its core
 count, then serves ``task`` messages on a local thread pool while a
 daemon thread emits heartbeats.  Evaluation mirrors the process
 backend's worker function: unwrap chaos faults, apply them
-(:func:`~repro.engine.faults.apply_fault_in_worker`), evaluate
-uncached, and attach the prefix-cache counter delta under
-``METRICS_DELTA_KEY`` so the coordinator-side evaluator can absorb
-worker counters exactly as it does for process pools.
+(:func:`~repro.engine.faults.apply_fault_in_worker`), then evaluate
+through :meth:`~repro.core.evaluation.PipelineEvaluator.evaluate_in_worker`,
+which attaches the prefix-cache counter delta the coordinator-side
+evaluator absorbs exactly as it does for process pools.
 
 Two behaviours are remote-specific:
 
@@ -32,7 +32,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.evaluation import METRICS_DELTA_KEY
 from repro.engine.faults import (
     CRASH_EXIT_CODE,
     WorkerCrashError,
@@ -280,23 +279,11 @@ class RemoteWorker:
             cached = disk.get(key)
             if cached is not None:
                 return cached
-        cache = evaluator.prefix_cache
-        if cache is None:
-            entry = evaluator._evaluate_uncached(pipeline, fidelity)
-            published = entry
-        else:
-            before = cache.counters()
-            entry = dict(evaluator._evaluate_uncached(pipeline, fidelity))
-            published = dict(entry)
-            delta = cache.counters_since(before)
-            if delta:
-                entry[METRICS_DELTA_KEY] = {
-                    f"prefix.{name}": value for name, value in delta.items()
-                }
-        if disk is not None and published.get("failure_kind") is None:
-            # publish without the per-run metrics delta: the substrate
-            # stores results, counters belong to whoever evaluated
-            disk.put(key, published)
+        entry = evaluator.evaluate_in_worker(pipeline, fidelity)
+        if disk is not None and entry.get("failure_kind") is None:
+            # The substrate stores results; the put drops the per-run
+            # metrics delta, whose counters belong to whoever evaluated.
+            disk.put(key, entry)
         return entry
 
 

@@ -4,8 +4,8 @@ An :class:`EvalTask` bundles everything one pipeline evaluation needs —
 the pipeline specification, the fidelity, and the bookkeeping fields
 (``pick_time``, ``iteration``) that end up verbatim in the resulting
 :class:`~repro.core.result.TrialRecord`.  Tasks are immutable and
-picklable so every backend (threads, processes) can ship them to workers
-unchanged.
+picklable so every backend (processes, remote workers) can ship them to
+workers unchanged.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Every (dataset, model, algorithm, repeat) cell of the grid is independent:
 it loads its own data, builds its own problem and derives its own seed from
 the configuration.  ``run_experiment`` therefore fans the cells out across
 an :class:`~repro.engine.engine.ExecutionEngine` (the context's ``n_jobs``
-workers on a serial/thread/process backend).  Cells are *submitted* as
+workers on a serial/process/remote backend).  Cells are *submitted* as
 individual futures and collected as they complete — no whole-grid barrier —
 with ``cell_callback`` reporting each completed cell in completion order,
 while the results are still merged in grid order: the outcome is
@@ -96,8 +96,7 @@ def run_single(dataset: str, model: str, algorithm: str, *, max_trials: int = 25
         searcher = make_search_algorithm(algorithm, random_state=random_state)
         result = searcher.search(problem, max_trials=max_trials)
     finally:
-        if problem.evaluator.engine is not None:
-            problem.evaluator.engine.close()
+        problem.evaluator.engine.close()
     result.baseline_accuracy = baseline
     return result, baseline
 
@@ -111,7 +110,7 @@ def _cell_seed(config: ExperimentConfig, algorithm: str, repeat: int) -> int:
 #: per-thread memo of (problem, baseline) per (dataset, model) so cells of
 #: the same group share one evaluator — and hence its memoization cache —
 #: exactly like the pre-fan-out serial runner did.  Thread-local because an
-#: evaluator's cache is not safe to mutate from concurrent grid workers;
+#: evaluator's cache is not safe to mutate from concurrent callers;
 #: process workers each get their own copy of the module state anyway.
 _CELL_PROBLEMS = threading.local()
 _CELL_PROBLEM_MEMO_SIZE = 8
@@ -292,7 +291,7 @@ def run_experiment(config: ExperimentConfig, *, progress_callback=None,
         engine.close()
         # Release this thread's (problem, baseline) memo: the datasets and
         # warm evaluator caches should not outlive the experiment.  Worker
-        # threads/processes release theirs when the pool winds down.
+        # processes release theirs when the pool winds down.
         _CELL_PROBLEMS.memo = OrderedDict()
     return outcome
 

@@ -8,8 +8,8 @@ algorithm's proposals against the budget, dispatches them, feeds each
 
 * **barrier** (``driver="sync"``) — every admitted proposal batch runs as
   one *wave* through ``evaluator.evaluate_tasks`` (the engine's batch
-  path, or serial evaluation without an engine), and its records are
-  observed in proposal order before the algorithm is asked again;
+  path), and its records are observed in proposal order before the
+  algorithm is asked again;
 * **completion-driven** (``driver="async"``) — up to ``n_workers``
   evaluations stay in flight, every completion is observed the moment it
   lands, and Pick overlaps Prep/Train: the algorithm proposes as soon as a
@@ -19,13 +19,12 @@ algorithm's proposals against the budget, dispatches them, feeds each
 
 Determinism contract:
 
-* On the serial backend (or with no engine attached) both schedules are
-  **bit-for-bit identical**: with one in-flight slot, a proposal batch
-  drains completely — each task evaluated and observed in proposal order
-  — before the next ``_update`` / ``_propose_batch`` call, which is
-  exactly the barrier's hook sequence, RNG consumption and budget
-  arithmetic.
-* On thread/process backends, completion-driven results are reproducible
+* On the serial backend both schedules are **bit-for-bit identical**:
+  with one in-flight slot, a proposal batch drains completely — each
+  task evaluated and observed in proposal order — before the next
+  ``_update`` / ``_propose_batch`` call, which is exactly the barrier's
+  hook sequence, RNG consumption and budget arithmetic.
+* On process/remote backends, completion-driven results are reproducible
   given the same completion order (completions are always *observed* in
   submission order among those currently done); algorithms whose
   proposals depend only on completed trials — ASHA by construction —
@@ -54,7 +53,6 @@ from collections import deque
 
 from repro.core.budget import Budget, TrialBudget
 from repro.core.result import SearchResult
-from repro.engine.engine import ExecutionEngine
 from repro.engine.tasks import EvalTask
 from repro.telemetry.metrics import get_registry
 from repro.utils.log import get_logger
@@ -80,7 +78,7 @@ class AsyncSearchDriver:
     n_workers:
         Evaluations the completion-driven schedule keeps in flight.
         Defaults to the worker count of the problem evaluator's execution
-        engine (1 when evaluation is serial).
+        engine (1 on the serial backend).
     """
 
     def __init__(self, algorithm, *, n_workers: int | None = None) -> None:
@@ -137,11 +135,6 @@ class AsyncSearchDriver:
                          "tracer", None)
 
         engine = evaluator.engine
-        own_engine = engine is None and not barrier
-        if own_engine:
-            # No engine attached: completion-driven execution degenerates to
-            # the serial reference via a private lazy-futures engine.
-            engine = ExecutionEngine("serial")
         interruptible = budget.can_interrupt()
 
         iteration = int(state.get("iteration", 0))
@@ -344,8 +337,6 @@ class AsyncSearchDriver:
         finally:
             self._wind_down(engine, evaluator, budget, result, control,
                             queue, inflight)
-            if own_engine:
-                engine.close()
         return capture()
 
     # ------------------------------------------------------------ internals
@@ -387,8 +378,8 @@ class AsyncSearchDriver:
         On a normal (or paused) exit both collections are empty and this is
         a no-op.  After a wall-clock interruption (or an error) the admitted
         backlog is cancelled and refunded — ``budget.used`` then reflects
-        exactly the work that ran — while evaluations a thread/process
-        worker already started are allowed to finish and are observed like
+        exactly the work that ran — while evaluations a worker already
+        started are allowed to finish and are observed like
         any other completion.
         """
         algorithm = self.algorithm

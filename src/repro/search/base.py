@@ -22,7 +22,7 @@ Under the default ``"sync"`` driver, step 4 evaluates each iteration's
 proposals as *one wave*: algorithms that propose whole generations or
 rungs (PBT, Hyperband/BOHB, batched random search via the
 :meth:`SearchAlgorithm._propose_batch` hook) therefore parallelise
-automatically when the problem's evaluator carries an execution engine
+automatically when the problem's evaluator runs on a parallel backend
 (:mod:`repro.engine`).  Records are observed in proposal order, so batched
 and serial execution produce identical search trajectories.  The
 ``"async"`` driver observes each evaluation as it completes instead.

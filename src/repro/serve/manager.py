@@ -36,9 +36,9 @@ Responsibilities:
   each live session's per-session heartbeat (the PR 6 telemetry feeds);
   :meth:`healthz` is the liveness summary a load balancer polls.
 
-Sessions share one engine: each problem is built *without* a private
-engine (the per-session context's ``backend``/``n_jobs`` are owned by the
-server) and the manager attaches its shared engine to every evaluator.
+Sessions share one engine: the per-session context's ``backend``/``n_jobs``
+are owned by the server, and the manager attaches its shared engine to
+every evaluator in place of the serial engine the session context builds.
 The substrate fixes that make this safe — per-session heartbeat files,
 session-labelled registry series, fingerprint-keyed evaluation pools —
 live in :mod:`repro.search.session`, :mod:`repro.telemetry.metrics` and
@@ -338,7 +338,7 @@ class SessionManager:
         self.checkpoint_every = checkpoint_every
         self._scheduler = _FairScheduler(tenant_weights)
         self.tenant_weights = dict(self._scheduler.weights)
-        #: the one engine every session's evaluator shares (None = serial)
+        #: the one engine every session's evaluator shares
         self.engine = self.base_context.build_engine()
         self.started = time.time()
         self._sessions: "dict[str, ManagedSession]" = {}
@@ -441,7 +441,7 @@ class SessionManager:
         """The per-session context: server base + tenant overrides.
 
         Execution resources stay with the server: the context the session
-        runs (and checkpoints) under never builds a private engine
+        runs (and checkpoints) under never builds a parallel engine
         (``backend``/``n_jobs`` cleared), telemetry always lands in the
         session's own directory, and the shared ``cache_dir`` rides along
         so every session warms the same persistent eval cache.
@@ -495,10 +495,9 @@ class SessionManager:
                 **callbacks,
             )
         record.resume_from_checkpoint = False
-        if self.engine is not None:
-            # The shared engine: fingerprint-keyed evaluation pools keep
-            # sessions from thrashing each other's warm workers.
-            session.problem.evaluator.set_engine(self.engine)
+        # The shared engine: fingerprint-keyed evaluation pools keep
+        # sessions from thrashing each other's warm workers.
+        session.problem.evaluator.set_engine(self.engine)
         return session
 
     def _run_session(self, record: ManagedSession) -> None:
@@ -699,15 +698,12 @@ class SessionManager:
         process-wide ``engine.inflight`` gauge: evaluation groups
         currently running or queued on the backend.
         """
-        if self.engine is None:
-            view = {"backend": "serial", "n_workers": 1}
-        else:
-            backend = self.engine.backend
-            inner = getattr(backend, "inner", backend)  # unwrap chaos
-            view = {"backend": inner.name, "n_workers": inner.n_workers}
-            workers = getattr(inner, "worker_count", None)
-            if workers is not None:
-                view["workers"] = workers
+        backend = self.engine.backend
+        inner = getattr(backend, "inner", backend)  # unwrap chaos
+        view = {"backend": inner.name, "n_workers": inner.n_workers}
+        workers = getattr(inner, "worker_count", None)
+        if workers is not None:
+            view["workers"] = workers
         view["inflight"] = get_registry().gauge("engine.inflight").value
         return view
 
@@ -744,8 +740,7 @@ class SessionManager:
         between crash and recovery still reports that recovery happened;
         sessions keep being served while degraded (the pool was rebuilt).
         """
-        last_crash = (getattr(self.engine.backend, "last_crash", None)
-                      if self.engine is not None else None)
+        last_crash = self.engine.backend.last_crash
         engine_view = self.engine_view()
         with self._lock:
             counts: dict = {}
@@ -888,8 +883,7 @@ class SessionManager:
             except ReproError as error:
                 log.warning("shutdown checkpoint of %s failed: %s",
                             record.session_id, error)
-        if self.engine is not None:
-            self.engine.close()
+        self.engine.close()
         log.info("session manager shut down (%d session(s) interrupted)",
                  len(interrupted))
 

@@ -130,7 +130,7 @@ class TestExperimentCommand:
                 "rs", "pbt", "--max-trials", "5", "--scale", "0.5")
         code_serial, serial_output = run_cli(*args)
         code_parallel, parallel_output = run_cli(
-            *args, "--n-jobs", "2", "--backend", "thread")
+            *args, "--n-jobs", "2", "--backend", "process")
         assert code_serial == code_parallel == 0
         # Identical accuracies and ranking; only the execution line differs.
         strip = lambda text: text.splitlines()[2:]
@@ -140,15 +140,17 @@ class TestExperimentCommand:
         code, output = run_cli(
             "search", "--dataset", "blood", "--algorithm", "pbt",
             "--max-trials", "6", "--scale", "0.5",
-            "--n-jobs", "2", "--backend", "thread",
+            "--n-jobs", "2", "--backend", "process",
         )
         assert code == 0
         assert "best pipeline" in output
 
     def test_invalid_backend_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["experiment", "--datasets", "blood", "--backend", "gpu"])
+        for backend in ("gpu", "thread"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["experiment", "--datasets", "blood", "--backend",
+                     backend])
 
 
 class TestAsyncOption:
@@ -164,11 +166,11 @@ class TestAsyncOption:
                               if not line.startswith("execution")]
         assert strip(async_output) == strip(sync_output)
 
-    def test_search_async_with_threads_runs_asha(self):
+    def test_search_async_with_processes_runs_asha(self):
         code, output = run_cli(
             "search", "--dataset", "blood", "--algorithm", "asha",
             "--max-trials", "6", "--scale", "0.5",
-            "--n-jobs", "2", "--backend", "thread", "--async",
+            "--n-jobs", "2", "--backend", "process", "--async",
         )
         assert code == 0
         assert "best pipeline" in output
@@ -345,11 +347,11 @@ class TestCheckpointResumeOptions:
         import json
 
         context_file = tmp_path / "run-context.json"
-        context_file.write_text(json.dumps({"n_jobs": 2, "backend": "thread"}), encoding="utf-8")
+        context_file.write_text(json.dumps({"n_jobs": 2, "backend": "process"}), encoding="utf-8")
         code, output = run_cli(
             "search", "--dataset", "blood", "--algorithm", "rs",
             "--max-trials", "5", "--scale", "0.5",
             "--context", str(context_file),
         )
         assert code == 0
-        assert "backend=thread" in output and "n_jobs=2" in output
+        assert "backend=process" in output and "n_jobs=2" in output

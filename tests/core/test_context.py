@@ -27,14 +27,18 @@ class TestExecutionContext:
     def test_defaults_describe_a_serial_run(self):
         context = ExecutionContext()
         assert context.backend_name() == "serial"
-        assert context.build_engine() is None
-        assert context.evaluator_options() == {
-            "engine": None, "cache_dir": None, "prefix_cache_bytes": None,
+        engine = context.build_engine()
+        assert engine.backend.name == "serial"
+        assert engine.n_workers == 1
+        options = context.evaluator_options()
+        assert options.pop("engine").backend.name == "serial"
+        assert options == {
+            "cache_dir": None, "prefix_cache_bytes": None,
             "telemetry_mode": "off", "telemetry_dir": None,
         }
 
     def test_dict_round_trip(self):
-        context = ExecutionContext(backend="thread", n_jobs=3,
+        context = ExecutionContext(backend="process", n_jobs=3,
                                    cache_dir="/tmp/c", prefix_cache_bytes=1024,
                                    async_mode=True, default_budget=20, seed=7)
         assert ExecutionContext.from_dict(context.to_dict()) == context
@@ -46,6 +50,8 @@ class TestExecutionContext:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ExecutionContext(backend="gpu")
+        with pytest.raises(ValidationError, match="backend"):
+            ExecutionContext(backend="thread")
         with pytest.raises(ValidationError):
             ExecutionContext(n_jobs=0)
         with pytest.raises(ValidationError):
@@ -64,14 +70,14 @@ class TestExecutionContext:
             ExecutionContext(**{field: value})
 
     def test_context_is_hashable_and_frozen(self):
-        context = ExecutionContext(n_jobs=2, backend="thread")
+        context = ExecutionContext(n_jobs=2, backend="process")
         assert len({context, context.replace()}) == 1
         with pytest.raises((AttributeError, TypeError)):
             context.n_jobs = 4
 
     def test_from_env_reads_every_knob(self):
         environ = {
-            "REPRO_BACKEND": "thread",
+            "REPRO_BACKEND": "process",
             "REPRO_N_JOBS": "3",
             "REPRO_CACHE_DIR": "/tmp/cache",
             "REPRO_PREFIX_CACHE_MB": "1.5",
@@ -81,19 +87,34 @@ class TestExecutionContext:
         }
         context = ExecutionContext.from_env(environ)
         assert context == ExecutionContext(
-            backend="thread", n_jobs=3, cache_dir="/tmp/cache",
+            backend="process", n_jobs=3, cache_dir="/tmp/cache",
             prefix_cache_bytes=int(1.5 * 1024 * 1024), async_mode=True,
             default_budget=30, seed=9,
         )
         assert ExecutionContext.from_env({}) == ExecutionContext()
         with pytest.raises(ValidationError):
             ExecutionContext.from_env({"REPRO_N_JOBS": "many"})
+        with pytest.raises(ValidationError, match="backend"):
+            ExecutionContext.from_env({"REPRO_BACKEND": "thread"})
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("1", True), ("true", True), (" YES ", True), ("On", True),
+        ("0", False), ("false", False), ("No", False), (" off ", False),
+        ("treu", None), ("2", None), ("enabled", None),
+    ])
+    def test_repro_async_accepts_only_boolean_spellings(self, raw, expected):
+        environ = {"REPRO_ASYNC": raw}
+        if expected is None:
+            with pytest.raises(ValidationError, match="REPRO_ASYNC"):
+                ExecutionContext.from_env(environ)
+        else:
+            assert ExecutionContext.from_env(environ).async_mode is expected
 
     def test_build_engine_honours_parallel_options(self):
-        engine = ExecutionContext(n_jobs=2, backend="thread").build_engine()
+        engine = ExecutionContext(n_jobs=2, backend="process").build_engine()
         try:
             assert isinstance(engine, ExecutionEngine)
-            assert engine.backend.name == "thread"
+            assert engine.backend.name == "process"
             assert engine.n_workers == 2
         finally:
             engine.close()
@@ -101,11 +122,11 @@ class TestExecutionContext:
     def test_configure_evaluator_attaches_engine(self):
         X, y = _data()
         problem = AutoFPProblem.from_arrays(X, y, "lr", random_state=0)
-        assert problem.evaluator.engine is None
-        ExecutionContext(n_jobs=2, backend="thread").configure_evaluator(
+        assert problem.evaluator.engine.backend.name == "serial"
+        ExecutionContext(n_jobs=2, backend="process").configure_evaluator(
             problem.evaluator)
         try:
-            assert problem.evaluator.engine.backend.name == "thread"
+            assert problem.evaluator.engine.backend.name == "process"
         finally:
             problem.evaluator.engine.close()
 
@@ -119,9 +140,9 @@ class TestExecutionContext:
         assert ExecutionContext(seed=11).seed_or(4) == 11
 
     def test_describe_mentions_the_active_knobs(self):
-        text = ExecutionContext(n_jobs=2, backend="thread", async_mode=True,
+        text = ExecutionContext(n_jobs=2, backend="process", async_mode=True,
                                 cache_dir="/tmp/c").describe()
-        assert "backend=thread" in text and "driver=async" in text
+        assert "backend=process" in text and "driver=async" in text
         assert "cache_dir=/tmp/c" in text
 
 
@@ -134,7 +155,7 @@ class TestExecutionContext:
 
 
 #: the per-knob keywords ExecutionContext replaced, with sample values
-REMOVED_KEYWORDS = {"n_jobs": 2, "backend": "thread", "cache_dir": "unused",
+REMOVED_KEYWORDS = {"n_jobs": 2, "backend": "process", "cache_dir": "unused",
                     "async_mode": True, "prefix_cache_bytes": 1 << 20}
 
 #: every entry point that once accepted them, as ``call(**keyword)``

@@ -7,8 +7,8 @@ must fail all their extensions without re-running Prep, and no registered
 preprocessor may mutate its input arrays (the copy-on-write discipline the
 cache relies on — cached arrays are handed to later steps as-is).
 
-The cross-backend guarantee (cache-on == cache-off on serial/thread/process,
-sync and async) lives in ``tests/engine/test_determinism.py``.
+The cross-backend guarantee (cache-on == cache-off on serial/process, sync
+and async) lives in ``tests/engine/test_determinism.py``.
 """
 
 import importlib.util
@@ -347,12 +347,12 @@ class TestEvaluatorPrefixReuse:
 
 # ----------------------------------------------------- resumable fit API
 class TestWorkerCounterMergeBack:
-    """Process-pool workers' prefix-cache counters reach the parent.
+    """Process-pool and remote workers' prefix-cache counters reach the parent.
 
     Workers evaluate against private caches; without the per-evaluation
     delta merge (``PipelineEvaluator.absorb_worker_counters``) the parent's
-    ``prefix_hits``/``steps_reused`` read 0 under the process backend even
-    though real reuse happened in the workers.
+    ``prefix_hits``/``steps_reused`` read 0 under the process or remote
+    backend even though real reuse happened in the workers.
     """
 
     def _pipelines(self):
@@ -400,9 +400,34 @@ class TestWorkerCounterMergeBack:
         assert info["prefix_hits"] >= 3
         assert info["steps_reused"] >= 6
 
+    def test_remote_worker_deltas_merge_and_never_reach_the_caches(
+            self, data, tmp_path):
+        from repro.engine import ExecutionEngine
+        from repro.engine.remote import start_loopback
+
+        backend, workers = start_loopback(1)
+        engine = ExecutionEngine(backend)
+        cache_dir = tmp_path / "cache"
+        evaluator = _evaluator(data, prefix_cache_bytes=1 << 24,
+                               engine=engine, cache_dir=str(cache_dir))
+        try:
+            evaluator.evaluate_many(self._pipelines())
+        finally:
+            engine.close()
+            for worker in workers:
+                worker.stop()
+        assert evaluator.cache_info()["prefix_hits"] >= 3
+        for entry in evaluator._cache.values():
+            assert "_metrics_delta" not in entry
+        # The worker published to the shared disk cache too.
+        shards = [path for path in cache_dir.rglob("*") if path.is_file()]
+        assert shards
+        assert not any("_metrics_delta" in path.read_text(encoding="utf-8")
+                       for path in shards)
+
     def test_parent_and_worker_counters_accumulate(self, data):
         """Serial reuse in the parent and worker deltas add up, and the
-        search results stay identical to the engine-less run."""
+        search results stay identical to the serial run."""
         from repro.engine import ExecutionEngine
         from repro.core.problem import AutoFPProblem
         from repro.core.search_space import SearchSpace

@@ -8,7 +8,6 @@ completion, and the ``bench_async_overlap`` smoke mode passes.
 """
 
 import importlib.util
-import time
 from pathlib import Path
 
 import numpy as np
@@ -202,27 +201,6 @@ class TestCloseCancelsInflight:
                    if item.future is not None)
         assert evaluator.n_evaluations == 0  # nothing ever ran
 
-    def test_thread_close_cancels_queued_work(self):
-        evaluator = _make_evaluator()
-        started = []
-
-        def slow_evaluate(pipeline, fidelity,
-                          _original=evaluator._evaluate_uncached):
-            started.append(1)
-            time.sleep(0.05)
-            return _original(pipeline, fidelity)
-
-        evaluator._evaluate_uncached = slow_evaluate
-        engine = ExecutionEngine("thread", n_workers=1)
-        pending = engine.submit_tasks(evaluator, _sample_tasks(8,
-                                                               with_duplicate=False))
-        time.sleep(0.02)  # let the single worker start the first task
-        engine.close()
-        # The backlog was cancelled: far fewer evaluations started than were
-        # submitted, and close() returned with the pool fully shut down.
-        assert len(started) < 8
-        assert engine.backend._submit_pool is None
-
     def test_process_close_mid_flight_leaves_no_pool(self):
         evaluator = _make_evaluator()
         engine = ExecutionEngine("process", n_workers=2)
@@ -234,7 +212,7 @@ class TestCloseCancelsInflight:
             assert item.future.done() or item.future.cancelled()
 
     def test_close_is_idempotent_and_reusable_check(self):
-        engine = ExecutionEngine("thread", n_workers=2)
+        engine = ExecutionEngine("process", n_workers=2)
         engine.close()
         engine.close()
 
@@ -294,7 +272,7 @@ class TestAsyncTimeBudget:
         in-flight work drains, exactly once."""
         X, y = make_classification(n_samples=110, n_features=6, class_sep=2.0,
                                    random_state=7)
-        engine = ExecutionEngine("thread", n_workers=2)
+        engine = ExecutionEngine("process", n_workers=2)
         problem = AutoFPProblem.from_arrays(X, y, "lr", random_state=0)
         problem.evaluator.set_engine(engine)
         budget = TrialBudget(4)
@@ -351,6 +329,6 @@ class TestBenchmarkSmokeMode:
         )
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
-        sync_serial, async_serial, async_threaded = bench.smoke_check()
+        sync_serial, async_serial, async_parallel = bench.smoke_check()
         assert bench.trial_values(sync_serial) == bench.trial_values(async_serial)
-        assert len(async_threaded) > 0
+        assert len(async_parallel) > 0

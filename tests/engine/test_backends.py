@@ -6,15 +6,14 @@ import pytest
 from repro.core import Pipeline, PipelineEvaluator
 from repro.core.search_space import SearchSpace
 from repro.datasets.synthetic import distort_features, make_classification
+from repro.core.context import ExecutionContext
 from repro.engine import (
     BACKEND_NAMES,
     EvalTask,
     ExecutionEngine,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
-    resolve_engine,
 )
 from repro.exceptions import UnknownComponentError, ValidationError
 from repro.models.linear import LogisticRegression
@@ -40,27 +39,28 @@ def space():
 
 class TestBackendRegistry:
     def test_all_backends_registered(self):
-        assert set(BACKEND_NAMES) == {"serial", "thread", "process", "remote"}
+        assert BACKEND_NAMES == ("serial", "process", "remote")
 
     def test_make_backend_by_name(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread", n_workers=2), ThreadBackend)
         assert isinstance(make_backend("process", n_workers=2), ProcessBackend)
 
     def test_make_backend_passes_instances_through(self):
-        backend = ThreadBackend(n_workers=3)
+        backend = ProcessBackend(n_workers=3)
         assert make_backend(backend) is backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(UnknownComponentError):
             make_backend("gpu")
+        with pytest.raises(UnknownComponentError):
+            make_backend("thread")
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValidationError):
-            ThreadBackend(n_workers=0)
+            ProcessBackend(n_workers=0)
 
     def test_minus_one_means_all_cores(self):
-        assert ThreadBackend(n_workers=-1).n_workers >= 1
+        assert ProcessBackend(n_workers=-1).n_workers >= 1
 
 
 class TestBackendSubmit:
@@ -137,8 +137,8 @@ class TestEngineDispatch:
         evaluator = PipelineEvaluator.from_dataset(
             X, y, LogisticRegression(max_iter=40), random_state=0)
         pipeline = Pipeline.from_names(["standard_scaler"])
-        engine = ExecutionEngine("thread", n_workers=2)
-        records = engine.run(evaluator, [EvalTask(pipeline)] * 4)
+        with ExecutionEngine("process", n_workers=2) as engine:
+            records = engine.run(evaluator, [EvalTask(pipeline)] * 4)
         assert evaluator.n_evaluations == 1
         assert len({r.accuracy for r in records}) == 1
         # Counter parity with the serial path: 1 miss, 3 in-batch hits.
@@ -175,8 +175,8 @@ class TestEngineDispatch:
 class TestLongestFirstDispatch:
     """Parallel batches dispatch longest-pipeline-first (LPT scheduling)."""
 
-    class RecordingBackend(ThreadBackend):
-        """Thread backend that records the dispatched work order."""
+    class RecordingBackend(ProcessBackend):
+        """Process backend that records the dispatched work order."""
 
         def __init__(self, n_workers):
             super().__init__(n_workers=n_workers)
@@ -227,27 +227,33 @@ class TestLongestFirstDispatch:
         assert backend.dispatched == [p.names() for p in pipelines]
 
 
-class TestResolveEngine:
-    def test_serial_defaults_resolve_to_none(self):
-        assert resolve_engine() is None
-        assert resolve_engine(1, None) is None
+class TestBuildEngine:
+    def test_serial_defaults_build_a_serial_engine(self):
+        for context in (ExecutionContext(), ExecutionContext(n_jobs=1)):
+            engine = context.build_engine()
+            assert engine.backend.name == "serial"
+            assert engine.n_workers == 1
 
     def test_n_jobs_implies_process_backend(self):
-        engine = resolve_engine(2)
-        assert engine.backend.name == "process"
-        assert engine.n_workers == 2
+        with ExecutionContext(n_jobs=2).build_engine() as engine:
+            assert engine.backend.name == "process"
+            assert engine.n_workers == 2
 
     def test_explicit_backend_respected(self):
-        engine = resolve_engine(3, "thread")
-        assert engine.backend.name == "thread"
-        assert engine.n_workers == 3
+        context = ExecutionContext(n_jobs=3, backend="process")
+        with context.build_engine() as engine:
+            assert engine.backend.name == "process"
+            assert engine.n_workers == 3
 
     def test_explicit_serial_is_not_upgraded(self):
         from repro.engine import resolve_backend_name
 
         assert resolve_backend_name(4, "serial") == "serial"
         assert resolve_backend_name(4, None) == "process"
-        assert resolve_engine(4, "serial") is None  # serial = no engine
+        # the serial backend runs one worker whatever n_jobs asks for
+        engine = ExecutionContext(n_jobs=4, backend="serial").build_engine()
+        assert engine.backend.name == "serial"
+        assert engine.n_workers == 1
 
     def test_engine_context_manager_closes_backend(self):
         closed = []
@@ -263,12 +269,16 @@ class TestResolveEngine:
     def test_evaluator_pickles_without_engine_or_cache(self, evaluator):
         import pickle
 
-        evaluator.set_engine(ExecutionEngine("thread", n_workers=2))
+        parent_engine = ExecutionEngine("process", n_workers=2)
+        evaluator.set_engine(parent_engine)
         evaluator.evaluate(Pipeline.from_names(["standard_scaler"]))
         clone = pickle.loads(pickle.dumps(evaluator))
-        assert clone.engine is None
+        # the clone evaluates through a fresh serial engine of its own
+        assert clone.engine is not parent_engine
+        assert clone.engine.backend.name == "serial"
         assert clone.cache_info()["size"] == 0
         evaluator.set_engine(None)
+        parent_engine.close()
 
 
 class TestSerialWorkerValidation:

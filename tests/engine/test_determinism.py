@@ -3,14 +3,14 @@
 This is the core guarantee of the execution engine (and of the
 order-independent subsample seeding in the evaluator): running the same
 searcher on the same problem must yield the same ``best_accuracy`` and the
-same trial set whether the evaluation batches run serially, on a thread
-pool, on a process pool or on registered remote workers — even when one
-of those workers dies mid-search.
+same trial set whether the evaluation batches run serially, on a process
+pool or on registered remote workers — even when one of those workers
+dies mid-search.
 
 The cross-backend determinism *matrix* extends the guarantee to the
 completion-driven driver: for **every** registry algorithm (the paper's 15
 plus the extensions, including ASHA) the serial async run is bit-for-bit
-identical to the serial sync run, and thread/process async runs are
+identical to the serial sync run, and process async runs are
 seed-reproducible given a fixed completion order (one worker) with trial
 values identical to what the serial evaluator computes for the same
 ``(pipeline, fidelity)``.
@@ -73,26 +73,11 @@ def _run(algorithm, kwargs, engine):
 
 class TestBackendDeterminism:
     @pytest.mark.parametrize("algorithm,kwargs", SEARCHERS)
-    def test_thread_backend_matches_serial(self, algorithm, kwargs):
-        serial = _run(algorithm, kwargs, None)
-        threaded = _run(algorithm, kwargs, ExecutionEngine("thread", n_workers=2))
-        assert threaded.best_accuracy == serial.best_accuracy
-        assert _trial_set(threaded) == _trial_set(serial)
-
-    @pytest.mark.parametrize("algorithm,kwargs", SEARCHERS)
     def test_process_backend_matches_serial(self, algorithm, kwargs):
         serial = _run(algorithm, kwargs, None)
         processed = _run(algorithm, kwargs, ExecutionEngine("process", n_workers=2))
         assert processed.best_accuracy == serial.best_accuracy
         assert _trial_set(processed) == _trial_set(serial)
-
-    def test_serial_engine_matches_no_engine(self):
-        # The explicit serial backend must be indistinguishable from the
-        # evaluator's plain serial path.
-        for algorithm, kwargs in SEARCHERS:
-            bare = _run(algorithm, kwargs, None)
-            engined = _run(algorithm, kwargs, ExecutionEngine("serial"))
-            assert _trial_set(engined) == _trial_set(bare)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +106,7 @@ class TestCrossBackendDeterminismMatrix:
         assert _trial_set(asynchronous) == _trial_set(sync)
         assert asynchronous.best_accuracy == sync.best_accuracy
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_async_seed_reproducible_with_fixed_completion_order(
             self, backend):
         """One worker fixes the completion order; two runs must be identical."""
@@ -137,7 +122,7 @@ class TestCrossBackendDeterminismMatrix:
 
     def test_parallel_async_trial_values_match_serial_evaluator(self):
         """Scheduling may reorder trials but can never change their values."""
-        engine = ExecutionEngine("thread", n_workers=3)
+        engine = ExecutionEngine("process", n_workers=3)
         result = make_search_algorithm("rs", random_state=0, batch_size=4).search(
             _make_problem(engine), max_trials=12, driver="async"
         )
@@ -230,15 +215,13 @@ class TestRemoteBackendDeterminism:
 
 #: (backend, n_workers, driver) cells of the prefix-cache matrix.  Sync
 #: cells use two workers (batch merge-back is order-stable); async
-#: thread/process cells use one worker, which fixes the completion order —
-#: the same configuration the async matrix above declares reproducible.
+#: process cells use one worker, which fixes the completion order — the
+#: same configuration the async matrix above declares reproducible.
 PREFIX_CACHE_CELLS = [
     (None, 1, "sync"),
     ("serial", 1, "sync"),
-    ("thread", 2, "sync"),
     ("process", 2, "sync"),
     (None, 1, "async"),
-    ("thread", 1, "async"),
     ("process", 1, "async"),
 ]
 
@@ -399,25 +382,28 @@ class TestCheckpointResumeDeterminism:
 
 
 class TestSerialTimeBudgetSemantics:
-    def test_time_budget_stops_mid_batch_without_engine(self):
-        """The no-engine path checks wall-clock budgets between evaluations."""
+    def test_time_budget_stops_mid_batch_on_the_serial_engine(self):
+        """The serial engine checks wall-clock budgets between evaluations."""
         from repro.core.budget import TimeBudget
 
         problem = _make_problem(None)
         now = [0.0]
-        original_evaluate = problem.evaluator.evaluate
+        original_evaluate = problem.evaluator._evaluate_uncached
 
         def ticking_evaluate(*args, **kwargs):
             now[0] += 1.0  # each evaluation "takes" one fake second
             return original_evaluate(*args, **kwargs)
 
-        problem.evaluator.evaluate = ticking_evaluate
+        problem.evaluator._evaluate_uncached = ticking_evaluate
         searcher = make_search_algorithm("pbt", random_state=0)  # n_init = 8
         result = searcher.search(problem, budget=TimeBudget(3.5,
                                                             clock=lambda: now[0]))
         # The budget expires inside PBT's initial population batch: only
-        # the evaluations that fit ran, not the whole batch of 8.
-        assert len(result) == 4
+        # the evaluations that fit ran, not the whole batch of 8.  The
+        # third proposal repeats the second and is a cache hit, which
+        # takes no fake time, so five trials hold four evaluations.
+        assert problem.evaluator.n_evaluations == 4
+        assert len(result) == 5
 
 
 class TestBatchedRandomSearchEquivalence:

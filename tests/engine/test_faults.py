@@ -1,9 +1,10 @@
 """Chaos suite for the fault-tolerance layer (PR-9 acceptance).
 
 Covers the failure taxonomy and :class:`RetryPolicy` (bounded, seeded,
-deterministic), the :class:`FaultPlan` spec grammar, the inline recovery
-envelope on the serial/thread backends, the real crash-recovery and
-timeout-watchdog paths on the process backend, and the acceptance
+deterministic), the :class:`FaultPlan` spec grammar, inline recovery on
+the serial backend and its parity with the process backend, the real
+crash-recovery and timeout-watchdog paths on the process backend, and the
+acceptance
 matrix: a fault plan with a worker kill and a hang fed into a
 process-backend search completes with surviving records bit-for-bit
 identical to a no-fault run, budgets never overshooting, and the
@@ -15,13 +16,12 @@ stays in the tier-1 default selection.
 """
 
 import multiprocessing
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import PipelineEvaluator
+from repro.core import Pipeline, PipelineEvaluator
 from repro.core.context import ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.core.search_space import SearchSpace
@@ -40,12 +40,7 @@ from repro.engine import (
     classify_failure,
     is_transient,
 )
-from repro.engine.backends import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.engine.backends import ProcessBackend, SerialBackend, make_backend
 from repro.engine.faults import (
     FAILURE_KIND_CRASH,
     FAILURE_KIND_TIMEOUT,
@@ -105,7 +100,7 @@ def _rows(records):
 
 
 def _reference_rows(n=5):
-    """Rows of a clean engineless run over the same tasks."""
+    """Rows of a clean serial run over the same tasks."""
     engine = ExecutionEngine("serial")
     try:
         return _rows(engine.run(_make_evaluator(), _sample_tasks(n)))
@@ -265,6 +260,22 @@ class TestContextWiring:
         finally:
             engine.close()
 
+    def test_serial_search_honours_eval_timeout(self):
+        # A deadline no evaluation can meet: every serial trial times out,
+        # with or without a chaos plan attached.
+        problem = AutoFPProblem.from_registry(
+            "blood", "lr", scale=0.5, random_state=0,
+            context=ExecutionContext(eval_timeout=1e-6),
+        )
+        try:
+            result = make_search_algorithm("rs", random_state=0).search(
+                problem, max_trials=5)
+        finally:
+            problem.evaluator.engine.close()
+        assert [t.failure_kind for t in result.trials] \
+            == [FAILURE_KIND_TIMEOUT] * 5
+        assert _counter("engine.eval_timeouts") == 5
+
     def test_from_env_reads_timeout_and_chaos(self, monkeypatch):
         monkeypatch.setenv("REPRO_EVAL_TIMEOUT", "1.5")
         monkeypatch.setenv("REPRO_CHAOS", "error@0")
@@ -285,47 +296,12 @@ class TestSerialFutureTimeout:
         assert future.result(timeout=None) == 1
 
 
-class TestThreadBackendSubmitRace:
-    def test_concurrent_submits_build_exactly_one_pool(self, monkeypatch):
-        import repro.engine.backends as backends_module
-
-        created = []
-        real_pool = backends_module.ThreadPoolExecutor
-
-        class CountingPool(real_pool):
-            def __init__(self, *args, **kwargs):
-                created.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(backends_module, "ThreadPoolExecutor",
-                            CountingPool)
-        backend = ThreadBackend(n_workers=2)
-        barrier = threading.Barrier(8)
-        futures = []
-
-        def submit():
-            barrier.wait()
-            futures.append(backend.submit(lambda item: item, 1))
-
-        threads = [threading.Thread(target=submit) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        try:
-            assert len(created) == 1
-            assert [future.result() for future in futures] == [1] * 8
-        finally:
-            backend.close()
-
-
 class TestInlineChaosRecovery:
-    """Serial/thread backends: the guarded envelope retries in-process."""
+    """The serial backend: the recovering future retries in-process."""
 
     @pytest.mark.parametrize("make_inner", [
         lambda: SerialBackend(retry_policy=FAST_RETRY),
-        lambda: ThreadBackend(n_workers=2, retry_policy=FAST_RETRY),
-    ], ids=["serial", "thread"])
+    ], ids=["serial"])
     def test_transient_faults_converge_to_the_clean_run(self, make_inner):
         engine = _chaos_engine(make_inner(), "error@0,crash@3")
         try:
@@ -352,8 +328,10 @@ class TestInlineChaosRecovery:
         assert rows[1][4] == FAILURE_KIND_CRASH
         assert [r for i, r in enumerate(rows) if i != 1] \
             == [r for i, r in enumerate(reference) if i != 1]
-        assert _counter("engine.worker_crashes") == policy.max_attempts
-        assert _counter("engine.retries") == policy.max_attempts - 1
+        # The first crash is a free loss, as a lost pool is on the process
+        # backend; then max_attempts charged attempts.
+        assert _counter("engine.worker_crashes") == policy.max_attempts + 1
+        assert _counter("engine.retries") == policy.max_attempts
         assert _counter("engine.quarantined_tasks") == 1
 
     def test_soft_deadline_marks_slow_evaluations(self):
@@ -397,6 +375,51 @@ class TestInlineChaosRecovery:
                 engine.close()
 
         assert run_once() == run_once()
+
+
+#: equal-length pipelines: LPT dispatch on two workers keeps submission
+#: order, so a plan index names the same task on every backend
+_PARITY_PIPELINES = [
+    ("standard_scaler", "normalizer"),
+    ("minmax_scaler", "binarizer"),
+    ("maxabs_scaler", "normalizer"),
+    ("normalizer", "standard_scaler"),
+    ("power_transformer", "minmax_scaler"),
+]
+
+
+class TestSerialProcessParity:
+    """One plan, one outcome: inline crashes are attributed like pool losses."""
+
+    @staticmethod
+    def _run(inner, plan):
+        get_registry().reset()
+        engine = _chaos_engine(inner, plan)
+        tasks = [EvalTask(Pipeline.from_names(names))
+                 for names in _PARITY_PIPELINES]
+        try:
+            rows = _rows(engine.run(_make_evaluator(), tasks))
+        finally:
+            engine.close()
+        return rows, _counter("engine.quarantined_tasks")
+
+    @pytest.mark.parametrize("max_attempts", [1, 2])
+    @pytest.mark.parametrize("plan", ["crash@1", "crash@1!", "error@1"])
+    def test_serial_and_process_give_equal_records(self, plan, max_attempts):
+        policy = RetryPolicy(max_attempts=max_attempts, base_delay=0.0,
+                             jitter=0.0)
+        serial = self._run(SerialBackend(retry_policy=policy), plan)
+        process = self._run(ProcessBackend(n_workers=2, retry_policy=policy),
+                            plan)
+        assert serial == process
+        rows, quarantined = serial
+        # A one-shot crash quarantines nobody; a sticky crash, or an error
+        # with no attempt left, quarantines only the task it hit.
+        expected = 0 if plan == "crash@1" \
+            or (plan == "error@1" and max_attempts > 1) else 1
+        assert quarantined == expected
+        assert [i for i, row in enumerate(rows) if row[4] is not None] \
+            == [1] * expected
 
 
 def _make_problem():

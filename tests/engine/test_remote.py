@@ -14,6 +14,7 @@ All fleets here are in-process loopback workers
 sockets on ephemeral ports, so every test crosses the actual wire.
 """
 
+import io
 import socket
 import sys
 import threading
@@ -21,6 +22,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PipelineEvaluator
 from repro.core.search_space import SearchSpace
@@ -36,6 +39,7 @@ from repro.engine.remote import (
     parse_address,
     start_loopback,
 )
+from repro.engine.remote.coordinator import MAX_WORKER_MESSAGE_BYTES
 from repro.engine.remote.protocol import (
     PROTOCOL_VERSION,
     dump_blob,
@@ -191,6 +195,39 @@ class TestProtocol:
             rfile.close()
             right.close()
             left.close()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=st.lists(st.one_of(
+               st.binary(max_size=40),
+               st.sampled_from([b"\n", b'{"type": "heartbeat"}\n',
+                                b'{"type": "result", "pad": "', b"x" * 64]),
+           ), max_size=8).map(b"".join),
+           cap=st.integers(min_value=1, max_value=256))
+    def test_capped_read_is_bounded_and_typed(self, stream, cap):
+        source = io.BytesIO(stream)
+        try:
+            message = read_message(source, cap)
+        except RemoteProtocolError:
+            pass
+        else:
+            assert message is None or "type" in message
+        assert source.tell() <= cap + 1
+
+    def test_coordinator_rejects_a_line_past_the_cap(self):
+        with _Fleet(1) as backend:
+            sock = socket.create_connection(
+                parse_address(backend.coordinator_address), timeout=5.0)
+            try:
+                # no newline ever: the reader must give up at the cap and
+                # close the connection, not buffer without bound
+                sock.sendall(b"x" * (MAX_WORKER_MESSAGE_BYTES + 1))
+                reply = sock.recv(1)
+            except ConnectionError:  # closed with our bytes unread
+                reply = b""
+            finally:
+                sock.close()
+            assert reply == b""
+            assert backend.worker_count == 1
 
 
 # -------------------------------------------------------------- lifecycle

@@ -33,7 +33,7 @@ def _accuracies(outcome):
 
 
 class TestParallelGrid:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_outcome_identical_to_serial(self, backend):
         serial = run_experiment(_tiny_config())
         parallel = run_experiment(
@@ -48,23 +48,23 @@ class TestParallelGrid:
         config = quick_config(datasets=("blood",), algorithms=("rs",),
                               max_trials=4,
                               context=ExecutionContext(n_jobs=2,
-                                                       backend="thread"))
+                                                       backend="process"))
         assert config.context.n_jobs == 2
-        assert config.context.backend == "thread"
+        assert config.context.backend == "process"
         outcome = run_experiment(config)  # options read from the config
         assert len(outcome.scenarios) == 1
 
     def test_context_override_beats_config(self):
         config = _tiny_config()
         outcome = run_experiment(
-            config, context=ExecutionContext(n_jobs=2, backend="thread")
+            config, context=ExecutionContext(n_jobs=2, backend="process")
         )
-        assert outcome.config.context.backend == "thread"
+        assert outcome.config.context.backend == "process"
         assert _accuracies(outcome) == _accuracies(run_experiment(config))
 
     def test_bottlenecks_and_results_present_in_parallel_run(self):
         config = _tiny_config(context=ExecutionContext(n_jobs=2,
-                                                       backend="thread"))
+                                                       backend="process"))
         outcome = run_experiment(config)
         assert len(outcome.bottlenecks) == 4
         assert all(result is not None for result in outcome.results.values())
@@ -72,14 +72,14 @@ class TestParallelGrid:
     def test_progress_callback_fires_in_grid_order(self):
         calls = []
         config = _tiny_config(context=ExecutionContext(n_jobs=2,
-                                                       backend="thread"))
+                                                       backend="process"))
         run_experiment(config,
                        progress_callback=lambda d, m, a, acc: calls.append((d, m, a)))
         expected = [(d, m, a) for d in config.datasets for m in config.models
                     for a in config.algorithms]
         assert calls == expected
 
-    @pytest.mark.parametrize("backend", [None, "thread"])
+    @pytest.mark.parametrize("backend", [None, "process"])
     def test_cell_callback_reports_every_completed_cell(self, backend):
         """The futures-based fan-out reports each cell as it completes."""
         context = ExecutionContext() if backend is None else \
@@ -120,7 +120,7 @@ class TestParallelGrid:
         run_experiment(quick_config(
             datasets=("blood",), algorithms=("rs",), max_trials=3,
             dataset_scale=0.5,
-            context=ExecutionContext(backend="thread"),
+            context=ExecutionContext(backend="process"),
         ))
         assert seen["n_workers"] == 1
 
@@ -135,12 +135,12 @@ class TestParallelGrid:
     def test_run_single_accepts_parallel_context(self):
         serial, baseline_s = run_single("blood", "lr", "pbt", max_trials=6,
                                         dataset_scale=0.5)
-        threaded, baseline_t = run_single(
+        parallel, baseline_p = run_single(
             "blood", "lr", "pbt", max_trials=6, dataset_scale=0.5,
-            context=ExecutionContext(n_jobs=2, backend="thread"),
+            context=ExecutionContext(n_jobs=2, backend="process"),
         )
-        assert baseline_t == baseline_s
-        assert threaded.best_accuracy == serial.best_accuracy
+        assert baseline_p == baseline_s
+        assert parallel.best_accuracy == serial.best_accuracy
 
 
 class TestBenchmarkSmokeMode:
@@ -151,7 +151,7 @@ class TestBenchmarkSmokeMode:
         )
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
-        serial, parallel = bench.smoke_check(backend="thread", n_jobs=2)
+        serial, parallel = bench.smoke_check(backend="process", n_jobs=2)
         assert bench.scenario_accuracies(serial) == \
             bench.scenario_accuracies(parallel)
         assert len(serial.scenarios) == 2

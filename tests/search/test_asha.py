@@ -78,8 +78,8 @@ class TestSearchBehaviour:
             assert key not in seen, f"duplicate promoted evaluation {key}"
             seen.add(key)
 
-    def test_async_thread_run_saturates_and_matches_values(self, problem):
-        engine = ExecutionEngine("thread", n_workers=3)
+    def test_async_process_run_saturates_and_matches_values(self, problem):
+        engine = ExecutionEngine("process", n_workers=3)
         problem.evaluator.set_engine(engine)
         try:
             result = ASHA(random_state=0).search(problem, max_trials=10,

@@ -74,7 +74,7 @@ def _problem(distorted_data, *, model=None, engine=None):
 
 
 class TestTrialBudgetClipping:
-    @pytest.mark.parametrize("engine", [None, "serial", "thread"])
+    @pytest.mark.parametrize("engine", [None, "serial", "process"])
     def test_batched_search_never_exceeds_max_trials(self, distorted_data,
                                                      engine):
         problem = _problem(
@@ -84,15 +84,21 @@ class TestTrialBudgetClipping:
                                  n_workers=None if engine == "serial" else 2),
         )
         budget = TrialBudget(5)
-        result = RandomSearch(batch_size=8).search(problem, budget)
+        try:
+            result = RandomSearch(batch_size=8).search(problem, budget)
+        finally:
+            problem.evaluator.engine.close()
         assert len(result) == 5
         assert budget.used == 5.0
 
     def test_batch_larger_than_remaining_is_clipped(self, distorted_data):
         problem = _problem(distorted_data,
-                           engine=ExecutionEngine("thread", n_workers=2))
+                           engine=ExecutionEngine("process", n_workers=2))
         budget = TrialBudget(3)
-        result = FixedBatch(TEN_PIPELINES).search(problem, budget)
+        try:
+            result = FixedBatch(TEN_PIPELINES).search(problem, budget)
+        finally:
+            problem.evaluator.engine.close()
         assert len(result) == 3
         assert budget.used == 3.0
 
@@ -161,9 +167,12 @@ class TestTimeBudgetChunking:
         assert problem.evaluator.n_evaluations == 4
 
     def test_overshoot_bounded_by_one_worker_wave(self, distorted_data):
-        engine = ExecutionEngine("thread", n_workers=2)
-        problem = self._ticking_problem(distorted_data, engine=engine)
-        budget = TimeBudget(3.5, clock=lambda: TickingModel.ticks[0])
+        engine = ExecutionEngine("process", n_workers=2)
+        problem = _problem(distorted_data, engine=engine)
+        # Fits run in pool workers, out of the parent's sight: each merged
+        # evaluation "takes" one fake second instead.
+        budget = TimeBudget(
+            3.5, clock=lambda: float(problem.evaluator.n_evaluations))
         try:
             FixedBatch(TEN_PIPELINES).search(problem, budget)
         finally:
@@ -191,7 +200,7 @@ class TestTimeBudgetChunking:
                 batch_sizes.append(len(list(tasks)))
                 return super().run(evaluator, tasks)
 
-        engine = RecordingEngine("thread", n_workers=2)
+        engine = RecordingEngine("process", n_workers=2)
         problem = _problem(distorted_data, engine=engine)
         try:
             FixedBatch(TEN_PIPELINES).search(problem, TrialBudget(10))

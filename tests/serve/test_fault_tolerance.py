@@ -113,8 +113,8 @@ class TestCrashedTenantIsolation:
             manager.shutdown()
 
     def test_inline_crashes_degrade_health_too(self, tmp_path):
-        # rs dispatches single-task batches, which the process backend
-        # runs inline through the guarded envelope — the crash is still
+        # rs dispatches single-task batches: the lone task still goes to
+        # the shared pool, its worker really dies, and the crash is
         # recovered and still surfaces in /healthz.
         manager = _make_manager(tmp_path, chaos="crash@0")
         try:

@@ -434,7 +434,7 @@ class TestFairScheduling:
 
 
 class TestEngineView:
-    def test_engineless_manager_reports_serial(self, manager):
+    def test_serial_manager_reports_one_worker(self, manager):
         view = manager.engine_view()
         assert view["backend"] == "serial"
         assert view["n_workers"] == 1
@@ -445,11 +445,11 @@ class TestEngineView:
     def test_pooled_backend_reports_capacity(self, tmp_path):
         manager = SessionManager(
             state_dir=tmp_path / "state",
-            base_context=ExecutionContext(backend="thread", n_jobs=2),
+            base_context=ExecutionContext(backend="process", n_jobs=2),
         )
         try:
             view = manager.engine_view()
-            assert view["backend"] == "thread"
+            assert view["backend"] == "process"
             assert view["n_workers"] == 2
             assert "workers" not in view  # no membership notion
         finally:
