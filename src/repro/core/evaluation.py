@@ -263,7 +263,7 @@ class PipelineEvaluator:
         # the parent's (potentially large) cache or its engine would only
         # inflate the pickle and risk nested worker pools.  The disk-cache
         # handle is dropped too — workers only run _evaluate_uncached, and
-        # the parent merges their results back to disk after each batch.
+        # the parent merges each result back to disk as it resolves.
         # The prefix cache is likewise dropped: __setstate__ rebuilds a
         # fresh one per process, and because the process backend ships the
         # evaluator once through the pool initializer, each worker's cache
@@ -435,24 +435,6 @@ class PipelineEvaluator:
         if self._disk_cache is not None:
             self._disk_cache.put(key, entry)
 
-    def cache_store_batch(self, items) -> None:
-        """Insert a batch of ``(key, entry)`` pairs (one disk append per shard).
-
-        The execution engine merges every batch back through this method,
-        so results computed by workers land in the persistent cache in a
-        handful of appends instead of one per task.
-        Infrastructure-failure entries are skipped for the same reason as
-        in :meth:`cache_store`.
-        """
-        if not self.cache_enabled:
-            return
-        items = [(key, entry) for key, entry in items
-                 if entry.get("failure_kind") is None]
-        for key, entry in items:
-            self._memory_store(key, entry)
-        if self._disk_cache is not None:
-            self._disk_cache.put_many(items)
-
     def evaluate_in_worker(self, pipeline: Pipeline, fidelity: float) -> dict:
         """Evaluate uncached in a worker, attaching the counter delta.
 
@@ -460,15 +442,14 @@ class PipelineEvaluator:
         process-pool and remote workers.  A worker's prefix cache is
         private to its process, so its counters would otherwise never
         reach the parent (``prefix_hits`` reading 0 despite real reuse).
-        A before/after snapshot brackets the evaluation, and the delta
-        rides back on the entry under :data:`METRICS_DELTA_KEY`.
+        After the evaluation, the cache's change since its previous
+        shipment rides back on the entry under :data:`METRICS_DELTA_KEY`.
         """
+        entry = self._evaluate_uncached(pipeline, fidelity)
         cache = self._prefix_cache
         if cache is None:
-            return self._evaluate_uncached(pipeline, fidelity)
-        before = cache.counters()
-        entry = self._evaluate_uncached(pipeline, fidelity)
-        delta = cache.counters_since(before)
+            return entry
+        delta = cache.counters_delta()
         if delta:
             entry[METRICS_DELTA_KEY] = {
                 f"prefix.{name}": value for name, value in delta.items()
@@ -480,8 +461,8 @@ class PipelineEvaluator:
 
         Workers record metrics into *private* stores (their own prefix
         cache's counters, their own registry); :meth:`evaluate_in_worker`
-        attaches the :class:`MetricsSnapshot` delta each evaluation caused
-        to the returned cache entry under the reserved
+        attaches a :class:`MetricsSnapshot` of the counters' change since
+        its previous shipment to the returned cache entry under the reserved
         :data:`METRICS_DELTA_KEY`.  The engine routes every entry through
         here before caching it, so the parent's :meth:`cache_info`
         reflects reuse that happened in the workers — and the delta never

@@ -160,6 +160,8 @@ class PrefixTransformCache:
         #: monotonic counters, telemetry-backed; the classic attribute
         #: spellings (``cache.hits`` etc.) remain as properties below
         self.metrics = MetricSet(self.COUNTER_NAMES)
+        #: the counters as of the last :meth:`counters_delta` call
+        self._mark = self.metrics.snapshot()
 
     # ------------------------------------------------------------------- API
     @staticmethod
@@ -243,19 +245,21 @@ class PrefixTransformCache:
     failed_short_circuits = metric_property("failed_short_circuits")
 
     def counters(self) -> dict:
-        """Snapshot of the monotonic counters (one consistent read).
-
-        Process-pool workers snapshot before and after each evaluation and
-        ship the difference (:meth:`counters_since`) back with the result,
-        so the parent evaluator can report reuse that happened in worker
-        address spaces.
-        """
+        """Snapshot of the monotonic counters (one consistent read)."""
         with self._lock:
             return self.metrics.snapshot()
 
-    def counters_since(self, before: dict) -> dict:
-        """Counter delta since a :meth:`counters` snapshot (non-zero only)."""
-        return self.counters().diff(before)
+    def counters_delta(self) -> dict:
+        """Counter change since the previous call (non-zero only).
+
+        Workers ship it back with each result.  Reading and advancing the
+        mark is one step under the lock, so the deltas of concurrent
+        evaluations split the cache's increments with no overlap.
+        """
+        with self._lock:
+            now = self.metrics.snapshot()
+            delta, self._mark = now.diff(self._mark), now
+        return delta
 
     def info(self) -> dict:
         """Counters for ``PipelineEvaluator.cache_info()`` and reports."""

@@ -17,12 +17,12 @@ experiment grids — on a pluggable backend:
 
 All backends preserve task order and the engine merges results back into
 the evaluator's memoization cache, so every backend produces bit-for-bit
-identical search results.  Besides the batch API (:meth:`ExecutionEngine.run`),
-a futures layer (:meth:`ExecutionEngine.submit_tasks` /
-:meth:`ExecutionEngine.as_completed`) yields results per *completion* —
-the substrate of the completion-driven search driver
-(:mod:`repro.search.async_driver`).  See :mod:`repro.engine.engine` for
-the dispatch logic and
+identical search results.  The engine's futures layer
+(:meth:`ExecutionEngine.submit_task` / :meth:`ExecutionEngine.wait_any` /
+:meth:`ExecutionEngine.resolve_task`) is its one cache-aware scheduler: the
+completion-driven search driver (:mod:`repro.search.async_driver`) uses it
+directly, and the batch API (:meth:`ExecutionEngine.run`) is a bounded
+window over it.  See :mod:`repro.engine.engine` for the dispatch logic and
 :meth:`~repro.core.context.ExecutionContext.build_engine` for building
 an engine from CLI-style options.
 

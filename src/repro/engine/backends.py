@@ -3,10 +3,10 @@
 A backend hands out one future per task through ``submit`` (any
 picklable callable, such as an experiment-grid cell),
 ``submit_evaluation`` and ``wait_any``.  Every evaluation goes through
-``submit_evaluation`` — the engine's batches and its per-completion
-futures alike — so there is one dispatch path.  Results stay bit-for-bit
-deterministic on every backend because the engine submits in a stable
-order and merges results positionally, never by completion order.
+``submit_evaluation``, called by the engine's ``submit_task``, so there is
+one dispatch path.  Results stay bit-for-bit deterministic on every
+backend because the engine submits in a stable order and merges results
+in task order, never by completion order.
 
 The serial backend's futures are lazy: the work runs in the calling thread
 the first time a result is requested, so completions arrive strictly in
@@ -218,11 +218,6 @@ class ExecutionBackend:
     #: registry name, e.g. ``"serial"`` or ``"process"``
     name: str = "base"
 
-    #: True when submitted futures complete lazily in submission order (the
-    #: serial backend): ``as_completed`` consumers then iterate futures in
-    #: the order they were submitted, which is the deterministic reference
-    ordered_completion: bool = False
-
     #: True when an evaluation's deadline runs from its dispatch and an
     #: overdue attempt can be abandoned (its pool killed, its lease
     #: forgotten); inline work cannot be, and reports its own overrun
@@ -301,7 +296,6 @@ class SerialBackend(ExecutionBackend):
     """
 
     name = "serial"
-    ordered_completion = True
     deadline_at_dispatch = False
 
     def __init__(self, n_workers: int | None = None, **options) -> None:
@@ -627,9 +621,11 @@ class ProcessBackend(ExecutionBackend):
         """Submit one item; returns ``(pool, future)``.
 
         Shared items go to the fingerprint's warm pool, rebuilt when it is
-        broken; a pool that keeps breaking faster than it can accept work
-        raises :class:`WorkerCrashError` (under ``repro serve`` that fails
-        only the owning session).  An item dispatched alone gets a private
+        broken.  A pool found broken at submit was broken by other work, so
+        it is a free loss: the item tries up to ``max_attempts + 1`` pools,
+        and only a pool that breaks again each time raises
+        :class:`WorkerCrashError` (under ``repro serve`` that fails only the
+        owning session).  An item dispatched alone gets a private
         one-worker pool, reaped by the first dispatch after its item is
         done — unless the pool broke: its owner's :meth:`_lose` kills it
         and counts the crash.
@@ -657,7 +653,7 @@ class ProcessBackend(ExecutionBackend):
                 return pool, pool.submit(_evaluate_in_worker, item)
             except BrokenProcessPool as error:
                 self._lose(evaluator, pool)
-                if attempt >= self.retry_policy.max_attempts:
+                if attempt > self.retry_policy.max_attempts:
                     raise WorkerCrashError(
                         f"evaluation pool for fingerprint "
                         f"{evaluator.fingerprint()[:12]!r} kept breaking "

@@ -6,15 +6,16 @@ The chaos harness exists so every recovery path in
 kills, raised transient errors, hangs), and a :class:`ChaosBackend` wraps
 any real backend and attaches those faults to the matching work items as
 they are dispatched.  Every evaluation is dispatched through
-``submit_evaluation`` — by ``ExecutionEngine.run`` in LPT order and by
-the futures layer in submission order, both deterministic — so task
-indices count evaluations in one dispatch order, and two runs of the same
-plan hit the same pipelines with the same faults.  Recovery re-dispatches
-happen inside the wrapped backend and never consume plan indices.  By
-the attribution rule in :mod:`repro.engine.backends`, a one-shot fault
-quarantines nobody (its retry runs clean), and a sticky one quarantines
-only the task that carries it, so the surviving records of a
-crash-and-recover run equal a no-fault run bit for bit.
+``submit_evaluation`` by the engine's ``submit_task`` — a barrier wave in
+LPT order, the completion-driven driver in submission order, both
+deterministic — so task indices count primaries in one dispatch order,
+and two runs of the same plan hit the same pipelines with the same
+faults.  Recovery re-dispatches happen inside the wrapped backend and
+never consume plan indices.  By the attribution rule in
+:mod:`repro.engine.backends`, a one-shot fault quarantines nobody (its
+retry runs clean), and a sticky one quarantines only the task that
+carries it, so the surviving records of a crash-and-recover run equal a
+no-fault run bit for bit.
 
 Wired through :class:`~repro.core.context.ExecutionContext` via the
 ``chaos`` field / ``REPRO_CHAOS`` env var using a compact spec grammar::
@@ -213,10 +214,6 @@ class ChaosBackend(ExecutionBackend):
         return self.inner.n_workers
 
     @property
-    def ordered_completion(self) -> bool:
-        return self.inner.ordered_completion
-
-    @property
     def last_crash(self) -> dict | None:
         return self.inner.last_crash
 
@@ -235,12 +232,6 @@ class ChaosBackend(ExecutionBackend):
     @retry_policy.setter
     def retry_policy(self, value) -> None:
         self.inner.retry_policy = value
-
-    @property
-    def dispatched(self) -> int:
-        """Evaluations dispatched so far (= next task index)."""
-        with self._lock:
-            return self._dispatched
 
     # ------------------------------------------------------------ injection
     def _next_index(self) -> int:

@@ -1,30 +1,24 @@
-"""The execution engine: batch evaluation with pluggable backends.
+"""The execution engine: cache-aware evaluation over pluggable backends.
 
-:class:`ExecutionEngine` sits between callers that produce batches of
-independent :class:`~repro.engine.tasks.EvalTask` objects (the evaluator's
-``evaluate_many``, the barrier waves of the search loop) and an
-:class:`~repro.engine.backends.ExecutionBackend` that actually executes
-them.  For every batch :meth:`ExecutionEngine.run`
+:class:`ExecutionEngine` sits between callers that produce
+:class:`~repro.engine.tasks.EvalTask` objects and an
+:class:`~repro.engine.backends.ExecutionBackend` that executes them.  Its
+one scheduler is the futures layer:
 
-1. answers cached tasks straight from the evaluator's memoization cache,
-2. deduplicates the remaining tasks by cache key so each unique
-   ``(pipeline spec, fidelity)`` is evaluated exactly once,
-3. submits the unique work longest pipeline first through
-   ``backend.submit_evaluation``, keeping at most ``backend.n_workers``
-   evaluations in flight and refilling a slot as each one completes,
-4. merges the results back into the evaluator's cache in one batch — both
-   the in-memory LRU and, when the evaluator has a ``cache_dir``, the
-   persistent cross-run cache (one append per shard), and
-5. returns trial records in the original task order.
+1. :meth:`ExecutionEngine.submit_task` answers a task from the evaluator's
+   caches, aliases it to an identical task in flight, or dispatches it
+   through ``backend.submit_evaluation`` as a *primary*;
+2. :meth:`ExecutionEngine.resolve_task` returns the record and merges a
+   primary's entry into the evaluator's LRU and, with a ``cache_dir``,
+   the persistent cross-run cache (one append per primary).
 
-The futures layer (:meth:`ExecutionEngine.submit_task` /
-:meth:`ExecutionEngine.as_completed`) dispatches through the same
-``submit_evaluation``, so batches and the completion-driven schedule of the
-search loop share one dispatch path and one recovery rule (see
-:mod:`repro.engine.backends`).
+The completion-driven search driver (:mod:`repro.search.async_driver`)
+calls these directly.  Barrier waves call :meth:`ExecutionEngine.run`, a
+bounded window over them: longest pipeline first, at most
+``backend.n_workers`` primaries in flight, resolved in task order.
 
-Determinism: results are merged in submission order, whatever order they
-complete in, and the evaluator derives every low-fidelity subsample seed
+Determinism: a batch resolves in task order, whatever order its work
+completes in, and the evaluator derives every low-fidelity subsample seed
 from the task itself (seed, pipeline spec, fidelity) rather than from a
 shared RNG, so every backend produces bit-for-bit identical results.
 """
@@ -47,9 +41,9 @@ class PendingTask:
 
     * *resolved at submit* — the evaluator's cache already held the entry,
       so the record is available immediately and no work was dispatched;
-    * *primary* — owns the backend future actually computing the entry;
-    * *alias* — shares a primary's in-flight future (the completion-driven
-      analogue of an in-batch duplicate under :meth:`ExecutionEngine.run`).
+    * *primary* — owns the backend future actually computing the entry,
+      and holds an in-flight slot until it is resolved or cancelled;
+    * *alias* — a duplicate that shares a primary's in-flight future.
 
     ``ready()`` never blocks; :meth:`ExecutionEngine.resolve_task` blocks
     until the record is available and performs the per-completion cache
@@ -60,7 +54,7 @@ class PendingTask:
     """
 
     __slots__ = ("task", "key", "future", "_primary", "_entry", "_record",
-                 "_cancelled")
+                 "_cancelled", "_holds_slot")
 
     def __init__(self, task: EvalTask, key, *, future=None, primary=None,
                  entry=None) -> None:
@@ -71,6 +65,7 @@ class PendingTask:
         self._entry = entry
         self._record: TrialRecord | None = None
         self._cancelled = False
+        self._holds_slot = future is not None and primary is None
 
     def ready(self) -> bool:
         """Whether resolving would return without blocking."""
@@ -136,8 +131,8 @@ class ExecutionEngine:
                                     retry_policy=retry_policy,
                                     remote_coordinator=remote_coordinator,
                                     worker_timeout=worker_timeout)
-        #: primaries still computing, keyed by (evaluator id, cache key) so a
-        #: duplicate submission aliases the in-flight future instead of
+        #: primaries not yet resolved, keyed by (evaluator id, cache key) so
+        #: a duplicate submission aliases the in-flight future instead of
         #: re-dispatching the same work.  Each entry carries a weakref to
         #: its evaluator: abandoned entries whose evaluator died must never
         #: alias a later evaluator that CPython allocated at the same id.
@@ -154,111 +149,81 @@ class ExecutionEngine:
     def run(self, evaluator, tasks) -> list[TrialRecord]:
         """Evaluate a batch of tasks and return records in task order.
 
-        Cached tasks never reach the backend; duplicate uncached tasks
-        within the batch are evaluated once and fanned back out (matching
-        what the evaluator's cache would have done serially).  When the
-        evaluator's cache is disabled every task is executed individually,
-        mirroring serial semantics.
+        A bounded window over :meth:`submit_task`: at most
+        ``backend.n_workers`` primaries are in flight, and every task
+        resolves through :meth:`resolve_task` in task order, so the cache
+        merge-back and the records follow task order whatever order the
+        work completes in.  If the batch raises, its primaries give back
+        their in-flight slots.
         """
         tasks = [task if isinstance(task, EvalTask) else EvalTask(task)
                  for task in tasks]
-        records: list[TrialRecord | None] = [None] * len(tasks)
-
-        # Partition into cache hits and groups of identical pending work.
-        pending: dict = {}
-        for index, task in enumerate(tasks):
-            key = evaluator.cache_key(task.pipeline, task.fidelity)
-            if evaluator.cache_enabled and key in pending:
-                # A duplicate of work already queued in this batch: it will
-                # be served by that evaluation's entry, which serially would
-                # have been a cache hit — count it as one.
-                pending[key].append(index)
-                evaluator.cache_hits += 1
-                continue
-            entry = evaluator.cache_lookup(key)
-            if entry is not None:
-                records[index] = evaluator.record_from_entry(task, entry)
-            elif evaluator.cache_enabled:
-                pending[key] = [index]
-            else:
-                # No cache: no dedup either — every task runs, like serial.
-                pending[(key, index)] = [index]
-
-        if pending:
-            groups = list(pending.values())
-            tracer = getattr(evaluator, "tracer", None)
-            batch_wall = time.time() if tracer is not None else 0.0
-            batch_start = time.perf_counter()
-            inflight = get_registry().gauge("engine.inflight")
-            inflight.inc(len(groups))
-            # Longest-processing-time-first dispatch: parallel waves finish
-            # at the speed of their slowest member, so a long pipeline
-            # landing last tail-blocks the whole batch.  Pipeline length is
-            # the natural cost proxy (each step adds a fit+transform pass
-            # over the data); ties keep submission order, and each result
-            # lands at its group's index, so every downstream consumer —
-            # records, cache merge-back — is oblivious to the reordering.
-            # Serial backends skip the sort: submission order IS the
-            # deterministic reference order.  At most n_workers are in
-            # flight (a deadline runs from submission, so nothing waits in
-            # a pool queue on its own clock); a completion frees a slot.
-            order = list(range(len(groups)))
-            if len(order) > 1 and self.backend.n_workers > 1:
-                order.sort(key=lambda i: (-len(tasks[groups[i][0]].pipeline), i))
-            order.reverse()  # pop() from the end dispatches in LPT order
-            entries: list = [None] * len(groups)
-            futures: dict = {}
-            try:
-                while order or futures:
-                    while order and len(futures) < self.backend.n_workers:
-                        first = tasks[groups[order[-1]][0]]
-                        futures[order.pop()] = self.backend.submit_evaluation(
-                            evaluator, (first.pipeline, first.fidelity))
-                    done = [i for i, future in futures.items() if future.done()]
-                    if not done:
-                        self.backend.wait_any(list(futures.values()))
-                    for i in done:
-                        entries[i] = evaluator.absorb_worker_counters(
-                            futures.pop(i).result())
-            finally:
-                inflight.dec(len(groups))
-            if tracer is not None:
-                tracer.emit("engine.batch", ts=batch_wall,
-                            dur=time.perf_counter() - batch_start,
-                            tasks=len(tasks), dispatched=len(groups),
-                            backend=type(self.backend).__name__)
-            merged = []
-            for group, entry in zip(groups, entries):
-                first = tasks[group[0]]
-                merged.append(
-                    (evaluator.cache_key(first.pipeline, first.fidelity), entry)
-                )
-                evaluator.n_evaluations += 1
-                for index in group:
-                    records[index] = evaluator.record_from_entry(tasks[index], entry)
-            # One merge-back for the whole batch: results land in the
-            # evaluator's LRU and — when a cache_dir is set — in the
-            # persistent cross-run cache, one append per touched shard
-            # instead of one write per task.
-            evaluator.cache_store_batch(merged)
-
+        tracer = getattr(evaluator, "tracer", None)
+        batch_wall = time.time() if tracer is not None else 0.0
+        batch_start = time.perf_counter()
+        # Longest-processing-time-first dispatch: parallel waves finish at
+        # the speed of their slowest member, so a long pipeline landing
+        # last tail-blocks the whole batch.  Pipeline length is the natural
+        # cost proxy (each step adds a fit+transform pass over the data);
+        # ties keep submission order, which also makes every duplicate's
+        # primary the earlier task.  Serial backends skip the sort:
+        # submission order IS the deterministic reference order.
+        order = list(range(len(tasks)))
+        if len(order) > 1 and self.backend.n_workers > 1:
+            order.sort(key=lambda i: (-len(tasks[i].pipeline), i))
+        order.reverse()  # pop() from the end submits in dispatch order
+        pending: list = [None] * len(tasks)
+        window: list[PendingTask] = []
+        dispatched = 0
+        try:
+            while order or window:
+                # Capacity is re-read at each refill (the remote fleet is
+                # elastic).  A deadline runs from dispatch, so nothing waits
+                # in a pool queue on its own clock.
+                if order and len(window) < self.backend.n_workers:
+                    index = order.pop()
+                    handle = pending[index] = self.submit_task(evaluator,
+                                                               tasks[index])
+                    if handle._holds_slot:
+                        window.append(handle)
+                        dispatched += 1
+                    continue
+                # Read each finished result before dispatching more: an
+                # overdue attempt gets its pool killed, and a lost pool is
+                # discarded, before new work could queue behind it.
+                self.wait_any(window)
+                for handle in [item for item in window if item.future.done()]:
+                    handle.future.result()
+                    window.remove(handle)
+            records = [self.resolve_task(evaluator, handle)
+                       for handle in pending]
+        except BaseException:
+            for handle in pending:
+                if handle is not None:
+                    self._release(evaluator, handle)
+            raise
+        if tracer is not None and dispatched:
+            tracer.emit("engine.batch", ts=batch_wall,
+                        dur=time.perf_counter() - batch_start,
+                        tasks=len(tasks), dispatched=dispatched,
+                        backend=type(self.backend).__name__)
         return records
 
     # ------------------------------------------------------------- futures
     def submit_task(self, evaluator, task) -> PendingTask:
         """Submit one task for evaluation; returns a :class:`PendingTask`.
 
-        Cache-aware, like :meth:`run` is for batches: a task whose entry
-        the evaluator's cache already holds resolves immediately without
-        touching the backend, and a task identical to one still in flight
-        aliases that future instead of re-dispatching the work.
+        Cache-aware: a task whose entry the evaluator's cache already holds
+        resolves immediately without touching the backend, and a task
+        identical to one still in flight aliases that future instead of
+        re-dispatching the work.
         """
         task = task if isinstance(task, EvalTask) else EvalTask(task)
         key = evaluator.cache_key(task.pipeline, task.fidelity)
         if evaluator.cache_enabled:
             # Probe in-flight work before the cache: an aliased duplicate
-            # counts one hit at resolve time (like an in-batch duplicate
-            # under run()) and must not also record a lookup miss here.
+            # counts one hit at resolve time (as a serial re-evaluation
+            # would) and must not also record a lookup miss here.
             primary = self._inflight_primary(evaluator, key)
             if primary is not None and not primary.cancelled:
                 return PendingTask(task, key, future=primary.future,
@@ -295,9 +260,14 @@ class ExecutionEngine:
             return None
         return primary
 
-    def submit_tasks(self, evaluator, tasks) -> list[PendingTask]:
-        """Submit a batch of tasks; returns pending handles in task order."""
-        return [self.submit_task(evaluator, task) for task in tasks]
+    def _release(self, evaluator, pending: PendingTask) -> None:
+        """Give back a primary's in-flight slot; a no-op after the first call."""
+        if not pending._holds_slot:
+            return
+        pending._holds_slot = False
+        get_registry().gauge("engine.inflight").dec()
+        if self._inflight_primary(evaluator, pending.key) is pending:
+            del self._inflight[(id(evaluator), pending.key)]
 
     def resolve_task(self, evaluator, pending: PendingTask) -> TrialRecord:
         """Block until ``pending`` completes and return its trial record.
@@ -305,7 +275,8 @@ class ExecutionEngine:
         This is where the per-completion cache merge-back happens: the
         entry computed by the worker lands in the evaluator's LRU and —
         when a ``cache_dir`` is set — the persistent disk cache the moment
-        it completes, not at the end of a batch.
+        it is resolved.  A primary gives back its in-flight slot here even
+        when its evaluation raises, so a resubmission runs the work again.
         """
         if pending._record is not None:
             return pending._record
@@ -317,13 +288,14 @@ class ExecutionEngine:
                 # execution; keep the counters comparable.
                 evaluator.cache_hits += 1
             else:
-                entry = evaluator.absorb_worker_counters(
-                    pending.future.result()
-                )
-                get_registry().gauge("engine.inflight").dec()
+                try:
+                    entry = evaluator.absorb_worker_counters(
+                        pending.future.result()
+                    )
+                finally:
+                    self._release(evaluator, pending)
                 evaluator.n_evaluations += 1
                 evaluator.cache_store(pending.key, entry)
-                self._inflight.pop((id(evaluator), pending.key), None)
                 pending._entry = entry
         pending._record = evaluator.record_from_entry(pending.task, pending._entry)
         return pending._record
@@ -332,43 +304,24 @@ class ExecutionEngine:
         """Cancel a pending task if its work never ran; True on success."""
         if not pending.cancel():
             return False
-        if pending._primary is None:
-            # A cancelled primary's dispatched work will never resolve:
-            # release its in-flight slot here instead.
-            get_registry().gauge("engine.inflight").dec()
-            if self._inflight_primary(evaluator, pending.key) is pending:
-                del self._inflight[(id(evaluator), pending.key)]
+        # A cancelled primary's dispatched work will never resolve: give
+        # back its in-flight slot here instead (an alias holds none).
+        self._release(evaluator, pending)
         return True
 
     def wait_any(self, pending) -> None:
-        """Block until at least one of ``pending`` is ready to resolve."""
-        pending = [item for item in pending if not item.ready()]
-        futures = [item.future for item in pending if item.future is not None]
+        """Block until at least one of ``pending`` is ready to resolve.
+
+        Returns at once when one already is.
+        """
+        futures = []
+        for item in pending:
+            if item.ready():
+                return
+            if item.future is not None:
+                futures.append(item.future)
         if futures:
             self.backend.wait_any(futures)
-
-    def as_completed(self, evaluator, pending):
-        """Yield ``(index, record)`` pairs as submitted tasks complete.
-
-        ``index`` is the position in ``pending``.  On the serial backend
-        completions arrive strictly in submission order with values
-        identical to :meth:`run`; on process/remote backends cache-resolved
-        tasks are yielded first (in submission order) and the rest as their
-        futures finish, ties broken by submission order.
-        """
-        pending = list(pending)
-        if self.backend.ordered_completion:
-            for index, item in enumerate(pending):
-                yield index, self.resolve_task(evaluator, item)
-            return
-        remaining = dict(enumerate(pending))
-        while remaining:
-            ready = [index for index, item in remaining.items() if item.ready()]
-            if not ready:
-                self.wait_any(remaining.values())
-                continue
-            for index in ready:
-                yield index, self.resolve_task(evaluator, remaining.pop(index))
 
     def close(self) -> None:
         """Cancel in-flight futures and release the backend's pooled workers.

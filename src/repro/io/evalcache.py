@@ -22,8 +22,8 @@ Design notes:
   concurrent writers rarely touch the same file and loads stay small.
   Shards are read lazily, on the first lookup that hashes into them.
 * **Corruption-tolerant.**  A truncated or garbled line (crash mid-write,
-  torn concurrent append) is skipped, never fatal; everything before and
-  after it still loads.
+  torn concurrent append, bytes that are not UTF-8 or JSON) is skipped,
+  never fatal; everything before and after it still loads.
 * **Fingerprint-scoped.**  All files live under
   ``<root>/<fingerprint>/``, so one cache root can serve many datasets,
   models and seeds without any risk of cross-contamination — a different
@@ -67,30 +67,37 @@ def key_token(key: tuple) -> str:
     return repr(key)
 
 
+def _shard_lines(path: Path) -> list[bytes]:
+    """The undecoded lines of one append-log file (none if unreadable)."""
+    try:
+        return path.read_bytes().splitlines()
+    except OSError:
+        return []
+
+
 def _replay_shard(path: Path, into: dict) -> tuple[int, int]:
     """Replay one append-log file into ``into`` (last write wins).
 
     Returns ``(raw_lines, skipped_lines)``: every non-blank line counts as
-    raw, and a torn or garbled line (crash mid-write, concurrent append) is
-    skipped rather than fatal.  The single replay pass serves shard loading,
-    ``cache_stats`` and :meth:`PersistentEvalCache.compact`, so each file is
-    read exactly once per operation.
+    raw, and a torn or garbled line (crash mid-write, concurrent append,
+    bytes that are not UTF-8, nesting too deep to parse) is skipped rather
+    than fatal: each line is decoded on its own.  The single replay pass
+    serves shard loading, ``cache_stats`` and
+    :meth:`PersistentEvalCache.compact`, so each file is read exactly once
+    per operation.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
-        return 0, 0
     raw_lines = 0
     skipped = 0
-    for line in text.splitlines():
+    for line in _shard_lines(path):
         if not line.strip():
             continue
         raw_lines += 1
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
             token = record["k"]
             entry = record["e"]
-        except (json.JSONDecodeError, TypeError, KeyError):
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+                TypeError, KeyError):
             skipped += 1
             continue
         if not isinstance(token, str) or not isinstance(entry, dict):
@@ -185,11 +192,10 @@ class PersistentEvalCache:
         self.put_many([(key, entry)])
 
     def put_many(self, items) -> None:
-        """Append a batch of ``(key, entry)`` pairs, grouped by shard.
+        """Append ``(key, entry)`` pairs, grouped by shard.
 
-        One engine batch becomes one ``write()`` per touched shard, so the
-        merge-back after a parallel batch costs a handful of appends rather
-        than one syscall per task.
+        The pairs become one ``write()`` per touched shard rather than one
+        syscall per pair.
         """
         by_shard: dict[int, list[str]] = {}
         for key, entry in items:
@@ -336,7 +342,7 @@ class PersistentEvalCache:
         self._meta_adopted = False
         try:
             meta = json.loads((self._dir / _META_NAME).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return  # missing or unreadable: first write re-creates it
         self._meta_adopted = True
         version = meta.get("format_version")
@@ -452,16 +458,13 @@ class PersistentEvalCache:
         """
         self.rescans += 1
         found = None
-        try:
-            text = self._shard_path(shard).read_text(encoding="utf-8")
-        except (FileNotFoundError, OSError):
-            return None
-        for line in text.splitlines():
-            if not line.strip() or token not in line:
+        needle = token.encode("utf-8")
+        for line in _shard_lines(self._shard_path(shard)):
+            if needle not in line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                record = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
                 continue
             if isinstance(record, dict) and record.get("k") == token \
                     and isinstance(record.get("e"), dict):

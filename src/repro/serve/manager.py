@@ -695,8 +695,8 @@ class SessionManager:
         notion (the remote backend's registered worker count — it moves
         as machines join and die); ``n_workers`` is the dispatch
         parallelism the engine plans around.  ``inflight`` is the
-        process-wide ``engine.inflight`` gauge: evaluation groups
-        currently running or queued on the backend.
+        process-wide ``engine.inflight`` gauge: primary evaluations
+        dispatched to the backend and not yet resolved.
         """
         backend = self.engine.backend
         inner = getattr(backend, "inner", backend)  # unwrap chaos

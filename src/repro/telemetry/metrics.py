@@ -18,9 +18,9 @@ Two layers, matching how the library actually counts things:
   Series support labels (``registry.counter("x", backend="thread")``)
   and the whole registry snapshots to one flat dict for heartbeats.
 
-The worker→parent shipping protocol: a process-pool worker snapshots a
-``MetricSet`` before and after an evaluation, ships
-``after.diff(before)`` (a :class:`MetricsSnapshot`) back on the result
+The worker→parent shipping protocol: after each evaluation a worker
+ships its prefix cache's change since the previous shipment
+(``now.diff(mark)``, a :class:`MetricsSnapshot`) back on the result
 entry under a reserved key, and the parent absorbs it with
 :meth:`MetricSet.merge` — so reuse that happened in another address
 space still shows up in the parent's reports.  ``MetricsSnapshot`` is a

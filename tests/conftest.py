@@ -112,3 +112,27 @@ def live_engine():
     yield factory
     for cleanup in reversed(cleanups):
         cleanup()
+
+
+@pytest.fixture
+def resolve_as_completed():
+    """Factory: resolve submitted tasks the way the search driver does.
+
+    ``resolve(engine, evaluator, pending)`` waits until at least one handle
+    is ready, resolves every ready one in submission order, and repeats;
+    it returns ``(index, record)`` pairs in that completion order, where
+    ``index`` is the handle's position in ``pending``.
+    """
+
+    def resolve(engine, evaluator, pending):
+        remaining = dict(enumerate(pending))
+        completed = []
+        while remaining:
+            engine.wait_any(list(remaining.values()))
+            for index in [i for i, item in remaining.items() if item.ready()]:
+                completed.append(
+                    (index, engine.resolve_task(evaluator,
+                                                remaining.pop(index))))
+        return completed
+
+    return resolve

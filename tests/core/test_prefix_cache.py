@@ -384,16 +384,17 @@ class TestWorkerCounterMergeBack:
         for entry in evaluator._cache.values():
             assert "_metrics_delta" not in entry
 
-    def test_futures_path_merges_worker_deltas(self, data):
+    def test_futures_path_merges_worker_deltas(self, data,
+                                               resolve_as_completed):
         from repro.engine import ExecutionEngine
 
         engine = ExecutionEngine("process", n_workers=1)
         evaluator = _evaluator(data, prefix_cache_bytes=1 << 24,
                                engine=engine)
         try:
-            pending = engine.submit_tasks(evaluator, self._pipelines())
-            for handle in pending:
-                engine.resolve_task(evaluator, handle)
+            pending = [engine.submit_task(evaluator, pipeline)
+                       for pipeline in self._pipelines()]
+            resolve_as_completed(engine, evaluator, pending)
         finally:
             engine.close()
         info = evaluator.cache_info()
@@ -424,6 +425,33 @@ class TestWorkerCounterMergeBack:
         assert shards
         assert not any("_metrics_delta" in path.read_text(encoding="utf-8")
                        for path in shards)
+
+    def test_concurrent_remote_deltas_add_up_to_the_worker_counters(
+            self, data):
+        """A remote worker's threads share one prefix cache: their deltas
+        must split its increments, not overlap, so the parent's merged
+        counters equal the worker cache's own."""
+        from repro.core.search_space import SearchSpace
+        from repro.engine import ExecutionEngine
+        from repro.engine.remote import start_loopback
+
+        backend, [worker] = start_loopback(1, cores_each=2)
+        engine = ExecutionEngine(backend)
+        evaluator = _evaluator(data, prefix_cache_bytes=64 << 20,
+                               engine=engine)
+        pipelines = SearchSpace(max_length=4).sample_pipelines(
+            40, np.random.default_rng(3))
+        try:
+            evaluator.evaluate_many(pipelines)
+        finally:
+            engine.close()
+            worker.stop()
+        [remote] = worker._evaluators.values()
+        own = remote.prefix_cache.info()
+        info = evaluator.cache_info()
+        assert info["prefix_hits"] + info["prefix_misses"] \
+            == own["hits"] + own["misses"]
+        assert info["steps_reused"] == own["steps_reused"]
 
     def test_parent_and_worker_counters_accumulate(self, data):
         """Serial reuse in the parent and worker deltas add up, and the

@@ -1,13 +1,16 @@
 """The engine's futures layer and the completion-driven search driver.
 
-Covers the PR-3 acceptance criteria: ``as_completed`` on the serial
-backend is identical (order and values) to ``run()``, ``close()`` cancels
+Covers ``submit_task`` / ``wait_any`` / ``resolve_task`` resolved in
+completion order (the way the driver uses them) giving ``run()``'s values
+on every backend, ``run()`` as a window over them that gives back every
+in-flight slot even when an evaluation raises, ``close()`` cancelling
 in-flight work without orphaning workers, async ``TimeBudget``
-interruption refunds never-dispatched tasks and stops within one
-completion, and the ``bench_async_overlap`` smoke mode passes.
+interruption refunding never-dispatched tasks and stopping within one
+completion, and the ``bench_async_overlap`` smoke mode.
 """
 
 import importlib.util
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +24,17 @@ from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import BACKEND_NAMES, EvalTask, ExecutionEngine, SerialFuture
 from repro.models.linear import LogisticRegression
 from repro.search import AsyncSearchDriver, make_search_algorithm
+from repro.telemetry.metrics import get_registry
 
 BENCH_PATH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_async_overlap.py"
 )
 
 
-def _make_evaluator(**kwargs):
+def _make_evaluator(evaluator_class=PipelineEvaluator, **kwargs):
     X, y = make_classification(n_samples=110, n_features=6, class_sep=2.0,
                                random_state=7)
-    return PipelineEvaluator.from_dataset(
+    return evaluator_class.from_dataset(
         X, y, LogisticRegression(max_iter=40), random_state=0, **kwargs
     )
 
@@ -82,48 +86,96 @@ class TestSerialFuture:
             future.result()
 
 
-class TestAsCompleted:
-    def test_serial_as_completed_identical_to_run(self):
-        """Acceptance: serial as_completed == run(), order and values."""
-        tasks = _sample_tasks()
-        reference = ExecutionEngine("serial").run(_make_evaluator(), tasks)
+class RaisingEvaluator(PipelineEvaluator):
+    """An evaluator whose every evaluation raises, inline or in a worker."""
 
-        evaluator = _make_evaluator()
-        engine = ExecutionEngine("serial")
-        pending = engine.submit_tasks(evaluator, tasks)
-        streamed = list(engine.as_completed(evaluator, pending))
-        assert [index for index, _ in streamed] == list(range(len(tasks)))
-        assert [record.accuracy for _, record in streamed] == \
-            [record.accuracy for record in reference]
-        assert [record.pipeline.spec() for _, record in streamed] == \
-            [record.pipeline.spec() for record in reference]
+    def _evaluate_uncached(self, pipeline, fidelity):
+        raise RuntimeError("evaluation failed")
 
+
+def _inflight_gauge():
+    return get_registry().gauge("engine.inflight")
+
+
+class TestFuturesLayer:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_every_backend_matches_run_values(self, name, live_engine):
+    def test_every_backend_matches_run_values(self, name, live_engine,
+                                              resolve_as_completed):
         tasks = _sample_tasks()
         reference = ExecutionEngine("serial").run(_make_evaluator(), tasks)
 
         evaluator = _make_evaluator()
         engine = live_engine(name)
+        pending = [engine.submit_task(evaluator, task) for task in tasks]
         records = [None] * len(tasks)
-        for index, record in engine.as_completed(
-                evaluator, engine.submit_tasks(evaluator, tasks)):
+        for index, record in resolve_as_completed(engine, evaluator, pending):
             records[index] = record
         engine.close()
         assert [record.accuracy for record in records] == \
             [record.accuracy for record in reference]
 
-    def test_per_completion_cache_merge_back(self):
-        """Each completion lands in the cache immediately, not at batch end."""
+    def test_per_completion_cache_merge_back(self, resolve_as_completed):
+        """Each completion lands in the cache as it resolves, not at batch end."""
         tasks = _sample_tasks(with_duplicate=False)
         evaluator = _make_evaluator()
         engine = ExecutionEngine("serial")
-        pending = engine.submit_tasks(evaluator, tasks)
-        stream = engine.as_completed(evaluator, pending)
-        index, record = next(stream)
-        key = evaluator.cache_key(tasks[index].pipeline, tasks[index].fidelity)
+        pending = [engine.submit_task(evaluator, task) for task in tasks]
+        engine.wait_any(pending)
+        [first] = [item for item in pending if item.ready()]
+        engine.resolve_task(evaluator, first)
+        key = evaluator.cache_key(first.task.pipeline, first.task.fidelity)
         assert evaluator.cache_lookup(key) is not None
-        list(stream)  # drain
+        resolve_as_completed(engine, evaluator, pending)  # drain
+
+    def test_wait_any_returns_at_once_when_one_is_ready(self):
+        evaluator = _make_evaluator()
+        engine = ExecutionEngine("serial")
+        ready = engine.submit_task(
+            evaluator, EvalTask(Pipeline.from_names(["standard_scaler"])))
+        engine.resolve_task(evaluator, ready)
+        pending = engine.submit_task(
+            evaluator, EvalTask(Pipeline.from_names(["minmax_scaler"])))
+        engine.wait_any([ready, pending])
+        # Serial waiting runs work inline: a ready item must stop it first.
+        assert not pending.ready()
+        assert evaluator.n_evaluations == 1
+
+    def test_resubmitted_failure_runs_again(self):
+        """A primary that raised gives back its slot: resubmitting the task
+        evaluates it again instead of aliasing the failed future."""
+        evaluator = _make_evaluator()
+        calls = []
+
+        def raising(pipeline, fidelity):
+            calls.append(pipeline)
+            raise RuntimeError("evaluation failed")
+
+        evaluator._evaluate_uncached = raising
+        engine = ExecutionEngine("serial")
+        start = _inflight_gauge().value
+        task = EvalTask(Pipeline.from_names(["standard_scaler"]))
+        for _ in range(2):
+            pending = engine.submit_task(evaluator, task)
+            with pytest.raises(RuntimeError):
+                engine.resolve_task(evaluator, pending)
+        assert len(calls) == 2
+        assert _inflight_gauge().value == start
+        assert engine._inflight == {}
+
+    @pytest.mark.parametrize("evaluator_class",
+                             [PipelineEvaluator, RaisingEvaluator],
+                             ids=["normal", "raising"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_run_gives_back_every_inflight_slot(self, name, evaluator_class,
+                                                live_engine):
+        engine = live_engine(name)
+        start = _inflight_gauge().value
+        outcome = (pytest.raises(RuntimeError)
+                   if evaluator_class is RaisingEvaluator else nullcontext())
+        with outcome:
+            engine.run(_make_evaluator(evaluator_class), _sample_tasks())
+        assert _inflight_gauge().value == start
+        assert engine._inflight == {}
 
     def test_duplicate_submission_aliases_inflight_work(self):
         evaluator = _make_evaluator()
@@ -195,7 +247,8 @@ class TestCloseCancelsInflight:
     def test_serial_close_cancels_unconsumed_futures(self):
         evaluator = _make_evaluator()
         engine = ExecutionEngine("serial")
-        pending = engine.submit_tasks(evaluator, _sample_tasks())
+        pending = [engine.submit_task(evaluator, task)
+                   for task in _sample_tasks()]
         engine.close()
         assert all(item.future.cancelled() for item in pending
                    if item.future is not None)
@@ -204,8 +257,8 @@ class TestCloseCancelsInflight:
     def test_process_close_mid_flight_leaves_no_pool(self):
         evaluator = _make_evaluator()
         engine = ExecutionEngine("process", n_workers=2)
-        pending = engine.submit_tasks(evaluator, _sample_tasks(6,
-                                                               with_duplicate=False))
+        pending = [engine.submit_task(evaluator, task)
+                   for task in _sample_tasks(6, with_duplicate=False)]
         engine.close()  # must cancel + join workers, not hang or orphan
         assert len(engine.backend._eval_pools) == 0
         for item in pending:

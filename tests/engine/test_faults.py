@@ -11,8 +11,8 @@ identical to a no-fault run, budgets never overshooting, and the
 ``engine.*`` failure counters matching the plan.
 
 Tests that genuinely kill pool workers are marked ``slow`` (the CI chaos
-smoke step opts into them); one compact process crash-recovery test
-stays in the tier-1 default selection.
+smoke step opts into them); the compact process crash-recovery tests
+stay in the tier-1 default selection.
 """
 
 import multiprocessing
@@ -474,7 +474,7 @@ class TestBudgetsUnderFaults:
 
 
 class TestProcessRecovery:
-    """Real pool workers, really killed; the compact case stays tier-1."""
+    """Real pool workers, really killed; the compact cases stay tier-1."""
 
     def test_crash_recovery_reproduces_the_clean_batch(self):
         engine = _chaos_engine(
@@ -488,6 +488,27 @@ class TestProcessRecovery:
         assert _counter("engine.worker_crashes") == 1
         assert _counter("engine.retries") >= 1
         assert _counter("engine.quarantined_tasks") == 0
+
+    @pytest.mark.parametrize("max_attempts", [1, 2])
+    def test_pool_broken_by_another_task_is_a_free_loss(self, max_attempts):
+        # Another task's crash broke the shared pool before this item was
+        # submitted: rebuilding it must not spend the item's attempts.
+        policy = RetryPolicy(max_attempts=max_attempts, base_delay=0.0,
+                             jitter=0.0)
+        backend = ProcessBackend(n_workers=2, retry_policy=policy)
+        evaluator = _make_evaluator()
+        culprit, innocent = _sample_tasks(2)
+        try:
+            crashed = backend.submit_evaluation(evaluator, FaultInjection(
+                (culprit.pipeline, culprit.fidelity), InjectedFault("crash")))
+            crashed._inner.exception(timeout=60.0)  # the pool is broken now
+            entry = backend.submit_evaluation(
+                evaluator, (innocent.pipeline, innocent.fidelity)).result()
+        finally:
+            backend.close()
+        assert entry.get("failure_kind") is None
+        assert entry["accuracy"] == _reference_rows(2)[1][2]
+        assert _counter("engine.worker_crashes") == 1
 
     def test_finished_evaluation_read_after_its_deadline_keeps_its_result(self):
         # In-order collection can read a task only after its deadline,
@@ -510,15 +531,16 @@ class TestProcessRecovery:
         assert _counter("engine.eval_timeouts") == 0
 
     @pytest.mark.slow
-    def test_async_futures_survive_a_worker_kill(self):
+    def test_async_futures_survive_a_worker_kill(self, resolve_as_completed):
         engine = _chaos_engine(
             ProcessBackend(n_workers=2, retry_policy=FAST_RETRY), "crash@0"
         )
         evaluator = _make_evaluator()
         try:
-            pending = engine.submit_tasks(evaluator, _sample_tasks())
+            pending = [engine.submit_task(evaluator, task)
+                       for task in _sample_tasks()]
             records = [record for _, record
-                       in engine.as_completed(evaluator, pending)]
+                       in resolve_as_completed(engine, evaluator, pending)]
         finally:
             engine.close()
         assert sorted(_rows(records)) == sorted(_reference_rows())
@@ -545,8 +567,9 @@ class TestProcessRecovery:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("plan", ["crash@1", "crash@1!"])
-    @pytest.mark.parametrize("dispatch", ["run", "as_completed"])
-    def test_only_the_faulty_task_is_ever_quarantined(self, dispatch, plan):
+    @pytest.mark.parametrize("dispatch", ["run", "futures"])
+    def test_only_the_faulty_task_is_ever_quarantined(self, dispatch, plan,
+                                                       resolve_as_completed):
         # One attempt each: a lost pool must not cost an innocent task its
         # only try, on the batch path and the futures path alike.
         policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
@@ -560,14 +583,16 @@ class TestProcessRecovery:
             if dispatch == "run":
                 records = engine.run(evaluator, tasks)
             else:
-                pending = engine.submit_tasks(evaluator, tasks)
+                pending = [engine.submit_task(evaluator, task)
+                           for task in tasks]
                 records = [None] * len(tasks)
-                for index, record in engine.as_completed(evaluator, pending):
+                for index, record in resolve_as_completed(engine, evaluator,
+                                                          pending):
                     records[index] = record
         finally:
             engine.close()
         # Dispatch index 1: the second task in LPT order under run(), the
-        # second submitted under submit_tasks().
+        # second submitted on the futures path.
         order = sorted(range(len(tasks)),
                        key=lambda i: (-len(tasks[i].pipeline), i))
         culprit = order[1] if dispatch == "run" else 1

@@ -1,8 +1,12 @@
 """Tests for the persistent cross-run evaluation cache (repro.io.evalcache)."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.io.evalcache import PersistentEvalCache, key_token, open_eval_cache
@@ -91,6 +95,19 @@ class TestPersistentEvalCache:
         assert fresh.get(_key("a")) == _entry(0.5)
         assert fresh.skipped_lines == 3
 
+    @pytest.mark.parametrize("garbage", [b"\xff\xfe\x00garbage",
+                                         b"[" * 100_000],
+                             ids=["not-utf8", "too-deep"])
+    def test_a_line_that_cannot_be_parsed_is_skipped(self, tmp_path,
+                                                     garbage):
+        cache = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=1)
+        cache.put(_key("a"), _entry(0.5))
+        with (tmp_path / FP / "shard-00.jsonl").open("ab") as handle:
+            handle.write(garbage + b"\n")
+        fresh = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=1)
+        assert fresh.get(_key("a")) == _entry(0.5)
+        assert fresh.skipped_lines == 1
+
     def test_last_write_wins_when_log_has_duplicates(self, tmp_path):
         cache = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=1)
         cache.put(_key("a"), _entry(0.5))
@@ -146,9 +163,11 @@ class TestPersistentEvalCache:
         with pytest.raises(ValidationError):
             PersistentEvalCache(tmp_path, fingerprint=FP)
 
-    def test_corrupt_meta_falls_back_to_arguments(self, tmp_path):
+    @pytest.mark.parametrize("garbage", [b"not json{", b"\xff\xfe\x00{"],
+                             ids=["not-json", "not-utf8"])
+    def test_corrupt_meta_falls_back_to_arguments(self, tmp_path, garbage):
         (tmp_path / FP).mkdir(parents=True)
-        (tmp_path / FP / "meta.json").write_text("not json{", encoding="utf-8")
+        (tmp_path / FP / "meta.json").write_bytes(garbage)
         cache = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=4)
         assert cache.n_shards == 4
         cache.put(_key("a"), _entry(0.5))  # self-heals the meta file
@@ -336,3 +355,33 @@ class TestBoundedIndex:
         # Evicted-but-real keys still resolve (via a rescan).
         assert cache.get(_key("step0")) == _entry(0.0)
         assert cache.rescans > before
+
+
+#: what a torn append, a foreign writer or a bad disk can leave in a shard:
+#: any bytes at all, up to the newline that ends them
+_garbage_lines = st.lists(st.binary(max_size=24).map(lambda data: data + b"\n"),
+                          max_size=3)
+
+
+@given(garbage=st.lists(_garbage_lines, min_size=4, max_size=4),
+       bounded=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_replay_keeps_every_valid_line_whatever_bytes_surround_it(garbage,
+                                                                  bounded):
+    """Valid entries load, and ``get`` never raises, whatever byte lines
+    are inserted between and after them; a bounded index also reaches
+    evicted entries through a shard rescan."""
+    keys = [_key(name) for name in ("a", "b", "c", "d")]
+    with tempfile.TemporaryDirectory() as root:
+        writer = PersistentEvalCache(root, fingerprint=FP, n_shards=1)
+        for index, key in enumerate(keys):
+            writer.put(key, _entry(index / 10))
+        shard = Path(root) / FP / "shard-00.jsonl"
+        lines = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(b"".join(line + b"".join(extra)
+                                   for line, extra in zip(lines, garbage)))
+        reader = PersistentEvalCache(root, fingerprint=FP, n_shards=1,
+                                     max_index_entries=1 if bounded else None)
+        for index, key in enumerate(keys):
+            assert reader.get(key) == _entry(index / 10)
+        assert reader.get(_key("never-written")) is None
