@@ -60,15 +60,15 @@ class SleepyEvaluator(PipelineEvaluator):
         return entry
 
 
-def make_problem(*, delay: float, engine=None, async_mode: bool = False,
-                 cache: bool = True) -> AutoFPProblem:
+def make_problem(*, delay: float, engine=None,
+                 async_mode: bool = False) -> AutoFPProblem:
     """A small problem whose evaluations sleep ``delay``-scaled durations."""
     X, y = make_classification(n_samples=140, n_features=8, n_classes=2,
                                class_sep=2.0, random_state=5)
     X = distort_features(X, random_state=5)
     SleepyEvaluator.delay = delay
     evaluator = SleepyEvaluator.from_dataset(
-        X, y, LogisticRegression(max_iter=60), random_state=0, cache=cache,
+        X, y, LogisticRegression(max_iter=60), random_state=0,
     )
     evaluator.set_engine(engine)
     return AutoFPProblem(evaluator=evaluator, space=SearchSpace(max_length=3),

@@ -12,14 +12,17 @@ bandit-based algorithms.
 Evaluation is deterministic and memoized:
 
 * results (including *failed* evaluations — degenerate pipelines would
-  otherwise re-pay the full preprocessing cost on every retry) are cached
-  in a bounded LRU keyed by ``(pipeline spec, fidelity)``, with hit/miss
-  counters for the bottleneck analysis;
+  otherwise re-pay the full preprocessing cost on every retry) are memoized
+  in a plain dict keyed by ``(pipeline spec, fidelity)``, with hit/miss
+  counters for the bottleneck analysis.  The memo is always on and never
+  evicts: it keeps every distinct evaluation of the evaluator's lifetime;
 * with ``cache_dir`` set, a persistent, process-safe disk cache
-  (:class:`~repro.io.evalcache.PersistentEvalCache`) sits below the LRU:
+  (:class:`~repro.io.evalcache.PersistentEvalCache`) sits below the memo:
   it is keyed by the evaluator :meth:`fingerprint` — data split, model and
-  subsample seed — plus the in-memory key, so repeated runs over the same
-  problem answer every previously seen evaluation from disk;
+  subsample seed — plus the memo key, so repeated runs over the same
+  problem answer every previously seen evaluation from disk.  Its
+  in-memory index is unbounded too; :mod:`repro.io.evalcache` gives its
+  cost per entry and how ``repro evalcache prune`` bounds a cache root;
 * low-fidelity subsample seeds are derived from ``(random_state, pipeline
   spec, fidelity)`` rather than a shared RNG, so the result of a trial does
   not depend on evaluation order — the property that lets the execution
@@ -43,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import time
 import zlib
-from collections import OrderedDict
 
 import numpy as np
 
@@ -102,15 +104,6 @@ class PipelineEvaluator:
         the paper's 80:20 proportion.
     model:
         Downstream classifier prototype; it is cloned for every evaluation.
-    cache:
-        When True (default) repeated evaluations of the same pipeline
-        specification at the same fidelity return the cached result without
-        re-training.  Failed evaluations are cached too.
-    cache_size:
-        Optional bound on the number of cached entries.  When set, the
-        least-recently-used entry is evicted once the bound is exceeded, so
-        long-running grids don't grow memory without limit.  ``None``
-        (default) keeps the cache unbounded.
     random_state:
         Seed controlling low-fidelity subsampling.  Each subsample is drawn
         from a generator seeded by ``(random_state, pipeline spec,
@@ -123,14 +116,10 @@ class PipelineEvaluator:
     cache_dir:
         Optional directory for a persistent cross-run evaluation cache.
         Results are written through to disk (scoped by :meth:`fingerprint`)
-        and read back on in-memory misses, so a second run over the same
-        data/model/seed performs zero uncached evaluations.  Requires
-        ``cache=True``; safe to share between concurrent processes.  The
-        disk cache keeps its own small in-memory index, bounded by the
-        same ``cache_size`` as the LRU (evicted index entries are
-        re-found by re-scanning their shard file on demand), so long-lived
-        cache roots cannot grow parent memory without limit; ``None``
-        keeps the index unbounded (see :mod:`repro.io.evalcache`).
+        and read back on memo misses, so a second run over the same
+        data/model/seed performs zero uncached evaluations.  Safe to share
+        between concurrent processes.  The disk cache indexes every entry
+        it loads, without a bound (see :mod:`repro.io.evalcache`).
     prefix_cache_bytes:
         Optional byte budget for the prefix-transform cache
         (:mod:`repro.core.prefixcache`).  When set, pipelines are fitted
@@ -148,17 +137,15 @@ class PipelineEvaluator:
     #: metrics of the evaluator's own memoization layer, telemetry-backed;
     #: the classic attribute spellings remain as properties below
     COUNTER_NAMES: tuple[str, ...] = (
-        "cache_hits", "cache_misses", "cache_evictions", "n_evaluations",
+        "cache_hits", "cache_misses", "n_evaluations",
     )
 
     cache_hits = metric_property("cache_hits")
     cache_misses = metric_property("cache_misses")
-    cache_evictions = metric_property("cache_evictions")
     n_evaluations = metric_property("n_evaluations")
 
     def __init__(self, X_train, y_train, X_valid, y_valid, model: Classifier,
-                 *, cache: bool = True, cache_size: int | None = None,
-                 random_state=None, engine=None, cache_dir=None,
+                 *, random_state=None, engine=None, cache_dir=None,
                  prefix_cache_bytes: int | None = None,
                  telemetry_mode: str = "off", telemetry_dir=None) -> None:
         self.X_train, self.y_train = check_X_y(X_train, y_train)
@@ -166,13 +153,8 @@ class PipelineEvaluator:
         if self.X_train.shape[1] != self.X_valid.shape[1]:
             raise ValidationError("train and valid splits have different feature counts")
         self.model = model
-        self.cache_enabled = cache
-        if cache_size is not None:
-            cache_size = int(cache_size)
-            if cache_size < 1:
-                raise ValidationError(f"cache_size must be at least 1, got {cache_size}")
-        self.cache_size = cache_size
-        self._cache: OrderedDict = OrderedDict()
+        #: the memo: ``(pipeline spec, fidelity)`` -> cache entry
+        self._cache: dict = {}
         self.metrics = MetricSet(self.COUNTER_NAMES)
         self._rng = check_random_state(random_state)
         if isinstance(random_state, (int, np.integer)):
@@ -195,21 +177,19 @@ class PipelineEvaluator:
         self._tracer = make_tracer(telemetry_mode, telemetry_dir)
         self._fingerprint: str | None = None
         self.cache_dir = cache_dir
-        if cache and cache_dir is not None:
+        if cache_dir is not None:
             # Guarded so the default (no cache_dir) path never pays the
             # fingerprint hash over the full train/valid arrays.
-            from repro.io.evalcache import open_eval_cache
+            from repro.io.evalcache import PersistentEvalCache
 
-            self._disk_cache = open_eval_cache(
-                cache_dir, self.fingerprint(), max_index_entries=cache_size,
-            )
+            self._disk_cache = PersistentEvalCache(
+                cache_dir, fingerprint=self.fingerprint())
         else:
             self._disk_cache = None
 
     # ----------------------------------------------------------- factories
     @classmethod
     def from_dataset(cls, X, y, model: Classifier, *, valid_size: float = 0.2,
-                     cache: bool = True, cache_size: int | None = None,
                      random_state=0, engine=None, cache_dir=None,
                      prefix_cache_bytes: int | None = None,
                      telemetry_mode: str = "off",
@@ -219,7 +199,6 @@ class PipelineEvaluator:
             X, y, test_size=valid_size, random_state=random_state
         )
         return cls(X_train, y_train, X_valid, y_valid, model,
-                   cache=cache, cache_size=cache_size,
                    random_state=random_state, engine=engine,
                    cache_dir=cache_dir, prefix_cache_bytes=prefix_cache_bytes,
                    telemetry_mode=telemetry_mode, telemetry_dir=telemetry_dir)
@@ -272,7 +251,7 @@ class PipelineEvaluator:
         # spans append to the same O_APPEND sink as the parent's.
         state = self.__dict__.copy()
         state["_engine"] = None
-        state["_cache"] = OrderedDict()
+        state["_cache"] = {}
         state["_disk_cache"] = None
         state["_prefix_cache"] = None
         state["_worker_metrics"] = MetricSet()
@@ -398,30 +377,26 @@ class PipelineEvaluator:
     def cache_lookup(self, key: tuple) -> dict | None:
         """Return the cached entry for ``key`` or ``None``.
 
-        Looks in the in-memory LRU first, then (on a miss) in the
-        persistent disk cache; a disk hit is promoted into the LRU so
-        repeats stay memory-speed.  Both layers count as ``hits`` in
-        :meth:`cache_info`; disk traffic is additionally itemised there.
+        Looks in the memo first, then (on a miss) in the persistent disk
+        cache, and copies a disk hit into the memo.  The two stay separate
+        maps so that ``disk_hits`` in :meth:`cache_info` counts only
+        entries found on disk, never ones computed in this run.  Both
+        layers count as ``hits``; disk traffic is additionally itemised.
         """
-        if not self.cache_enabled:
-            return None
         with trace_span(self._tracer, "cache_lookup"):
             entry = self._cache.get(key)
-            if entry is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
-                return entry
-            if self._disk_cache is not None:
+            if entry is None and self._disk_cache is not None:
                 entry = self._disk_cache.get(key)
                 if entry is not None:
-                    self._memory_store(key, entry)
-                    self.cache_hits += 1
-                    return entry
-            self.cache_misses += 1
-            return None
+                    self._cache[key] = entry
+            if entry is None:
+                self.cache_misses += 1
+            else:
+                self.cache_hits += 1
+            return entry
 
     def cache_store(self, key: tuple, entry: dict) -> None:
-        """Insert ``entry`` under ``key`` in the LRU and the disk cache.
+        """Insert ``entry`` under ``key`` in the memo and the disk cache.
 
         Entries carrying a ``failure_kind`` (worker crash, deadline
         expiry — see :mod:`repro.engine.faults`) are never cached: the
@@ -429,9 +404,9 @@ class PipelineEvaluator:
         and caching one would replay the fault into warm reruns and
         break their equivalence with a no-fault run.
         """
-        if not self.cache_enabled or entry.get("failure_kind") is not None:
+        if entry.get("failure_kind") is not None:
             return
-        self._memory_store(key, entry)
+        self._cache[key] = entry
         if self._disk_cache is not None:
             self._disk_cache.put(key, entry)
 
@@ -466,7 +441,7 @@ class PipelineEvaluator:
         :data:`METRICS_DELTA_KEY`.  The engine routes every entry through
         here before caching it, so the parent's :meth:`cache_info`
         reflects reuse that happened in the workers — and the delta never
-        leaks into the memoization LRU or the persistent disk cache.
+        leaks into the memo or the persistent disk cache.
         Idempotent: entries without a delta pass through untouched.
         """
         delta = entry.pop(METRICS_DELTA_KEY, None)
@@ -474,16 +449,8 @@ class PipelineEvaluator:
             self._worker_metrics.merge(delta)
         return entry
 
-    def _memory_store(self, key: tuple, entry: dict) -> None:
-        self._cache[key] = entry
-        self._cache.move_to_end(key)
-        if self.cache_size is not None:
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self.cache_evictions += 1
-
     def cache_info(self) -> dict:
-        """Hit/miss/eviction counters and current size, for bottleneck reports.
+        """Hit/miss counters and the memo's size, for bottleneck reports.
 
         With a persistent cache attached (``cache_dir``), the disk layer's
         own counters are itemised under ``disk_*`` keys; ``disk_hits`` > 0
@@ -502,9 +469,7 @@ class PipelineEvaluator:
         info = {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
             "size": len(self._cache),
-            "maxsize": self.cache_size,
             "persistent": self._disk_cache is not None,
         }
         if self._disk_cache is not None:
@@ -540,7 +505,7 @@ class PipelineEvaluator:
     def clear_cache(self) -> None:
         """Drop the in-memory caches (counters accumulate; disk entries stay).
 
-        Clears both the memoization LRU and, when enabled, the
+        Clears both the memo and, when enabled, the
         prefix-transform cache — releasing its byte budget — so subsequent
         evaluations are genuinely cold.
         """

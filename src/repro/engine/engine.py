@@ -9,7 +9,7 @@ one scheduler is the futures layer:
    caches, aliases it to an identical task in flight, or dispatches it
    through ``backend.submit_evaluation`` as a *primary*;
 2. :meth:`ExecutionEngine.resolve_task` returns the record and merges a
-   primary's entry into the evaluator's LRU and, with a ``cache_dir``,
+   primary's entry into the evaluator's memo and, with a ``cache_dir``,
    the persistent cross-run cache (one append per primary).
 
 The completion-driven search driver (:mod:`repro.search.async_driver`)
@@ -220,17 +220,16 @@ class ExecutionEngine:
         """
         task = task if isinstance(task, EvalTask) else EvalTask(task)
         key = evaluator.cache_key(task.pipeline, task.fidelity)
-        if evaluator.cache_enabled:
-            # Probe in-flight work before the cache: an aliased duplicate
-            # counts one hit at resolve time (as a serial re-evaluation
-            # would) and must not also record a lookup miss here.
-            primary = self._inflight_primary(evaluator, key)
-            if primary is not None and not primary.cancelled:
-                return PendingTask(task, key, future=primary.future,
-                                   primary=primary)
-            entry = evaluator.cache_lookup(key)
-            if entry is not None:
-                return PendingTask(task, key, entry=entry)
+        # Probe in-flight work before the cache: an aliased duplicate
+        # counts one hit at resolve time (as a serial re-evaluation
+        # would) and must not also record a lookup miss here.
+        primary = self._inflight_primary(evaluator, key)
+        if primary is not None and not primary.cancelled:
+            return PendingTask(task, key, future=primary.future,
+                               primary=primary)
+        entry = evaluator.cache_lookup(key)
+        if entry is not None:
+            return PendingTask(task, key, entry=entry)
         future = self.backend.submit_evaluation(
             evaluator, (task.pipeline, task.fidelity)
         )
@@ -238,9 +237,8 @@ class ExecutionEngine:
         # cache-resolved tasks never dispatched work of their own.
         get_registry().gauge("engine.inflight").inc()
         pending = PendingTask(task, key, future=future)
-        if evaluator.cache_enabled:
-            self._inflight[(id(evaluator), key)] = (weakref.ref(evaluator),
-                                                    pending)
+        self._inflight[(id(evaluator), key)] = (weakref.ref(evaluator),
+                                                pending)
         self._futures.add(future)
         return pending
 
@@ -273,20 +271,30 @@ class ExecutionEngine:
         """Block until ``pending`` completes and return its trial record.
 
         This is where the per-completion cache merge-back happens: the
-        entry computed by the worker lands in the evaluator's LRU and —
+        entry computed by the worker lands in the evaluator's memo and —
         when a ``cache_dir`` is set — the persistent disk cache the moment
         it is resolved.  A primary gives back its in-flight slot here even
         when its evaluation raises, so a resubmission runs the work again.
+        An alias resolves as if it had been submitted after its primary
+        resolved: it shares a memoized entry, but a failure entry (one
+        with a ``failure_kind``) is never memoized, so the alias runs its
+        own evaluation instead.
         """
         if pending._record is not None:
             return pending._record
         if pending._entry is None:
-            if pending._primary is not None:
-                self.resolve_task(evaluator, pending._primary)
-                pending._entry = pending._primary._entry
-                # The duplicate would have been a cache hit under serial
-                # execution; keep the counters comparable.
-                evaluator.cache_hits += 1
+            primary = pending._primary
+            if primary is not None:
+                self.resolve_task(evaluator, primary)
+                if primary._entry.get("failure_kind") is None:
+                    pending._entry = primary._entry
+                    # The duplicate would have been a cache hit under
+                    # serial execution; keep the counters comparable.
+                    evaluator.cache_hits += 1
+                else:
+                    rerun = self.submit_task(evaluator, pending.task)
+                    self.resolve_task(evaluator, rerun)
+                    pending._entry = rerun._entry
             else:
                 try:
                     entry = evaluator.absorb_worker_counters(
@@ -335,6 +343,12 @@ class ExecutionEngine:
         for future in list(self._futures):
             future.cancel()
         self._futures.clear()
+        # Every unresolved primary is registered in _inflight: give back
+        # its slot, by _release's rule, so the gauge reads true after close.
+        for _, pending in self._inflight.values():
+            if pending._holds_slot:
+                pending._holds_slot = False
+                get_registry().gauge("engine.inflight").dec()
         self._inflight.clear()
         self.backend.close()
 

@@ -48,7 +48,7 @@ from repro.engine.remote.protocol import (
     read_message,
     send_message,
 )
-from repro.io.evalcache import open_eval_cache
+from repro.io.evalcache import PersistentEvalCache
 
 log = logging.getLogger(__name__)
 
@@ -211,12 +211,11 @@ class RemoteWorker:
         fingerprint = message["fingerprint"]
         evaluator = load_blob(message["blob"])
         disk = None
-        if evaluator.cache_enabled and evaluator.cache_dir is not None:
+        if evaluator.cache_dir is not None:
             # attach to the shared result substrate: same root + same
             # fingerprint as every other worker and the coordinator
-            disk = open_eval_cache(evaluator.cache_dir,
-                                   evaluator.fingerprint(),
-                                   max_index_entries=evaluator.cache_size)
+            disk = PersistentEvalCache(evaluator.cache_dir,
+                                       fingerprint=evaluator.fingerprint())
         self._evaluators[fingerprint] = evaluator
         self._disk_caches[fingerprint] = disk
         log.info("installed evaluator %s (shared cache: %s)",

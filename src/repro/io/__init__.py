@@ -1,6 +1,6 @@
 """Result persistence: JSON results, CSV summaries, result store, eval cache."""
 
-from repro.io.evalcache import PersistentEvalCache, open_eval_cache
+from repro.io.evalcache import PersistentEvalCache
 from repro.io.serialization import (
     atomic_write_text,
     decode_state_blob,
@@ -22,7 +22,6 @@ from repro.io.store import ResultKey, ResultStore
 
 __all__ = [
     "PersistentEvalCache",
-    "open_eval_cache",
     "atomic_write_text",
     "pipeline_to_dict",
     "pipeline_from_dict",

@@ -5,7 +5,7 @@ time limits) re-evaluates many identical pipelines: repeated searches on the
 same split, Hyperband rungs across runs, and whole experiment grids re-pay
 the Prep+Train cost of every pipeline on every invocation.
 :class:`PersistentEvalCache` is the disk layer below the evaluator's
-in-memory LRU: a sharded JSON-lines append-log under a cache root, keyed by
+in-memory memo: a sharded JSON-lines append-log under a cache root, keyed by
 the evaluator *fingerprint* (dataset split + model + subsample seed) and the
 existing ``(pipeline spec, fidelity)`` memoization key, so a second run with
 the same ``cache_dir`` answers every repeated evaluation from disk.
@@ -28,16 +28,15 @@ Design notes:
   ``<root>/<fingerprint>/``, so one cache root can serve many datasets,
   models and seeds without any risk of cross-contamination — a different
   split or model hashes to a different directory.
-* **Bounded in-memory index.**  Loaded shards are indexed in memory (one
-  small entry of four scalars per key, but the key *tokens* — pipeline
-  spec reprs — dominate).  With ``max_index_entries`` set (the evaluator
-  passes its own ``cache_size``), the index is an LRU of that many
-  entries, so a long-lived cache root holding millions of evaluations
-  cannot grow the parent process without limit.  Eviction never loses
-  data: a lookup that misses the index while its shard has suffered
-  evictions falls back to re-scanning that one shard file (counted as a
-  ``rescan``), and the found entry re-enters the index.  ``None``
-  (default) keeps the historical unbounded behaviour.
+* **Unbounded in-memory index.**  Every entry of a loaded shard stays
+  indexed for the instance's lifetime, so a hit never reads a file.
+  Over 20,000 random ``SearchSpace(max_length=7)`` entries the index
+  held ~0.86 KB of the process per entry (``tracemalloc``; the key token,
+  a pipeline spec repr, dominates) and the append-log ~430 B per entry
+  on disk.  ``repro evalcache prune --keep-fingerprints N`` bounds a
+  cache root: it deletes all but the N most recently used fingerprints
+  and rewrites the kept ones without duplicate or torn lines.  Nothing
+  bounds the live entries of one fingerprint.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from collections import OrderedDict
 from pathlib import Path
 
 from repro.exceptions import ValidationError
@@ -119,45 +117,27 @@ class PersistentEvalCache:
         Hex digest identifying the evaluation context (data split, model,
         subsample seed) — see ``PipelineEvaluator.fingerprint()``.
     n_shards:
-        Number of append-log files the entries are spread over.
-    max_index_entries:
-        Optional bound on the in-memory index (LRU over entries).  An
-        index miss whose shard has evicted entries re-scans that shard
-        file; ``None`` keeps every loaded entry in memory.
+        Number of append-log files the entries are spread over.  A root
+        that already holds a ``meta.json`` keeps its stored count.
+
+    The first lookup or write that hashes into a shard loads all of that
+    shard's entries into the index, where they stay (see the module notes
+    for what that costs).
     """
 
-    def __init__(self, root, *, fingerprint: str, n_shards: int = 16,
-                 max_index_entries: int | None = None) -> None:
+    def __init__(self, root, *, fingerprint: str, n_shards: int = 16) -> None:
         if not fingerprint:
             raise ValidationError("fingerprint must be a non-empty string")
         n_shards = int(n_shards)
         if n_shards < 1:
             raise ValidationError(f"n_shards must be at least 1, got {n_shards}")
-        if max_index_entries is not None:
-            max_index_entries = int(max_index_entries)
-            if max_index_entries < 1:
-                raise ValidationError(
-                    f"max_index_entries must be at least 1, "
-                    f"got {max_index_entries}"
-                )
         self.root = Path(root)
         self.fingerprint = str(fingerprint)
         self.n_shards = n_shards
-        self.max_index_entries = max_index_entries
         self._dir = self.root / self.fingerprint
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
+        #: the index: key token -> entry, for every loaded shard
+        self._entries: dict[str, dict] = {}
         self._loaded_shards: set[int] = set()
-        #: shards that have had index entries evicted since their last full
-        #: read: an index miss there is inconclusive and triggers a rescan
-        self._evicted_shards: set[int] = set()
-        #: per-shard Bloom-style bitsets over every token known to be on
-        #: disk (bounded mode only).  A lookup missing both the index and
-        #: the filter is an authoritative miss — crucial because during an
-        #: active search most lookups are for never-evaluated pipelines,
-        #: and paying a shard-file rescan for each would make misses
-        #: O(shard size) once any eviction happened.  False positives just
-        #: cost one wasted rescan.
-        self._shard_filters: dict[int, bytearray] = {}
         #: monotonic counters, telemetry-backed; the classic attribute
         #: spellings (``cache.hits`` etc.) remain as properties below
         self.metrics = MetricSet(self.COUNTER_NAMES)
@@ -165,22 +145,20 @@ class PersistentEvalCache:
 
     #: the monotonic counters this cache maintains
     COUNTER_NAMES: tuple[str, ...] = (
-        "hits", "misses", "writes", "skipped_lines", "index_evictions",
-        "rescans",
+        "hits", "misses", "writes", "skipped_lines",
     )
 
     hits = metric_property("hits")
     misses = metric_property("misses")
     writes = metric_property("writes")
     skipped_lines = metric_property("skipped_lines")
-    index_evictions = metric_property("index_evictions")
-    rescans = metric_property("rescans")
 
     # ------------------------------------------------------------------ API
     def get(self, key: tuple) -> dict | None:
         """Return the stored entry for ``key``, or ``None``."""
         token = key_token(key)
-        entry = self._lookup(token)
+        self._ensure_shard(self._shard_of(token))
+        entry = self._entries.get(token)
         if entry is None:
             self.misses += 1
             return None
@@ -211,10 +189,7 @@ class PersistentEvalCache:
             if any(name.startswith("_") for name in entry):
                 entry = {name: value for name, value in entry.items()
                          if not name.startswith("_")}
-            # A bounded index may have evicted this token even though the
-            # entry is on disk; the resulting duplicate append is harmless
-            # (last write wins, and compaction removes it).
-            self._remember(token, entry)
+            self._entries[token] = entry
             line = json.dumps({"k": token, "e": entry}, separators=(",", ":"))
             by_shard.setdefault(shard, []).append(line)
             self.writes += 1
@@ -234,11 +209,8 @@ class PersistentEvalCache:
             finally:
                 os.close(descriptor)
 
-    def __contains__(self, key: tuple) -> bool:
-        return self._lookup(key_token(key)) is not None
-
     def __len__(self) -> int:
-        """Number of indexed entries (the *index* size under a bound)."""
+        """Number of live entries (every shard is loaded first)."""
         self.load_all()
         return len(self._entries)
 
@@ -266,9 +238,6 @@ class PersistentEvalCache:
             "writes": self.writes,
             "entries": len(self._entries),
             "skipped_lines": self.skipped_lines,
-            "index_evictions": self.index_evictions,
-            "rescans": self.rescans,
-            "max_index_entries": self.max_index_entries,
             "path": str(self._dir),
         }
 
@@ -296,16 +265,8 @@ class PersistentEvalCache:
             raw, bad = _replay_shard(self._shard_path(shard), live)
             before_lines += raw
             skipped += bad
-        # Compaction needs every live entry at once to rewrite the files (a
-        # transient spike under a bounded index, acceptable for a
-        # maintenance operation); the index is re-trimmed after the rewrite.
-        self._entries = OrderedDict(live)
+        self._entries = live
         self._loaded_shards = set(range(self.n_shards))
-        self._evicted_shards.clear()
-        if self.max_index_entries is not None:
-            self._shard_filters = {}
-            for token in self._entries:
-                self._filter_add(self._shard_of(token), token)
         by_shard: dict[int, list[str]] = {}
         for token, entry in self._entries.items():
             line = json.dumps({"k": token, "e": entry}, separators=(",", ":"))
@@ -318,13 +279,11 @@ class PersistentEvalCache:
                 atomic_write_text(path, "".join(line + "\n" for line in lines))
             elif path.exists():
                 path.unlink()
-        live_entries = len(self._entries)
-        self._trim()
         return {
             "path": str(self._dir),
             "lines_before": before_lines,
-            "entries": live_entries,
-            "lines_removed": before_lines - live_entries,
+            "entries": len(live),
+            "lines_removed": before_lines - len(live),
             "skipped_lines": skipped,
         }
 
@@ -337,13 +296,16 @@ class PersistentEvalCache:
         files and silently miss every stored entry, so the stored value
         wins.  A newer on-disk format version is refused rather than
         misread.  A missing or unreadable meta.json (pre-existing empty
-        dir, torn copy) falls back to the constructor arguments.
+        dir, torn copy, valid JSON that is not an object) falls back to the
+        constructor arguments.
         """
         self._meta_adopted = False
         try:
             meta = json.loads((self._dir / _META_NAME).read_text("utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return  # missing or unreadable: first write re-creates it
+            meta = None
+        if not isinstance(meta, dict):
+            return  # missing, torn or not an object: first put rewrites it
         self._meta_adopted = True
         version = meta.get("format_version")
         if isinstance(version, int) and version > FORMAT_VERSION:
@@ -378,98 +340,8 @@ class PersistentEvalCache:
         if shard in self._loaded_shards:
             return
         self._loaded_shards.add(shard)
-        if self.max_index_entries is None:
-            _, skipped = _replay_shard(self._shard_path(shard), self._entries)
-        else:
-            # Replay into a scratch dict first so the membership filter can
-            # see every on-disk token of this shard before the LRU bound
-            # possibly evicts some of them.
-            scratch: dict[str, dict] = {}
-            _, skipped = _replay_shard(self._shard_path(shard), scratch)
-            for token in scratch:
-                self._filter_add(shard, token)
-            self._entries.update(scratch)
+        _, skipped = _replay_shard(self._shard_path(shard), self._entries)
         self.skipped_lines += skipped
-        self._trim()
-
-    # ------------------------------------------------- bounded-index plumbing
-    #: bits per shard filter (2^20 bits = 128 KiB); with two hash functions
-    #: this stays useful up to a few hundred thousand tokens per shard
-    _FILTER_BITS = 1 << 20
-
-    def _filter_positions(self, token: str) -> tuple[int, int]:
-        data = token.encode("utf-8")
-        return (zlib.crc32(data) % self._FILTER_BITS,
-                zlib.crc32(data, 0x9E3779B9) % self._FILTER_BITS)
-
-    def _filter_add(self, shard: int, token: str) -> None:
-        bits = self._shard_filters.get(shard)
-        if bits is None:
-            bits = self._shard_filters[shard] = bytearray(self._FILTER_BITS // 8)
-        for position in self._filter_positions(token):
-            bits[position >> 3] |= 1 << (position & 7)
-
-    def _filter_contains(self, shard: int, token: str) -> bool:
-        bits = self._shard_filters.get(shard)
-        if bits is None:
-            return False
-        return all(bits[position >> 3] & (1 << (position & 7))
-                   for position in self._filter_positions(token))
-
-    def _lookup(self, token: str) -> dict | None:
-        """Index lookup with the shard-rescan fallback for evicted entries."""
-        shard = self._shard_of(token)
-        self._ensure_shard(shard)
-        entry = self._entries.get(token)
-        if entry is not None:
-            if self.max_index_entries is not None:
-                self._entries.move_to_end(token)
-            return entry
-        if shard not in self._evicted_shards:
-            return None  # the index saw the whole shard: authoritative miss
-        if not self._filter_contains(shard, token):
-            return None  # never written to this shard: no rescan needed
-        entry = self._probe_shard(shard, token)
-        if entry is not None:
-            self._remember(token, entry)
-        return entry
-
-    def _remember(self, token: str, entry: dict) -> None:
-        if self.max_index_entries is not None:
-            self._filter_add(self._shard_of(token), token)
-        self._entries[token] = entry
-        self._entries.move_to_end(token)
-        self._trim()
-
-    def _trim(self) -> None:
-        if self.max_index_entries is None:
-            return
-        while len(self._entries) > self.max_index_entries:
-            evicted_token, _ = self._entries.popitem(last=False)
-            self._evicted_shards.add(self._shard_of(evicted_token))
-            self.index_evictions += 1
-
-    def _probe_shard(self, shard: int, token: str) -> dict | None:
-        """Re-scan one shard file for ``token`` (last valid write wins).
-
-        The escape hatch that makes the bounded index lossless: the entry
-        is still in the append-log even after the index evicted it.  Only
-        the matching line is kept, so the probe costs I/O but no memory.
-        """
-        self.rescans += 1
-        found = None
-        needle = token.encode("utf-8")
-        for line in _shard_lines(self._shard_path(shard)):
-            if needle not in line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
-                continue
-            if isinstance(record, dict) and record.get("k") == token \
-                    and isinstance(record.get("e"), dict):
-                found = record["e"]
-        return found
 
     def __repr__(self) -> str:
         return (
@@ -477,20 +349,6 @@ class PersistentEvalCache:
             f"fingerprint={self.fingerprint[:12]!r}..., "
             f"entries={len(self._entries)})"
         )
-
-
-def open_eval_cache(cache_dir, fingerprint: str, *,
-                    max_index_entries: int | None = None,
-                    ) -> PersistentEvalCache | None:
-    """Build a cache for ``cache_dir`` (``None`` disables persistence).
-
-    ``max_index_entries`` bounds the in-memory index; the evaluator passes
-    its own ``cache_size`` so both memory layers obey one knob.
-    """
-    if cache_dir is None:
-        return None
-    return PersistentEvalCache(cache_dir, fingerprint=fingerprint,
-                               max_index_entries=max_index_entries)
 
 
 # ------------------------------------------------- cache-root maintenance

@@ -53,7 +53,6 @@ class ReducedEvaluator(PipelineEvaluator):
             full_evaluator.X_valid,
             full_evaluator.y_valid,
             full_evaluator.model,
-            cache=full_evaluator.cache_enabled,
             random_state=random_state,
         )
         self.full_evaluator = full_evaluator

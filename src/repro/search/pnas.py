@@ -17,6 +17,8 @@ PLE         LSTM ensemble
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.pipeline import Pipeline
@@ -26,6 +28,21 @@ from repro.search.base import SearchAlgorithm
 from repro.surrogates.base import EnsembleRegressor
 from repro.surrogates.lstm_regressor import LSTMRegressor
 from repro.surrogates.mlp_regressor import MLPRegressor
+
+
+def _build_surrogate(surrogate: str, seed: int, n_blocks: int, member: int):
+    """Surrogate ``member`` of a PNAS model seeded ``seed``.
+
+    Module-level so the :func:`functools.partial` that binds it pickles
+    with the algorithm state into a session checkpoint.
+    """
+    if surrogate == "mlp":
+        return MLPRegressor(hidden_size=24, epochs=60,
+                            random_state=seed + member)
+    model = LSTMRegressor(hidden_size=12, epochs=25,
+                          random_state=seed + member)
+    model.set_encoding_block(n_blocks)
+    return model
 
 
 class ProgressiveNAS(SearchAlgorithm):
@@ -67,14 +84,8 @@ class ProgressiveNAS(SearchAlgorithm):
 
     # ------------------------------------------------------------ internals
     def _make_surrogate(self, space: SearchSpace, seed: int):
-        if self.surrogate == "mlp":
-            factory = lambda k: MLPRegressor(hidden_size=24, epochs=60,
-                                             random_state=seed + k)
-        else:
-            def factory(k):
-                model = LSTMRegressor(hidden_size=12, epochs=25, random_state=seed + k)
-                model.set_encoding_block(space.n_candidates + 1)
-                return model
+        factory = partial(_build_surrogate, self.surrogate, seed,
+                          space.n_candidates + 1)
         if self.ensemble:
             return EnsembleRegressor(factory, n_members=self.n_ensemble,
                                      random_state=seed)

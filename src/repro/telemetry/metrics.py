@@ -4,7 +4,7 @@ Two layers, matching how the library actually counts things:
 
 * :class:`MetricSet` — a small, picklable bag of named scalar counters
   owned by *one instance* (a prefix cache, a persistent eval cache, an
-  evaluator's LRU).  Instance ownership is deliberate: tests and
+  evaluator's memo).  Instance ownership is deliberate: tests and
   ``cache_info()`` reports reason about *this evaluator's* hits, not a
   process-wide aggregate, and a pickled evaluator must carry its counter
   storage into pool workers.  The class exposes plain ``inc``/``get``

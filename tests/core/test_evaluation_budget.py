@@ -102,16 +102,6 @@ class TestPipelineEvaluator:
         second = lr_evaluator.evaluate(pipeline)
         assert first.accuracy == second.accuracy
 
-    def test_cache_can_be_disabled(self, distorted_data):
-        X, y = distorted_data
-        evaluator = PipelineEvaluator.from_dataset(
-            X, y, LogisticRegression(max_iter=30), cache=False, random_state=0
-        )
-        pipeline = Pipeline.from_names(["standard_scaler"])
-        evaluator.evaluate(pipeline)
-        evaluator.evaluate(pipeline)
-        assert evaluator.n_evaluations == 2
-
     def test_low_fidelity_uses_fewer_rows(self, lr_evaluator):
         record = lr_evaluator.evaluate(
             Pipeline.from_names(["standard_scaler"]), fidelity=0.3
@@ -184,38 +174,12 @@ class TestFailureCaching:
         assert record.prep_time >= 0.0
 
 
-class TestBoundedCache:
+class TestMemoCounters:
     def _evaluator(self, distorted_data, **kwargs):
         X, y = distorted_data
         return PipelineEvaluator.from_dataset(
             X, y, LogisticRegression(max_iter=30), random_state=0, **kwargs
         )
-
-    def test_lru_eviction_respects_bound(self, distorted_data):
-        evaluator = self._evaluator(distorted_data, cache_size=3)
-        names = ["standard_scaler", "minmax_scaler", "maxabs_scaler",
-                 "normalizer", "binarizer"]
-        for name in names:
-            evaluator.evaluate(Pipeline.from_names([name]))
-        info = evaluator.cache_info()
-        assert info["size"] == 3
-        assert info["maxsize"] == 3
-        assert info["evictions"] == 2
-
-    def test_lru_keeps_recently_used_entries(self, distorted_data):
-        evaluator = self._evaluator(distorted_data, cache_size=2)
-        a = Pipeline.from_names(["standard_scaler"])
-        b = Pipeline.from_names(["minmax_scaler"])
-        c = Pipeline.from_names(["maxabs_scaler"])
-        evaluator.evaluate(a)
-        evaluator.evaluate(b)
-        evaluator.evaluate(a)  # refresh a: b is now least-recently-used
-        evaluator.evaluate(c)  # evicts b
-        evaluations_before = evaluator.n_evaluations
-        evaluator.evaluate(a)
-        assert evaluator.n_evaluations == evaluations_before  # hit
-        evaluator.evaluate(b)
-        assert evaluator.n_evaluations == evaluations_before + 1  # evicted
 
     def test_hit_miss_counters(self, distorted_data):
         evaluator = self._evaluator(distorted_data)
@@ -228,20 +192,28 @@ class TestBoundedCache:
         assert info["misses"] == 2
         assert info["size"] == 2
 
-    def test_invalid_cache_size_rejected(self, distorted_data):
-        X, y = distorted_data
-        with pytest.raises(ValidationError):
-            PipelineEvaluator.from_dataset(
-                X, y, LogisticRegression(max_iter=30), cache_size=0
-            )
+    def test_memo_keeps_every_entry(self, distorted_data):
+        """The memo never evicts: re-evaluating every pipeline in the
+        order it was first seen (the worst case for any bounded LRU)
+        pays no second evaluation."""
+        evaluator = self._evaluator(distorted_data)
+        pipelines = [Pipeline.from_names([name]) for name in (
+            "standard_scaler", "minmax_scaler", "maxabs_scaler",
+            "normalizer", "binarizer")]
+        first = [evaluator.evaluate(p).accuracy for p in pipelines]
+        again = [evaluator.evaluate(p).accuracy for p in pipelines]
+        assert again == first
+        assert evaluator.n_evaluations == len(pipelines)
+        info = evaluator.cache_info()
+        assert info["size"] == len(pipelines)
+        assert info["hits"] == len(pipelines)
 
 
 class TestDeterministicSubsampling:
     def _evaluator(self, distorted_data, random_state=0):
         X, y = distorted_data
         return PipelineEvaluator.from_dataset(
-            X, y, LogisticRegression(max_iter=30), cache=False,
-            random_state=random_state,
+            X, y, LogisticRegression(max_iter=30), random_state=random_state,
         )
 
     def test_low_fidelity_result_independent_of_evaluation_order(self, distorted_data):

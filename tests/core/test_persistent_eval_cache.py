@@ -130,13 +130,19 @@ class TestPersistentEvaluatorCache:
         other.evaluate(PIPELINES[0])
         assert other.n_evaluations == 1  # nothing reused across fingerprints
 
-    def test_cache_disabled_disables_persistence_too(self, distorted_data,
-                                                     tmp_path):
-        evaluator = _evaluator(distorted_data, tmp_path, cache=False)
-        assert evaluator.disk_cache is None
-        evaluator.evaluate(PIPELINES[0])
-        evaluator.evaluate(PIPELINES[0])
-        assert evaluator.n_evaluations == 2
+    def test_no_cache_dir_means_no_disk_layer(self, distorted_data, tmp_path):
+        X, y = distorted_data
+        plain = PipelineEvaluator.from_dataset(
+            X, y, LogisticRegression(max_iter=30), random_state=0,
+            cache_dir=None)
+        plain.evaluate(PIPELINES[0])
+        assert plain.disk_cache is None
+        info = plain.cache_info()
+        assert info["persistent"] is False
+        assert "disk_hits" not in info
+        assert not (tmp_path / "evalcache").exists()
+        persisted = _evaluator(distorted_data, tmp_path)
+        assert persisted.cache_info()["persistent"] is True
 
     def test_pickling_drops_the_disk_handle(self, distorted_data, tmp_path):
         evaluator = _evaluator(distorted_data, tmp_path)

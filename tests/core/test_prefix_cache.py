@@ -223,11 +223,12 @@ class TestEvaluatorPrefixReuse:
 
     def test_full_pipeline_prefix_hit_skips_all_prep(self, data):
         CountingScaler.fit_calls = 0
-        evaluator = _evaluator(data, cache=False, prefix_cache_bytes=1 << 24)
+        evaluator = _evaluator(data, prefix_cache_bytes=1 << 24)
         pipeline = Pipeline([CountingScaler()])
         first = evaluator.evaluate(pipeline)
+        evaluator._cache.clear()
         second = evaluator.evaluate(pipeline)
-        # The memoization cache is off, so the evaluation re-runs — but the
+        # The memo is cleared, so the evaluation re-runs — but the
         # whole-pipeline prefix entry answers Prep without re-fitting.
         assert CountingScaler.fit_calls == 1
         assert first.accuracy == second.accuracy

@@ -264,6 +264,16 @@ class TestCloseCancelsInflight:
         for item in pending:
             assert item.future.done() or item.future.cancelled()
 
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_close_gives_back_unresolved_slots(self, name):
+        engine = ExecutionEngine(name,
+                                 n_workers=2 if name == "process" else None)
+        start = _inflight_gauge().value
+        engine.submit_task(_make_evaluator(),
+                           _sample_tasks(1, with_duplicate=False)[0])
+        engine.close()
+        assert _inflight_gauge().value == start
+
     def test_close_is_idempotent_and_reusable_check(self):
         engine = ExecutionEngine("process", n_workers=2)
         engine.close()

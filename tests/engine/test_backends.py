@@ -145,6 +145,19 @@ class TestEngineDispatch:
         assert evaluator.cache_info()["misses"] == 1
         assert evaluator.cache_info()["hits"] == 3
 
+    def test_serial_run_evaluates_duplicates_once(self):
+        X, y = make_classification(n_samples=100, n_features=5, class_sep=2.0,
+                                   random_state=1)
+        evaluator = PipelineEvaluator.from_dataset(
+            X, y, LogisticRegression(max_iter=40), random_state=0)
+        pipeline = Pipeline.from_names(["standard_scaler"])
+        engine = ExecutionEngine("serial")
+        records = engine.run(evaluator, [EvalTask(pipeline)] * 3)
+        assert evaluator.n_evaluations == 1
+        assert len({r.accuracy for r in records}) == 1
+        assert evaluator.cache_info()["misses"] == 1
+        assert evaluator.cache_info()["hits"] == 2
+
     def test_cached_tasks_skip_the_backend(self, space):
         X, y = make_classification(n_samples=100, n_features=5, class_sep=2.0,
                                    random_state=1)
@@ -160,16 +173,6 @@ class TestEngineDispatch:
         engine = ExecutionEngine(ExplodingBackend())
         [record] = engine.run(evaluator, [EvalTask(pipeline)])
         assert record.accuracy == first.accuracy
-
-    def test_cache_disabled_runs_every_task(self):
-        X, y = make_classification(n_samples=100, n_features=5, class_sep=2.0,
-                                   random_state=1)
-        evaluator = PipelineEvaluator.from_dataset(
-            X, y, LogisticRegression(max_iter=40), random_state=0, cache=False)
-        pipeline = Pipeline.from_names(["standard_scaler"])
-        engine = ExecutionEngine("serial")
-        engine.run(evaluator, [EvalTask(pipeline)] * 3)
-        assert evaluator.n_evaluations == 3
 
 
 class TestLongestFirstDispatch:

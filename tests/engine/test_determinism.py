@@ -284,6 +284,13 @@ CHECKPOINT_ALGORITHMS = [
     ("smac", {"n_init": 3}),
 ]
 
+#: PME and PLE hold a fitted ensemble surrogate from their eighth trial on
+#: (beam width 3): a stop after it pickles the ensemble's member factory
+SURROGATE_ENSEMBLE_ALGORITHMS = [
+    ("pme", {"beam_width": 3}),
+    ("ple", {"beam_width": 3}),
+]
+
 
 class TestCheckpointResumeDeterminism:
     """An interrupted+resumed session finishes bit-for-bit identical.
@@ -318,17 +325,30 @@ class TestCheckpointResumeDeterminism:
         resumed = SearchSession.resume(path, problem=_make_problem(None))
         return resumed.run()
 
-    @pytest.mark.parametrize("algorithm,kwargs", CHECKPOINT_ALGORITHMS)
-    @pytest.mark.parametrize("driver", ["sync", "async"])
-    def test_interrupted_run_finishes_bit_for_bit_identical(
-            self, algorithm, kwargs, driver, tmp_path):
+    def _assert_resumes_bit_for_bit(self, algorithm, kwargs, driver,
+                                    tmp_path, stop_at):
         resumed = self._interrupt_and_resume(algorithm, kwargs, driver,
-                                             tmp_path, stop_at=5)
+                                             tmp_path, stop_at=stop_at)
         reference = make_search_algorithm(
             algorithm, random_state=0, **kwargs
         ).search(_make_problem(None), max_trials=12, driver=driver)
         assert _trial_set(resumed) == _trial_set(reference)
         assert resumed.best_accuracy == reference.best_accuracy
+
+    @pytest.mark.parametrize("algorithm,kwargs", CHECKPOINT_ALGORITHMS)
+    @pytest.mark.parametrize("driver", ["sync", "async"])
+    def test_interrupted_run_finishes_bit_for_bit_identical(
+            self, algorithm, kwargs, driver, tmp_path):
+        self._assert_resumes_bit_for_bit(algorithm, kwargs, driver,
+                                         tmp_path, stop_at=5)
+
+    @pytest.mark.parametrize("algorithm,kwargs",
+                             SURROGATE_ENSEMBLE_ALGORITHMS)
+    @pytest.mark.parametrize("driver", ["sync", "async"])
+    def test_fitted_surrogate_ensemble_checkpoints(self, algorithm, kwargs,
+                                                   driver, tmp_path):
+        self._assert_resumes_bit_for_bit(algorithm, kwargs, driver,
+                                         tmp_path, stop_at=9)
 
     def test_double_interruption_still_bit_for_bit(self, tmp_path):
         """Checkpoint → kill → resume → checkpoint → kill → resume."""

@@ -365,6 +365,32 @@ class TestInlineChaosRecovery:
         assert second[0].failure_kind is None
         assert second[0].accuracy > 0.0
 
+    @pytest.mark.parametrize("dispatch", ["futures", "run"])
+    def test_duplicate_of_a_failed_evaluation_runs_again(self, dispatch):
+        """A duplicate that aliased its twin in flight resolves as if it
+        were submitted after the twin resolved: the twin's failure entry
+        is never memoized, so the duplicate runs its own evaluation."""
+        evaluator = _make_evaluator()
+        engine = _chaos_engine(
+            SerialBackend(retry_policy=RetryPolicy(max_attempts=1)),
+            "crash@0!",
+        )
+        task, other = _sample_tasks(2)
+        try:
+            if dispatch == "futures":
+                pending = [engine.submit_task(evaluator, task)
+                           for _ in range(2)]
+                records = [engine.resolve_task(evaluator, item)
+                           for item in pending]
+            else:
+                records = engine.run(evaluator, [task, task, other])
+        finally:
+            engine.close()
+        assert [record.failure_kind for record in records] \
+            == [FAILURE_KIND_CRASH, None, None][:len(records)]
+        assert records[1].accuracy \
+            == _make_evaluator().evaluate(task.pipeline).accuracy
+
     def test_same_plan_twice_is_bit_for_bit_identical(self):
         def run_once():
             engine = _chaos_engine(SerialBackend(retry_policy=FAST_RETRY),

@@ -48,7 +48,7 @@ from repro.engine.remote.protocol import (
     send_message,
 )
 from repro.exceptions import ValidationError
-from repro.io.evalcache import open_eval_cache
+from repro.io.evalcache import PersistentEvalCache
 from repro.models.linear import LogisticRegression
 from repro.telemetry.metrics import get_registry
 
@@ -489,8 +489,8 @@ class TestSharedCacheSubstrate:
         # every successful result landed in the persistent substrate,
         # keyed by the evaluator fingerprint all fleet members share
         evaluator = _make_evaluator(cache_dir=tmp_path)
-        disk = open_eval_cache(tmp_path, evaluator.fingerprint(),
-                               max_index_entries=evaluator.cache_size)
+        disk = PersistentEvalCache(tmp_path,
+                                   fingerprint=evaluator.fingerprint())
         for task in tasks:
             key = evaluator.cache_key(task.pipeline, task.fidelity)
             assert disk.get(key) is not None

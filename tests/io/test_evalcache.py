@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.io.evalcache import PersistentEvalCache, key_token, open_eval_cache
+from repro.io.evalcache import PersistentEvalCache, key_token
 
 FP = "a" * 64  # stand-in fingerprint
 
@@ -135,6 +135,50 @@ class TestPersistentEvalCache:
         assert len(shards) > 1
         assert len(cache) == 40
 
+    def test_a_loaded_shard_answers_misses_without_reading_it(self, tmp_path,
+                                                              monkeypatch):
+        """Probing a pipeline that was never cached — the common case —
+        reads no file once its shard is indexed."""
+        import repro.io.evalcache as evalcache
+
+        cache = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=2)
+        cache.load_all()
+        for index in range(30):
+            cache.put(_key(f"step{index}"), _entry(index / 100.0))
+        reads = []
+        real_shard_lines = evalcache._shard_lines
+        monkeypatch.setattr(evalcache, "_shard_lines",
+                            lambda path: reads.append(path)
+                            or real_shard_lines(path))
+        for index in range(50):
+            assert cache.get(_key(f"never-seen-{index}")) is None
+        assert cache.get(_key("step0")) == _entry(0.0)
+        assert reads == []
+        assert cache.misses == 50 and cache.hits == 1
+
+    def test_compact_writes_every_entry_to_its_own_shard(self, tmp_path):
+        """Lookups read only the shard a key hashes to, so compaction must
+        put each live entry back into that shard."""
+        cache = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=4)
+        for index in range(20):
+            cache.put(_key(f"step{index}"), _entry(index / 100.0))
+        token = key_token(_key("step3"))
+        with cache._shard_path(cache._shard_of(token)).open(
+                "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"k": token, "e": _entry(0.9)}) + "\n")
+        summary = cache.compact()
+        assert summary["entries"] == 20
+        assert summary["lines_removed"] == 1
+        for shard in range(cache.n_shards):
+            for line in cache._shard_path(shard).read_text(
+                    encoding="utf-8").splitlines():
+                assert cache._shard_of(json.loads(line)["k"]) == shard
+        fresh = PersistentEvalCache(tmp_path, fingerprint=FP)
+        for index in range(20):
+            expected = _entry(0.9 if index == 3 else index / 100.0)
+            assert fresh.get(_key(f"step{index}")) == expected
+        assert fresh.misses == 0
+
     def test_meta_file_written_once(self, tmp_path):
         cache = PersistentEvalCache(tmp_path, fingerprint=FP)
         cache.put(_key("a"), _entry(0.5))
@@ -163,8 +207,10 @@ class TestPersistentEvalCache:
         with pytest.raises(ValidationError):
             PersistentEvalCache(tmp_path, fingerprint=FP)
 
-    @pytest.mark.parametrize("garbage", [b"not json{", b"\xff\xfe\x00{"],
-                             ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize(
+        "garbage", [b"not json{", b"\xff\xfe\x00{", b"[]", b"1", b'"x"',
+                    b"null"],
+        ids=["not-json", "not-utf8", "list", "number", "string", "null"])
     def test_corrupt_meta_falls_back_to_arguments(self, tmp_path, garbage):
         (tmp_path / FP).mkdir(parents=True)
         (tmp_path / FP / "meta.json").write_bytes(garbage)
@@ -237,125 +283,6 @@ class TestPersistentEvalCache:
         with pytest.raises(ValidationError):
             prune_cache_root(tmp_path, keep_fingerprints=-1)
 
-    def test_open_eval_cache_none_disables(self, tmp_path):
-        assert open_eval_cache(None, FP) is None
-        cache = open_eval_cache(tmp_path, FP)
-        assert isinstance(cache, PersistentEvalCache)
-
-
-class TestBoundedIndex:
-    """The in-memory index obeys ``max_index_entries`` without losing data.
-
-    Long-lived cache roots hold far more entries than a parent process
-    should index; the bound turns the index into an LRU whose evictions
-    fall back to re-scanning the entry's shard file — every stored entry
-    stays retrievable, only its lookup cost changes.
-    """
-
-    def test_every_entry_retrievable_despite_a_tiny_index(self, tmp_path):
-        writer = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=4)
-        for i in range(60):
-            writer.put(_key(f"step{i}"), _entry(i / 100.0))
-
-        reader = PersistentEvalCache(tmp_path, fingerprint=FP,
-                                     max_index_entries=8)
-        for i in range(60):
-            assert reader.get(_key(f"step{i}")) == _entry(i / 100.0), i
-        assert len(reader._entries) <= 8
-        assert reader.hits == 60
-        assert reader.index_evictions > 0
-        assert reader.rescans > 0
-
-    def test_bound_applies_while_writing_too(self, tmp_path):
-        cache = PersistentEvalCache(tmp_path, fingerprint=FP,
-                                    max_index_entries=5)
-        for i in range(40):
-            cache.put(_key(f"step{i}"), _entry(i / 100.0))
-        assert len(cache._entries) <= 5
-        # Old and new entries both answer (old ones via shard rescans).
-        assert cache.get(_key("step0")) == _entry(0.0)
-        assert cache.get(_key("step39")) == _entry(0.39)
-
-    def test_unevicted_shards_answer_misses_without_rescanning(self, tmp_path):
-        cache = PersistentEvalCache(tmp_path, fingerprint=FP,
-                                    max_index_entries=100)
-        cache.put(_key("present"), _entry(0.5))
-        assert cache.get(_key("absent")) is None
-        assert cache.rescans == 0  # no eviction ever happened: miss is final
-
-    def test_rescan_finds_the_last_write_and_tolerates_garbage(self, tmp_path):
-        cache = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=1,
-                                    max_index_entries=2)
-        cache.put(_key("target"), _entry(0.1))
-        # Supersede on disk (duplicate append) and interleave torn lines.
-        shard = cache._shard_path(0)
-        with shard.open("a", encoding="utf-8") as handle:
-            handle.write("{\"k\": \"gar\n")
-            handle.write(json.dumps(
-                {"k": key_token(_key("target")), "e": _entry(0.8)}) + "\n")
-        # Evict "target" from the index by touching other keys.
-        cache.put(_key("filler1"), _entry(0.2))
-        cache.put(_key("filler2"), _entry(0.3))
-        cache.put(_key("filler3"), _entry(0.4))
-        assert cache.get(_key("target")) == _entry(0.8)
-
-    def test_compact_respects_the_bound_afterwards(self, tmp_path):
-        cache = PersistentEvalCache(tmp_path, fingerprint=FP,
-                                    max_index_entries=4)
-        for i in range(20):
-            cache.put(_key(f"step{i}"), _entry(i / 100.0))
-        summary = cache.compact()
-        assert summary["entries"] == 20  # compaction saw every live entry
-        assert len(cache._entries) <= 4  # the index re-trimmed afterwards
-        fresh = PersistentEvalCache(tmp_path, fingerprint=FP)
-        fresh.load_all()
-        assert len(fresh) == 20  # nothing was lost on disk
-
-    def test_validation_and_info(self, tmp_path):
-        with pytest.raises(ValidationError):
-            PersistentEvalCache(tmp_path, fingerprint=FP, max_index_entries=0)
-        cache = open_eval_cache(tmp_path, FP, max_index_entries=7)
-        info = cache.info()
-        assert info["max_index_entries"] == 7
-        assert info["index_evictions"] == 0 and info["rescans"] == 0
-
-    def test_evaluator_cache_size_bounds_the_disk_index(self, tmp_path):
-        """The evaluator threads its own LRU bound down to the disk index."""
-        import numpy as np
-
-        from repro.core.evaluation import PipelineEvaluator
-        from repro.models.linear import LogisticRegression
-
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(60, 4))
-        y = (X[:, 0] > 0).astype(int)
-        evaluator = PipelineEvaluator.from_dataset(
-            X, y, LogisticRegression(max_iter=25), random_state=0,
-            cache_dir=tmp_path, cache_size=3,
-        )
-        assert evaluator.disk_cache.max_index_entries == 3
-        unbounded = PipelineEvaluator.from_dataset(
-            X, y, LogisticRegression(max_iter=25), random_state=0,
-            cache_dir=tmp_path,
-        )
-        assert unbounded.disk_cache.max_index_entries is None
-
-    def test_unknown_keys_never_pay_a_rescan_even_after_evictions(self, tmp_path):
-        """The per-shard membership filter keeps the common case — probing
-        a pipeline that was never cached — O(1) under a bounded index."""
-        cache = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=2,
-                                    max_index_entries=3)
-        for i in range(30):
-            cache.put(_key(f"step{i}"), _entry(i / 100.0))
-        assert cache.index_evictions > 0
-        before = cache.rescans
-        for i in range(50):
-            assert cache.get(_key(f"never-seen-{i}")) is None
-        assert cache.rescans == before  # authoritative misses, no file reads
-        # Evicted-but-real keys still resolve (via a rescan).
-        assert cache.get(_key("step0")) == _entry(0.0)
-        assert cache.rescans > before
-
 
 #: what a torn append, a foreign writer or a bad disk can leave in a shard:
 #: any bytes at all, up to the newline that ends them
@@ -363,14 +290,11 @@ _garbage_lines = st.lists(st.binary(max_size=24).map(lambda data: data + b"\n"),
                           max_size=3)
 
 
-@given(garbage=st.lists(_garbage_lines, min_size=4, max_size=4),
-       bounded=st.booleans())
+@given(garbage=st.lists(_garbage_lines, min_size=4, max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_replay_keeps_every_valid_line_whatever_bytes_surround_it(garbage,
-                                                                  bounded):
+def test_replay_keeps_every_valid_line_whatever_bytes_surround_it(garbage):
     """Valid entries load, and ``get`` never raises, whatever byte lines
-    are inserted between and after them; a bounded index also reaches
-    evicted entries through a shard rescan."""
+    are inserted between and after them."""
     keys = [_key(name) for name in ("a", "b", "c", "d")]
     with tempfile.TemporaryDirectory() as root:
         writer = PersistentEvalCache(root, fingerprint=FP, n_shards=1)
@@ -380,8 +304,7 @@ def test_replay_keeps_every_valid_line_whatever_bytes_surround_it(garbage,
         lines = shard.read_bytes().splitlines(keepends=True)
         shard.write_bytes(b"".join(line + b"".join(extra)
                                    for line, extra in zip(lines, garbage)))
-        reader = PersistentEvalCache(root, fingerprint=FP, n_shards=1,
-                                     max_index_entries=1 if bounded else None)
+        reader = PersistentEvalCache(root, fingerprint=FP, n_shards=1)
         for index, key in enumerate(keys):
             assert reader.get(key) == _entry(index / 10)
         assert reader.get(_key("never-written")) is None
