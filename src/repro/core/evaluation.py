@@ -502,17 +502,6 @@ class PipelineEvaluator:
             })
         return info
 
-    def clear_cache(self) -> None:
-        """Drop the in-memory caches (counters accumulate; disk entries stay).
-
-        Clears both the memo and, when enabled, the
-        prefix-transform cache — releasing its byte budget — so subsequent
-        evaluations are genuinely cold.
-        """
-        self._cache.clear()
-        if self._prefix_cache is not None:
-            self._prefix_cache.clear()
-
     # ------------------------------------------------------------ internals
     def _evaluate_uncached(self, pipeline: Pipeline, fidelity: float) -> dict:
         """Run one evaluation and return its cache entry.

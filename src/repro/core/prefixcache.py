@@ -223,12 +223,6 @@ class PrefixTransformCache:
                             failed=True, nbytes=0)
         self._insert((prefix_spec, round(fidelity, 6), token), entry)
 
-    def clear(self) -> None:
-        """Drop every entry (counters accumulate)."""
-        with self._lock:
-            self._entries.clear()
-            self.bytes_held = 0
-
     #: the monotonic counters that are meaningful to merge across processes
     #: (gauges like ``bytes_held``/``entries`` describe one address space
     #: and are deliberately excluded)

@@ -219,17 +219,6 @@ class PersistentEvalCache:
         for shard in range(self.n_shards):
             self._ensure_shard(shard)
 
-    def refresh(self) -> None:
-        """Re-read every previously loaded shard, picking up other writers.
-
-        Lazy loading reads each shard once; entries appended afterwards by
-        concurrent processes become visible only after a refresh.
-        """
-        shards = list(self._loaded_shards)
-        self._loaded_shards.clear()
-        for shard in shards:
-            self._ensure_shard(shard)
-
     def info(self) -> dict:
         """Counters for cache reports and the warm-run assertions."""
         return {

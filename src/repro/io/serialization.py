@@ -248,6 +248,7 @@ SESSION_CHECKPOINT_KIND = "search-session-checkpoint"
 #: the sections ``SearchSession.resume`` reads, with their JSON types
 #: (dotted names are nested)
 _CHECKPOINT_SECTIONS = (
+    ("algorithm", str),
     ("context", dict),
     ("problem", dict),
     ("session_id", str),

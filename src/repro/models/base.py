@@ -10,6 +10,7 @@ trained on the preprocessed data.  Every classifier implements
 from __future__ import annotations
 
 import copy
+import math
 from typing import Any
 
 import numpy as np
@@ -101,11 +102,72 @@ class Classifier:
         return f"{type(self).__name__}({params})"
 
 
+def _by_columns(values: np.ndarray) -> bool:
+    """Whether :func:`softmax` and :func:`row_sum` take ``values`` by columns.
+
+    Only 2-D float arrays of 2-7 columns can: NumPy sums fewer than 8
+    values one after another, starting from +0, so adding the columns in
+    order gives the bytes of ``sum(axis=-1)``; from 8 values on, its
+    pairwise summation splits a row into blocks and only the reduction
+    gives its bytes.  (Integer and boolean sums take other dtypes.)  And
+    it pays only from 32 rows per column after the first: a reduction over
+    a short last axis costs about 0.1 us per row, each column a few ufunc
+    calls, and the two broke even near that ratio for 2-7 columns (2-core
+    x86 host, NumPy 2.4).
+    """
+    if values.ndim != 2 or values.dtype.kind != "f":
+        return False
+    rows, width = values.shape
+    return 2 <= width <= 7 and rows >= 32 * (width - 1)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
+    """Numerically stable softmax over the last axis.
+
+    Where :func:`_by_columns` allows, it takes a running maximum over the
+    columns, one ``exp`` per column, adds the columns in order and divides
+    each column by that sum.  The bytes equal the reduction form's: ``max``
+    is exact in any order, and the sum is sequential up to 7 columns (from
+    8 values on, NumPy's pairwise sum splits a row into blocks, so wider
+    logits keep the reduction).  Logits holding a NaN take the reduction
+    form, because NumPy's ``max`` returns its own canonical NaN for a row
+    that starts with a NaN, where a running maximum keeps that NaN's sign
+    and payload.  The reduction form is also the oracle in
+    ``tests/models/test_softmax.py``.
+    """
+    if _by_columns(logits):
+        columns = [logits[:, j] for j in range(logits.shape[1])]
+        peak = np.maximum(columns[0], columns[1])
+        for column in columns[2:]:
+            peak = np.maximum(peak, column)
+        if not math.isnan(np.add.reduce(peak)):
+            exps = [np.exp(column - peak) for column in columns]
+            total = exps[0] + exps[1]
+            for exp in exps[2:]:
+                total += exp
+            probabilities = np.empty(logits.shape, dtype=total.dtype)
+            for j, exp in enumerate(exps):
+                np.divide(exp, total, out=probabilities[:, j])
+            return probabilities
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def row_sum(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=-1)``, byte for byte.
+
+    Where :func:`_by_columns` allows, the columns are added in order; the
+    final ``+ 0.0`` turns a row of negative zeros into +0, as the
+    reduction's +0 start does.
+    """
+    if not _by_columns(values):
+        return values.sum(axis=-1)
+    total = values[:, 0] + values[:, 1]
+    for j in range(2, values.shape[1]):
+        total += values[:, j]
+    total += 0.0
+    return total
 
 
 def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import Classifier, one_hot
+from repro.models.base import Classifier, one_hot, softmax
 from repro.utils.validation import check_is_fitted
 
 
@@ -93,9 +93,7 @@ class GaussianNB(Classifier):
                 axis=1,
             )
             log_probs[:, label] = log_likelihood + np.log(self.priors_[label] + 1e-12)
-        shifted = log_probs - log_probs.max(axis=1, keepdims=True)
-        probabilities = np.exp(shifted)
-        return probabilities / probabilities.sum(axis=1, keepdims=True)
+        return softmax(log_probs)
 
 
 class MajorityClassClassifier(Classifier):

@@ -14,14 +14,9 @@ import numpy as np
 
 from repro.core.result import TrialRecord
 from repro.core.search_space import SearchSpace
+from repro.models.base import softmax
 from repro.search.base import SearchAlgorithm
 from repro.surrogates.lstm_regressor import LSTMCell
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
 
 
 class ENAS(SearchAlgorithm):
@@ -96,7 +91,7 @@ class ENAS(SearchAlgorithm):
                 # Force at least one preprocessor by masking STOP at step 0.
                 logits = logits.copy()
                 logits[-1] = -1e9
-            probs = _softmax(logits)
+            probs = softmax(logits)
             action = int(rng.choice(self._n_actions, p=probs))
             steps.append((token, cache, h.copy(), probs, action))
             if action == self._n_candidates:  # STOP

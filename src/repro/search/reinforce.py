@@ -14,13 +14,8 @@ import numpy as np
 from repro.core.pipeline import Pipeline
 from repro.core.result import TrialRecord
 from repro.core.search_space import SearchSpace
+from repro.models.base import softmax
 from repro.search.base import SearchAlgorithm
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
 
 
 class Reinforce(SearchAlgorithm):
@@ -61,11 +56,11 @@ class Reinforce(SearchAlgorithm):
         self._last_choice: tuple[int, list[int]] | None = None
 
     def _propose(self, space: SearchSpace, rng: np.random.Generator, trials):
-        length_probs = _softmax(self._length_logits)
+        length_probs = softmax(self._length_logits)
         length = int(rng.choice(space.max_length, p=length_probs)) + 1
         indices = []
         for position in range(length):
-            probs = _softmax(self._position_logits[position])
+            probs = softmax(self._position_logits[position])
             indices.append(int(rng.choice(space.n_candidates, p=probs)))
         self._last_choice = (length, indices)
         return [space.pipeline_from_indices(indices)]
@@ -84,7 +79,7 @@ class Reinforce(SearchAlgorithm):
 
         length, indices = self._last_choice
         # Length head update.
-        length_probs = _softmax(self._length_logits)
+        length_probs = softmax(self._length_logits)
         grad_length = -length_probs
         grad_length[length - 1] += 1.0
         entropy_grad = -(np.log(length_probs + 1e-12) + 1.0) * length_probs
@@ -94,7 +89,7 @@ class Reinforce(SearchAlgorithm):
 
         # Per-position head updates (only for the positions actually used).
         for position, candidate in enumerate(indices):
-            probs = _softmax(self._position_logits[position])
+            probs = softmax(self._position_logits[position])
             grad = -probs
             grad[candidate] += 1.0
             entropy_grad = -(np.log(probs + 1e-12) + 1.0) * probs
@@ -107,8 +102,8 @@ class Reinforce(SearchAlgorithm):
     def policy_probabilities(self) -> dict:
         """Return the current length and per-position probabilities (for tests)."""
         return {
-            "length": _softmax(self._length_logits),
+            "length": softmax(self._length_logits),
             "positions": np.stack([
-                _softmax(row) for row in self._position_logits
+                softmax(row) for row in self._position_logits
             ]),
         }

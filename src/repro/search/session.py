@@ -41,9 +41,12 @@ the trust model.  Checkpoints can also live inside a
 from __future__ import annotations
 
 import json
+import pickle
 import time
 import uuid
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.budget import Budget, TrialBudget
 from repro.core.context import ExecutionContext
@@ -59,6 +62,7 @@ from repro.io.serialization import (
     trial_to_dict,
 )
 from repro.search.async_driver import AsyncSearchDriver, fresh_loop_state
+from repro.search.base import SearchAlgorithm
 from repro.telemetry import heartbeat_file_name
 from repro.telemetry.metrics import MetricsSnapshot, get_registry
 from repro.telemetry.tracing import make_tracer
@@ -271,7 +275,10 @@ class SearchSession:
         the checkpoint, so a run can never silently continue against
         different data, model or seed.  The restored session's
         :meth:`run` continues bit-for-bit identically to a run that was
-        never interrupted.
+        never interrupted.  A state blob whose ``algorithm`` is not the
+        document's search algorithm, whose ``rng`` is not a numpy
+        ``Generator`` or whose ``loop`` is neither None nor loop state
+        raises :class:`ValidationError` naming that entry.
         """
         document = load_session_checkpoint(path)
         stored_context = ExecutionContext.from_dict(document["context"])
@@ -283,7 +290,24 @@ class SearchSession:
             raise ValidationError(
                 "checkpoint state blob lacks the algorithm, RNG or loop state"
             )
-        algorithm = blob["algorithm"]
+        algorithm, rng, loop = blob["algorithm"], blob["rng"], blob["loop"]
+        if not isinstance(algorithm, SearchAlgorithm) \
+                or algorithm.name != document["algorithm"]:
+            raise ValidationError(
+                "checkpoint state blob's 'algorithm' entry is not the "
+                f"document's {document['algorithm']!r} search algorithm"
+            )
+        if not isinstance(rng, np.random.Generator):
+            raise ValidationError(
+                "checkpoint state blob's 'rng' entry is not a numpy Generator"
+            )
+        if loop is not None and not (
+                isinstance(loop, dict)
+                and type(loop.get("iteration")) is int):
+            raise ValidationError(
+                "checkpoint state blob's 'loop' entry is neither None nor "
+                "loop state with an int 'iteration'"
+            )
         problem_info = document["problem"]
         if problem is None:
             provenance = problem_info.get("provenance")
@@ -316,10 +340,10 @@ class SearchSession:
         budget = TrialBudget(document["budget"]["max_trials"])
         budget.used = float(document["budget"]["used"])
         session._budget = budget
-        session._rng = blob["rng"]
-        session._state = blob["loop"]
-        if session._state is not None:
-            session._iteration = int(session._state["iteration"])
+        session._rng = rng
+        session._state = loop
+        if loop is not None:
+            session._iteration = loop["iteration"]
         for entry in document["trials"]:
             session.result.add(trial_from_dict(entry))
         session.result.baseline_accuracy = document.get("baseline_accuracy")
@@ -467,6 +491,25 @@ class SearchSession:
     def _write_checkpoint(self, path, state: dict | None) -> Path:
         budget = self._budget
         self._check_checkpointable(budget)
+        # The RNG rides in the SAME pickle as the algorithm: some
+        # algorithms capture the session generator in _setup (Anneal's
+        # acceptance draws interleave with the propose draws on one
+        # stream), and pickling them together preserves that object
+        # identity — two separate restores would fork the stream and
+        # break bit-for-bit resume.  The loop state holds the queued
+        # tasks and deferred proposals, which are pipelines too.  State
+        # that will not pickle fails here, before the file is touched.
+        try:
+            state_blob = encode_state_blob({
+                "algorithm": self.algorithm,
+                "rng": self._rng,
+                "loop": state,
+            })
+        except (pickle.PicklingError, AttributeError, TypeError) as error:
+            raise ValidationError(
+                f"cannot checkpoint: the state of the {self.algorithm.name!r} "
+                f"search algorithm does not pickle ({error})"
+            ) from error
         problem = self.problem
         document = {
             "algorithm": self.algorithm.name,
@@ -481,18 +524,7 @@ class SearchSession:
             "budget": {"max_trials": budget.max_trials, "used": budget.used},
             "baseline_accuracy": self.result.baseline_accuracy,
             "trials": [trial_to_dict(trial) for trial in self.result.trials],
-            # The RNG rides in the SAME pickle as the algorithm: some
-            # algorithms capture the session generator in _setup (Anneal's
-            # acceptance draws interleave with the propose draws on one
-            # stream), and pickling them together preserves that object
-            # identity — two separate restores would fork the stream and
-            # break bit-for-bit resume.  The loop state holds the queued
-            # tasks and deferred proposals, which are pipelines too.
-            "state_blob": encode_state_blob({
-                "algorithm": self.algorithm,
-                "rng": self._rng,
-                "loop": state,
-            }),
+            "state_blob": state_blob,
         }
         path = Path(path)
         save_session_checkpoint(document, path)

@@ -118,15 +118,6 @@ class TestPersistentEvalCache:
         fresh = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=1)
         assert fresh.get(_key("a")) == _entry(0.8)
 
-    def test_refresh_picks_up_concurrent_writers(self, tmp_path):
-        reader = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=1)
-        assert reader.get(_key("a")) is None  # loads the (empty) shard
-        writer = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=1)
-        writer.put(_key("a"), _entry(0.5))
-        assert reader.get(_key("a")) is None  # lazy load happened already
-        reader.refresh()
-        assert reader.get(_key("a")) == _entry(0.5)
-
     def test_entries_spread_over_shards(self, tmp_path):
         cache = PersistentEvalCache(tmp_path, fingerprint=FP, n_shards=4)
         for index in range(40):

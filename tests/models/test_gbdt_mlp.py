@@ -1,9 +1,12 @@
 """Tests for the gradient-boosting (XGB stand-in) and MLP classifiers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.models import GradientBoostingClassifier, MLPClassifier
+from repro.datasets.synthetic import make_classification
+from repro.models import FAST_MODEL_PARAMS, GradientBoostingClassifier, MLPClassifier
 from repro.preprocessing import StandardScaler
 
 
@@ -102,3 +105,25 @@ class TestMLPClassifier:
         clone = model.clone()
         assert clone.hidden_layer_sizes == (8, 4)
         assert clone.alpha == 1e-3
+
+
+def _golden_mlp_data(n_classes):
+    X, y = make_classification(n_samples=400, n_features=8, n_classes=n_classes,
+                               random_state=20241019 + n_classes)
+    return X[:300], y[:300], X[300:]
+
+
+# Digest of predict_proba on the binary and the 4-class data, at the
+# default and at the fast parameters, taken when every softmax still
+# reduced over the class axis.
+GOLDEN_MLP = "2f0386b1e14752a46eedc6e6d751491f2db30bde99b2cde6d8a3736eb3c27d60"
+
+
+def test_golden_mlp_predict_proba_digest():
+    digest = hashlib.sha256()
+    for n_classes in (2, 4):
+        X, y, X_test = _golden_mlp_data(n_classes)
+        for params in ({}, FAST_MODEL_PARAMS["mlp"]):
+            model = MLPClassifier(**params).fit(X, y)
+            digest.update(model.predict_proba(X_test).tobytes())
+    assert digest.hexdigest() == GOLDEN_MLP
