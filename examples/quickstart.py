@@ -290,9 +290,11 @@ def main() -> None:
     #     heartbeating.  Membership is elastic (workers may join or leave
     #     mid-search), a worker that dies is detected by heartbeat
     #     silence and its in-flight evaluations are resubmitted to
-    #     survivors under the §11 RetryPolicy, and workers pointed at a
-    #     shared --cache-dir deduplicate results across machines through
-    #     the persistent eval cache.  On real machines:
+    #     survivors under the §11 RetryPolicy.  Workers never open the
+    #     persistent eval cache: with --cache-dir the search process is
+    #     its only writer, so workers need no access to that path.  (An
+    #     `experiment` grid never runs on a backend: it fans its cells
+    #     out on a process pool of --n-jobs workers.)  On real machines:
     #       # terminal 1 — the search binds the coordinator:
     #       repro search --dataset heart --backend remote \
     #           --remote-coordinator 0.0.0.0:8643 --max-trials 40

@@ -1,14 +1,17 @@
 """CI smoke for distributed execution: real worker daemons, one killed.
 
 Boots two ``repro worker`` subprocesses against an in-process
-coordinator, runs a small search over the fleet, SIGTERMs one worker
-mid-run, and requires that
+coordinator, runs a small search over the fleet with a temporary
+``cache_dir``, SIGTERMs one worker mid-run, and requires that
 
 * the search still finishes every trial,
 * the coordinator counted the ungraceful death
-  (``engine.worker_heartbeat_misses >= 1``), and
+  (``engine.worker_heartbeat_misses >= 1``),
 * the results are bit-for-bit identical to a serial run of the same
-  search.
+  search, and
+* the eval cache's append-log holds exactly one line per live entry and
+  one entry per evaluation: the coordinator is its only writer, and
+  workers never open it.
 
 Run from the repository root with ``PYTHONPATH=src``::
 
@@ -21,12 +24,15 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
+from repro.core.context import ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import ExecutionEngine, RetryPolicy
 from repro.engine.remote import RemoteBackend
+from repro.io.evalcache import cache_stats
 from repro.search import make_search_algorithm
 from repro.search.session import SearchSession
 from repro.telemetry.metrics import get_registry
@@ -35,12 +41,12 @@ MAX_TRIALS = 16
 KILL_AFTER_TRIALS = 4
 
 
-def make_problem():
+def make_problem(context=None):
     X, y = make_classification(n_samples=140, n_features=8, n_classes=2,
                                class_sep=2.0, random_state=2)
     X = distort_features(X, random_state=2)
     return AutoFPProblem.from_arrays(X, y, model="lr", random_state=0,
-                                     name="remote-smoke/lr")
+                                     name="remote-smoke/lr", context=context)
 
 
 def run_search(problem, on_trial=None):
@@ -51,6 +57,11 @@ def run_search(problem, on_trial=None):
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="remote-smoke-cache-") as cache:
+        return run_smoke(cache)
+
+
+def run_smoke(cache_dir) -> int:
     serial = run_search(make_problem())
     expected = [trial.accuracy for trial in serial.trials]
     print(f"serial       : {len(expected)} trials, "
@@ -85,7 +96,7 @@ def main() -> int:
                 victim.send_signal(signal.SIGTERM)
                 killed.append(victim)
 
-        problem = make_problem()
+        problem = make_problem(ExecutionContext(cache_dir=cache_dir))
         problem.evaluator.set_engine(ExecutionEngine(backend))
         remote = run_search(problem, on_trial=kill_one_worker)
         got = [trial.accuracy for trial in remote.trials]
@@ -111,7 +122,16 @@ def main() -> int:
             print(f"  serial: {expected}")
             print(f"  remote: {got}")
             return 1
-        print("OK           : identical to serial after losing a worker")
+        evaluations = problem.evaluator.n_evaluations
+        [stats] = cache_stats(cache_dir)
+        print(f"eval cache   : {stats['lines']} append-log line(s), "
+              f"{stats['entries']} live entr(ies), {evaluations} "
+              f"evaluation(s)")
+        if not stats["lines"] == stats["entries"] == evaluations:
+            print("FAIL: the eval cache has more than one writer per entry")
+            return 1
+        print("OK           : identical to serial after losing a worker, "
+              "one cache line per evaluation")
         return 0
     finally:
         backend.close()  # sends shutdown: the survivor exits gracefully

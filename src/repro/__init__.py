@@ -11,8 +11,7 @@ The package provides:
   budgets (``repro.core``),
 * the 15 search algorithms of the paper (``repro.search``),
 * a parallel execution engine with pluggable serial / process / remote
-  backends for batch evaluation and experiment-grid fan-out
-  (``repro.engine``),
+  backends for batch evaluation (``repro.engine``),
 * one serializable runtime-configuration object
   (:class:`~repro.core.context.ExecutionContext`) carrying every
   performance knob, and a resumable search-lifecycle facade

@@ -14,7 +14,7 @@ driven without writing Python:
 * ``python -m repro compare`` — run several algorithms on one dataset under
   an equal budget and print their ranking,
 * ``python -m repro experiment`` — run a (dataset x model x algorithm)
-  grid, optionally fanned out across parallel workers,
+  grid, optionally fanned out on a pool of worker processes,
 * ``python -m repro evalcache`` — inspect (``stats``) or prune/compact
   (``prune --keep-fingerprints N``) a persistent evaluation-cache root,
 * ``python -m repro metafeatures`` — print the 40 meta-features of a dataset,
@@ -27,8 +27,9 @@ driven without writing Python:
   emits the machine-readable report CI archives,
 * ``python -m repro worker`` — run one distributed-execution worker
   daemon: it registers with a ``--backend remote`` search's coordinator,
-  leases evaluations, heartbeats, and shares the persistent eval cache
-  (point ``--cache-dir`` at shared storage for cross-machine dedup),
+  leases evaluations, heartbeats and streams results back; it never opens
+  the persistent eval cache, which only the coordinator writes, so it
+  needs no access to the search's ``--cache-dir``,
 * ``python -m repro serve`` — run the search-as-a-service HTTP server
   (:mod:`repro.serve`): concurrent sessions over one shared engine and
   cache root, per-tenant trial quotas, durable per-session checkpoints
@@ -41,10 +42,12 @@ driven without writing Python:
 Runtime configuration resolves into one
 :class:`~repro.core.context.ExecutionContext` per invocation, layered as
 ``REPRO_*`` environment variables < ``--context FILE`` (a JSON document of
-context fields) < explicit flags.  ``search``, ``compare`` and
-``experiment`` accept ``--n-jobs`` and ``--backend`` (serial / process /
-remote) to run evaluation batches or the experiment grid in parallel;
-results are identical for every worker count.  ``search`` and
+context fields) < explicit flags.  ``search`` and ``compare`` accept
+``--n-jobs`` and ``--backend`` (serial / process / remote) to run
+evaluation batches in parallel; ``experiment`` accepts them too, but fans
+its grid out on a process pool of ``--n-jobs`` workers, not on a backend,
+and runs it inline unless the backend resolves to ``process``.  Results
+are identical for every worker count.  ``search`` and
 ``experiment`` additionally accept ``--async`` for completion-driven
 scheduling (the algorithm proposes while earlier evaluations are still in
 flight — pair with ``--algorithm asha``), ``--cache-dir`` to persist every

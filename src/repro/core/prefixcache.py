@@ -38,12 +38,12 @@ least-recently-used entry is evicted once ``bytes_held`` exceeds the
 budget.  Failed prefixes are stored as array-less tombstones (a prefix that
 raised once raises for every extension, so extensions short-circuit without
 re-running Prep); tombstones cost no budget.  All operations take an
-internal lock, so one cache can be shared by the thread backend's workers.
+internal lock, so one cache can be shared by a remote worker's evaluation
+threads.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -52,63 +52,6 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.telemetry.metrics import MetricSet, metric_property
-from repro.utils.log import get_logger
-
-log = get_logger("core.prefixcache")
-
-#: fallback budget when the available-memory probe is unavailable:
-#: 256 MiB, roughly a few thousand laptop-scale split copies
-DEFAULT_PREFIX_CACHE_BYTES = 256 * 1024 * 1024
-
-#: an adaptive budget takes this fraction of available physical memory ...
-ADAPTIVE_MEMORY_FRACTION = 1 / 8
-#: ... clamped to [64 MiB, 2 GiB]: enough to be useful on small boxes
-#: without starving the evaluations the cache exists to speed up
-ADAPTIVE_MIN_BYTES = 64 * 1024 * 1024
-ADAPTIVE_MAX_BYTES = 2 * 1024 * 1024 * 1024
-
-
-def available_memory_bytes() -> int | None:
-    """Available physical memory right now, or ``None`` if unknowable.
-
-    POSIX ``sysconf`` only — no psutil dependency.  ``SC_AVPHYS_PAGES``
-    (pages not in use) underestimates what the OS could reclaim from its
-    page cache, which errs on the safe side for a budget.
-    """
-    try:
-        pages = os.sysconf("SC_AVPHYS_PAGES")
-        page_size = os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return None  # non-POSIX platform or unsupported sysconf name
-    if pages <= 0 or page_size <= 0:
-        return None
-    return int(pages) * int(page_size)
-
-
-def adaptive_prefix_cache_bytes(available: int | None = None) -> int:
-    """Size an unspecified prefix-cache budget from available memory.
-
-    A fixed default is wrong at both ends of the hardware range: 256 MiB
-    thrashes a 64-core box evaluating wide datasets and crowds a 1 GiB
-    container.  Taking :data:`ADAPTIVE_MEMORY_FRACTION` of available
-    memory, clamped to [:data:`ADAPTIVE_MIN_BYTES`,
-    :data:`ADAPTIVE_MAX_BYTES`], scales with the machine; the budget
-    only bounds eviction, so results stay bit-for-bit identical whatever
-    this returns.  ``available=None`` probes the OS; an unanswerable
-    probe falls back to :data:`DEFAULT_PREFIX_CACHE_BYTES`.
-    """
-    if available is None:
-        available = available_memory_bytes()
-    if available is None:
-        log.info("prefix cache: memory probe unavailable, using the "
-                 "%d MiB default", DEFAULT_PREFIX_CACHE_BYTES >> 20)
-        return DEFAULT_PREFIX_CACHE_BYTES
-    budget = int(available * ADAPTIVE_MEMORY_FRACTION)
-    budget = max(ADAPTIVE_MIN_BYTES, min(ADAPTIVE_MAX_BYTES, budget))
-    log.info("prefix cache: adaptive budget %d MiB (%d MiB available)",
-             budget >> 20, int(available) >> 20)
-    return budget
-
 
 @dataclass(frozen=True)
 class PrefixEntry:
@@ -140,14 +83,10 @@ class PrefixTransformCache:
     max_bytes:
         Budget over the stored transformed arrays.  Once exceeded, the
         least-recently-used entries are evicted.  An entry larger than the
-        whole budget is not stored at all.  ``None`` (the default) sizes
-        the budget adaptively from available memory — see
-        :func:`adaptive_prefix_cache_bytes`.
+        whole budget is not stored at all.
     """
 
-    def __init__(self, max_bytes: int | None = None) -> None:
-        if max_bytes is None:
-            max_bytes = adaptive_prefix_cache_bytes()
+    def __init__(self, max_bytes: int) -> None:
         max_bytes = int(max_bytes)
         if max_bytes < 1:
             raise ValidationError(

@@ -3,8 +3,8 @@
 The paper's bottleneck analysis (Section 5.3) shows Auto-FP search is
 evaluation-bound, and most search algorithms produce whole batches of
 independent evaluations (population generations, successive-halving rungs,
-random batches).  This subsystem executes such batches — and whole
-experiment grids — on a pluggable backend:
+random batches).  This subsystem executes such batches on a pluggable
+backend, whose only job is to evaluate:
 
 * :class:`~repro.engine.backends.SerialBackend` — inline execution, the
   deterministic reference;
@@ -12,8 +12,14 @@ experiment grids — on a pluggable backend:
   CPU parallelism;
 * :class:`~repro.engine.remote.RemoteBackend` — a coordinator serving
   registered ``repro worker`` daemons, possibly on other machines, with
-  heartbeat failure detection and the shared persistent eval cache as
-  the cross-machine result substrate.
+  heartbeat failure detection.
+
+Serial, process and remote workers run one work-item body
+(:func:`~repro.engine.faults.run_work_item`), and workers never open the
+persistent eval cache: the engine's :meth:`ExecutionEngine.resolve_task`
+is its only writer on every backend.  Experiment grids are not run on a
+backend; they fan out on a process pool of their own
+(:mod:`repro.experiments.runner`).
 
 All backends preserve task order and the engine merges results back into
 the evaluator's memoization cache, so every backend produces bit-for-bit
@@ -66,7 +72,6 @@ from repro.engine.faults import (
     RetryPolicy,
     TransientEvaluationError,
     WorkerCrashError,
-    classify_failure,
     is_transient,
 )
 from repro.engine.tasks import EvalTask
@@ -97,6 +102,5 @@ __all__ = [
     "EvaluationTimeoutError",
     "FAILURE_KIND_CRASH",
     "FAILURE_KIND_TIMEOUT",
-    "classify_failure",
     "is_transient",
 ]

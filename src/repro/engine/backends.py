@@ -1,12 +1,12 @@
 """Pluggable execution backends: serial and process-pool.
 
-A backend hands out one future per task through ``submit`` (any
-picklable callable, such as an experiment-grid cell),
-``submit_evaluation`` and ``wait_any``.  Every evaluation goes through
-``submit_evaluation``, called by the engine's ``submit_task``, so there is
-one dispatch path.  Results stay bit-for-bit deterministic on every
-backend because the engine submits in a stable order and merges results
-in task order, never by completion order.
+A backend only evaluates.  It hands out one future per evaluation through
+``submit_evaluation``, called by the engine's ``submit_task``, and blocks
+on them through ``wait_any``, so there is one dispatch path.  Results
+stay bit-for-bit deterministic on every backend because the engine
+submits in a stable order and merges results in task order, never by
+completion order.  (An experiment grid fans its cells out on a process
+pool of its own, not on a backend: see :mod:`repro.experiments.runner`.)
 
 The serial backend's futures are lazy: the work runs in the calling thread
 the first time a result is requested, so completions arrive strictly in
@@ -24,7 +24,9 @@ optional ``eval_timeout`` over a three-call transport — submit an item
 (shared or alone), report it lost, expire it — which each backend
 implements: the serial backend inline, the process backend over pools,
 and the remote backend in :mod:`repro.engine.remote.backend` over a
-worker fleet.
+worker fleet.  Wherever it runs, an item goes through one body,
+:func:`~repro.engine.faults.run_work_item`: apply its chaos fault,
+evaluate, check the soft deadline.
 
 The recovering future's attribution rule:
 
@@ -73,17 +75,16 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 from repro.engine.faults import (
+    CRASH_EXIT_CODE,
     FAILURE_KIND_CRASH,
     FAILURE_KIND_TIMEOUT,
     TRANSIENT_ERROR_TYPES,
     EvaluationTimeoutError,
     RetryPolicy,
     WorkerCrashError,
-    apply_fault_in_worker,
-    apply_fault_inline,
     failure_entry,
+    run_work_item,
     strip_fault,
-    unwrap_work_item,
 )
 from repro.exceptions import UnknownComponentError, ValidationError
 from repro.telemetry.metrics import get_registry
@@ -129,7 +130,7 @@ def _kill_pool(pool) -> None:
 
 
 class SerialFuture:
-    """Lazy future returned by :meth:`SerialBackend.submit`.
+    """Lazy future of one inline attempt on the :class:`SerialBackend`.
 
     The wrapped call runs in the consumer's thread the first time
     :meth:`run` (or :meth:`result`) is invoked, never at submission.  A
@@ -195,7 +196,7 @@ class SerialFuture:
 
 
 class ExecutionBackend:
-    """Backend protocol: generic and evaluation futures.
+    """Backend protocol: the transport of evaluation futures.
 
     Parameters
     ----------
@@ -239,14 +240,6 @@ class ExecutionBackend:
         self.last_crash: dict | None = None
 
     # -------------------------------------------------------------- futures
-    def submit(self, fn, item):
-        """Start ``fn(item)`` and return a future for its result.
-
-        With a process backend ``fn`` must be a picklable module-level
-        function.
-        """
-        raise NotImplementedError
-
     def submit_evaluation(self, evaluator, item):
         """Dispatch one ``(pipeline, fidelity)`` evaluation; return a future.
 
@@ -258,25 +251,22 @@ class ExecutionBackend:
     def wait_any(self, futures) -> None:
         """Block until one of ``futures`` is done or a deadline passes.
 
-        Recovering futures are unwrapped to their current attempt and the
-        wait is bounded by the nearest evaluation deadline: when it passes
-        with nothing done, the overdue future reports ``done()`` and
-        resolves to its timeout entry.
+        Waits on each recovering future's current attempt, bounded by the
+        nearest evaluation deadline: when it passes with nothing done, the
+        overdue future reports ``done()`` and resolves to its timeout
+        entry.
         """
         timeout = None
-        inner = []
         for future in futures:
             if future.done():
                 return
-            if isinstance(future, _RecoveringEvalFuture):
-                remaining = future._remaining()
-                if remaining is not None:
-                    timeout = (remaining if timeout is None
-                               else min(timeout, remaining))
-                future = future._inner
-            inner.append(future)
-        if inner:
-            wait(inner, timeout=None if timeout is None else max(0.0, timeout),
+            remaining = future._remaining()
+            if remaining is not None:
+                timeout = (remaining if timeout is None
+                           else min(timeout, remaining))
+        if futures:
+            wait([future._inner for future in futures],
+                 timeout=None if timeout is None else max(0.0, timeout),
                  return_when=FIRST_COMPLETED)
 
     def close(self) -> None:
@@ -284,6 +274,10 @@ class ExecutionBackend:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_workers={self.n_workers})"
+
+
+def _crash_inline() -> None:
+    raise WorkerCrashError("chaos: injected worker crash")
 
 
 class SerialBackend(ExecutionBackend):
@@ -310,9 +304,6 @@ class SerialBackend(ExecutionBackend):
             )
         super().__init__(n_workers=1, **options)
 
-    def submit(self, fn, item) -> SerialFuture:
-        return SerialFuture(fn, item)
-
     def wait_any(self, futures) -> None:
         # Lazy futures never complete on their own: "waiting" means running
         # the current attempt of the earliest-submitted pending one right
@@ -321,35 +312,15 @@ class SerialBackend(ExecutionBackend):
             if future.done():
                 return
         if futures:
-            first = futures[0]
-            if isinstance(first, _RecoveringEvalFuture):
-                first = first._inner
-            first.run()
+            futures[0]._inner.run()
 
     # ---------------------------------------------------------- transport
     def _dispatch(self, evaluator, item, alone: bool):
         """A lazy future over one inline attempt; nothing runs yet."""
-        return None, SerialFuture(partial(self._evaluate_inline, evaluator),
-                                  item)
-
-    def _evaluate_inline(self, evaluator, item) -> dict:
-        """Apply the item's fault, evaluate, then check the deadline.
-
-        The deadline covers fault and evaluation together, and an overrun
-        raises :class:`EvaluationTimeoutError` once the work has returned.
-        """
-        pair, fault = unwrap_work_item(item)
-        start = time.monotonic()
-        if fault is not None:
-            apply_fault_inline(fault)
-        entry = evaluator._evaluate_uncached(*pair)
-        if self.eval_timeout is not None \
-                and time.monotonic() - start > self.eval_timeout:
-            raise EvaluationTimeoutError(
-                f"evaluation exceeded the soft deadline of "
-                f"{self.eval_timeout}s"
-            )
-        return entry
+        return None, SerialFuture(
+            partial(run_work_item, evaluate=evaluator._evaluate_uncached,
+                    crash=_crash_inline, deadline=self.eval_timeout),
+            item)
 
     def _lose(self, evaluator, token) -> None:
         """An inline crash: count it and surface it to ``/healthz``."""
@@ -373,14 +344,19 @@ def _init_evaluation_worker(evaluator) -> None:
     _WORKER_EVALUATOR = evaluator
 
 
+def _crash_pool_worker() -> None:
+    # Bypasses every ``finally``/atexit hook: exactly what an OOM kill or
+    # segfault looks like to the parent (``BrokenProcessPool`` on every
+    # in-flight future of the pool).
+    os._exit(CRASH_EXIT_CODE)
+
+
 def _evaluate_in_worker(item):
-    pair, fault = unwrap_work_item(item)
-    if fault is not None:
-        # Chaos faults are applied *inside* the worker: a "crash" really
-        # kills this process (the parent sees BrokenProcessPool), a
-        # "delay" really hangs it (the parent's watchdog fires).
-        apply_fault_in_worker(fault)
-    return _WORKER_EVALUATOR.evaluate_in_worker(*pair)
+    # A chaos fault is applied *inside* the worker: a "crash" really
+    # kills this process, a "delay" really hangs it (the parent's
+    # watchdog enforces the deadline, so the body checks none).
+    return run_work_item(item, _WORKER_EVALUATOR.evaluate_in_worker,
+                         _crash_pool_worker, None)
 
 
 #: how a lost pool or worker surfaces on an evaluation future: the pool
@@ -557,16 +533,6 @@ class ProcessBackend(ExecutionBackend):
         self._eval_pools: "OrderedDict[str, ProcessPoolExecutor]" = OrderedDict()
         #: one-shot pool -> the future of the one item it runs
         self._private_pools: dict = {}
-        self._submit_pool: ProcessPoolExecutor | None = None
-
-    def submit(self, fn, item):
-        with self._lock:
-            if self._submit_pool is None:
-                self._submit_pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers
-                )
-            pool = self._submit_pool
-        return pool.submit(fn, item)
 
     # --------------------------------------------------- pool bookkeeping
     def _evaluation_pool(self, evaluator) -> ProcessPoolExecutor:
@@ -679,11 +645,8 @@ class ProcessBackend(ExecutionBackend):
             pools = [*self._eval_pools.values(), *self._private_pools]
             self._eval_pools = OrderedDict()
             self._private_pools = {}
-            submit_pool, self._submit_pool = self._submit_pool, None
         for pool in pools:
             pool.shutdown(wait=True, cancel_futures=True)
-        if submit_pool is not None:
-            submit_pool.shutdown(wait=True, cancel_futures=True)
 
 
 #: backends keyed by their registry name; "remote" lives in

@@ -260,9 +260,6 @@ class ChaosBackend(ExecutionBackend):
         return FaultInjection(item, fault)
 
     # ----------------------------------------------------------------- API
-    def submit(self, fn, item):
-        return self.inner.submit(fn, item)
-
     def submit_evaluation(self, evaluator, item):
         return self.inner.submit_evaluation(evaluator, self._wrap(item))
 

@@ -1,4 +1,4 @@
-"""Failure taxonomy, retry policy, and fault-injection primitives.
+"""Failure taxonomy, retry policy, and the worker side of an evaluation.
 
 Fault tolerance is built from three small pieces that the backends
 (:mod:`repro.engine.backends`) compose:
@@ -6,20 +6,18 @@ Fault tolerance is built from three small pieces that the backends
 * a **taxonomy** — :class:`WorkerCrashError` (a pool worker died),
   :class:`TransientEvaluationError` (a retryable infrastructure hiccup)
   and :class:`EvaluationTimeoutError` (a deadline expired) — plus
-  :func:`classify_failure`, which decides whether an error is worth
+  :func:`is_transient`, which decides whether an error is worth
   retrying at all;
 * a :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *seeded* jitter, so recovery never draws from global RNG state
   (RPR001) and never sleeps unboundedly (RPR008);
-* the **injection primitives** the chaos harness
-  (:mod:`repro.engine.chaos`) attaches to work items:
-  :class:`InjectedFault` descriptions wrapped around ``(pipeline,
-  fidelity)`` pairs as :class:`FaultInjection` items, applied either
-  inside a pool worker (:func:`apply_fault_in_worker` — a ``crash``
-  genuinely kills the process) or inline
-  (:func:`apply_fault_inline` — a ``crash`` raises
-  :class:`WorkerCrashError`, which the serial backend's recovering
-  future treats as a lost worker).
+* the **work-item body** :func:`run_work_item`, which the serial backend
+  inline, process-pool workers and remote workers all run: it applies
+  the :class:`InjectedFault` a chaos plan (:mod:`repro.engine.chaos`)
+  wrapped around the ``(pipeline, fidelity)`` pair as a
+  :class:`FaultInjection`, evaluates, and checks the soft deadline.  Each
+  transport passes in only its evaluate call, its crash action and its
+  deadline.
 
 A task lost to infrastructure resolves to a :func:`failure_entry` — a
 normal cache-entry dict with ``failure_kind`` set — so it flows through
@@ -31,7 +29,6 @@ comparable across repeats of the same fault plan.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
@@ -92,11 +89,6 @@ def is_transient(error: BaseException) -> bool:
     if isinstance(error, EvaluationTimeoutError):
         return False
     return isinstance(error, TRANSIENT_ERROR_TYPES)
-
-
-def classify_failure(error: BaseException) -> str:
-    """``"transient"`` (retry may succeed) or ``"permanent"`` (give up)."""
-    return "transient" if is_transient(error) else "permanent"
 
 
 def failure_entry(kind: str) -> dict:
@@ -194,7 +186,7 @@ class RetryPolicy:
 #: *membership* fault — it disconnects a live remote worker instead of
 #: sabotaging the task itself — and is intercepted by the chaos backend
 #: before the work item ships (see ``ChaosBackend._wrap``); it must
-#: never reach the per-task apply functions below.
+#: never reach :func:`run_work_item`.
 CHAOS_FAULT_KINDS = ("crash", "error", "delay", "drop_worker")
 
 
@@ -202,9 +194,9 @@ CHAOS_FAULT_KINDS = ("crash", "error", "delay", "drop_worker")
 class InjectedFault:
     """One planned fault: what goes wrong when its task is evaluated.
 
-    ``crash`` kills the worker process (``os._exit``) under the process
-    backend and raises :class:`WorkerCrashError` inline; ``error``
-    raises :class:`TransientEvaluationError`; ``delay`` sleeps
+    ``crash`` loses the worker (see :func:`run_work_item` for how each
+    transport carries it out); ``error`` raises
+    :class:`TransientEvaluationError`; ``delay`` sleeps
     ``delay`` seconds before evaluating (a hang, from the watchdog's
     point of view).  A fault fires on the task's *first* attempt only,
     unless ``sticky`` — sticky faults follow the task through every
@@ -233,8 +225,8 @@ class InjectedFault:
 class FaultInjection:
     """A work item carrying its planned fault: ``(pair, fault)``.
 
-    Pickled to process-pool workers in place of the bare ``(pipeline,
-    fidelity)`` pair; every evaluation path unwraps it through
+    Shipped to workers in place of the bare ``(pipeline, fidelity)``
+    pair; :func:`run_work_item` unwraps it through
     :func:`unwrap_work_item`.
     """
 
@@ -267,46 +259,39 @@ def strip_fault(item):
     return pair
 
 
-def apply_fault_in_worker(fault: InjectedFault) -> None:
-    """Apply ``fault`` inside a process-pool worker (the real thing).
+def run_work_item(item, evaluate, crash, deadline: float | None) -> dict:
+    """Run one work item; the worker side of every evaluation.
 
-    ``crash`` bypasses every ``finally``/atexit hook — exactly what an
-    OOM kill or segfault looks like to the parent (``BrokenProcessPool``
-    on every in-flight future of the pool).
+    ``evaluate(pipeline, fidelity)`` returns the cache entry.  A planned
+    ``crash`` calls ``crash()``: the serial backend raises
+    :class:`WorkerCrashError` (a loss, recovered like a dead pool), a
+    process-pool worker calls ``os._exit(CRASH_EXIT_CODE)`` and a remote
+    worker exits or drops its socket.  An ``error`` raises
+    :class:`TransientEvaluationError` and a ``delay`` sleeps before
+    evaluating.  ``deadline`` is the soft deadline in seconds, ``None``
+    where the caller enforces one from outside (the process backend's
+    watchdog): it covers fault and evaluation together, and an overrun
+    raises :class:`EvaluationTimeoutError` once the work has returned.
     """
-    if fault.kind == "drop_worker":
-        raise ValidationError(
-            "drop_worker is a membership fault handled by the chaos "
-            "backend before dispatch; it cannot be applied to a task"
+    pair, fault = unwrap_work_item(item)
+    start = time.monotonic()
+    if fault is not None:
+        if fault.kind == "drop_worker":
+            raise ValidationError(
+                "drop_worker is a membership fault handled by the chaos "
+                "backend before dispatch; it cannot be applied to a task"
+            )
+        if fault.kind == "crash":
+            crash()
+        elif fault.kind == "delay":
+            time.sleep(fault.delay)
+        elif fault.kind == "error":
+            raise TransientEvaluationError(
+                "chaos: injected transient evaluation failure"
+            )
+    entry = evaluate(*pair)
+    if deadline is not None and time.monotonic() - start > deadline:
+        raise EvaluationTimeoutError(
+            f"evaluation exceeded the soft deadline of {deadline}s"
         )
-    if fault.kind == "crash":
-        os._exit(CRASH_EXIT_CODE)
-    if fault.kind == "delay":
-        time.sleep(fault.delay)
-    elif fault.kind == "error":
-        raise TransientEvaluationError(
-            "chaos: injected transient evaluation failure"
-        )
-
-
-def apply_fault_inline(fault: InjectedFault) -> None:
-    """Apply ``fault`` in-process (the serial backend).
-
-    A ``crash`` cannot kill anything here — the calling thread *is* the
-    search — so it raises :class:`WorkerCrashError`, which the recovering
-    future handles as a lost worker: the recovery path the process
-    backend takes for real.
-    """
-    if fault.kind == "drop_worker":
-        raise ValidationError(
-            "drop_worker is a membership fault handled by the chaos "
-            "backend before dispatch; it cannot be applied to a task"
-        )
-    if fault.kind == "crash":
-        raise WorkerCrashError("chaos: injected worker crash")
-    if fault.kind == "delay":
-        time.sleep(fault.delay)
-    elif fault.kind == "error":
-        raise TransientEvaluationError(
-            "chaos: injected transient evaluation failure"
-        )
+    return entry

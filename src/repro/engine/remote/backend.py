@@ -29,7 +29,6 @@ reports capacity 1 and submitted tasks simply queue until one registers.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future
 
 from repro.engine.backends import ExecutionBackend, _validate_eval_timeout
 from repro.engine.faults import (
@@ -124,17 +123,6 @@ class RemoteBackend(ExecutionBackend):
         fingerprint = lost_fingerprints[0][:12] if lost_fingerprints else None
         self.last_crash = {"kind": FAILURE_KIND_CRASH, "time": time.time(),
                            "fingerprint": fingerprint}
-
-    # ------------------------------------------------------------- dispatch
-    def submit(self, fn, item) -> Future:
-        # Generic tasks run inline: only *evaluations* are distributed.
-        future: Future = Future()
-        future.set_running_or_notify_cancel()
-        try:
-            future.set_result(fn(item))
-        except BaseException as error:  # parity with Future semantics
-            future.set_exception(error)
-        return future
 
     # ---------------------------------------------------------- transport
     def _dispatch(self, evaluator, item, alone: bool):

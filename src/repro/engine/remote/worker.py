@@ -2,25 +2,23 @@
 
 A :class:`RemoteWorker` connects to a coordinator, registers its core
 count, then serves ``task`` messages on a local thread pool while a
-daemon thread emits heartbeats.  Evaluation mirrors the process
-backend's worker function: unwrap chaos faults, apply them
-(:func:`~repro.engine.faults.apply_fault_in_worker`), then evaluate
-through :meth:`~repro.core.evaluation.PipelineEvaluator.evaluate_in_worker`,
+daemon thread emits heartbeats.  Each task runs the body every backend
+shares, :func:`~repro.engine.faults.run_work_item` (apply the chaos
+fault, evaluate, check the soft deadline), evaluating through
+:meth:`~repro.core.evaluation.PipelineEvaluator.evaluate_in_worker`,
 which attaches the prefix-cache counter delta the coordinator-side
-evaluator absorbs exactly as it does for process pools.
+evaluator absorbs exactly as it does for process pools.  A result or an
+error goes back to the coordinator; a blown soft deadline travels as an
+``EvaluationTimeoutError`` error, which is not transient.
 
-Two behaviours are remote-specific:
+Workers never open the persistent eval cache: the coordinator's engine
+is its only writer, one append per evaluation as on process pools, so a
+worker needs no access to the coordinator's ``cache_dir``.
 
-* **Shared result substrate** — the worker re-opens the evaluator's
-  ``PersistentEvalCache`` (same root, same fingerprint) after
-  unpickling, checks it before evaluating and publishes entries after,
-  so results are deduplicated across every machine that mounts the
-  cache root.
-* **Crash faults** — a chaos ``crash`` fault normally calls
-  ``os._exit`` like a process-pool worker; in-thread loopback workers
-  (tests) set ``crash_mode="disconnect"`` and instead slam the socket
-  shut without a goodbye, which the coordinator observes as the same
-  ungraceful death.
+A chaos ``crash`` fault normally calls ``os._exit`` like a process-pool
+worker; in-thread loopback workers (tests) set
+``crash_mode="disconnect"`` and instead slam the socket shut without a
+goodbye, which the coordinator observes as the same ungraceful death.
 """
 
 from __future__ import annotations
@@ -29,15 +27,13 @@ import logging
 import os
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.faults import (
     CRASH_EXIT_CODE,
     WorkerCrashError,
-    apply_fault_in_worker,
     is_transient,
-    unwrap_work_item,
+    run_work_item,
 )
 from repro.engine.remote.protocol import (
     PROTOCOL_VERSION,
@@ -48,7 +44,6 @@ from repro.engine.remote.protocol import (
     read_message,
     send_message,
 )
-from repro.io.evalcache import PersistentEvalCache
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +83,6 @@ class RemoteWorker:
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
         self._evaluators: dict = {}
-        self._disk_caches: dict = {}
         self._thread = None
 
     # -- lifecycle -------------------------------------------------------
@@ -209,17 +203,8 @@ class RemoteWorker:
 
     def _install_evaluator(self, message: dict) -> None:
         fingerprint = message["fingerprint"]
-        evaluator = load_blob(message["blob"])
-        disk = None
-        if evaluator.cache_dir is not None:
-            # attach to the shared result substrate: same root + same
-            # fingerprint as every other worker and the coordinator
-            disk = PersistentEvalCache(evaluator.cache_dir,
-                                       fingerprint=evaluator.fingerprint())
-        self._evaluators[fingerprint] = evaluator
-        self._disk_caches[fingerprint] = disk
-        log.info("installed evaluator %s (shared cache: %s)",
-                 fingerprint[:12], "yes" if disk is not None else "no")
+        self._evaluators[fingerprint] = load_blob(message["blob"])
+        log.info("installed evaluator %s", fingerprint[:12])
 
     def _run_task(self, message: dict) -> None:
         task_id = message.get("task_id")
@@ -228,23 +213,9 @@ class RemoteWorker:
             if evaluator is None:
                 raise WorkerCrashError(
                     "task arrived before its evaluator snapshot")
-            item = load_blob(message["item"])
-            pair, fault = unwrap_work_item(item)
-            if fault is not None:
-                self._apply_fault(fault)
-            start = time.monotonic()
-            entry = self._evaluate(evaluator, message.get("fingerprint"),
-                                   pair)
-            deadline = message.get("eval_timeout")
-            if deadline is not None and time.monotonic() - start > deadline:
-                # soft deadline, same semantics as the local backends:
-                # the work completed but took too long to count
-                self._send({"type": "error", "task_id": task_id,
-                            "error": "EvaluationTimeoutError",
-                            "message": f"evaluation exceeded soft deadline "
-                                       f"of {deadline}s",
-                            "transient": False})
-                return
+            entry = run_work_item(load_blob(message["item"]),
+                                  evaluator.evaluate_in_worker, self._crash,
+                                  message.get("eval_timeout"))
             self._send({"type": "result", "task_id": task_id,
                         "entry": dump_blob(entry)})
         except Exception as error:  # relayed, never silently dropped
@@ -259,31 +230,14 @@ class RemoteWorker:
                 # heartbeat machinery owns this failure now
                 log.debug("error relay for task %r failed", task_id)
 
-    def _apply_fault(self, fault) -> None:
-        if fault.kind == "crash":
-            if self.crash_mode == "exit":
-                os._exit(CRASH_EXIT_CODE)
-            log.info("chaos: worker %s dropping its connection",
-                     self.worker_id)
-            self._stop.set()
-            _close_quietly(self._sock)
-            raise WorkerCrashError("chaos: worker dropped its connection")
-        apply_fault_in_worker(fault)
-
-    def _evaluate(self, evaluator, fingerprint, pair) -> dict:
-        pipeline, fidelity = pair
-        disk = self._disk_caches.get(fingerprint)
-        key = evaluator.cache_key(pipeline, fidelity)
-        if disk is not None:
-            cached = disk.get(key)
-            if cached is not None:
-                return cached
-        entry = evaluator.evaluate_in_worker(pipeline, fidelity)
-        if disk is not None and entry.get("failure_kind") is None:
-            # The substrate stores results; the put drops the per-run
-            # metrics delta, whose counters belong to whoever evaluated.
-            disk.put(key, entry)
-        return entry
+    def _crash(self) -> None:
+        """A chaos ``crash``: exit, or drop the connection in-thread."""
+        if self.crash_mode == "exit":
+            os._exit(CRASH_EXIT_CODE)
+        log.info("chaos: worker %s dropping its connection", self.worker_id)
+        self._stop.set()
+        _close_quietly(self._sock)
+        raise WorkerCrashError("chaos: worker dropped its connection")
 
 
 def _close_quietly(sock, rfile=None) -> None:

@@ -37,10 +37,12 @@ class ExperimentConfig:
     fast_models:
         Use reduced-capacity downstream models (recommended for laptops).
     context:
-        The run's :class:`~repro.core.context.ExecutionContext`: its
-        ``n_jobs``/``backend`` fan the independent (dataset, model,
-        algorithm, repeat) grid cells out across workers (results are
-        identical for every worker count and backend), ``cache_dir``
+        The run's :class:`~repro.core.context.ExecutionContext`: when
+        it resolves to the process backend, ``n_jobs`` runs the
+        independent (dataset, model, algorithm, repeat) grid cells on a
+        process pool of that many workers, not on an execution backend;
+        any other backend runs them inline (results are identical for
+        every worker count and backend).  ``cache_dir``
         persists every evaluation across runs, ``async_mode`` runs each
         cell's search completion-driven and ``prefix_cache_bytes`` gives
         each cell evaluator a prefix-transform cache.  Defaults to a

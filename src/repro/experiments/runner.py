@@ -8,13 +8,15 @@ per-run :class:`BottleneckReport` objects and the underlying
 
 Every (dataset, model, algorithm, repeat) cell of the grid is independent:
 it loads its own data, builds its own problem and derives its own seed from
-the configuration.  ``run_experiment`` therefore fans the cells out across
-an :class:`~repro.engine.engine.ExecutionEngine` (the context's ``n_jobs``
-workers on a serial/process/remote backend).  Cells are *submitted* as
-individual futures and collected as they complete — no whole-grid barrier —
-with ``cell_callback`` reporting each completed cell in completion order,
-while the results are still merged in grid order: the outcome is
-bit-for-bit identical for every worker count and backend.
+the configuration.  ``run_experiment`` runs the cells inline in grid order,
+or fans them out on a :class:`~concurrent.futures.ProcessPoolExecutor` of
+the context's ``n_jobs`` workers when the context resolves to the process
+backend with more than one worker.  A grid never runs on an execution
+backend: backends only evaluate pipelines.  Pooled cells are collected as
+they complete — no whole-grid barrier — with ``cell_callback`` reporting
+each completed cell in completion order, while the results are still
+merged in grid order: the outcome is bit-for-bit identical for every
+worker count and backend.
 
 Runtime configuration flows through one
 :class:`~repro.core.context.ExecutionContext` (``config.context`` or the
@@ -26,6 +28,7 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +40,7 @@ from repro.core.problem import AutoFPProblem
 from repro.core.result import SearchResult
 from repro.core.search_space import SearchSpace
 from repro.datasets.registry import load_dataset
-from repro.engine import ExecutionEngine
+from repro.engine import default_worker_count
 from repro.experiments.config import ExperimentConfig
 from repro.models.registry import make_classifier
 from repro.search.registry import make_search_algorithm
@@ -108,10 +111,10 @@ def _cell_seed(config: ExperimentConfig, algorithm: str, repeat: int) -> int:
 
 
 #: per-thread memo of (problem, baseline) per (dataset, model) so cells of
-#: the same group share one evaluator — and hence its memoization cache —
-#: exactly like the pre-fan-out serial runner did.  Thread-local because an
-#: evaluator's cache is not safe to mutate from concurrent callers;
-#: process workers each get their own copy of the module state anyway.
+#: the same group share one evaluator — and hence its memoization cache.
+#: Thread-local because an evaluator's cache is not safe to mutate from
+#: concurrent callers (two grids run from two threads); pool workers each
+#: get their own copy of the module state anyway.
 _CELL_PROBLEMS = threading.local()
 _CELL_PROBLEM_MEMO_SIZE = 8
 
@@ -151,7 +154,7 @@ def _cell_problem(config: ExperimentConfig, dataset: str, model: str):
 def _run_cell(cell: tuple) -> tuple:
     """Run one independent (dataset, model, algorithm, repeat) grid cell.
 
-    Module-level so a process backend can pickle it.  Returns
+    Module-level so a process pool can pickle it.  Returns
     ``(baseline, best_accuracy, result-or-None, uncached)``; the full
     search result is only shipped back for the first repeat (the only one
     the outcome retains), keeping inter-process traffic small.
@@ -172,34 +175,49 @@ def _run_cell(cell: tuple) -> tuple:
             (result if repeat == 0 else None), uncached)
 
 
-def _collect_cells(engine: ExecutionEngine, cells, cell_callback=None) -> list:
-    """Submit every grid cell as its own future; collect as they complete.
+def _grid_workers(context: ExecutionContext) -> int:
+    """Processes the grid's cells run on: 1 means inline.
 
-    With no barrier over the grid, a long-running cell cannot hold progress
-    reporting hostage: ``cell_callback(dataset, model, algorithm, repeat,
-    n_done, n_total)`` fires the moment each cell finishes, in completion
-    order.  Outputs still come back in submission (grid) order, so the
-    merge downstream is deterministic.  On the serial backend futures are
-    lazy and complete in submission order — the deterministic reference.
+    ``n_jobs`` when the context resolves to the process backend (-1: one
+    per core), else 1.  An unset ``n_jobs`` means one grid worker even
+    under an explicit ``backend="process"``.
     """
-    backend = engine.backend
-    futures = [backend.submit(_run_cell, cell) for cell in cells]
-    outputs: list = [None] * len(futures)
-    remaining = dict(enumerate(futures))
-    done = 0
-    while remaining:
-        ready = sorted(index for index, future in remaining.items()
-                       if future.done())
-        if not ready:
-            backend.wait_any(list(remaining.values()))
-            continue
-        for index in ready:
-            outputs[index] = remaining.pop(index).result()
-            done += 1
-            if cell_callback is not None:
-                _config, dataset, model, algorithm, repeat = cells[index]
-                cell_callback(dataset, model, algorithm, repeat,
-                              done, len(futures))
+    if context.backend_name() != "process" or context.n_jobs is None:
+        return 1
+    return default_worker_count() if context.n_jobs == -1 else context.n_jobs
+
+
+def _collect_cells(cells, workers: int, cell_callback=None) -> list:
+    """Run every grid cell; return the outputs in grid order.
+
+    One worker runs the cells inline, in grid order.  More run them on a
+    process pool of that many workers with no barrier over the grid, so a
+    long-running cell cannot hold progress reporting hostage:
+    ``cell_callback(dataset, model, algorithm, repeat, n_done, n_total)``
+    fires the moment each cell finishes, in completion order.
+    """
+    outputs: list = [None] * len(cells)
+
+    def collect(index, output, done) -> None:
+        outputs[index] = output
+        if cell_callback is not None:
+            _config, dataset, model, algorithm, repeat = cells[index]
+            cell_callback(dataset, model, algorithm, repeat, done, len(cells))
+
+    if workers <= 1:
+        for index, cell in enumerate(cells):
+            collect(index, _run_cell(cell), index + 1)
+        return outputs
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = {pool.submit(_run_cell, cell): index
+                   for index, cell in enumerate(cells)}
+        for done, future in enumerate(as_completed(futures), 1):
+            collect(futures[future], future.result(), done)
+    finally:
+        # cancel_futures drops the backlog of a grid that raised; wait
+        # reaps every worker process
+        pool.shutdown(wait=True, cancel_futures=True)
     return outputs
 
 
@@ -213,9 +231,9 @@ def run_experiment(config: ExperimentConfig, *, progress_callback=None,
     the scenario stores the mean best accuracy, and only the first repeat's
     search result / bottleneck report is retained.
 
-    The independent grid cells are fanned out across the context's
-    ``n_jobs`` workers on its execution backend (``context=`` overrides
-    ``config.context``); cells are dispatched as individual futures and
+    The independent grid cells run inline, or on a process pool of the
+    context's ``n_jobs`` workers when the context resolves to the process
+    backend (``context=`` overrides ``config.context``); pooled cells are
     collected per completion — ``cell_callback(dataset, model, algorithm,
     repeat, n_done, n_total)`` fires as each cell lands, in completion
     order.  Cell seeds are derived from the configuration and results are
@@ -233,14 +251,6 @@ def run_experiment(config: ExperimentConfig, *, progress_callback=None,
     """
     if context is not None:
         config = replace(config, context=context)
-    # An unset n_jobs means ONE grid worker even under an explicit
-    # parallel backend; only -1 asks for every core.
-    n_jobs = config.context.n_jobs
-    engine = ExecutionEngine(
-        config.context.backend_name(),
-        n_workers=1 if n_jobs is None else (None if n_jobs == -1 else n_jobs),
-    )
-
     cells = [
         (config, dataset, model, algorithm, repeat)
         for dataset in config.datasets
@@ -252,7 +262,8 @@ def run_experiment(config: ExperimentConfig, *, progress_callback=None,
     try:
         cell_outputs = dict(zip(
             ((d, m, a, r) for _, d, m, a, r in cells),
-            _collect_cells(engine, cells, cell_callback),
+            _collect_cells(cells, _grid_workers(config.context),
+                           cell_callback),
         ))
         outcome.uncached_evaluations = sum(
             output[3] for output in cell_outputs.values()
@@ -288,7 +299,6 @@ def run_experiment(config: ExperimentConfig, *, progress_callback=None,
                                           scenario.accuracies[algorithm])
                 outcome.scenarios.append(scenario)
     finally:
-        engine.close()
         # Release this thread's (problem, baseline) memo: the datasets and
         # warm evaluator caches should not outlive the experiment.  Worker
         # processes release theirs when the pool winds down.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.budget import TrialBudget
 from repro.core.problem import AutoFPProblem
 from repro.core.result import SearchResult
 from repro.extensions.param_space import ParameterizedSpace
@@ -93,29 +92,25 @@ class TwoStepSearch:
         self.random_state = random_state
 
     def search(self, problem: AutoFPProblem, *, max_trials: int = 60) -> ExtendedSearchOutcome:
-        """Repeat (sample parameters, short pipeline search) until the budget ends."""
-        rng = check_random_state(self.random_state)
-        merged = SearchResult(algorithm=f"two_step[{self.strategy_name}]")
-        merged.baseline_accuracy = problem.evaluator.baseline_accuracy()
-        budget = TrialBudget(max_trials)
-        n_rounds = 0
+        """Repeat (sample parameters, short pipeline search) until the budget ends.
 
-        while not budget.exhausted():
-            n_rounds += 1
-            configured_space = self.parameter_space.sample_configuration(rng)
-            round_problem = AutoFPProblem(
-                evaluator=problem.evaluator, space=configured_space,
-                name=f"{problem.name}/two-step-round-{n_rounds}",
-            )
-            round_trials = int(min(self.trials_per_round, budget.remaining()))
-            if round_trials < 1:
-                break
-            algorithm = self.algorithm_factory(int(rng.integers(0, 2**31 - 1)))
-            round_result = algorithm.search(round_problem, max_trials=round_trials)
-            merged.extend(round_result.trials)
-            budget.consume(len(round_result.trials))
+        The rounds of an :class:`~repro.extensions.allocation.AllocatedTwoStepSearch`
+        under a :class:`~repro.extensions.allocation.FixedAllocation` of
+        ``trials_per_round``, named after this strategy.
+        """
+        from repro.extensions.allocation import (
+            AllocatedTwoStepSearch,
+            FixedAllocation,
+        )
 
-        return ExtendedSearchOutcome(self.strategy_name, merged, n_rounds=n_rounds)
+        outcome = AllocatedTwoStepSearch(
+            self.algorithm_factory, self.parameter_space,
+            FixedAllocation(self.trials_per_round),
+            random_state=self.random_state,
+        ).search(problem, max_trials=max_trials)
+        outcome.strategy = self.strategy_name
+        outcome.result.algorithm = f"two_step[{self.strategy_name}]"
+        return outcome
 
 
 def compare_one_step_two_step(problem: AutoFPProblem,

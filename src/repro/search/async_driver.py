@@ -379,8 +379,9 @@ class AsyncSearchDriver:
         a no-op.  After a wall-clock interruption (or an error) the admitted
         backlog is cancelled and refunded — ``budget.used`` then reflects
         exactly the work that ran — while evaluations a worker already
-        started are allowed to finish and are observed like
-        any other completion.
+        started are allowed to finish and are observed like any other
+        completion, the control's ``_driver_observed`` included (with no
+        ``capture``, as in :meth:`_pause`).
         """
         algorithm = self.algorithm
         refunded = 0
@@ -396,6 +397,8 @@ class AsyncSearchDriver:
                 record = engine.resolve_task(evaluator, pending)
                 result.add(record)
                 algorithm._observe(record)
+                if control is not None:
+                    control._driver_observed(record, None)
         inflight.clear()
         if refunded:
             # Labelled per session: an unlabelled series would show up in

@@ -41,6 +41,7 @@ the trust model.  Checkpoints can also live inside a
 from __future__ import annotations
 
 import json
+import numbers
 import pickle
 import time
 import uuid
@@ -51,6 +52,7 @@ import numpy as np
 from repro.core.budget import Budget, TrialBudget
 from repro.core.context import ExecutionContext
 from repro.core.result import SearchResult, TrialRecord
+from repro.engine.tasks import EvalTask
 from repro.exceptions import ValidationError
 from repro.io.serialization import (
     atomic_write_text,
@@ -70,6 +72,57 @@ from repro.utils.log import get_logger
 from repro.utils.random import check_random_state
 
 log = get_logger("search.session")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_charged_queue(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, tuple) and len(pair) == 2
+        and isinstance(pair[0], EvalTask) and _is_number(pair[1])
+        for pair in value)
+
+
+def _is_deferred(value) -> bool:
+    return value is None or (
+        isinstance(value, tuple) and len(value) == 3
+        and isinstance(value[0], list) and _is_number(value[1])
+        and type(value[2]) is int)
+
+
+#: every loop-state entry ``fresh_loop_state`` and the driver's capture
+#: write: (name, what it must be, its check)
+_LOOP_STATE_ENTRIES = (
+    ("iteration", "an int", lambda value: type(value) is int),
+    ("stalled", "an int", lambda value: type(value) is int),
+    ("initial_done", "a bool", lambda value: type(value) is bool),
+    ("queue", "a list of (EvalTask, number) pairs", _is_charged_queue),
+    ("deferred", "None or a (list, number, int) triple", _is_deferred),
+)
+
+
+def _check_loop_state(loop) -> None:
+    """Refuse a checkpoint's loop state unless the driver could resume it.
+
+    ``None`` (a session that never ran) passes; anything else must be a
+    dict holding every entry of :data:`_LOOP_STATE_ENTRIES`, so a damaged
+    blob fails here naming the entry, not later inside ``run()``.
+    """
+    if loop is None:
+        return
+    if not isinstance(loop, dict):
+        raise ValidationError(
+            "checkpoint state blob's 'loop' entry is neither None nor a "
+            "dict of loop state"
+        )
+    for name, expected, valid in _LOOP_STATE_ENTRIES:
+        if name not in loop or not valid(loop[name]):
+            raise ValidationError(
+                f"checkpoint state blob's 'loop' entry needs {name!r} to "
+                f"be {expected}"
+            )
 
 
 class SearchSession:
@@ -278,7 +331,8 @@ class SearchSession:
         never interrupted.  A state blob whose ``algorithm`` is not the
         document's search algorithm, whose ``rng`` is not a numpy
         ``Generator`` or whose ``loop`` is neither None nor loop state
-        raises :class:`ValidationError` naming that entry.
+        (see :func:`_check_loop_state`) raises :class:`ValidationError`
+        naming that entry.
         """
         document = load_session_checkpoint(path)
         stored_context = ExecutionContext.from_dict(document["context"])
@@ -301,13 +355,7 @@ class SearchSession:
             raise ValidationError(
                 "checkpoint state blob's 'rng' entry is not a numpy Generator"
             )
-        if loop is not None and not (
-                isinstance(loop, dict)
-                and type(loop.get("iteration")) is int):
-            raise ValidationError(
-                "checkpoint state blob's 'loop' entry is neither None nor "
-                "loop state with an int 'iteration'"
-            )
+        _check_loop_state(loop)
         problem_info = document["problem"]
         if problem is None:
             provenance = problem_info.get("provenance")

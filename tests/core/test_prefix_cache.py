@@ -591,60 +591,8 @@ class TestSanitizeCopyElision:
 
 
 class TestAdaptiveBudget:
-    """``max_bytes=None`` sizes the budget from available memory."""
-
-    def test_fraction_of_available_memory(self):
-        from repro.core.prefixcache import (
-            ADAPTIVE_MEMORY_FRACTION,
-            adaptive_prefix_cache_bytes,
-        )
-        available = 8 * 1024 * 1024 * 1024  # an 8 GiB box
-        expected = int(available * ADAPTIVE_MEMORY_FRACTION)
-        assert adaptive_prefix_cache_bytes(available) == expected
-
-    def test_clamped_at_both_ends(self):
-        from repro.core.prefixcache import (
-            ADAPTIVE_MAX_BYTES,
-            ADAPTIVE_MIN_BYTES,
-            adaptive_prefix_cache_bytes,
-        )
-        # a tiny container must not get a useless sliver of a budget
-        assert adaptive_prefix_cache_bytes(16 * 1024 * 1024) == \
-            ADAPTIVE_MIN_BYTES
-        # a huge box must not hand the cache tens of gigabytes
-        assert adaptive_prefix_cache_bytes(256 * 1024 * 1024 * 1024) == \
-            ADAPTIVE_MAX_BYTES
-
-    def test_unanswerable_probe_falls_back_to_default(self, monkeypatch):
-        import repro.core.prefixcache as prefixcache
-        monkeypatch.setattr(prefixcache, "available_memory_bytes",
-                            lambda: None)
-        assert prefixcache.adaptive_prefix_cache_bytes() == \
-            prefixcache.DEFAULT_PREFIX_CACHE_BYTES
-
-    def test_default_constructor_uses_the_probe(self, monkeypatch):
-        import repro.core.prefixcache as prefixcache
-        monkeypatch.setattr(prefixcache, "available_memory_bytes",
-                            lambda: 8 * 1024 * 1024 * 1024)
-        cache = PrefixTransformCache()
-        assert cache.max_bytes == prefixcache.adaptive_prefix_cache_bytes(
-            8 * 1024 * 1024 * 1024)
-
-    def test_explicit_budget_bypasses_the_probe(self, monkeypatch):
-        import repro.core.prefixcache as prefixcache
-
-        def _boom():
-            raise AssertionError("probe must not run for explicit budgets")
-
-        monkeypatch.setattr(prefixcache, "available_memory_bytes", _boom)
-        assert PrefixTransformCache(max_bytes=1 << 20).max_bytes == 1 << 20
+    """A falsy budget still disables the cache; none is sized for you."""
 
     def test_make_prefix_cache_still_disables_on_falsy(self):
         assert make_prefix_cache(None) is None
         assert make_prefix_cache(0) is None
-
-    def test_real_probe_is_sane_when_available(self):
-        from repro.core.prefixcache import available_memory_bytes
-        probed = available_memory_bytes()
-        if probed is not None:  # non-POSIX platforms may return None
-            assert probed > 0

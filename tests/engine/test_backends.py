@@ -19,10 +19,6 @@ from repro.exceptions import UnknownComponentError, ValidationError
 from repro.models.linear import LogisticRegression
 
 
-def _double(x):
-    return 2 * x
-
-
 @pytest.fixture(scope="module")
 def evaluator():
     X, y = make_classification(n_samples=120, n_features=6, class_sep=2.0,
@@ -61,37 +57,6 @@ class TestBackendRegistry:
 
     def test_minus_one_means_all_cores(self):
         assert ProcessBackend(n_workers=-1).n_workers >= 1
-
-
-class TestBackendSubmit:
-    # Generic tasks need no workers on "remote" (they run inline there),
-    # but the coordinator's listener must be reaped, so every backend is
-    # closed explicitly.
-    @staticmethod
-    def _collect(backend, items):
-        futures = [backend.submit(_double, item) for item in items]
-        while not all(future.done() for future in futures):
-            backend.wait_any([f for f in futures if not f.done()])
-        return [future.result() for future in futures]
-
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_submit_returns_results_in_submission_order(self, name):
-        # serial refuses an explicit parallel worker count (see
-        # TestSerialWorkerValidation); the parallel backends get two.
-        backend = make_backend(name, n_workers=None if name == "serial" else 2)
-        try:
-            assert self._collect(backend, list(range(7))) == \
-                [2 * i for i in range(7)]
-        finally:
-            backend.close()
-
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_submit_empty_batch(self, name):
-        backend = make_backend(name, n_workers=None if name == "serial" else 2)
-        try:
-            assert self._collect(backend, []) == []
-        finally:
-            backend.close()
 
 
 class TestEvalTask:

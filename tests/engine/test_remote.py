@@ -4,10 +4,10 @@ Exercises the wire protocol (address specs, blob/message framing), fleet
 lifecycle (registration, elastic capacity, graceful vs ungraceful
 death), batch equality against the serial backend, the recovery paths
 (in-flight loss to a dropped worker, sticky-fault quarantine, blown
-deadlines, heartbeat-miss detection), and the shared persistent-cache
-result substrate.  The bit-for-bit search-level matrix lives in
-``tests/engine/test_determinism.py``; this file pins the mechanisms that
-matrix relies on.
+deadlines, heartbeat-miss detection), and the coordinator as the one
+writer of the persistent eval cache.  The bit-for-bit search-level
+matrix lives in ``tests/engine/test_determinism.py``; this file pins the
+mechanisms that matrix relies on.
 
 All fleets here are in-process loopback workers
 (:func:`repro.engine.remote.start_loopback`) talking over real TCP
@@ -30,6 +30,11 @@ from repro.core.search_space import SearchSpace
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import ChaosBackend, EvalTask, ExecutionEngine, RetryPolicy
 from repro.engine.backends import make_backend
+from repro.engine.faults import (
+    EvaluationTimeoutError,
+    FaultInjection,
+    InjectedFault,
+)
 from repro.engine.remote import (
     Coordinator,
     RemoteBackend,
@@ -48,7 +53,7 @@ from repro.engine.remote.protocol import (
     send_message,
 )
 from repro.exceptions import ValidationError
-from repro.io.evalcache import PersistentEvalCache
+from repro.io.evalcache import PersistentEvalCache, cache_stats
 from repro.models.linear import LogisticRegression
 from repro.telemetry.metrics import get_registry
 
@@ -433,6 +438,19 @@ class TestRecovery:
         assert entry["accuracy"] == reference[0][2]
         assert _counter("engine.eval_timeouts") == 0
 
+    def test_worker_soft_deadline_covers_the_fault(self):
+        # The worker's clock starts before the chaos fault, as inline: a
+        # delay plus the evaluation past the lease's deadline comes back
+        # as a non-transient EvaluationTimeoutError, not as a result.
+        task = _sample_tasks(1)[0]
+        item = FaultInjection((task.pipeline, task.fidelity),
+                              InjectedFault("delay", delay=0.5))
+        with _Fleet(1) as backend:
+            state = backend._coordinator.submit(_make_evaluator(), item,
+                                                eval_timeout=0.25)
+            error = state.future.exception(timeout=30.0)
+        assert isinstance(error, EvaluationTimeoutError)
+
     def test_abrupt_worker_death_is_counted_and_survivable(self):
         reference = _reference_rows(4)
         backend, workers = start_loopback(2, retry_policy=FAST_RETRY)
@@ -473,34 +491,41 @@ class TestRecovery:
             backend.close()
 
 
-# --------------------------------------------------- shared result substrate
-class TestSharedCacheSubstrate:
-    def test_workers_publish_to_shared_cache(self, tmp_path):
-        tasks = _sample_tasks(3)
+# ------------------------------------------------ one eval-cache writer
+class TestCoordinatorPublishesToSharedCache:
+    def test_coordinator_appends_one_line_per_evaluation(self, tmp_path):
+        # Workers never open the eval cache: the coordinator's engine is
+        # its one writer, so the append-log holds one line per evaluation,
+        # as on process pools.
+        tasks = _sample_tasks(12)
+        evaluator = _make_evaluator(cache_dir=tmp_path)
         backend, workers = start_loopback(2)
         engine = ExecutionEngine(backend)
         try:
-            first = _rows(engine.run(_make_evaluator(cache_dir=tmp_path),
-                                     tasks))
+            first = _rows(engine.run(evaluator, tasks))
         finally:
             engine.close()
             for worker in workers:
                 worker.stop()
-        # every successful result landed in the persistent substrate,
-        # keyed by the evaluator fingerprint all fleet members share
-        evaluator = _make_evaluator(cache_dir=tmp_path)
+        [stats] = cache_stats(tmp_path)
+        assert stats["fingerprint"] == evaluator.fingerprint()
+        assert stats["lines"] == stats["entries"] \
+            == evaluator.n_evaluations == len(tasks)
         disk = PersistentEvalCache(tmp_path,
                                    fingerprint=evaluator.fingerprint())
         for task in tasks:
             key = evaluator.cache_key(task.pipeline, task.fidelity)
             assert disk.get(key) is not None
-        # a second fleet mounting the same root reproduces the rows
+        # a second fleet mounting the same root is answered from disk
+        rerun = _make_evaluator(cache_dir=tmp_path)
         backend, workers = start_loopback(2)
         engine = ExecutionEngine(backend)
         try:
-            second = _rows(engine.run(evaluator, tasks))
+            second = _rows(engine.run(rerun, tasks))
         finally:
             engine.close()
             for worker in workers:
                 worker.stop()
         assert second == first
+        assert rerun.n_evaluations == 0
+        assert cache_stats(tmp_path)[0]["lines"] == len(tasks)

@@ -109,20 +109,23 @@ class TestParallelGrid:
         from repro.experiments import runner as runner_module
 
         seen = {}
-        original = runner_module.ExecutionEngine
+        original = runner_module.ProcessPoolExecutor
 
         class Recording(original):
-            def __init__(self, backend, *, n_workers=None):
-                super().__init__(backend, n_workers=n_workers)
-                seen["n_workers"] = self.n_workers
+            def __init__(self, max_workers=None, **options):
+                super().__init__(max_workers=max_workers, **options)
+                seen["max_workers"] = max_workers
 
-        monkeypatch.setattr(runner_module, "ExecutionEngine", Recording)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", Recording)
         run_experiment(quick_config(
             datasets=("blood",), algorithms=("rs",), max_trials=3,
             dataset_scale=0.5,
             context=ExecutionContext(backend="process"),
         ))
-        assert seen["n_workers"] == 1
+        # no pool: the one grid worker is the calling process
+        assert seen == {}
+        assert runner_module._grid_workers(
+            ExecutionContext(backend="process")) == 1
 
     def test_empty_algorithms_yields_baseline_only_scenarios(self):
         config = quick_config(datasets=("blood",), algorithms=(), max_trials=4,

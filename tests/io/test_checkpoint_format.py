@@ -195,6 +195,9 @@ def _refused_within_bound(path):
     assert time.perf_counter() - started < REFUSAL_SECONDS
 
 
+#: marks a loop-state entry the test deletes instead of retyping
+_MISSING = object()
+
 #: JSON-able values of a type no blob entry may hold; dict keys stay under
 #: 9 characters, so no dict is loop state ("iteration") or a whole blob
 #: ("algorithm")
@@ -263,6 +266,39 @@ class TestHostileStateBlob:
             _refused_within_bound(checkpoint)
 
         check()
+
+    @pytest.mark.parametrize("entry, value", [
+        ("queue", 1),
+        ("queue", [1]),
+        ("queue", [("task", 1.0)]),
+        ("queue", _MISSING),
+        ("deferred", "x"),
+        ("deferred", ([], 0.5)),
+        ("deferred", ("proposals", 0.5, 3)),
+        ("deferred", ([], 0.5, "3")),
+        ("stalled", None),
+        ("stalled", True),
+        ("initial_done", "yes"),
+        ("initial_done", _MISSING),
+    ], ids=["queue-int", "queue-of-ints", "queue-without-tasks",
+            "queue-missing", "deferred-str", "deferred-pair",
+            "deferred-str-proposals", "deferred-str-iteration",
+            "stalled-none", "stalled-bool", "initial_done-str",
+            "initial_done-missing"])
+    def test_loop_entries_of_the_wrong_type_are_refused_by_name(
+            self, checkpoint, entry, value):
+        loop = dict(decode_state_blob(
+            self._document(checkpoint)["state_blob"])["loop"])
+        if value is _MISSING:
+            del loop[entry]
+        else:
+            loop[entry] = value
+        _replace_blob_entry(checkpoint, "loop", loop)
+        started = time.perf_counter()
+        with pytest.raises(ValidationError,
+                           match=f"'loop' entry needs '{entry}'"):
+            SearchSession.resume(checkpoint, problem=_problem())
+        assert time.perf_counter() - started < REFUSAL_SECONDS
 
 
 # ---------------------------------------------------- state that won't pickle

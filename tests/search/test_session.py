@@ -122,6 +122,41 @@ class TestStopAndContinue:
         assert _trials(full) == _trials(reference)
 
 
+class _InterruptedAfterFirstCompletion(TrialBudget):
+    """A trial budget that interrupts the search at its first completion.
+
+    The driver asks ``interrupted()`` only after observing a completion,
+    so every later evaluation still in flight is drained deterministically.
+    """
+
+    def interrupted(self) -> bool:
+        return True
+
+    def can_interrupt(self) -> bool:
+        return True
+
+
+class TestInterruptionDrain:
+    def test_drained_completions_reach_the_session(self):
+        # Two process workers: at the first completion the second
+        # evaluation is already running, so it cannot be refunded and is
+        # drained after the interruption.  Its trial must still reach
+        # on_trial like every other trial.
+        seen = []
+        session = SearchSession(
+            _problem(context=ExecutionContext(n_jobs=2, backend="process")),
+            make_search_algorithm("rs", random_state=0),
+            on_trial=lambda s, record: seen.append(record),
+        )
+        try:
+            result = session.run(
+                budget=_InterruptedAfterFirstCompletion(20), driver="async")
+        finally:
+            session.problem.evaluator.engine.close()
+        assert len(result) == 2
+        assert seen == result.trials
+
+
 class TestCheckpointResume:
     def test_checkpoint_outside_a_run_and_resume(self, tmp_path):
         path = tmp_path / "run.checkpoint"
