@@ -8,7 +8,7 @@ with a final linear layer:
 
 * cross layer ``l``: ``x_{l+1} = x_0 * (x_l . w_l) + b_l + x_l``
   (element-wise product with the per-sample scalar ``x_l . w_l``),
-* deep branch: a :class:`~repro.deep._dense.DenseStack`,
+* deep branch: a :class:`~repro.models.nn.DenseStack`,
 * output: ``softmax([x_L, deep(x_0)] @ W_out + b_out)``.
 
 As with :class:`~repro.deep.deepfm.DeepFMClassifier` the model consumes the
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.deep._dense import AdamOptimizer, DenseStack, iterate_minibatches
 from repro.models.base import Classifier, one_hot, softmax
+from repro.models.nn import DenseStack, train_adam
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_is_fitted
 
@@ -92,13 +92,10 @@ class DeepCrossNetworkClassifier(Classifier):
         ]
         if self.deep_ is not None:
             parameters.extend(self.deep_.parameters())
-        optimizer = AdamOptimizer(parameters, learning_rate=self.learning_rate)
-        batch_size = int(min(self.batch_size, n_samples))
-
-        for _ in range(self.max_iter):
-            for batch in iterate_minibatches(n_samples, batch_size, rng):
-                gradients = self._gradients(X[batch], targets[batch])
-                optimizer.update(gradients)
+        train_adam(parameters, lambda batch: self._gradients(X[batch], targets[batch]),
+                   n_samples=n_samples, batch_size=self.batch_size,
+                   epochs=self.max_iter, learning_rate=self.learning_rate,
+                   rng=rng, epochs_name="max_iter")
 
     def _cross_forward(self, X: np.ndarray):
         """Return the list of cross-layer representations, ``x_0`` first."""
@@ -157,10 +154,7 @@ class DeepCrossNetworkClassifier(Classifier):
 
         if self.deep_ is not None:
             grad_deep_out = grad_combined[:, n_features:] * (deep_out > 0.0)
-            grads_w, grads_b, _ = self.deep_.backward(deep_activations, grad_deep_out)
-            for grad_w, grad_b in zip(grads_w, grads_b):
-                gradients.append(grad_w)
-                gradients.append(grad_b)
+            gradients.extend(self.deep_.backward(deep_activations, grad_deep_out))
         return gradients
 
     # ------------------------------------------------------------ inference

@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.deep._dense import AdamOptimizer, DenseStack, iterate_minibatches
-from repro.models.base import Classifier, one_hot, softmax
-from repro.utils.random import check_random_state
-from repro.utils.validation import check_is_fitted
+from repro.deep.factorization_machine import FactorizationMachineClassifier
+from repro.models.base import Classifier, softmax
+from repro.models.nn import DenseStack
 
 
-class DeepFMClassifier(Classifier):
+class DeepFMClassifier(FactorizationMachineClassifier):
     """DeepFM: joint training of an FM branch and a dense ReLU branch.
+
+    The FM branch is the inherited :class:`FactorizationMachineClassifier`:
+    its parameters, scores and gradients; this class adds the deep branch.
 
     Parameters
     ----------
@@ -57,7 +59,8 @@ class DeepFMClassifier(Classifier):
                  learning_rate: float = 2e-2, max_iter: int = 40,
                  batch_size: int = 128, alpha: float = 1e-4,
                  init_scale: float = 0.05, random_state: int | None = 0) -> None:
-        super().__init__(
+        Classifier.__init__(
+            self,
             n_factors=int(n_factors),
             hidden_layer_sizes=tuple(hidden_layer_sizes),
             learning_rate=learning_rate,
@@ -69,89 +72,22 @@ class DeepFMClassifier(Classifier):
         )
 
     # ------------------------------------------------------------- training
-    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        rng = check_random_state(self.random_state)
-        n_samples, n_features = X.shape
-        n_classes = int(y.max()) + 1
-        targets = one_hot(y, n_classes)
-
-        self.bias_ = np.zeros(n_classes)
-        self.linear_ = np.zeros((n_features, n_classes))
-        self.factors_ = rng.normal(
-            scale=self.init_scale, size=(n_classes, n_features, self.n_factors)
-        )
+    def _init_parameters(self, n_features: int, n_classes: int,
+                         rng: np.random.Generator) -> list[np.ndarray]:
+        fm_parameters = super()._init_parameters(n_features, n_classes, rng)
         self.deep_ = DenseStack(
             [n_features, *self.hidden_layer_sizes, n_classes], rng
         )
-
-        parameters = [self.bias_, self.linear_, self.factors_, *self.deep_.parameters()]
-        optimizer = AdamOptimizer(parameters, learning_rate=self.learning_rate)
-        batch_size = int(min(self.batch_size, n_samples))
-
-        for _ in range(self.max_iter):
-            for batch in iterate_minibatches(n_samples, batch_size, rng):
-                gradients = self._gradients(X[batch], targets[batch])
-                optimizer.update(gradients)
+        return [*fm_parameters, *self.deep_.parameters()]
 
     def _gradients(self, X: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
-        batch = X.shape[0]
-        fm_scores, interactions = self._fm_scores(X, return_interactions=True)
+        fm_scores, interactions = self._scores(X, return_interactions=True)
         activations = self.deep_.forward(X)
-        logits = fm_scores + activations[-1]
-        probabilities = softmax(logits)
-        delta = (probabilities - targets) / batch
-
-        # FM branch gradients.
-        grad_bias = delta.sum(axis=0)
-        grad_linear = X.T @ delta + self.alpha * self.linear_
-        X_squared = X ** 2
-        grad_factors = np.empty_like(self.factors_)
-        for c in range(self.factors_.shape[0]):
-            weighted = delta[:, c][:, None]
-            grad_factors[c] = (
-                X.T @ (weighted * interactions[c])
-                - self.factors_[c] * (weighted * X_squared).sum(axis=0)[:, None]
-            )
-        grad_factors += self.alpha * self.factors_
-
-        # Deep branch gradients (the deep output receives the same delta).
-        grads_w, grads_b, _ = self.deep_.backward(activations, delta)
-        deep_grads: list[np.ndarray] = []
-        for grad_w, grad_b in zip(grads_w, grads_b):
-            deep_grads.append(grad_w)
-            deep_grads.append(grad_b)
-
-        return [grad_bias, grad_linear, grad_factors, *deep_grads]
+        delta = (softmax(fm_scores + activations[-1]) - targets) / X.shape[0]
+        # Both branches' outputs are summed, so both receive the same delta.
+        return [*self._fm_gradients(X, delta, interactions),
+                *self.deep_.backward(activations, delta)]
 
     # ------------------------------------------------------------ inference
-    def _fm_scores(self, X: np.ndarray, *, return_interactions: bool = False):
-        linear_part = self.bias_ + X @ self.linear_
-        X_squared = X ** 2
-        n_classes = self.factors_.shape[0]
-        pairwise = np.empty((X.shape[0], n_classes))
-        interactions = []
-        for c in range(n_classes):
-            product = X @ self.factors_[c]
-            squared_product = X_squared @ self.factors_[c] ** 2
-            pairwise[:, c] = 0.5 * (product ** 2 - squared_product).sum(axis=1)
-            if return_interactions:
-                interactions.append(product)
-        scores = linear_part + pairwise
-        if return_interactions:
-            return scores, interactions
-        return scores
-
     def _logits(self, X: np.ndarray) -> np.ndarray:
-        return self._fm_scores(X) + self.deep_.forward(X)[-1]
-
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        check_is_fitted(self, "factors_")
-        return softmax(self._logits(X))
-
-    def decision_function(self, X) -> np.ndarray:
-        """Raw per-class logits (FM score + deep output)."""
-        check_is_fitted(self, "factors_")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        return self._logits(X)
+        return self._scores(X) + self.deep_.forward(X)[-1]

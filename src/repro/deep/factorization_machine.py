@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.deep._dense import AdamOptimizer, iterate_minibatches
 from repro.models.base import Classifier, one_hot, softmax
+from repro.models.nn import train_adam
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_is_fitted
 
@@ -69,29 +69,31 @@ class FactorizationMachineClassifier(Classifier):
         n_samples, n_features = X.shape
         n_classes = int(y.max()) + 1
         targets = one_hot(y, n_classes)
+        train_adam(self._init_parameters(n_features, n_classes, rng),
+                   lambda batch: self._gradients(X[batch], targets[batch]),
+                   n_samples=n_samples, batch_size=self.batch_size,
+                   epochs=self.max_iter, learning_rate=self.learning_rate,
+                   rng=rng, epochs_name="max_iter")
 
+    def _init_parameters(self, n_features: int, n_classes: int,
+                         rng: np.random.Generator) -> list[np.ndarray]:
+        """Initialise the FM parameters and return them in gradient order."""
         self.bias_ = np.zeros(n_classes)
         self.linear_ = np.zeros((n_features, n_classes))
         self.factors_ = rng.normal(
             scale=self.init_scale, size=(n_classes, n_features, self.n_factors)
         )
-
-        parameters = [self.bias_, self.linear_, self.factors_]
-        optimizer = AdamOptimizer(parameters, learning_rate=self.learning_rate)
-        batch_size = int(min(self.batch_size, n_samples))
-
-        for _ in range(self.max_iter):
-            for batch in iterate_minibatches(n_samples, batch_size, rng):
-                gradients = self._gradients(X[batch], targets[batch])
-                optimizer.update(gradients)
+        return [self.bias_, self.linear_, self.factors_]
 
     def _gradients(self, X: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
         """Cross-entropy gradients for the bias, linear and factor parameters."""
-        batch = X.shape[0]
         scores, interactions = self._scores(X, return_interactions=True)
-        probabilities = softmax(scores)
-        delta = (probabilities - targets) / batch  # (batch, n_classes)
+        delta = (softmax(scores) - targets) / X.shape[0]  # (batch, n_classes)
+        return self._fm_gradients(X, delta, interactions)
 
+    def _fm_gradients(self, X: np.ndarray, delta: np.ndarray,
+                      interactions: list[np.ndarray]) -> list[np.ndarray]:
+        """Bias, linear and factor gradients given ``delta`` = dLoss/dScores."""
         grad_bias = delta.sum(axis=0)
         grad_linear = X.T @ delta + self.alpha * self.linear_
 
@@ -126,14 +128,17 @@ class FactorizationMachineClassifier(Classifier):
             return scores, interactions
         return scores
 
+    def _logits(self, X: np.ndarray) -> np.ndarray:
+        return self._scores(X)
+
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         check_is_fitted(self, "factors_")
-        return softmax(self._scores(X))
+        return softmax(self._logits(X))
 
     def decision_function(self, X) -> np.ndarray:
-        """Raw per-class FM scores (useful for AUC on binary problems)."""
+        """Raw per-class logits before the softmax (useful for AUC on binary problems)."""
         check_is_fitted(self, "factors_")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
-        return self._scores(X)
+        return self._logits(X)

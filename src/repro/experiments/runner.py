@@ -15,8 +15,13 @@ backend with more than one worker.  A grid never runs on an execution
 backend: backends only evaluate pipelines.  Pooled cells are collected as
 they complete — no whole-grid barrier — with ``cell_callback`` reporting
 each completed cell in completion order, while the results are still
-merged in grid order: the outcome is bit-for-bit identical for every
-worker count and backend.
+merged in grid order: scenarios, results and bottleneck reports are the
+same for every worker count and backend (bit-for-bit, apart from measured
+times).  ``uncached_evaluations`` is not: it is counted per grid process,
+and each process builds its own problem per (dataset, model), so cells of
+one group that land in different processes repeat the baseline and each
+other's evaluations; with a shared ``cache_dir`` the count also depends on
+which process writes an entry first.
 
 Runtime configuration flows through one
 :class:`~repro.core.context.ExecutionContext` (``config.context`` or the
@@ -55,7 +60,11 @@ class ExperimentOutcome:
     bottlenecks: list[BottleneckReport] = field(default_factory=list)
     results: dict[tuple[str, str, str], SearchResult] = field(default_factory=dict)
     #: pipeline evaluations that were actually executed (not answered by any
-    #: cache layer) across the whole grid; 0 on a fully warm ``cache_dir`` run
+    #: cache layer) across the whole grid; 0 on a fully warm ``cache_dir`` run.
+    #: Counted per grid process: each builds its own problem per (dataset,
+    #: model), so on a pool, cells of one group in different processes
+    #: repeat the baseline and each other's evaluations, and with a shared
+    #: ``cache_dir`` the count depends on which process writes an entry first.
     uncached_evaluations: int = 0
 
     def rankings(self, *, min_improvement: float = 1.5) -> dict:
@@ -237,9 +246,15 @@ def run_experiment(config: ExperimentConfig, *, progress_callback=None,
     collected per completion — ``cell_callback(dataset, model, algorithm,
     repeat, n_done, n_total)`` fires as each cell lands, in completion
     order.  Cell seeds are derived from the configuration and results are
-    merged in grid order, so the outcome does not depend on the worker
-    count or backend.  ``progress_callback(dataset, model, algorithm,
-    mean_accuracy)`` fires in grid order during the merge, as before.
+    merged in grid order, so scenarios, results and bottleneck reports do
+    not depend on the worker count or backend (apart from measured times).
+    ``outcome.uncached_evaluations`` does: it is counted per grid process,
+    and each process builds its own problem per (dataset, model), so cells
+    of one group in different processes repeat the baseline and each
+    other's evaluations; with a shared ``cache_dir`` the count depends on
+    which process writes first.
+    ``progress_callback(dataset, model, algorithm, mean_accuracy)`` fires
+    in grid order during the merge, as before.
 
     The context's ``cache_dir`` turns on the persistent cross-run
     evaluation cache: every worker writes its evaluations through to disk

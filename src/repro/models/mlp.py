@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import Classifier, one_hot, softmax
+from repro.models.nn import DenseStack, train_adam
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_is_fitted
 
@@ -56,69 +57,23 @@ class MLPClassifier(Classifier):
         n_classes = int(y.max()) + 1
         targets = one_hot(y, n_classes)
 
-        layer_sizes = [n_features, *self.hidden_layer_sizes, n_classes]
-        self.weights_ = []
-        self.biases_ = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights_.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases_.append(np.zeros(fan_out))
+        self.network_ = DenseStack([n_features, *self.hidden_layer_sizes, n_classes], rng)
+        self.weights_ = self.network_.weights
+        self.biases_ = self.network_.biases
 
-        # Adam state.
-        m_w = [np.zeros_like(w) for w in self.weights_]
-        v_w = [np.zeros_like(w) for w in self.weights_]
-        m_b = [np.zeros_like(b) for b in self.biases_]
-        v_b = [np.zeros_like(b) for b in self.biases_]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        step = 0
+        def gradients(batch: np.ndarray) -> list[np.ndarray]:
+            activations = self.network_.forward(X[batch])
+            delta = (softmax(activations[-1]) - targets[batch]) / len(batch)
+            grads = self.network_.backward(activations, delta)
+            for grad, weights in zip(grads[::2], self.weights_):
+                grad += self.alpha * weights  # L2 penalty, weights only
+            return grads
 
-        batch_size = int(min(self.batch_size, n_samples))
-        for _ in range(int(self.max_iter)):
-            permutation = rng.permutation(n_samples)
-            for start in range(0, n_samples, batch_size):
-                batch = permutation[start:start + batch_size]
-                grads_w, grads_b = self._backward(X[batch], targets[batch])
-                step += 1
-                for i in range(len(self.weights_)):
-                    grads_w[i] += self.alpha * self.weights_[i]
-                    m_w[i] = beta1 * m_w[i] + (1 - beta1) * grads_w[i]
-                    v_w[i] = beta2 * v_w[i] + (1 - beta2) * grads_w[i] ** 2
-                    m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
-                    v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
-                    m_w_hat = m_w[i] / (1 - beta1 ** step)
-                    v_w_hat = v_w[i] / (1 - beta2 ** step)
-                    m_b_hat = m_b[i] / (1 - beta1 ** step)
-                    v_b_hat = v_b[i] / (1 - beta2 ** step)
-                    self.weights_[i] -= self.learning_rate * m_w_hat / (np.sqrt(v_w_hat) + eps)
-                    self.biases_[i] -= self.learning_rate * m_b_hat / (np.sqrt(v_b_hat) + eps)
-
-    def _forward(self, X: np.ndarray):
-        """Return the list of layer activations (input first, logits last)."""
-        activations = [X]
-        for i, (weights, biases) in enumerate(zip(self.weights_, self.biases_)):
-            pre_activation = activations[-1] @ weights + biases
-            if i < len(self.weights_) - 1:
-                activations.append(np.maximum(pre_activation, 0.0))
-            else:
-                activations.append(pre_activation)
-        return activations
-
-    def _backward(self, X: np.ndarray, targets: np.ndarray):
-        activations = self._forward(X)
-        probabilities = softmax(activations[-1])
-        batch = X.shape[0]
-        delta = (probabilities - targets) / batch
-        grads_w = [np.zeros_like(w) for w in self.weights_]
-        grads_b = [np.zeros_like(b) for b in self.biases_]
-        for i in range(len(self.weights_) - 1, -1, -1):
-            grads_w[i] = activations[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self.weights_[i].T) * (activations[i] > 0.0)
-        return grads_w, grads_b
+        train_adam(self.network_.parameters(), gradients, n_samples=n_samples,
+                   batch_size=self.batch_size, epochs=self.max_iter,
+                   learning_rate=self.learning_rate, rng=rng, epochs_name="max_iter")
 
     # ------------------------------------------------------------ inference
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         check_is_fitted(self, "weights_")
-        logits = self._forward(X)[-1]
-        return softmax(logits)
+        return softmax(self.network_.forward(X)[-1])

@@ -1,16 +1,30 @@
-"""Shared dense-network building blocks for the deep recommendation models.
+"""One dense stack, one Adam step and one epoch loop for every Adam-trained model.
 
-The Section 8 experiment ("Benchmark Auto-FP for Deep Models for Specific
-Tasks") uses DeepFM and DCN as downstream models.  Both combine a structured
-component (factorization-machine interactions, cross layers) with a plain
-feed-forward branch; this module factors out that feed-forward branch — a
-ReLU stack with manual backpropagation — plus a small Adam optimiser so each
-model only implements its structured part.
+Six models train with mini-batch Adam, and all of them train through
+:func:`train_adam`:
+
+* :class:`~repro.models.mlp.MLPClassifier`, the paper's "MLP" downstream
+  model, a :class:`DenseStack` with an L2 penalty on its weights;
+* :class:`~repro.surrogates.mlp_regressor.MLPRegressor` and
+  :class:`~repro.surrogates.lstm_regressor.LSTMRegressor`, the surrogates
+  that rank candidates for Progressive NAS (PMNE, PME, PLNE, PLE);
+* :class:`~repro.deep.factorization_machine.FactorizationMachineClassifier`,
+  :class:`~repro.deep.deepfm.DeepFMClassifier` and
+  :class:`~repro.deep.dcn.DeepCrossNetworkClassifier`, the Section 8 deep
+  recommendation models; DeepFM and DCN add a :class:`DenseStack` branch
+  to their structured part.
+
+Each model only supplies its parameters and a function returning their
+gradients on a batch of rows.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from repro.exceptions import ValidationError
 
 
 class DenseStack:
@@ -46,30 +60,24 @@ class DenseStack:
                 activations.append(pre_activation)
         return activations
 
-    def backward(self, activations: list[np.ndarray], output_grad: np.ndarray):
+    def backward(self, activations: list[np.ndarray],
+                 output_grad: np.ndarray) -> list[np.ndarray]:
         """Backpropagate ``output_grad`` (dLoss/dOutput) through the stack.
 
-        Returns ``(weight_grads, bias_grads, input_grad)`` so callers can keep
-        propagating into the structured component that feeds the stack.
+        Returns the gradients aligned with :meth:`parameters`. The gradient
+        of the stack's input is not computed: no caller trains what feeds it.
         """
-        grads_w = [np.zeros_like(w) for w in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
+        gradients: list[np.ndarray] = []
         delta = output_grad
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = activations[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            delta = delta @ self.weights[i].T
+            gradients += [delta.sum(axis=0), activations[i].T @ delta]
             if i > 0:
-                delta = delta * (activations[i] > 0.0)
-        return grads_w, grads_b, delta
+                delta = (delta @ self.weights[i].T) * (activations[i] > 0.0)
+        return gradients[::-1]
 
     def parameters(self) -> list[np.ndarray]:
         """All trainable arrays, weights interleaved with biases."""
-        params: list[np.ndarray] = []
-        for weights, biases in zip(self.weights, self.biases):
-            params.append(weights)
-            params.append(biases)
-        return params
+        return [param for layer in zip(self.weights, self.biases) for param in layer]
 
 
 class AdamOptimizer:
@@ -100,6 +108,31 @@ class AdamOptimizer:
 def iterate_minibatches(n_samples: int, batch_size: int, rng: np.random.Generator):
     """Yield index arrays covering a random permutation of ``n_samples`` rows."""
     permutation = rng.permutation(n_samples)
-    step = max(1, int(batch_size))
-    for start in range(0, n_samples, step):
-        yield permutation[start:start + step]
+    for start in range(0, n_samples, batch_size):
+        yield permutation[start:start + batch_size]
+
+
+def train_adam(parameters: list[np.ndarray], gradients, *, n_samples: int,
+               batch_size: int, epochs: int, learning_rate: float,
+               rng: np.random.Generator, epochs_name: str = "epochs") -> None:
+    """Train ``parameters`` in place: ``epochs`` shuffled passes of Adam steps.
+
+    Each epoch draws one ``rng.permutation(n_samples)`` and takes one Adam
+    step per slice of it of at most ``batch_size`` rows; ``gradients(batch)``
+    returns the loss gradients on the rows ``batch``, aligned with
+    ``parameters``. A bad setting raises :class:`ValidationError` naming it,
+    the epoch count under the caller's own name ``epochs_name``.
+    """
+    if not 1 <= batch_size < math.inf:
+        raise ValidationError(
+            f"batch_size must be finite and at least 1, got {batch_size!r}")
+    if not 0 < learning_rate < math.inf:
+        raise ValidationError(
+            f"learning_rate must be finite and positive, got {learning_rate!r}")
+    if not 0 <= epochs < math.inf:
+        raise ValidationError(
+            f"{epochs_name} must be finite and non-negative, got {epochs!r}")
+    optimizer = AdamOptimizer(parameters, learning_rate=learning_rate)
+    for _ in range(int(epochs)):
+        for batch in iterate_minibatches(n_samples, int(batch_size), rng):
+            optimizer.update(gradients(batch))

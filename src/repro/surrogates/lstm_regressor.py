@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.models.nn import train_adam
 from repro.surrogates.base import SurrogateRegressor
 from repro.utils.random import check_random_state
 
@@ -123,40 +124,28 @@ class LSTMRegressor(SurrogateRegressor):
         self.W_out_ = rng.uniform(-scale, scale, size=(self.hidden_size, 1))
         self.b_out_ = np.zeros(1)
 
-        params = [self.cell_.W, self.cell_.b, self.W_out_, self.b_out_]
-        moments = [np.zeros_like(p) for p in params]
-        velocities = [np.zeros_like(p) for p in params]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        step = 0
+        def gradients(batch: np.ndarray) -> list[np.ndarray]:
+            (index,) = batch
+            prediction, caches, final_h = self._forward_one(sequences[index])
+            grad_pred = prediction - y[index]
 
-        for _ in range(self.epochs):
-            order = rng.permutation(len(sequences))
-            for index in order:
-                sequence = sequences[index]
-                target = y[index]
-                prediction, caches, final_h = self._forward_one(sequence)
-                grad_pred = prediction - target
+            dW_out = np.outer(final_h, grad_pred)
+            db_out = np.array([grad_pred])
+            dh = (self.W_out_ @ np.array([grad_pred])).ravel()
+            dc = np.zeros(self.hidden_size)
+            dW_cell = np.zeros_like(self.cell_.W)
+            db_cell = np.zeros_like(self.cell_.b)
+            for cache in reversed(caches):
+                _, dh, dc, dW_step, db_step = self.cell_.backward(dh, dc, cache)
+                dW_cell += dW_step
+                db_cell += db_step
+            return [np.clip(grad, -5.0, 5.0)
+                    for grad in (dW_cell, db_cell, dW_out, db_out)]
 
-                dW_out = np.outer(final_h, grad_pred)
-                db_out = np.array([grad_pred])
-                dh = (self.W_out_ @ np.array([grad_pred])).ravel()
-                dc = np.zeros(self.hidden_size)
-                dW_cell = np.zeros_like(self.cell_.W)
-                db_cell = np.zeros_like(self.cell_.b)
-                for cache in reversed(caches):
-                    _, dh, dc, dW_step, db_step = self.cell_.backward(dh, dc, cache)
-                    dW_cell += dW_step
-                    db_cell += db_step
-
-                grads = [dW_cell, db_cell, dW_out, db_out]
-                step += 1
-                for i, param in enumerate(params):
-                    grad = np.clip(grads[i], -5.0, 5.0)
-                    moments[i] = beta1 * moments[i] + (1 - beta1) * grad
-                    velocities[i] = beta2 * velocities[i] + (1 - beta2) * grad ** 2
-                    m_hat = moments[i] / (1 - beta1 ** step)
-                    v_hat = velocities[i] / (1 - beta2 ** step)
-                    param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        # One Adam step per sequence, on gradients clipped to [-5, 5].
+        train_adam([*self.cell_.parameters(), self.W_out_, self.b_out_], gradients,
+                   n_samples=len(sequences), batch_size=1, epochs=self.epochs,
+                   learning_rate=self.learning_rate, rng=rng)
         return self
 
     def _forward_one(self, sequence: np.ndarray):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.models.nn import DenseStack, train_adam
 from repro.surrogates.base import SurrogateRegressor
 from repro.utils.random import check_random_state
 
@@ -39,44 +40,19 @@ class MLPRegressor(SurrogateRegressor):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         n_samples, n_features = X.shape
+        self.network_ = DenseStack([n_features, self.hidden_size, 1], rng)
 
-        limit1 = np.sqrt(6.0 / (n_features + self.hidden_size))
-        limit2 = np.sqrt(6.0 / (self.hidden_size + 1))
-        self.W1_ = rng.uniform(-limit1, limit1, size=(n_features, self.hidden_size))
-        self.b1_ = np.zeros(self.hidden_size)
-        self.W2_ = rng.uniform(-limit2, limit2, size=(self.hidden_size, 1))
-        self.b2_ = np.zeros(1)
+        def gradients(batch: np.ndarray) -> list[np.ndarray]:
+            activations = self.network_.forward(X[batch])
+            residuals = activations[-1].ravel() - y[batch]
+            return self.network_.backward(activations, residuals[:, None] / len(batch))
 
-        params = [self.W1_, self.b1_, self.W2_, self.b2_]
-        moments = [np.zeros_like(p) for p in params]
-        velocities = [np.zeros_like(p) for p in params]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        step = 0
-
-        for _ in range(self.epochs):
-            order = rng.permutation(n_samples)
-            hidden = np.maximum(X[order] @ self.W1_ + self.b1_, 0.0)
-            predictions = (hidden @ self.W2_ + self.b2_).ravel()
-            residuals = predictions - y[order]
-
-            grad_out = residuals[:, None] / n_samples
-            grads = [None, None, None, None]
-            grads[2] = hidden.T @ grad_out
-            grads[3] = grad_out.sum(axis=0)
-            delta_hidden = (grad_out @ self.W2_.T) * (hidden > 0.0)
-            grads[0] = X[order].T @ delta_hidden
-            grads[1] = delta_hidden.sum(axis=0)
-
-            step += 1
-            for i, param in enumerate(params):
-                moments[i] = beta1 * moments[i] + (1 - beta1) * grads[i]
-                velocities[i] = beta2 * velocities[i] + (1 - beta2) * grads[i] ** 2
-                m_hat = moments[i] / (1 - beta1 ** step)
-                v_hat = velocities[i] / (1 - beta2 ** step)
-                param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        # Full batch: one Adam step per epoch.
+        train_adam(self.network_.parameters(), gradients, n_samples=n_samples,
+                   batch_size=n_samples, epochs=self.epochs,
+                   learning_rate=self.learning_rate, rng=rng)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        hidden = np.maximum(X @ self.W1_ + self.b1_, 0.0)
-        return (hidden @ self.W2_ + self.b2_).ravel()
+        return self.network_.forward(X)[-1].ravel()

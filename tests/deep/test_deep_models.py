@@ -1,5 +1,7 @@
 """Tests for the deep recommendation models (FM, DeepFM, DCN)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.deep import (
     FactorizationMachineClassifier,
 )
 from repro.models import make_classifier, roc_auc_score, train_test_split
+from repro.models.registry import FAST_MODEL_PARAMS
 
 MODEL_CLASSES = [
     FactorizationMachineClassifier,
@@ -144,3 +147,35 @@ class TestAUC:
         model = DeepFMClassifier(max_iter=25, random_state=0).fit(X_train, y_train)
         auc = roc_auc_score(y_valid, model.predict_proba(X_valid)[:, 1])
         assert auc > 0.7
+
+
+# Digests of predict_proba on binary and 3-class held-out rows, at the
+# default and at the fast parameters (plus a DCN without a deep branch and
+# a batch size that leaves a short last batch); taken before the six
+# Adam-trained models shared one epoch loop, which must leave them
+# bit-identical.
+GOLDEN_DEEP = {
+    "fm": "26ae331ae4d28474c4464097a96343ea5c99db0a301e733b1234ad7804f85707",
+    "deepfm": "4002cbc05e214144e93bb9cc88e6d72e8a66132cf63e653fa1542ebe90ffc76a",
+    "dcn": "32b83011ade60c4058b27a588a08ec2f9bdf1396fa34e6155846b161b23ba462",
+}
+
+GOLDEN_DEEP_EXTRA_PARAMS = {
+    "fm": {"batch_size": 50},
+    "deepfm": {"batch_size": 50},
+    "dcn": {"hidden_layer_sizes": (), "batch_size": 50},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DEEP))
+def test_golden_deep_predict_proba_digest(name):
+    digest = hashlib.sha256()
+    for n_classes in (2, 3):
+        X, y = make_classification(n_samples=300, n_features=6,
+                                   n_classes=n_classes,
+                                   random_state=20241019 + n_classes)
+        for params in ({}, FAST_MODEL_PARAMS[name],
+                       GOLDEN_DEEP_EXTRA_PARAMS[name]):
+            model = DEEP_MODEL_CLASSES[name](**params).fit(X[:220], y[:220])
+            digest.update(model.predict_proba(X[220:]).tobytes())
+    assert digest.hexdigest() == GOLDEN_DEEP[name]

@@ -10,11 +10,11 @@ stay fast.
 import numpy as np
 import pytest
 
-from repro.deep._dense import AdamOptimizer, DenseStack, iterate_minibatches
 from repro.deep.dcn import DeepCrossNetworkClassifier
 from repro.deep.deepfm import DeepFMClassifier
 from repro.deep.factorization_machine import FactorizationMachineClassifier
 from repro.models.base import one_hot, softmax
+from repro.models.nn import AdamOptimizer, DenseStack, iterate_minibatches
 
 EPSILON = 1e-5
 TOLERANCE = 1e-4
@@ -134,11 +134,13 @@ class TestDenseStack:
         activations = stack.forward(X)
         probabilities = softmax(activations[-1])
         delta = (probabilities - targets) / X.shape[0]
-        grads_w, grads_b, _ = stack.backward(activations, delta)
+        gradients = stack.backward(activations, delta)
+        grads_w, grads_b = gradients[::2], gradients[1::2]
 
         def loss():
             return _cross_entropy(stack.forward(X)[-1], targets)
 
+        assert len(gradients) == len(stack.parameters())
         for parameter, grad in zip(stack.weights, grads_w):
             numerical = _numerical_gradient(parameter, loss)
             np.testing.assert_allclose(grad, numerical, atol=TOLERANCE)

@@ -264,32 +264,48 @@ class TestPrefixCacheDeterminism:
         assert _trial_set(on) == _trial_set(off)
 
 
-#: (algorithm, kwargs) cells of the checkpoint/resume matrix: one per
-#: paper category with non-trivial internal state — evolution (TEVO_H),
-#: progressive NAS (PMNE, surrogate + beam), TPE (density estimators),
-#: ASHA (rungs + promotion sets, fractional fidelities) and SMAC (forest
-#: surrogate over its trial history)
-CHECKPOINT_ALGORITHMS = [
-    ("tevo_h", {}),
-    ("pmne", {"beam_width": 3}),
-    ("tpe", {}),
-    ("asha", {}),
-    # Anneal aliases the session RNG in _setup (acceptance draws and
-    # propose draws interleave on one stream): the regression case for
-    # checkpointing the generator together with the algorithm state.
-    ("anneal", {}),
-    # SMAC keeps its own history of observed index tuples and accuracies;
-    # with n_init=3 the interruption falls after the forest's first fits,
-    # so the history and the fitted surrogate both cross the checkpoint.
-    ("smac", {"n_init": 3}),
-]
+#: constructor kwargs of the checkpoint/resume cells: a PNAS beam of 3 and
+#: three SMAC initial trials put their first surrogate fit before stop 9.
+#: PME and PLE then pickle a fitted ensemble with its member factory, and
+#: SMAC its history of observed index tuples with the fitted forest.
+CHECKPOINT_KWARGS = {
+    "pmne": {"beam_width": 3},
+    "pme": {"beam_width": 3},
+    "plne": {"beam_width": 3},
+    "ple": {"beam_width": 3},
+    "smac": {"n_init": 3},
+}
 
-#: PME and PLE hold a fitted ensemble surrogate from their eighth trial on
-#: (beam width 3): a stop after it pickles the ensemble's member factory
-SURROGATE_ENSEMBLE_ALGORITHMS = [
-    ("pme", {"beam_width": 3}),
-    ("ple", {"beam_width": 3}),
-]
+#: the tier-1 checkpoint/resume matrix: every registry algorithm (the
+#: paper's 15) plus ASHA (rungs + promotion sets, fractional fidelities).
+#: Anneal is the regression case for checkpointing the generator together
+#: with the algorithm state: it aliases the session RNG in _setup, so
+#: acceptance draws and propose draws interleave on one stream.
+CHECKPOINT_ALGORITHMS = [*ALL_ALGORITHM_NAMES, "asha"]
+
+#: one stop before any model fit and one after the surrogates' first fits
+#: (TPE's density estimators included: they fit from trial 8 on)
+CHECKPOINT_STOPS = [2, 9]
+
+#: the slow sweep: every stop of a 12-trial run, for every algorithm
+SWEEP_STOPS = list(range(1, 12))
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    """``(algorithm, driver) -> (trial set, best accuracy)`` of an
+    uninterrupted 12-trial run, each run once for all of its stops."""
+    runs = {}
+
+    def reference(algorithm, driver):
+        if (algorithm, driver) not in runs:
+            result = make_search_algorithm(
+                algorithm, random_state=0, **CHECKPOINT_KWARGS.get(algorithm, {})
+            ).search(_make_problem(None), max_trials=12, driver=driver)
+            runs[algorithm, driver] = (_trial_set(result), result.best_accuracy)
+        return runs[algorithm, driver]
+
+    return reference
 
 
 class TestCheckpointResumeDeterminism:
@@ -302,8 +318,7 @@ class TestCheckpointResumeDeterminism:
     under both the synchronous and the completion-driven driver.
     """
 
-    def _interrupt_and_resume(self, algorithm, kwargs, driver, tmp_path,
-                              stop_at):
+    def _interrupt_and_resume(self, algorithm, driver, tmp_path, stop_at):
         from repro.search import SearchSession
 
         path = tmp_path / f"{algorithm}-{driver}-{stop_at}.checkpoint"
@@ -315,7 +330,8 @@ class TestCheckpointResumeDeterminism:
 
         session = SearchSession(
             _make_problem(None),
-            make_search_algorithm(algorithm, random_state=0, **kwargs),
+            make_search_algorithm(algorithm, random_state=0,
+                                  **CHECKPOINT_KWARGS.get(algorithm, {})),
             on_trial=interrupt,
         )
         partial = session.run(max_trials=12, driver=driver)
@@ -325,30 +341,30 @@ class TestCheckpointResumeDeterminism:
         resumed = SearchSession.resume(path, problem=_make_problem(None))
         return resumed.run()
 
-    def _assert_resumes_bit_for_bit(self, algorithm, kwargs, driver,
-                                    tmp_path, stop_at):
-        resumed = self._interrupt_and_resume(algorithm, kwargs, driver,
-                                             tmp_path, stop_at=stop_at)
-        reference = make_search_algorithm(
-            algorithm, random_state=0, **kwargs
-        ).search(_make_problem(None), max_trials=12, driver=driver)
-        assert _trial_set(resumed) == _trial_set(reference)
-        assert resumed.best_accuracy == reference.best_accuracy
+    def _assert_resumes_bit_for_bit(self, algorithm, driver, tmp_path,
+                                    stop_at, uninterrupted):
+        resumed = self._interrupt_and_resume(algorithm, driver, tmp_path,
+                                             stop_at=stop_at)
+        trial_set, best_accuracy = uninterrupted(algorithm, driver)
+        assert _trial_set(resumed) == trial_set
+        assert resumed.best_accuracy == best_accuracy
 
-    @pytest.mark.parametrize("algorithm,kwargs", CHECKPOINT_ALGORITHMS)
+    @pytest.mark.parametrize("stop_at", CHECKPOINT_STOPS)
+    @pytest.mark.parametrize("algorithm", CHECKPOINT_ALGORITHMS)
     @pytest.mark.parametrize("driver", ["sync", "async"])
     def test_interrupted_run_finishes_bit_for_bit_identical(
-            self, algorithm, kwargs, driver, tmp_path):
-        self._assert_resumes_bit_for_bit(algorithm, kwargs, driver,
-                                         tmp_path, stop_at=5)
+            self, algorithm, driver, stop_at, tmp_path, uninterrupted):
+        self._assert_resumes_bit_for_bit(algorithm, driver, tmp_path,
+                                         stop_at, uninterrupted)
 
-    @pytest.mark.parametrize("algorithm,kwargs",
-                             SURROGATE_ENSEMBLE_ALGORITHMS)
+    @pytest.mark.slow
+    @pytest.mark.parametrize("stop_at", SWEEP_STOPS)
+    @pytest.mark.parametrize("algorithm", MATRIX_ALGORITHMS)
     @pytest.mark.parametrize("driver", ["sync", "async"])
-    def test_fitted_surrogate_ensemble_checkpoints(self, algorithm, kwargs,
-                                                   driver, tmp_path):
-        self._assert_resumes_bit_for_bit(algorithm, kwargs, driver,
-                                         tmp_path, stop_at=9)
+    def test_every_stop_resumes_bit_for_bit(self, algorithm, driver, stop_at,
+                                            tmp_path, uninterrupted):
+        self._assert_resumes_bit_for_bit(algorithm, driver, tmp_path,
+                                         stop_at, uninterrupted)
 
     def test_double_interruption_still_bit_for_bit(self, tmp_path):
         """Checkpoint → kill → resume → checkpoint → kill → resume."""

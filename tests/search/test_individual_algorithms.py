@@ -1,5 +1,6 @@
 """Behavioural tests of individual search algorithms."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -251,6 +252,17 @@ class TestBanditAlgorithms:
             assert result.best_trial().fidelity >= 1.0
 
 
+#: digests of the (spec, fidelity, accuracy) records of a 12-trial search
+#: on blood/lr, taken before the MLP and LSTM surrogates shared one epoch
+#: loop with the other Adam-trained models
+GOLDEN_PNAS = {
+    "pmne": "94f04fd06681edf6283b0dad765a08b8a897d1c8291240f99cf6109873e48eb7",
+    "pme": "99acf697c031ad3eae5c9287bef91f701126562069811e0e10159d64257934dc",
+    "plne": "5afecd5745ee528763fe9a81e42ca35f3af3992be500ee3457a9a697229ff183",
+    "ple": "d5ef997cea7894b0ec3c8ab113facf4bd5d8b737ba65b3998f8bba91c4a863c2",
+}
+
+
 class TestProgressiveNAS:
     def test_initialises_with_all_single_preprocessors(self, lr_problem):
         from repro.search import PMNE
@@ -282,3 +294,18 @@ class TestProgressiveNAS:
         pme = PME(n_ensemble=2, random_state=0)
         pme.search(lr_problem, max_trials=12)
         assert isinstance(pme._model, EnsembleRegressor)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PNAS))
+    def test_golden_twelve_trial_records_on_blood_lr(self, name):
+        """The surrogate's ranking picks trials 8-12, so a surrogate that
+        trains to different bits usually shows up in the records."""
+        from repro.core.problem import AutoFPProblem
+        from repro.search import make_search_algorithm
+
+        problem = AutoFPProblem.from_registry("blood", "lr", random_state=0)
+        result = make_search_algorithm(name, random_state=0).search(
+            problem, max_trials=12)
+        records = [(t.pipeline.spec(), t.fidelity, t.accuracy)
+                   for t in result.trials]
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == GOLDEN_PNAS[name]

@@ -1,5 +1,7 @@
 """Tests for the surrogate models (RF regressor lives in tests/models)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,47 @@ class TestParzenEstimators:
         model = TwoDensityModel(space, min_trials=8).refit(trials)
         suggestion = model.suggest(n_candidates=10, random_state=0)
         assert 1 <= len(suggestion) <= 3
+
+
+def _golden_surrogate_data(seed):
+    """Encoded 3-step pipelines and a noisy length target, as PNAS sees them."""
+    rng = np.random.default_rng(20241019 + seed)
+    space = SearchSpace(max_length=3)
+    pipelines = space.sample_pipelines(30, random_state=rng)
+    X = space.encode_many(pipelines)
+    y = np.asarray([len(p) / 3.0 for p in pipelines]) + rng.normal(scale=0.05,
+                                                                   size=30)
+    return space, X[:24], y[:24], X[24:]
+
+
+# Digests of predict on held-out pipelines, seeds 0-2, at PNAS's own
+# surrogate sizes and at a small one; taken before the six Adam-trained
+# models shared one epoch loop, which must leave them bit-identical.
+GOLDEN_MLP_REGRESSOR = (
+    "3af6beb128ac2177b2ffe4cd2979c6ca06338a02843e73f73f61735e2ff86884")
+GOLDEN_LSTM_REGRESSOR = (
+    "984e5eb35cefd1c4a47546d92e7bf37202128845dfe1b12a71a7cddd2e0cd032")
+
+
+def test_golden_mlp_regressor_predict_digest():
+    digest = hashlib.sha256()
+    for seed in range(3):
+        _, X, y, X_test = _golden_surrogate_data(seed)
+        for params in ({"hidden_size": 24, "epochs": 60}, {"hidden_size": 5,
+                                                           "epochs": 7}):
+            model = MLPRegressor(random_state=seed, **params).fit(X, y)
+            digest.update(model.predict(X_test).tobytes())
+    assert digest.hexdigest() == GOLDEN_MLP_REGRESSOR
+
+
+def test_golden_lstm_regressor_predict_digest():
+    digest = hashlib.sha256()
+    for seed in range(3):
+        space, X, y, X_test = _golden_surrogate_data(seed)
+        for params in ({"hidden_size": 12, "epochs": 25}, {"hidden_size": 4,
+                                                           "epochs": 3}):
+            model = LSTMRegressor(random_state=seed, **params)
+            model.set_encoding_block(space.n_candidates + 1)
+            model.fit(X, y)
+            digest.update(model.predict(X_test).tobytes())
+    assert digest.hexdigest() == GOLDEN_LSTM_REGRESSOR
