@@ -28,14 +28,17 @@ Evaluation is deterministic and memoized:
   not depend on evaluation order — the property that lets the execution
   engine (:mod:`repro.engine`) run batches on serial, process or remote
   backends with bit-for-bit identical outcomes;
-* with ``prefix_cache_bytes`` set, evaluation is *incremental*: a
-  byte-budgeted :class:`~repro.core.prefixcache.PrefixTransformCache`
-  stores every fitted pipeline prefix with its transformed train/valid
-  arrays, so a pipeline sharing a prefix with earlier work only pays Prep
-  for its uncached suffix (and a prefix that already failed fails all its
-  extensions without re-running Prep).  Cached prefixes hold the exact
-  arrays the cold path would recompute, so results stay bit-for-bit
-  identical to cache-off evaluation;
+* Prep is one loop (``_prep``): each step is cloned, fitted and applied
+  to the training rows, then applied to the validation rows.  With
+  ``prefix_cache_bytes`` set, full-fidelity evaluations also run it
+  *incrementally*: a byte-budgeted
+  :class:`~repro.core.prefixcache.PrefixTransformCache` keeps the
+  transformed train/valid arrays of every prefix the loop produces, keyed
+  by the prefix spec, so a pipeline sharing a prefix with earlier work
+  resumes the loop after its longest cached prefix (and a prefix that
+  already failed fails all its extensions without re-running Prep).
+  Cached prefixes hold the exact arrays the loop would recompute, so
+  results stay bit-for-bit identical to cache-off evaluation;
 * ``evaluate_many`` / ``evaluate_tasks`` route whole batches through the
   evaluator's :class:`~repro.engine.engine.ExecutionEngine` — a serial
   one unless a parallel engine is attached.
@@ -60,9 +63,9 @@ from repro.telemetry.tracing import make_tracer, trace_span
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_X_y
 
-#: reserved cache-entry key carrying a worker's metric delta back to the
-#: parent; stripped by ``PipelineEvaluator.absorb_worker_counters`` before
-#: the entry is stored anywhere
+#: reserved cache-entry key carrying a worker prefix cache's counter delta
+#: back to the parent; stripped by ``PipelineEvaluator.absorb_worker_counters``
+#: before the entry is stored anywhere
 METRICS_DELTA_KEY = "_metrics_delta"
 
 
@@ -122,9 +125,9 @@ class PipelineEvaluator:
         it loads, without a bound (see :mod:`repro.io.evalcache`).
     prefix_cache_bytes:
         Optional byte budget for the prefix-transform cache
-        (:mod:`repro.core.prefixcache`).  When set, pipelines are fitted
-        *incrementally*: every fitted prefix (steps + transformed
-        train/valid arrays) is cached, so a pipeline sharing a prefix with
+        (:mod:`repro.core.prefixcache`).  When set, full-fidelity pipelines
+        are fitted *incrementally*: the transformed train/valid arrays of
+        every prefix are cached, so a pipeline sharing a prefix with
         earlier work only pays Prep for its uncached suffix, and a prefix
         that already failed short-circuits all its extensions.  Results are
         bit-for-bit identical to cache-off evaluation; the budget trades
@@ -165,11 +168,6 @@ class PipelineEvaluator:
         self._engine = engine
         self.prefix_cache_bytes = prefix_cache_bytes
         self._prefix_cache = make_prefix_cache(prefix_cache_bytes)
-        #: metric deltas merged back from process-pool workers (each worker
-        #: attaches the delta its evaluation caused — prefix-cache reuse and
-        #: anything else recorded in its address space — to the returned
-        #: entry; see :meth:`absorb_worker_counters`)
-        self._worker_metrics = MetricSet()
         self.telemetry_mode = telemetry_mode
         self.telemetry_dir = telemetry_dir
         #: the span sink; ``None`` unless telemetry_mode == "trace" with a
@@ -254,7 +252,6 @@ class PipelineEvaluator:
         state["_cache"] = {}
         state["_disk_cache"] = None
         state["_prefix_cache"] = None
-        state["_worker_metrics"] = MetricSet()
         state["metrics"] = MetricSet(self.COUNTER_NAMES)
         return state
 
@@ -426,27 +423,25 @@ class PipelineEvaluator:
             return entry
         delta = cache.counters_delta()
         if delta:
-            entry[METRICS_DELTA_KEY] = {
-                f"prefix.{name}": value for name, value in delta.items()
-            }
+            entry[METRICS_DELTA_KEY] = delta
         return entry
 
     def absorb_worker_counters(self, entry: dict) -> dict:
-        """Strip a worker's metric delta from ``entry`` and merge it.
+        """Strip a worker's counter delta from ``entry`` and absorb it.
 
-        Workers record metrics into *private* stores (their own prefix
-        cache's counters, their own registry); :meth:`evaluate_in_worker`
-        attaches a :class:`MetricsSnapshot` of the counters' change since
-        its previous shipment to the returned cache entry under the reserved
+        Workers count prefix reuse in *private* caches;
+        :meth:`evaluate_in_worker` attaches a :class:`MetricsSnapshot` of
+        the worker cache's counter change since its previous shipment to
+        the returned cache entry under the reserved
         :data:`METRICS_DELTA_KEY`.  The engine routes every entry through
-        here before caching it, so the parent's :meth:`cache_info`
-        reflects reuse that happened in the workers — and the delta never
-        leaks into the memo or the persistent disk cache.
-        Idempotent: entries without a delta pass through untouched.
+        here before caching it, so the delta lands in this evaluator's own
+        prefix-cache counters, and so in :meth:`cache_info`, but never in
+        the memo or the persistent disk cache.  Idempotent: entries
+        without a delta pass through untouched.
         """
         delta = entry.pop(METRICS_DELTA_KEY, None)
         if delta:
-            self._worker_metrics.merge(delta)
+            self._prefix_cache.absorb(delta)
         return entry
 
     def cache_info(self) -> dict:
@@ -460,8 +455,9 @@ class PipelineEvaluator:
         are itemised under ``prefix_*`` keys plus ``steps_reused`` (pipeline
         steps served from cache instead of re-fitted) and ``bytes_held``
         (current budget usage).  The monotonic counters include reuse that
-        happened inside process-pool workers (each worker's private cache
-        reports per-evaluation deltas, merged back with the results — see
+        happened inside process-pool and remote workers (each worker's
+        private cache reports per-evaluation deltas, absorbed into this
+        evaluator's cache with the results — see
         :meth:`absorb_worker_counters`); the gauges ``prefix_entries`` and
         ``bytes_held`` remain parent-process values, since worker caches
         live in other address spaces.
@@ -483,20 +479,13 @@ class PipelineEvaluator:
             })
         if self._prefix_cache is not None:
             prefix = self._prefix_cache.info()
-            workers = self._worker_metrics
             info.update({
-                "prefix_hits": prefix["hits"] + workers.get("prefix.hits"),
-                "prefix_misses": (prefix["misses"]
-                                  + workers.get("prefix.misses")),
-                "prefix_evictions": (prefix["evictions"]
-                                     + workers.get("prefix.evictions")),
+                "prefix_hits": prefix["hits"],
+                "prefix_misses": prefix["misses"],
+                "prefix_evictions": prefix["evictions"],
                 "prefix_entries": prefix["entries"],
-                "prefix_short_circuits": (
-                    prefix["failed_short_circuits"]
-                    + workers.get("prefix.failed_short_circuits")
-                ),
-                "steps_reused": (prefix["steps_reused"]
-                                 + workers.get("prefix.steps_reused")),
+                "prefix_short_circuits": prefix["failed_short_circuits"],
+                "steps_reused": prefix["steps_reused"],
                 "bytes_held": prefix["bytes_held"],
                 "prefix_max_bytes": prefix["max_bytes"],
             })
@@ -522,24 +511,16 @@ class PipelineEvaluator:
         # traced runs pay only the JSONL append.
         tracer = self._tracer
         wall = time.time() if tracer is not None else 0.0
-
-        # Prefix reuse applies only at full fidelity: a low-fidelity
-        # training subset is derived from the *full* pipeline spec, so its
-        # prefixes could only ever be re-hit by the exact same (spec,
-        # fidelity) — which the memoization cache answers first.  Probing
-        # the shared lock for a guaranteed miss would only add contention.
-        if self._prefix_cache is not None and len(pipeline) > 0 \
-                and fidelity >= 1.0:
-            prep = self._prep_incremental(pipeline, fidelity, X_train, y_train)
-        else:
-            prep = self._prep_cold(pipeline, X_train, y_train)
+        prep_start = time.perf_counter()
+        prepped = self._prep(pipeline, fidelity, X_train, y_train)
+        prep_time = time.perf_counter() - prep_start
         if tracer is not None:
-            tracer.emit("prep", ts=wall, dur=prep["prep_time"],
-                        steps=len(pipeline), failed=prep["failed"])
-        if prep["failed"]:
-            return {"accuracy": 0.0, "prep_time": prep["prep_time"],
+            tracer.emit("prep", ts=wall, dur=prep_time,
+                        steps=len(pipeline), failed=prepped is None)
+        if prepped is None:
+            return {"accuracy": 0.0, "prep_time": prep_time,
                     "train_time": 0.0, "failed": True}
-        X_train_t, X_valid_t = prep["X_train_t"], prep["X_valid_t"]
+        X_train_t, X_valid_t = prepped
         # A zero-step pipeline passes the canonical split through unchanged,
         # and _sanitize no longer copies finite input — copy here so a
         # model that scribbles on its training matrix cannot corrupt the
@@ -568,103 +549,61 @@ class PipelineEvaluator:
         if tracer is not None:
             tracer.emit("train", ts=wall, dur=train_time)
 
-        return {"accuracy": accuracy, "prep_time": prep["prep_time"],
+        return {"accuracy": accuracy, "prep_time": prep_time,
                 "train_time": train_time, "failed": False}
 
     _PREP_ERRORS = (FloatingPointError, ValueError, ValidationError)
 
-    def _prep_cold(self, pipeline: Pipeline, X_train, y_train) -> dict:
-        """Fit ``pipeline`` from raw arrays (no prefix reuse)."""
-        prep_start = time.perf_counter()
-        try:
-            fitted, X_train_t = pipeline.fit_transform(X_train, y_train)
-            X_valid_t = fitted.transform(self.X_valid)
-        except self._PREP_ERRORS:
-            # A numerically degenerate pipeline scores as bad as possible.
-            # The failure is cached like any result so repeat evaluations
-            # don't re-pay the preprocessing cost.
-            return {"failed": True,
-                    "prep_time": time.perf_counter() - prep_start}
-        return {"failed": False, "X_train_t": X_train_t, "X_valid_t": X_valid_t,
-                "prep_time": time.perf_counter() - prep_start}
+    def _prep(self, pipeline: Pipeline, fidelity: float, X_train, y_train):
+        """Fit ``pipeline`` step by step; return its train/valid outputs.
 
-    def _prep_incremental(self, pipeline: Pipeline, fidelity: float,
-                          X_train, y_train) -> dict:
-        """Fit ``pipeline`` resuming from its longest cached prefix.
+        Each step is cloned, fitted and applied to the training rows, then
+        applied to the validation rows.  A numerically degenerate pipeline
+        returns ``None`` and scores as bad as possible; the failure is
+        memoized like any result, so repeat evaluations don't re-pay Prep.
 
-        Every intermediate prefix produced along the way is registered in
-        the prefix cache (fitted steps + transformed train/valid arrays),
-        and a failure at step ``k`` is recorded as a tombstone for
-        ``spec[:k]`` so extensions of a failed prefix short-circuit without
-        re-running Prep.  The arrays resumed from the cache are exactly the
-        ones the cold path would recompute, so the returned transforms are
-        bit-for-bit identical to :meth:`_prep_cold`.  Only called at full
-        fidelity (see :meth:`_evaluate_uncached`), where the subsample
-        token is ``None`` and prefixes are freely shareable.
+        With a prefix cache, full-fidelity evaluations resume after the
+        longest cached prefix, store each new prefix's outputs and
+        tombstone the prefix whose step raised, so every pipeline extending
+        it fails without re-running Prep.  Low-fidelity evaluations bypass
+        the cache: their training rows are drawn from the *full* pipeline
+        spec, so their prefixes could only be re-hit by the same ``(spec,
+        fidelity)``, which the memo answers first; probing the cache's lock
+        for a certain miss would only add contention.
         """
-        cache = self._prefix_cache
-        spec = pipeline.spec()
-        token = cache.subsample_token(spec, fidelity)
-        prep_start = time.perf_counter()
-        hit_len, hit = cache.longest_prefix(spec, fidelity, token)
-        if hit is not None and hit.failed:
-            return {"failed": True,
-                    "prep_time": time.perf_counter() - prep_start}
-        if hit is None:
-            fitted_so_far: list = []
-            current_train = np.asarray(X_train, dtype=np.float64)
-            current_valid = np.asarray(self.X_valid, dtype=np.float64)
-        else:
-            fitted_so_far = list(hit.fitted_steps)
-            current_train = hit.X_train
-            current_valid = hit.X_valid
-        if hit_len == len(spec):
-            return {"failed": False, "X_train_t": current_train,
-                    "X_valid_t": current_valid,
-                    "prep_time": time.perf_counter() - prep_start}
-
-        def register(end_len, fitted_step, transformed_train):
-            # Runs after each suffix step fits on the train side: transform
-            # the validation split through the same step (exactly what the
-            # cold path's fitted.transform would do) and cache the prefix.
-            nonlocal current_valid
-            current_valid = fitted_step.transform(current_valid)
-            fitted_so_far.append(fitted_step)
-            cache.store(spec[:end_len], fidelity, token, fitted_so_far,
-                        transformed_train, current_valid)
-
-        try:
-            _, current_train = pipeline.fit_transform_from(
-                hit_len, current_train, y_train, step_callback=register
-            )
-        except self._PREP_ERRORS as error:
-            # A write to a frozen cached array is a contract violation, not
-            # a numerically degenerate pipeline: without the cache that
-            # pipeline would have *worked* (it mutated its own fresh copy),
-            # so scoring it as failed would silently diverge from the
-            # cache-off baseline.
-            _raise_if_copy_on_write(
-                error, f"a transformer in {pipeline.describe()!r}"
-            )
-            # The step after the last registered prefix raised (on either
-            # the train or the valid side); tombstone it so every pipeline
-            # extending this prefix fails without re-running Prep.
-            cache.store_failure(spec[:len(fitted_so_far) + 1], fidelity, token)
-            return {"failed": True,
-                    "prep_time": time.perf_counter() - prep_start}
-        return {"failed": False, "X_train_t": current_train,
-                "X_valid_t": current_valid,
-                "prep_time": time.perf_counter() - prep_start}
+        X_train_t, X_valid_t = X_train, self.X_valid
+        start = 0
+        cache = self._prefix_cache if fidelity >= 1.0 and len(pipeline) \
+            else None
+        if cache is not None:
+            spec = pipeline.spec()
+            start, hit = cache.longest_prefix(spec)
+            if hit is not None and hit.failed:
+                return None
+            if hit is not None:
+                X_train_t, X_valid_t = hit.X_train, hit.X_valid
+        for end, step in enumerate(pipeline.steps[start:], start + 1):
+            try:
+                step = step.clone()
+                X_train_t = step.fit_transform(X_train_t, y_train)
+                X_valid_t = step.transform(X_valid_t)
+            except self._PREP_ERRORS as error:
+                if cache is not None:
+                    # A write to a frozen cached array is a contract
+                    # violation, not a degenerate pipeline: without the
+                    # cache the step would have mutated its own fresh copy
+                    # and worked, so scoring it as failed would silently
+                    # diverge from the cache-off baseline.
+                    _raise_if_copy_on_write(
+                        error, f"a transformer in {pipeline.describe()!r}")
+                    cache.store_failure(spec[:end])
+                return None
+            if cache is not None:
+                cache.store(spec[:end], X_train_t, X_valid_t)
+        return X_train_t, X_valid_t
 
     def _make_record(self, pipeline: Pipeline, entry: dict, *, fidelity: float,
                      pick_time: float, iteration: int) -> TrialRecord:
-        # phase_timings is derived, in-memory-only telemetry: it never
-        # enters result comparison or checkpoint bytes unless telemetry is
-        # on (see serialization.trial_to_dict).
-        phase_timings = None
-        if self.telemetry_mode != "off":
-            phase_timings = {"pick": pick_time, "prep": entry["prep_time"],
-                             "train": entry["train_time"]}
         return TrialRecord(
             pipeline=pipeline,
             accuracy=entry["accuracy"],
@@ -673,7 +612,6 @@ class PipelineEvaluator:
             train_time=entry["train_time"],
             fidelity=fidelity,
             iteration=iteration,
-            phase_timings=phase_timings,
             failure_kind=entry.get("failure_kind"),
         )
 

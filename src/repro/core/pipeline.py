@@ -105,40 +105,13 @@ class Pipeline:
 
     def fit_transform(self, X, y=None):
         """Fit the pipeline on ``X`` and return ``(fitted_pipeline, transformed_X)``."""
-        fitted_steps, current = self.fit_transform_from(0, X, y)
-        return FittedPipeline(self, fitted_steps), current
-
-    def fit_transform_from(self, prefix_len: int, X_t, y=None, *,
-                           step_callback=None):
-        """Resume fitting after ``prefix_len`` already-fitted steps.
-
-        ``X_t`` must be the training data as transformed by the first
-        ``prefix_len`` steps (for ``prefix_len == 0``, the raw training
-        data).  Returns ``(suffix_fitted_steps, transformed_X)`` — combine
-        the suffix with the prefix's fitted steps via
-        :meth:`FittedPipeline.compose` to obtain the full fitted pipeline.
-
-        ``step_callback(end_len, fitted_step, current)`` is invoked after
-        each suffix step is fitted, where ``end_len`` is the total number of
-        fitted steps so far (prefix included) and ``current`` the training
-        data transformed through them.  This is the hook the evaluator's
-        prefix cache uses to register every intermediate prefix as it is
-        produced; an exception raised by the callback aborts the fit.
-        """
-        if not 0 <= prefix_len <= len(self._steps):
-            raise ValidationError(
-                f"prefix_len must be in [0, {len(self._steps)}], got {prefix_len}"
-            )
         fitted_steps = []
-        current = np.asarray(X_t, dtype=np.float64)
-        for end_len, step in enumerate(self._steps[prefix_len:],
-                                       start=prefix_len + 1):
+        current = np.asarray(X, dtype=np.float64)
+        for step in self._steps:
             fitted_step = step.clone()
             current = fitted_step.fit_transform(current, y)
             fitted_steps.append(fitted_step)
-            if step_callback is not None:
-                step_callback(end_len, fitted_step, current)
-        return fitted_steps, current
+        return FittedPipeline(self, fitted_steps), current
 
     def append(self, step: Preprocessor) -> "Pipeline":
         """Return a new pipeline with ``step`` appended."""
@@ -176,36 +149,10 @@ class FittedPipeline:
         self.pipeline = pipeline
         self.fitted_steps = fitted_steps
 
-    @classmethod
-    def compose(cls, pipeline: Pipeline, *fitted_step_groups) -> "FittedPipeline":
-        """Assemble a fitted pipeline from fitted-step groups in order.
-
-        The partial-composition counterpart of
-        :meth:`Pipeline.fit_transform_from`: a cached fitted prefix plus the
-        freshly fitted suffix become one fitted pipeline.  The groups must
-        cover ``pipeline``'s steps exactly.
-        """
-        fitted_steps = [step for group in fitted_step_groups for step in group]
-        if len(fitted_steps) != len(pipeline):
-            raise ValidationError(
-                f"composed {len(fitted_steps)} fitted steps for a pipeline "
-                f"of {len(pipeline)} steps"
-            )
-        return cls(pipeline, fitted_steps)
-
     def transform(self, X) -> np.ndarray:
         """Apply every fitted step in order to ``X``."""
-        return self.transform_from(0, X)
-
-    def transform_from(self, prefix_len: int, X_t) -> np.ndarray:
-        """Apply only the steps after ``prefix_len`` to already-transformed ``X_t``."""
-        if not 0 <= prefix_len <= len(self.fitted_steps):
-            raise ValidationError(
-                f"prefix_len must be in [0, {len(self.fitted_steps)}], "
-                f"got {prefix_len}"
-            )
-        current = np.asarray(X_t, dtype=np.float64)
-        for step in self.fitted_steps[prefix_len:]:
+        current = np.asarray(X, dtype=np.float64)
+        for step in self.fitted_steps:
             current = step.transform(current)
         return current
 

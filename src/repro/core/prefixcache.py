@@ -1,4 +1,4 @@
-"""Prefix-transform reuse: the cache behind incremental pipeline evaluation.
+"""Prefix-transform reuse: the cache behind the evaluator's Prep loop.
 
 The bottleneck analysis (Section 5.3) shows Prep dominating pipeline-search
 cost, yet the registry algorithms overwhelmingly propose pipelines that
@@ -6,27 +6,22 @@ share long step prefixes: evolution mutates or appends a step of an existing
 member, progressive NAS grows its beam one position at a time, and bandits
 refine pipelines step by step.  Re-fitting every pipeline from raw
 ``X_train`` therefore re-pays the cost of steps whose inputs — and hence
-whose fitted state and outputs — are bit-for-bit identical to work already
-done.
+whose outputs — are bit-for-bit identical to work already done.
 
 :class:`PrefixTransformCache` stores, for each evaluated pipeline *prefix*,
-the fitted steps plus the transformed train and validation arrays, so
-evaluating a new pipeline costs only its uncached suffix.  Keys are
-``(prefix spec, fidelity, subsample token)``:
-
-* the *prefix spec* is the :meth:`~repro.core.pipeline.Pipeline.spec` of the
-  first ``k`` steps;
-* the *fidelity* scopes entries to one training-row fraction;
-* the *subsample token* pins low-fidelity entries to the exact training
-  subset they were fitted on.  Subsample seeds derive from the **full**
-  pipeline spec (see ``PipelineEvaluator._subsample_rng``), so two pipelines
-  sharing a prefix at ``fidelity < 1`` were fitted on *different* rows and
-  must never share prefix outputs; at full fidelity the token is ``None``
-  and sharing is unrestricted.
+the transformed train and validation arrays, so evaluating a new pipeline
+costs only its uncached suffix.  An entry is keyed by its prefix spec alone
+(the :meth:`~repro.core.pipeline.Pipeline.spec` of the first ``k`` steps):
+the evaluator consults the cache only at full fidelity, where every
+evaluation fits on the same training rows.  A low-fidelity subsample is
+drawn from the *full* pipeline spec (see
+``PipelineEvaluator._subsample_rng``), so its prefixes could only be
+re-hit by the same ``(spec, fidelity)``, which the evaluator's memo answers
+first.
 
 Correctness contract (enforced by the determinism matrix in
 ``tests/engine/test_determinism.py``): a cached prefix stores the exact
-arrays the cold path would recompute, so every evaluation with the cache on
+arrays the step loop would recompute, so every evaluation with the cache on
 is bit-for-bit identical to the cache-off baseline.  That requires
 copy-on-write discipline — no transformer or model may mutate a cached
 array in place — which the cache *enforces* by marking every stored array
@@ -39,7 +34,9 @@ budget.  Failed prefixes are stored as array-less tombstones (a prefix that
 raised once raises for every extension, so extensions short-circuit without
 re-running Prep); tombstones cost no budget.  All operations take an
 internal lock, so one cache can be shared by a remote worker's evaluation
-threads.
+threads.  A process or remote worker's cache is private to it; the counter
+changes it ships back with each result are added onto the parent's cache
+through :meth:`PrefixTransformCache.absorb`.
 """
 
 from __future__ import annotations
@@ -55,13 +52,12 @@ from repro.telemetry.metrics import MetricSet, metric_property
 
 @dataclass(frozen=True)
 class PrefixEntry:
-    """One cached prefix: fitted steps plus their train/valid outputs.
+    """One cached prefix: its train/valid outputs.
 
     ``failed=True`` marks a tombstone: the prefix raised during Prep, so
     every pipeline extending it fails too.  Tombstones carry no arrays.
     """
 
-    fitted_steps: tuple
     X_train: np.ndarray | None
     X_valid: np.ndarray | None
     failed: bool = False
@@ -103,19 +99,7 @@ class PrefixTransformCache:
         self._mark = self.metrics.snapshot()
 
     # ------------------------------------------------------------------- API
-    @staticmethod
-    def subsample_token(spec: tuple, fidelity: float):
-        """The token pinning an entry to its training subset.
-
-        Full-fidelity evaluations all see the same training rows, so their
-        prefixes are freely shareable (token ``None``).  A low-fidelity
-        subsample is determined by the *full* pipeline spec, so the spec
-        itself is the exact subset identity — no hash collisions.
-        """
-        return None if fidelity >= 1.0 else spec
-
-    def longest_prefix(self, spec: tuple, fidelity: float,
-                       token) -> tuple[int, PrefixEntry | None]:
+    def longest_prefix(self, spec: tuple) -> tuple[int, PrefixEntry | None]:
         """Return ``(length, entry)`` of the longest cached prefix of ``spec``.
 
         Probes ``spec[:n], spec[:n-1], ... spec[:1]`` and returns the first
@@ -123,14 +107,13 @@ class PrefixTransformCache:
         ``(0, None)`` means no prefix is cached.  A hit counts every reused
         step into ``steps_reused`` and refreshes the entry's LRU position.
         """
-        fidelity = round(fidelity, 6)
         with self._lock:
             for length in range(len(spec), 0, -1):
-                key = (spec[:length], fidelity, token)
-                entry = self._entries.get(key)
+                prefix_spec = spec[:length]
+                entry = self._entries.get(prefix_spec)
                 if entry is None:
                     continue
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(prefix_spec)
                 self.hits += 1
                 if entry.failed:
                     self.failed_short_circuits += 1
@@ -140,27 +123,24 @@ class PrefixTransformCache:
             self.misses += 1
             return 0, None
 
-    def store(self, prefix_spec: tuple, fidelity: float, token,
-              fitted_steps, X_train, X_valid) -> None:
-        """Insert a fitted prefix (no-op if an entry already exists).
+    def store(self, prefix_spec: tuple, X_train, X_valid) -> None:
+        """Insert a prefix's outputs (no-op if an entry already exists).
 
         The arrays are stored as-is but marked read-only; callers keep using
         the same objects, so any later in-place mutation raises immediately
         instead of corrupting the cache.
         """
         entry = PrefixEntry(
-            fitted_steps=tuple(fitted_steps),
             X_train=_freeze(X_train),
             X_valid=_freeze(X_valid),
             nbytes=int(X_train.nbytes) + int(X_valid.nbytes),
         )
-        self._insert((prefix_spec, round(fidelity, 6), token), entry)
+        self._insert(prefix_spec, entry)
 
-    def store_failure(self, prefix_spec: tuple, fidelity: float, token) -> None:
+    def store_failure(self, prefix_spec: tuple) -> None:
         """Insert a failure tombstone: every extension of this prefix fails."""
-        entry = PrefixEntry(fitted_steps=(), X_train=None, X_valid=None,
-                            failed=True, nbytes=0)
-        self._insert((prefix_spec, round(fidelity, 6), token), entry)
+        self._insert(prefix_spec, PrefixEntry(X_train=None, X_valid=None,
+                                              failed=True))
 
     #: the monotonic counters that are meaningful to merge across processes
     #: (gauges like ``bytes_held``/``entries`` describe one address space
@@ -193,6 +173,15 @@ class PrefixTransformCache:
             now = self.metrics.snapshot()
             delta, self._mark = now.diff(self._mark), now
         return delta
+
+    def absorb(self, delta) -> None:
+        """Add a worker cache's :meth:`counters_delta` onto these counters.
+
+        Only a parent absorbs, and a parent never ships a delta of its own,
+        so absorbed increments are never shipped on again.
+        """
+        with self._lock:
+            self.metrics.merge(delta)
 
     def info(self) -> dict:
         """Counters for ``PipelineEvaluator.cache_info()`` and reports."""

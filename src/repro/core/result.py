@@ -36,11 +36,6 @@ class TrialRecord:
         evaluation; bandit-based algorithms use lower fidelities).
     iteration:
         Index of the framework iteration that produced this trial.
-    phase_timings:
-        Optional per-phase wall-clock dict (``{"pick", "prep", "train"}``)
-        populated only when telemetry is on.  Derived observability data:
-        it never participates in result equality across backends, and
-        checkpoints omit it when ``None``.
     failure_kind:
         ``None`` for a real evaluation (including pipelines that failed
         to fit — those simply score 0.0).  ``"worker_crash"`` when the
@@ -57,7 +52,6 @@ class TrialRecord:
     train_time: float = 0.0
     fidelity: float = 1.0
     iteration: int = 0
-    phase_timings: dict | None = None
     failure_kind: str | None = None
 
     @property

@@ -67,12 +67,11 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     CancelledError,
-    ProcessPoolExecutor,
     wait,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.engine.faults import (
     CRASH_EXIT_CODE,
@@ -88,6 +87,9 @@ from repro.engine.faults import (
 )
 from repro.exceptions import UnknownComponentError, ValidationError
 from repro.telemetry.metrics import get_registry
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def default_worker_count() -> int:
@@ -351,6 +353,19 @@ def _crash_pool_worker() -> None:
     os._exit(CRASH_EXIT_CODE)
 
 
+def _process_pool(evaluator, n_workers: int) -> ProcessPoolExecutor:
+    """A pool of ``n_workers`` processes, each holding a copy of ``evaluator``.
+
+    Imported here, not at module level: the process pool loads
+    ``multiprocessing``, which serial runs never need.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=n_workers,
+                               initializer=_init_evaluation_worker,
+                               initargs=(evaluator,))
+
+
 def _evaluate_in_worker(item):
     # A chaos fault is applied *inside* the worker: a "crash" really
     # kills this process, a "delay" really hangs it (the parent's
@@ -544,11 +559,7 @@ class ProcessBackend(ExecutionBackend):
             if pool is not None:
                 self._eval_pools.move_to_end(key)
             else:
-                pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=_init_evaluation_worker,
-                    initargs=(evaluator,),
-                )
+                pool = _process_pool(evaluator, self.n_workers)
                 self._eval_pools[key] = pool
                 if len(self._eval_pools) > self.max_eval_pools:
                     _, evicted = self._eval_pools.popitem(last=False)
@@ -605,9 +616,7 @@ class ProcessBackend(ExecutionBackend):
         for pool in finished:
             pool.shutdown(wait=True)
         if alone:
-            pool = ProcessPoolExecutor(max_workers=1,
-                                       initializer=_init_evaluation_worker,
-                                       initargs=(evaluator,))
+            pool = _process_pool(evaluator, 1)
             future = pool.submit(_evaluate_in_worker, item)
             with self._lock:
                 self._private_pools[pool] = future
@@ -617,7 +626,7 @@ class ProcessBackend(ExecutionBackend):
             pool = self._evaluation_pool(evaluator)
             try:
                 return pool, pool.submit(_evaluate_in_worker, item)
-            except BrokenProcessPool as error:
+            except BrokenExecutor as error:
                 self._lose(evaluator, pool)
                 if attempt > self.retry_policy.max_attempts:
                     raise WorkerCrashError(

@@ -183,9 +183,9 @@ class PersistentEvalCache:
             if token in self._entries:
                 continue  # deterministic evaluations: re-writing is pure noise
             # Underscore-prefixed entry keys are reserved for in-memory
-            # telemetry payloads (worker metric deltas, phase timings) and
-            # must never reach the append-log: a cache populated by a traced
-            # run has to stay byte-identical to one from an untraced run.
+            # telemetry payloads (worker counter deltas) and must never
+            # reach the append-log: a cache populated by a traced run has
+            # to stay byte-identical to one from an untraced run.
             if any(name.startswith("_") for name in entry):
                 entry = {name: value for name, value in entry.items()
                          if not name.startswith("_")}

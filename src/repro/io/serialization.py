@@ -82,12 +82,7 @@ def pipeline_from_dict(data: Mapping) -> Pipeline:
 
 
 def trial_to_dict(trial: TrialRecord) -> dict:
-    """JSON-serialisable description of one trial.
-
-    ``phase_timings`` — telemetry-only derived data — is included only
-    when present, so documents written by untraced runs stay
-    byte-identical to what earlier releases produced.
-    """
+    """JSON-serialisable description of one trial."""
     data = {
         "pipeline": pipeline_to_dict(trial.pipeline),
         "accuracy": trial.accuracy,
@@ -97,8 +92,6 @@ def trial_to_dict(trial: TrialRecord) -> dict:
         "fidelity": trial.fidelity,
         "iteration": trial.iteration,
     }
-    if trial.phase_timings is not None:
-        data["phase_timings"] = dict(trial.phase_timings)
     if trial.failure_kind is not None:
         data["failure_kind"] = trial.failure_kind
     return data
@@ -117,9 +110,6 @@ def trial_from_dict(data: Mapping) -> TrialRecord:
     def number(name: str, default, kind=float):
         return convert_field(f"trial {name!r}", data.get(name, default), kind)
 
-    phase_timings = data.get("phase_timings")
-    if phase_timings:
-        phase_timings = dict(_mapping(phase_timings, "trial 'phase_timings'"))
     failure_kind = data.get("failure_kind")
     if failure_kind is not None and not isinstance(failure_kind, str):
         raise ValidationError(
@@ -133,7 +123,6 @@ def trial_from_dict(data: Mapping) -> TrialRecord:
         train_time=number("train_time", 0.0),
         fidelity=number("fidelity", 1.0),
         iteration=number("iteration", 0, int),
-        phase_timings=phase_timings or None,
         failure_kind=failure_kind,
     )
 

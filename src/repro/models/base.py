@@ -40,7 +40,13 @@ class Classifier:
         X, y = check_X_y(X, y)
         self.classes_, y_encoded = np.unique(y, return_inverse=True)
         self.n_features_in_ = X.shape[1]
-        self._fit(X, y_encoded)
+        try:
+            self._fit(X, y_encoded)
+        except BaseException:
+            # A refused fit leaves the classifier unfitted, so predicting
+            # raises NotFittedError instead of using half-set parameters.
+            del self.classes_, self.n_features_in_
+            raise
         return self
 
     def predict_proba(self, X) -> np.ndarray:

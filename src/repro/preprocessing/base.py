@@ -41,7 +41,12 @@ class Preprocessor:
         """Learn the per-feature statistics needed to transform data."""
         X = check_array(X)
         self.n_features_in_ = X.shape[1]
-        self._fit(X, y)
+        try:
+            self._fit(X, y)
+        except BaseException:
+            # A refused fit leaves the preprocessor unfitted.
+            del self.n_features_in_
+            raise
         return self
 
     def transform(self, X) -> np.ndarray:

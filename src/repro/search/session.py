@@ -456,7 +456,6 @@ class SearchSession:
                     f"prefix.{name}": value
                     for name, value in evaluator.prefix_cache.counters().items()
                 })
-            snapshot = snapshot.merge(evaluator._worker_metrics.snapshot())
         snapshot["session.trials"] = len(self.result)
         snapshot["session.iteration"] = self._iteration
         return snapshot

@@ -23,12 +23,14 @@ Errors map onto status codes the obvious way: a malformed request is 400
 (:class:`~repro.exceptions.ValidationError`, or an unknown dataset or
 algorithm name), an unknown session id 404,
 an exhausted tenant quota 429 (:class:`~repro.serve.manager.AdmissionError`).
-Every response body — errors included — is a JSON object.
+A request line or headers that the stdlib cannot parse get the stdlib's
+4xx/5xx status.  Every response body — errors included — is a JSON object.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.exceptions import UnknownComponentError, ValidationError
@@ -54,6 +56,9 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: a request line that names no version is answered as HTTP/1.1 too,
+    #: with a status line and headers (an HTTP/0.9 reply has neither)
+    default_request_version = "HTTP/1.1"
     #: StreamRequestHandler applies it to the socket; the stdlib's
     #: handle_one_request closes the connection on a TimeoutError
     timeout = READ_TIMEOUT_SECONDS
@@ -74,7 +79,20 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # a HEAD reply (a 501 here) has no body
+            self.wfile.write(body)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Answer a request the stdlib could not parse with a JSON error.
+
+        ``BaseHTTPRequestHandler`` calls this for a bad request line or
+        version, an over-long line, too many headers or a method with no
+        handler, and would send an HTML page.  The rest of the request is
+        unread, so the connection closes after the reply.
+        """
+        self.close_connection = True
+        self._send_json({"error": message or self.responses[code][0]},
+                        status=code)
 
     def _read_json(self):
         header = (self.headers.get("Content-Length") or "0").strip()
@@ -145,12 +163,14 @@ class ServeHandler(BaseHTTPRequestHandler):
             try:
                 after = int(query.get("after", 0))
                 timeout = query.get("timeout")
-                timeout = None if timeout is None \
-                    else min(float(timeout), MAX_POLL_SECONDS)
+                timeout = None if timeout is None else float(timeout)
             except ValueError as error:
                 raise ValidationError(
                     f"after/timeout must be numbers: {error}"
                 ) from error
+            if timeout is not None and math.isfinite(timeout):
+                # A non-finite timeout goes through for the manager to refuse.
+                timeout = min(timeout, MAX_POLL_SECONDS)
             self._send_json(self.manager.events(route[1], after=after,
                                                 timeout=timeout))
         else:

@@ -48,6 +48,7 @@ live in :mod:`repro.search.session`, :mod:`repro.telemetry.metrics` and
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 import threading
 import time
@@ -665,10 +666,18 @@ class SessionManager:
         Returns ``{"events": [...], "next": n, "status": ...}``; with a
         ``timeout`` the call blocks until new events arrive, the session
         reaches a terminal state, or the timeout elapses — the primitive
-        the HTTP layer turns into chunked live streaming.
+        the HTTP layer turns into chunked live streaming.  A timeout that
+        is not a finite number of seconds raises :class:`ValidationError`.
         """
         after = max(0, int(after))
-        deadline = None if timeout is None else time.time() + float(timeout)
+        timeout = None if timeout is None else float(timeout)
+        if timeout is not None and not math.isfinite(timeout):
+            # A NaN deadline never expires and never waits: the loop would
+            # spin on the lock until the session stops.
+            raise ValidationError(
+                f"timeout must be a finite number of seconds, got {timeout!r}"
+            )
+        deadline = None if timeout is None else time.time() + timeout
         with self._wakeup:
             while True:
                 record = self._get_locked(session_id)
@@ -686,7 +695,7 @@ class SessionManager:
                 if remaining <= 0:
                     return {"session_id": session_id, "events": [],
                             "next": after, "status": record.status}
-                self._wakeup.wait(remaining)
+                self._wakeup.wait(min(remaining, threading.TIMEOUT_MAX))
 
     def engine_view(self) -> dict:
         """The shared engine's capacity: backend, workers, in-flight depth.

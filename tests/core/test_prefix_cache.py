@@ -2,10 +2,11 @@
 
 Unit tests for :mod:`repro.core.prefixcache` plus the evaluator-level
 behaviour of ``PipelineEvaluator(prefix_cache_bytes=...)``: incremental
-evaluation must be bit-for-bit identical to the cold path, failed prefixes
-must fail all their extensions without re-running Prep, and no registered
-preprocessor may mutate its input arrays (the copy-on-write discipline the
-cache relies on — cached arrays are handed to later steps as-is).
+evaluation must be bit-for-bit identical to cache-off (cold) evaluation,
+failed prefixes must fail all their extensions without re-running Prep, and
+no registered preprocessor may mutate its input arrays (the copy-on-write
+discipline the cache relies on — cached arrays are handed to later steps
+as-is).
 
 The cross-backend guarantee (cache-on == cache-off on serial/process, sync
 and async) lives in ``tests/engine/test_determinism.py``.
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import PipelineEvaluator
-from repro.core.pipeline import FittedPipeline, Pipeline
+from repro.core.pipeline import Pipeline
 from repro.core.prefixcache import (
     PrefixTransformCache,
     make_prefix_cache,
@@ -48,17 +49,17 @@ class TestByteBudgetLRU:
     def test_insert_and_longest_prefix_lookup(self):
         cache = PrefixTransformCache(max_bytes=1 << 20)
         spec = _spec("standard_scaler", "normalizer", "binarizer")
+        cache.store(spec[:1], *_arrays(800))
         train, valid = _arrays(800)
-        cache.store(spec[:1], 1.0, None, ("step1",), train, valid)
-        cache.store(spec[:2], 1.0, None, ("step1", "step2"), train, valid)
+        cache.store(spec[:2], train, valid)
 
-        length, entry = cache.longest_prefix(spec, 1.0, None)
+        length, entry = cache.longest_prefix(spec)
         assert length == 2
-        assert entry.fitted_steps == ("step1", "step2")
+        assert entry.X_train is train and entry.X_valid is valid
         assert cache.steps_reused == 2
 
         # An unrelated spec misses entirely.
-        length, entry = cache.longest_prefix(_spec("binarizer"), 1.0, None)
+        length, entry = cache.longest_prefix(_spec("binarizer"))
         assert (length, entry) == (0, None)
         assert cache.misses == 1
 
@@ -68,53 +69,40 @@ class TestByteBudgetLRU:
         first = _spec("standard_scaler")
         second = _spec("normalizer")
         third = _spec("binarizer")
-        cache.store(first, 1.0, None, (), train, valid)
-        cache.store(second, 1.0, None, (), train, valid)
+        cache.store(first, train, valid)
+        cache.store(second, train, valid)
         assert cache.bytes_held == 800
 
         # Touch `first` so `second` becomes the LRU victim.
-        cache.longest_prefix(first, 1.0, None)
-        cache.store(third, 1.0, None, (), train, valid)
+        cache.longest_prefix(first)
+        cache.store(third, train, valid)
         assert cache.evictions == 1
         assert cache.bytes_held == 800
-        assert cache.longest_prefix(second, 1.0, None) == (0, None)
-        assert cache.longest_prefix(first, 1.0, None)[0] == 1
-        assert cache.longest_prefix(third, 1.0, None)[0] == 1
+        assert cache.longest_prefix(second) == (0, None)
+        assert cache.longest_prefix(first)[0] == 1
+        assert cache.longest_prefix(third)[0] == 1
 
     def test_entry_larger_than_budget_is_not_stored(self):
         cache = PrefixTransformCache(max_bytes=100)
         train, valid = _arrays(800)
-        cache.store(_spec("normalizer"), 1.0, None, (), train, valid)
+        cache.store(_spec("normalizer"), train, valid)
         assert len(cache) == 0
         assert cache.insertions == 0
 
     def test_failure_tombstones_cost_no_budget(self):
         cache = PrefixTransformCache(max_bytes=100)
-        cache.store_failure(_spec("normalizer"), 1.0, None)
+        cache.store_failure(_spec("normalizer"))
         assert len(cache) == 1
         assert cache.bytes_held == 0
-        length, entry = cache.longest_prefix(_spec("normalizer", "binarizer"),
-                                             1.0, None)
+        length, entry = cache.longest_prefix(_spec("normalizer", "binarizer"))
         assert length == 1 and entry.failed
         assert cache.failed_short_circuits == 1
-
-    def test_fidelity_and_token_scope_entries(self):
-        cache = PrefixTransformCache(max_bytes=1 << 20)
-        train, valid = _arrays(160)
-        spec = _spec("standard_scaler", "normalizer")
-        cache.store(spec[:1], 1.0, None, (), train, valid)
-        # Same prefix at another fidelity (hence another subsample) misses.
-        assert cache.longest_prefix(spec, 0.5, spec) == (0, None)
-        token_other = _spec("standard_scaler", "binarizer")
-        cache.store(spec[:1], 0.5, token_other, (), train, valid)
-        assert cache.longest_prefix(spec, 0.5, spec) == (0, None)
-        assert cache.longest_prefix(spec, 1.0, None)[0] == 1
 
     def test_stored_arrays_are_read_only(self):
         cache = PrefixTransformCache(max_bytes=1 << 20)
         train, valid = _arrays(160)
-        cache.store(_spec("normalizer"), 1.0, None, (), train, valid)
-        _, entry = cache.longest_prefix(_spec("normalizer"), 1.0, None)
+        cache.store(_spec("normalizer"), train, valid)
+        _, entry = cache.longest_prefix(_spec("normalizer"))
         with pytest.raises(ValueError):
             entry.X_train[0] = 1.0
         with pytest.raises(ValueError):
@@ -338,7 +326,7 @@ class TestEvaluatorPrefixReuse:
         assert info["prefix_hits"] == 0 and info["prefix_misses"] == 0
 
 
-# ----------------------------------------------------- resumable fit API
+# ------------------------------------------------- worker counter merge-back
 class TestWorkerCounterMergeBack:
     """Process-pool and remote workers' prefix-cache counters reach the parent.
 
@@ -413,7 +401,7 @@ class TestWorkerCounterMergeBack:
         assert evaluator.cache_info()["prefix_hits"] >= 3
         for entry in evaluator._cache.values():
             assert "_metrics_delta" not in entry
-        # The worker published to the shared disk cache too.
+        # The coordinator wrote the results to the shared disk cache.
         shards = [path for path in cache_dir.rglob("*") if path.is_file()]
         assert shards
         assert not any("_metrics_delta" in path.read_text(encoding="utf-8")
@@ -485,52 +473,6 @@ class TestWorkerCounterMergeBack:
         assert serial_info["prefix_hits"] > 0  # the serial reference reuses
 
 
-class TestResumableFit:
-    def test_fit_transform_from_matches_full_fit(self, data):
-        X, _ = data
-        pipeline = Pipeline.from_names(
-            ("standard_scaler", "normalizer", "binarizer")
-        )
-        fitted, full = pipeline.fit_transform(X)
-        prefix_fitted, prefix_out = Pipeline(pipeline.steps[:2]).fit_transform(X)
-        suffix, resumed = pipeline.fit_transform_from(2, prefix_out.copy())
-        assert np.array_equal(resumed, full)
-        composed = FittedPipeline.compose(pipeline, prefix_fitted.fitted_steps,
-                                          suffix)
-        assert np.array_equal(composed.transform(X), fitted.transform(X))
-
-    def test_step_callback_sees_every_intermediate_prefix(self, data):
-        X, _ = data
-        pipeline = Pipeline.from_names(("standard_scaler", "normalizer"))
-        seen = []
-        pipeline.fit_transform_from(
-            0, X, step_callback=lambda end, step, cur: seen.append(
-                (end, step.name, cur.shape))
-        )
-        assert [(end, name) for end, name, _ in seen] == \
-            [(1, "standard_scaler"), (2, "normalizer")]
-
-    def test_invalid_prefix_lengths_are_rejected(self, data):
-        X, _ = data
-        pipeline = Pipeline.from_names(("standard_scaler",))
-        with pytest.raises(ValidationError):
-            pipeline.fit_transform_from(2, X)
-        fitted = pipeline.fit(X)
-        with pytest.raises(ValidationError):
-            fitted.transform_from(5, X)
-        with pytest.raises(ValidationError):
-            FittedPipeline.compose(pipeline, fitted.fitted_steps,
-                                   fitted.fitted_steps)
-
-    def test_transform_from_applies_only_the_suffix(self, data):
-        X, _ = data
-        pipeline = Pipeline.from_names(("standard_scaler", "normalizer"))
-        fitted, full = pipeline.fit_transform(X)
-        after_first = fitted.fitted_steps[0].transform(
-            np.asarray(X, dtype=np.float64))
-        assert np.array_equal(fitted.transform_from(1, after_first), full)
-
-
 # ------------------------------------------------- copy-on-write guards
 ALL_PREPROCESSOR_NAMES = DEFAULT_PREPROCESSOR_NAMES + EXTENDED_PREPROCESSOR_NAMES
 
@@ -588,11 +530,3 @@ class TestSanitizeCopyElision:
         assert cleaned is not X
         assert np.all(np.isfinite(cleaned))
         assert cleaned[1, 1] == 1.0
-
-
-class TestAdaptiveBudget:
-    """A falsy budget still disables the cache; none is sized for you."""
-
-    def test_make_prefix_cache_still_disables_on_falsy(self):
-        assert make_prefix_cache(None) is None
-        assert make_prefix_cache(0) is None

@@ -270,10 +270,9 @@ class TestSerialWorkerValidation:
 
 
 class _FakePool:
-    """Stands in for a ProcessPoolExecutor in LRU bookkeeping tests."""
+    """Stands in for a process pool in LRU bookkeeping tests."""
 
-    def __init__(self, *args, **kwargs):
-        self.initargs = kwargs.get("initargs")
+    def __init__(self, evaluator, n_workers):
         self.shut_down = False
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -302,7 +301,7 @@ class TestEvaluationPoolLRU:
     def backend(self, monkeypatch):
         import repro.engine.backends as backends_module
 
-        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", _FakePool)
+        monkeypatch.setattr(backends_module, "_process_pool", _FakePool)
         backend = ProcessBackend(n_workers=2, max_eval_pools=2)
         yield backend
         backend.close()

@@ -1,8 +1,12 @@
-"""Parallel experiment-grid fan-out: every backend yields the same outcome.
+"""Parallel experiment-grid fan-out: every backend yields the same results.
 
 The grid dispatches cells as individual futures (no whole-grid barrier):
 ``cell_callback`` reports completions as they land while results merge in
-grid order, so outcomes are identical for every worker count and backend.
+grid order, so scenarios, results and bottleneck reports are identical for
+every worker count and backend (apart from measured times).
+``uncached_evaluations`` is not: it is counted per grid process, so cells
+of one group that land in different processes repeat each other's
+evaluations.
 
 Also runs the smoke mode of ``benchmarks/bench_parallel_speedup.py`` so the
 execution engine's grid fan-out is exercised by the tier-1 suite on every

@@ -73,11 +73,13 @@ json_values = st.recursive(
 def _valid_document() -> dict:
     result = SearchResult(algorithm="property", baseline_accuracy=0.5)
     result.add(TrialRecord(pipeline=_SPACE.pipeline_from_indices([0, 3, 5]),
-                           accuracy=0.75, fidelity=0.5, iteration=1,
-                           phase_timings={"pick": 0.1, "prep": 0.2}))
+                           accuracy=0.75, fidelity=0.5, iteration=1))
     result.add(TrialRecord(pipeline=Pipeline(), accuracy=0.0,
                            failure_kind="timeout"))
-    return search_result_to_dict(result)
+    document = search_result_to_dict(result)
+    # Older documents carry per-trial phase timings; readers ignore them.
+    document["trials"][0]["phase_timings"] = {"pick": 0.1, "prep": 0.2}
+    return document
 
 
 def _slots(node):

@@ -8,11 +8,15 @@ bit-for-bit identical to an uninterrupted run.
 """
 
 import json
+import math
 import socket
 import threading
 import time
+from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ReproError
 from repro.serve import ServeAPIError, ServeClient, SessionManager, build_server
@@ -44,6 +48,15 @@ class _Server:
 def served(tmp_path):
     server = _Server(tmp_path / "state", max_sessions=2, checkpoint_every=2)
     yield server
+    server.stop()
+
+
+@pytest.fixture(scope="module")
+def polled(tmp_path_factory):
+    """A server shared by a module's examples, with one submitted session."""
+    server = _Server(tmp_path_factory.mktemp("polled") / "state")
+    session_id = server.client.submit(SPEC)["session_id"]
+    yield server, session_id
     server.stop()
 
 
@@ -133,6 +146,73 @@ def _raw_request(server, request: bytes, *, timeout: float = 10.0) -> bytes:
     return b"".join(chunks)
 
 
+def _reply_within(server, request: bytes, seconds: float) -> tuple:
+    """``(status, JSON body)`` of the reply to ``request``, sent in time."""
+    host, port = server.server.server_address[:2]
+    start = time.monotonic()
+    chunks = []
+    with socket.create_connection((host, port), timeout=seconds) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # the server closed with part of the request unread
+    assert time.monotonic() - start < seconds
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 "), head
+    return int(head.split()[1]), json.loads(body)
+
+
+def _not_a_finite_number(text: str) -> bool:
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+#: poll parameters no long-poll may accept: NaN, infinities, numbers that
+#: overflow to infinity and text that is not a number
+bad_poll_values = st.sampled_from(
+    ["nan", "-NaN", "inf", "-inf", "Infinity", "1e400", "-1e999", "9" * 400]
+) | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+            max_size=12).filter(_not_a_finite_number)
+
+#: the session placeholder in a drawn poll request
+SESSION = b"<session>"
+
+poll_requests = st.builds(
+    lambda after, timeout: (
+        b"GET /sessions/%s/events?%s HTTP/1.1\r\nHost: test\r\n"
+        b"Connection: close\r\n\r\n"
+        % (SESSION, urlencode({"after": after, "timeout": timeout})
+           .encode("ascii"))),
+    after=bad_poll_values | st.integers(-10**30, 10**30).map(str),
+    timeout=bad_poll_values,
+)
+
+#: request lines the stdlib refuses: one word, a bad or unsupported
+#: version, too many words, an over-long line, a method with no handler
+bad_request_lines = st.sampled_from([
+    b"GET", b"POST", b"GET /healthz HTTP/9.9", b"GET /healthz HTTP/2.0",
+    b"GET /healthz HTTP/1.x", b"GET /healthz HTTP/1", b"GET /healthz HTP/1.1",
+    b"GET /healthz HTTP/1.1.1", b"GET /healthz HTTP/12345678901.1",
+    b"GET /a b HTTP/1.1", b"POST /sessions", b"PUT /sessions HTTP/1.1",
+    b"DELETE /sessions/x HTTP/1.1", b"GET /" + b"a" * 70000 + b" HTTP/1.1",
+]) | st.integers(2, 10**6).map(lambda major: b"GET /healthz HTTP/%d.0" % major)
+
+#: header blocks the stdlib refuses: a line over 64 KiB or over 100 lines
+bad_headers = st.integers(65537, 80000).map(
+    lambda size: b"X-Big: " + b"a" * size + b"\r\n"
+) | st.integers(101, 300).map(
+    lambda count: b"".join(b"X-%d: 1\r\n" % i for i in range(count)))
+
+hostile_requests = poll_requests | bad_request_lines.map(
+    lambda line: line + b"\r\nHost: test\r\n\r\n"
+) | bad_headers.map(
+    lambda headers: b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n")
+
+
 def _handler_threads() -> set:
     return {thread for thread in threading.enumerate()
             if "process_request_thread" in thread.name}
@@ -204,6 +284,25 @@ class TestHostileRequests:
             thread.join(timeout=5.0)
             listener.close()
         assert not thread.is_alive()
+
+    def test_head_request_gets_a_501_without_a_body(self, served):
+        reply = _raw_request(served, (
+            b"HEAD /healthz HTTP/1.1\r\nHost: test\r\n\r\n"))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"application/json" in head
+        assert body == b""
+
+    @given(request=hostile_requests)
+    @settings(max_examples=80, deadline=None)
+    def test_hostile_requests_get_a_json_error_in_time(self, polled,
+                                                       request):
+        server, session_id = polled
+        request = request.replace(SESSION, session_id.encode("ascii"))
+        status, body = _reply_within(server, request, 5.0)
+        assert 400 <= status < 600
+        assert isinstance(body["error"], str)
+        assert server.client.healthz()["status"] == "ok"
 
 
 class TestServerRestart:

@@ -7,6 +7,7 @@ one on the same state dir, and the resumed session's accuracies must be
 bit-for-bit identical to a run that was never interrupted.
 """
 
+import math
 import time
 
 import pytest
@@ -166,6 +167,22 @@ class TestLifecycle:
             manager.status("no-such-session")
         with pytest.raises(UnknownSessionError):
             manager.events("no-such-session")
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf])
+    def test_non_finite_poll_timeout_is_refused(self, manager, timeout):
+        # A NaN deadline never expires and never waits, so the poll would
+        # spin on the manager lock until the session stops.
+        session_id = manager.submit(SPEC)
+        start = time.monotonic()
+        with pytest.raises(ValidationError, match="finite"):
+            manager.events(session_id, after=10**9, timeout=timeout)
+        assert time.monotonic() - start < 5.0
+
+    def test_huge_poll_timeout_waits_for_the_session(self, manager):
+        session_id = manager.submit(SPEC)
+        chunk = manager.events(session_id, after=10**9, timeout=1e300)
+        assert chunk["events"] == []
+        assert chunk["status"] == "done"
 
     def test_queued_session_waits_for_a_slot(self, tmp_path):
         manager = SessionManager(state_dir=tmp_path / "state", max_sessions=1)

@@ -207,12 +207,12 @@ class TestWorkerDeltaShippingUnderProcessBackend:
             engine.close()
         # The reuse happened in another address space; the shipped
         # MetricsSnapshot deltas must still surface in the parent.
-        merged = evaluator._worker_metrics.snapshot()
-        assert merged.get("prefix.hits", 0) >= 3
-        assert merged.get("prefix.steps_reused", 0) >= 6
+        merged = evaluator.prefix_cache.counters()
+        assert merged.get("hits", 0) >= 3
+        assert merged.get("steps_reused", 0) >= 6
         info = evaluator.cache_info()
-        assert info["prefix_hits"] == merged["prefix.hits"]
-        assert info["steps_reused"] == merged["prefix.steps_reused"]
+        assert info["prefix_hits"] == merged["hits"]
+        assert info["steps_reused"] == merged["steps_reused"]
 
 
 def test_library_counters_live_on_metric_sets():

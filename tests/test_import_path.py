@@ -1,10 +1,11 @@
-"""The default search path must not import scipy.
+"""Search paths that must not import scipy or multiprocessing.
 
 scipy takes most of a second to import, and every CLI call, ``repro
 worker`` and spawned pool process pays for whatever ``import repro.cli``
 pulls in.  Modules that need scipy import it where it is used, and the
 search algorithms on the benchmark's paths (SMAC's expected improvement
-included) do not need it at all.
+included) do not need it at all.  Likewise only the process backend
+builds process pools, so a serial search never loads ``multiprocessing``.
 """
 
 import os
@@ -14,9 +15,9 @@ from pathlib import Path
 
 import repro
 
-REPORT_SCIPY = """
+REPORT_MODULES = """
 print(sorted(name for name in sys.modules
-             if name == "scipy" or name.startswith("scipy.")))
+             if name == {prefix!r} or name.startswith({prefix!r} + ".")))
 """
 
 FITS = """
@@ -50,18 +51,35 @@ assert len(result) == 6 and smac._surrogate is not None
 """
 
 
-def loaded_scipy_modules(script: str) -> str:
+SERIAL_CLI_SEARCH = """
+import io
+import sys
+
+from repro.cli import main
+
+assert main(["search", "--dataset", "blood", "--max-trials", "6",
+             "--scale", "0.4"], out=io.StringIO()) == 0
+"""
+
+
+def loaded_modules(script: str, prefix: str) -> str:
+    """The loaded modules named ``prefix`` or ``prefix.*`` after ``script``."""
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
-    completed = subprocess.run([sys.executable, "-c", script + REPORT_SCIPY],
+    report = REPORT_MODULES.format(prefix=prefix)
+    completed = subprocess.run([sys.executable, "-c", script + report],
                                env=env, capture_output=True, text=True,
                                timeout=120, check=True)
     return completed.stdout.strip()
 
 
 def test_cli_and_default_fits_do_not_import_scipy():
-    assert loaded_scipy_modules(FITS) == "[]"
+    assert loaded_modules(FITS, "scipy") == "[]"
 
 
 def test_smac_search_does_not_import_scipy():
     """Past ``n_init`` SMAC scores candidates by expected improvement."""
-    assert loaded_scipy_modules(SMAC_SEARCH) == "[]"
+    assert loaded_modules(SMAC_SEARCH, "scipy") == "[]"
+
+
+def test_serial_search_does_not_import_multiprocessing():
+    assert loaded_modules(SERIAL_CLI_SEARCH, "multiprocessing") == "[]"
