@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.evaluation import PipelineEvaluator
 from repro.core.search_space import SearchSpace
 from repro.datasets.synthetic import distort_features, make_classification
-from repro.engine import ChaosBackend, EvalTask, ExecutionEngine, RetryPolicy
+from repro.engine import EvalTask, ExecutionEngine, RetryPolicy
 from repro.engine.backends import ProcessBackend, SerialBackend
 from repro.models.linear import LogisticRegression
 from repro.telemetry.metrics import get_registry
@@ -78,8 +78,8 @@ def test_fault_envelope_smoke(artifact):
                         retry_policy=RetryPolicy())
     )
     chaos_rows, chaos_s = timed_batch(
-        ExecutionEngine(ChaosBackend(SerialBackend(retry_policy=FAST_RETRY),
-                                     "error@2,crash@5"))
+        ExecutionEngine(SerialBackend(retry_policy=FAST_RETRY),
+                        chaos="error@2,crash@5")
     )
 
     assert guarded_rows == plain_rows, \
@@ -120,10 +120,10 @@ def test_process_crash_recovery(once, artifact):
 
     def crashed():
         return timed_batch(
-            ExecutionEngine(ChaosBackend(
+            ExecutionEngine(
                 ProcessBackend(n_workers=2, retry_policy=FAST_RETRY),
-                "crash@3",
-            ))
+                chaos="crash@3",
+            )
         )
 
     clean_rows, clean_s = clean()

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.evaluation import PipelineEvaluator
 from repro.core.search_space import SearchSpace
 from repro.datasets.synthetic import distort_features, make_classification
-from repro.engine import ChaosBackend, EvalTask, ExecutionEngine, RetryPolicy
+from repro.engine import EvalTask, ExecutionEngine, RetryPolicy
 from repro.engine.backends import ProcessBackend
 from repro.engine.remote import start_loopback
 from repro.models.linear import LogisticRegression
@@ -74,8 +74,7 @@ def timed_batch(engine, n: int = N_TASKS):
 
 def timed_remote_batch(n: int = N_TASKS, chaos: str | None = None):
     backend, workers = start_loopback(2, retry_policy=FAST_RETRY)
-    engine = ExecutionEngine(ChaosBackend(backend, chaos) if chaos
-                             else backend)
+    engine = ExecutionEngine(backend, chaos=chaos)
     try:
         return timed_batch(engine, n)
     finally:

@@ -306,14 +306,14 @@ def main() -> None:
     #     The same fleet in-process (what the tests and CI smoke use),
     #     with a chaos fault that drops one of the two workers at
     #     dispatch index 5 — mid-search, with leases in flight:
-    from repro.engine import ChaosBackend, ExecutionEngine
+    from repro.engine import ExecutionEngine
     from repro.engine.remote import start_loopback
 
     remote_backend, remote_workers = start_loopback(2)
     remote_problem = AutoFPProblem.from_arrays(
         X, y, model="lr", random_state=0, name="heart/lr")
     remote_problem.evaluator.set_engine(
-        ExecutionEngine(ChaosBackend(remote_backend, "drop_worker@5")))
+        ExecutionEngine(remote_backend, chaos="drop_worker@5"))
     distributed = make_search_algorithm("pbt", random_state=0).search(
         remote_problem, max_trials=40)
     remote_problem.evaluator.engine.close()

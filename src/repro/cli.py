@@ -512,7 +512,6 @@ def _resolve_context(args):
 def _remote_address(engine) -> str | None:
     """The coordinator address of a remote-backed engine, else ``None``."""
     backend = getattr(engine, "backend", None)
-    backend = getattr(backend, "inner", backend)  # unwrap ChaosBackend
     return getattr(backend, "coordinator_address", None)
 
 

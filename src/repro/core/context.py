@@ -19,10 +19,12 @@ Because the context is a frozen dataclass of plain scalars it is
   from ``REPRO_*`` environment variables for container deployments.
 
 The context is *declarative*: it never holds live resources.
-:meth:`build_engine` constructs the execution engine it describes, and
+:meth:`build_engine` constructs the execution engine it describes, with
+the ``chaos`` fault plan handed to the engine, and
 :meth:`evaluator_options` yields the constructor options of a
-:class:`~repro.core.evaluation.PipelineEvaluator`, so one context can
-configure any number of problems/evaluators.
+:class:`~repro.core.evaluation.PipelineEvaluator` — the one way a
+context configures an evaluator — so one context can configure any
+number of problems/evaluators.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ class ExecutionContext:
     chaos:
         Optional :class:`~repro.engine.chaos.FaultPlan` spec string
         (e.g. ``"crash@1,delay@4:30"``) — deterministic fault injection
-        for testing recovery paths.  :meth:`build_engine` wraps the
-        backend in a :class:`~repro.engine.chaos.ChaosBackend`.  ``None``
+        for testing recovery paths.  :meth:`build_engine` hands it to the
+        engine, which attaches the faults as it dispatches.  ``None``
         (the default) injects nothing.
     remote_coordinator:
         ``"host:port"`` the ``"remote"`` backend binds its coordinator
@@ -380,24 +382,22 @@ class ExecutionContext:
         ``remote_coordinator`` / ``worker_timeout`` are forwarded only to
         the ``"remote"`` backend, so a globally exported
         ``REPRO_REMOTE_COORDINATOR`` does not break serial or process
-        contexts.  With ``chaos`` set, the backend is wrapped in a
-        :class:`~repro.engine.chaos.ChaosBackend` carrying the fault plan.
+        contexts.  With ``chaos`` set, the engine applies that fault plan
+        to the evaluations it dispatches.
         """
-        from repro.engine import ChaosBackend, ExecutionEngine
+        from repro.engine import ExecutionEngine
 
         name = self.backend_name()
         remote = name == "remote"
-        engine = ExecutionEngine(
+        return ExecutionEngine(
             name,
             n_workers=(None if name == "serial" or self.n_jobs == -1
                        else self.n_jobs),
             eval_timeout=self.eval_timeout,
             remote_coordinator=self.remote_coordinator if remote else None,
             worker_timeout=self.worker_timeout if remote else None,
+            chaos=self.chaos,
         )
-        if self.chaos is not None:
-            engine.backend = ChaosBackend(engine.backend, self.chaos)
-        return engine
 
     def evaluator_options(self) -> dict:
         """Constructor options for a :class:`PipelineEvaluator`.
@@ -413,16 +413,6 @@ class ExecutionContext:
             "telemetry_mode": self.telemetry_mode,
             "telemetry_dir": self.telemetry_dir,
         }
-
-    def configure_evaluator(self, evaluator) -> None:
-        """Attach this context's engine to an existing ``evaluator``.
-
-        Cache knobs (``cache_dir``, ``prefix_cache_bytes``) are
-        construction-time options of the evaluator and cannot be changed
-        here; build the evaluator through :meth:`evaluator_options` to
-        apply them.
-        """
-        evaluator.set_engine(self.build_engine())
 
     # ------------------------------------------------------------- defaults
     def seed_or(self, default):

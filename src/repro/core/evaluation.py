@@ -59,7 +59,7 @@ from repro.exceptions import ValidationError
 from repro.models.base import Classifier
 from repro.models.metrics import accuracy_score, train_test_split
 from repro.telemetry.metrics import MetricSet, metric_property
-from repro.telemetry.tracing import make_tracer, trace_span
+from repro.telemetry.tracing import make_tracer
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_X_y
 
@@ -380,17 +380,23 @@ class PipelineEvaluator:
         entries found on disk, never ones computed in this run.  Both
         layers count as ``hits``; disk traffic is additionally itemised.
         """
-        with trace_span(self._tracer, "cache_lookup"):
-            entry = self._cache.get(key)
-            if entry is None and self._disk_cache is not None:
-                entry = self._disk_cache.get(key)
-                if entry is not None:
-                    self._cache[key] = entry
-            if entry is None:
-                self.cache_misses += 1
-            else:
-                self.cache_hits += 1
-            return entry
+        tracer = self._tracer
+        if tracer is not None:
+            wall = time.time()
+            start = time.perf_counter()
+        entry = self._cache.get(key)
+        if entry is None and self._disk_cache is not None:
+            entry = self._disk_cache.get(key)
+            if entry is not None:
+                self._cache[key] = entry
+        if entry is None:
+            self.cache_misses += 1
+        else:
+            self.cache_hits += 1
+        if tracer is not None:
+            tracer.emit("cache_lookup", ts=wall,
+                        dur=time.perf_counter() - start)
+        return entry
 
     def cache_store(self, key: tuple, entry: dict) -> None:
         """Insert ``entry`` under ``key`` in the memo and the disk cache.

@@ -102,10 +102,6 @@ class SearchResult:
     def best_accuracy(self) -> float:
         return self.best_trial().accuracy
 
-    @property
-    def best_error(self) -> float:
-        return self.best_trial().error
-
     def improvement_over_baseline(self) -> float | None:
         """Accuracy improvement vs the no-preprocessing baseline (percentage points)."""
         if self.baseline_accuracy is None:

@@ -35,11 +35,11 @@ an engine from CLI-style options.
 Execution is fault tolerant: :mod:`repro.engine.faults` defines the
 failure taxonomy and :class:`~repro.engine.faults.RetryPolicy`, every
 backend recovers from worker crashes and enforces evaluation deadlines
-through one recovering future (see :mod:`repro.engine.backends`),
-and :mod:`repro.engine.chaos` provides a deterministic fault-injection
-harness (:class:`~repro.engine.chaos.ChaosBackend` +
-:class:`~repro.engine.chaos.FaultPlan`) that makes every recovery path
-reproducibly testable.
+through one recovering future (see :mod:`repro.engine.backends`), and
+:mod:`repro.engine.chaos` provides a deterministic fault-injection
+harness: ``ExecutionEngine(backend, chaos="crash@1")`` attaches a
+:class:`~repro.engine.chaos.FaultPlan` to the evaluations the engine
+dispatches, which makes every recovery path reproducibly testable.
 """
 
 from repro.engine.backends import (
@@ -52,7 +52,7 @@ from repro.engine.backends import (
     default_worker_count,
     make_backend,
 )
-from repro.engine.chaos import ChaosBackend, FaultPlan
+from repro.engine.chaos import FaultPlan
 from repro.engine.engine import (
     ExecutionEngine,
     PendingTask,
@@ -86,7 +86,6 @@ __all__ = [
     "RemoteWorker",
     "Coordinator",
     "start_loopback",
-    "ChaosBackend",
     "PendingTask",
     "BACKEND_CLASSES",
     "BACKEND_NAMES",

@@ -533,16 +533,8 @@ class ProcessBackend(ExecutionBackend):
     #: beyond this is shut down (its worker processes reaped) on demand
     max_eval_pools = 4
 
-    def __init__(self, n_workers: int | None = None, *,
-                 max_eval_pools: int | None = None, **options) -> None:
+    def __init__(self, n_workers: int | None = None, **options) -> None:
         super().__init__(n_workers=n_workers, **options)
-        if max_eval_pools is not None:
-            max_eval_pools = int(max_eval_pools)
-            if max_eval_pools < 1:
-                raise ValidationError(
-                    f"max_eval_pools must be at least 1, got {max_eval_pools}"
-                )
-            self.max_eval_pools = max_eval_pools
         self._lock = threading.Lock()
         #: fingerprint -> initializer-seeded pool, most recently used last
         self._eval_pools: "OrderedDict[str, ProcessPoolExecutor]" = OrderedDict()

@@ -1,21 +1,22 @@
-"""Deterministic fault injection: :class:`FaultPlan` + :class:`ChaosBackend`.
+"""Deterministic fault injection: the :class:`FaultPlan`.
 
 The chaos harness exists so every recovery path in
 :mod:`repro.engine.backends` is *reproducibly* testable: a
 :class:`FaultPlan` schedules faults at specific task indices (worker
-kills, raised transient errors, hangs), and a :class:`ChaosBackend` wraps
-any real backend and attaches those faults to the matching work items as
-they are dispatched.  Every evaluation is dispatched through
-``submit_evaluation`` by the engine's ``submit_task`` — a barrier wave in
-LPT order, the completion-driven driver in submission order, both
-deterministic — so task indices count primaries in one dispatch order,
-and two runs of the same plan hit the same pipelines with the same
-faults.  Recovery re-dispatches happen inside the wrapped backend and
-never consume plan indices.  By the attribution rule in
-:mod:`repro.engine.backends`, a one-shot fault quarantines nobody (its
-retry runs clean), and a sticky one quarantines only the task that
-carries it, so the surviving records of a crash-and-recover run equal a
-no-fault run bit for bit.
+kills, raised transient errors, hangs), and an engine built with
+``ExecutionEngine(backend, chaos=plan)`` attaches them
+(:meth:`FaultPlan.attach`) to the matching work items as it dispatches
+them.  The engine's ``submit_task`` is the only caller of
+``backend.submit_evaluation`` — a barrier wave in LPT order, the
+completion-driven driver in submission order, both deterministic — and
+each primary takes the next index there, so task indices count
+primaries in one dispatch order, and two runs of the same plan hit the
+same pipelines with the same faults.  Recovery re-dispatches happen
+inside the backend and never consume plan indices.  By the attribution
+rule in :mod:`repro.engine.backends`, a one-shot fault quarantines
+nobody (its retry runs clean), and a sticky one quarantines only the
+task that carries it, so the surviving records of a crash-and-recover
+run equal a no-fault run bit for bit.
 
 Wired through :class:`~repro.core.context.ExecutionContext` via the
 ``chaos`` field / ``REPRO_CHAOS`` env var using a compact spec grammar::
@@ -34,12 +35,10 @@ task itself ships clean — replaying a machine loss mid-search.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.engine.backends import ExecutionBackend
 from repro.engine.faults import FaultInjection, InjectedFault
 from repro.exceptions import ValidationError
 
@@ -68,6 +67,32 @@ class FaultPlan:
     def fault_at(self, index: int) -> InjectedFault | None:
         """The fault planned for task ``index``, or ``None``."""
         return self._faults.get(index)
+
+    def attach(self, index: int, item, backend):
+        """The work item to dispatch as primary ``index`` on ``backend``.
+
+        ``item`` itself when the plan names no fault there, else ``item``
+        wrapped in a :class:`~repro.engine.faults.FaultInjection` that the
+        backend's recovering future applies and survives.  A
+        ``drop_worker`` fault disconnects one of ``backend``'s live
+        workers *now*, at this deterministic index, and ships the item
+        clean: the backend's heartbeat and crash machinery owns the
+        fallout.  A backend without worker membership refuses it.
+        """
+        fault = self.fault_at(index)
+        if fault is None:
+            return item
+        if fault.kind == "drop_worker":
+            drop = getattr(backend, "drop_worker", None)
+            if drop is None:
+                raise ValidationError(
+                    f"drop_worker faults need a backend with worker "
+                    f"membership (the 'remote' backend); "
+                    f"{type(backend).__name__} has none"
+                )
+            drop()
+            return item
+        return FaultInjection(item, fault)
 
     def __len__(self) -> int:
         return len(self._faults)
@@ -174,100 +199,3 @@ class FaultPlan:
 
     def __repr__(self) -> str:
         return f"FaultPlan({self.to_spec()!r})"
-
-
-class ChaosBackend(ExecutionBackend):
-    """Wrap a real backend and inject a :class:`FaultPlan` into its work.
-
-    Pure interposition: every evaluation dispatched through this wrapper
-    is assigned the next task index (thread-safe counter, dispatch
-    order), and indices the plan names get their work item wrapped in a
-    :class:`~repro.engine.faults.FaultInjection` before delegation.  The
-    *inner* backend's recovering future then applies the fault and
-    survives it.  Deliberately does not
-    call ``ExecutionBackend.__init__``: it owns no workers and no
-    settings of its own; ``n_workers``, ``eval_timeout``,
-    ``retry_policy`` and ``last_crash`` all delegate to the wrapped
-    backend.
-    """
-
-    name = "chaos"
-
-    def __init__(self, inner: ExecutionBackend, plan: FaultPlan | str) -> None:
-        if isinstance(inner, ChaosBackend):
-            raise ValidationError("chaos backends do not nest")
-        if not isinstance(inner, ExecutionBackend):
-            raise ValidationError(
-                f"ChaosBackend wraps an ExecutionBackend, "
-                f"got {type(inner).__name__}"
-            )
-        if isinstance(plan, str):
-            plan = FaultPlan.from_spec(plan)
-        self.inner = inner
-        self.plan = plan
-        self._lock = threading.Lock()
-        self._dispatched = 0
-
-    # ---------------------------------------------------------- delegation
-    @property
-    def n_workers(self) -> int:
-        return self.inner.n_workers
-
-    @property
-    def last_crash(self) -> dict | None:
-        return self.inner.last_crash
-
-    @property
-    def eval_timeout(self) -> float | None:
-        return self.inner.eval_timeout
-
-    @eval_timeout.setter
-    def eval_timeout(self, value) -> None:
-        self.inner.eval_timeout = value
-
-    @property
-    def retry_policy(self):
-        return self.inner.retry_policy
-
-    @retry_policy.setter
-    def retry_policy(self, value) -> None:
-        self.inner.retry_policy = value
-
-    # ------------------------------------------------------------ injection
-    def _next_index(self) -> int:
-        with self._lock:
-            index = self._dispatched
-            self._dispatched += 1
-        return index
-
-    def _wrap(self, item):
-        fault = self.plan.fault_at(self._next_index())
-        if fault is None:
-            return item
-        if fault.kind == "drop_worker":
-            # A membership fault: disconnect a live worker *now*, at this
-            # deterministic dispatch index, and ship the item clean — the
-            # inner backend's heartbeat/crash machinery owns the fallout.
-            drop = getattr(self.inner, "drop_worker", None)
-            if drop is None:
-                raise ValidationError(
-                    f"drop_worker faults need a backend with worker "
-                    f"membership (the 'remote' backend); "
-                    f"{type(self.inner).__name__} has none"
-                )
-            drop()
-            return item
-        return FaultInjection(item, fault)
-
-    # ----------------------------------------------------------------- API
-    def submit_evaluation(self, evaluator, item):
-        return self.inner.submit_evaluation(evaluator, self._wrap(item))
-
-    def wait_any(self, futures) -> None:
-        self.inner.wait_any(futures)
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __repr__(self) -> str:
-        return f"ChaosBackend({self.inner!r}, plan={self.plan!r})"

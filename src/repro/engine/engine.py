@@ -7,7 +7,9 @@ one scheduler is the futures layer:
 
 1. :meth:`ExecutionEngine.submit_task` answers a task from the evaluator's
    caches, aliases it to an identical task in flight, or dispatches it
-   through ``backend.submit_evaluation`` as a *primary*;
+   through ``backend.submit_evaluation`` as a *primary* — the one place
+   an evaluation is dispatched, and so the one place a chaos
+   :class:`~repro.engine.chaos.FaultPlan` attaches its faults;
 2. :meth:`ExecutionEngine.resolve_task` returns the record and merges a
    primary's entry into the evaluator's memo and, with a ``cache_dir``,
    the persistent cross-run cache (one append per primary).
@@ -25,12 +27,15 @@ shared RNG, so every backend produces bit-for-bit identical results.
 
 from __future__ import annotations
 
+import itertools
 import time
 import weakref
 
 from repro.core.result import TrialRecord
 from repro.engine.backends import ExecutionBackend, make_backend
+from repro.engine.chaos import FaultPlan
 from repro.engine.tasks import EvalTask
+from repro.exceptions import ValidationError
 from repro.telemetry.metrics import get_registry
 
 
@@ -118,6 +123,12 @@ class ExecutionEngine:
     retry_policy:
         Optional :class:`~repro.engine.faults.RetryPolicy` for transient
         worker failures.
+    chaos:
+        Optional :class:`~repro.engine.chaos.FaultPlan`, or its spec
+        string (``"crash@1,delay@4:30"``): deterministic fault injection
+        for testing recovery paths.  Primaries are numbered from 0 in
+        dispatch order, and each carries the fault the plan names for
+        its number; recovery re-dispatches take no number.
     """
 
     def __init__(self, backend: str | ExecutionBackend = "serial", *,
@@ -125,12 +136,27 @@ class ExecutionEngine:
                  eval_timeout: float | None = None,
                  retry_policy=None,
                  remote_coordinator: str | None = None,
-                 worker_timeout: float | None = None) -> None:
+                 worker_timeout: float | None = None,
+                 chaos: FaultPlan | str | None = None) -> None:
+        # Refuse a bad plan before a backend exists: a remote backend binds
+        # its coordinator at construction and would be left open.
+        if isinstance(chaos, str):
+            chaos = FaultPlan.from_spec(chaos)
+        elif chaos is not None and not isinstance(chaos, FaultPlan):
+            raise ValidationError(
+                f"chaos is a FaultPlan or its spec string, "
+                f"got {type(chaos).__name__}"
+            )
         self.backend = make_backend(backend, n_workers=n_workers,
                                     eval_timeout=eval_timeout,
                                     retry_policy=retry_policy,
                                     remote_coordinator=remote_coordinator,
                                     worker_timeout=worker_timeout)
+        #: the fault plan applied at dispatch, or ``None`` for no faults
+        self.chaos = chaos
+        #: dispatch numbers of primaries: ``next`` on a count is one C call
+        #: under the GIL, so sessions sharing this engine never share one
+        self._dispatch_index = itertools.count()
         #: primaries not yet resolved, keyed by (evaluator id, cache key) so
         #: a duplicate submission aliases the in-flight future instead of
         #: re-dispatching the same work.  Each entry carries a weakref to
@@ -230,9 +256,11 @@ class ExecutionEngine:
         entry = evaluator.cache_lookup(key)
         if entry is not None:
             return PendingTask(task, key, entry=entry)
-        future = self.backend.submit_evaluation(
-            evaluator, (task.pipeline, task.fidelity)
-        )
+        item = (task.pipeline, task.fidelity)
+        if self.chaos is not None:
+            item = self.chaos.attach(next(self._dispatch_index), item,
+                                     self.backend)
+        future = self.backend.submit_evaluation(evaluator, item)
         # Only primaries count toward in-flight depth: aliases and
         # cache-resolved tasks never dispatched work of their own.
         get_registry().gauge("engine.inflight").inc()

@@ -184,9 +184,9 @@ class RetryPolicy:
 # ----------------------------------------------------------- fault injection
 #: the fault kinds a chaos plan can schedule.  ``drop_worker`` is a
 #: *membership* fault — it disconnects a live remote worker instead of
-#: sabotaging the task itself — and is intercepted by the chaos backend
-#: before the work item ships (see ``ChaosBackend._wrap``); it must
-#: never reach :func:`run_work_item`.
+#: sabotaging the task itself — and is carried out by the engine before
+#: the work item ships (see ``FaultPlan.attach``); it must never reach
+#: :func:`run_work_item`.
 CHAOS_FAULT_KINDS = ("crash", "error", "delay", "drop_worker")
 
 
@@ -278,8 +278,8 @@ def run_work_item(item, evaluate, crash, deadline: float | None) -> dict:
     if fault is not None:
         if fault.kind == "drop_worker":
             raise ValidationError(
-                "drop_worker is a membership fault handled by the chaos "
-                "backend before dispatch; it cannot be applied to a task"
+                "drop_worker is a membership fault handled by the engine "
+                "before dispatch; it cannot be applied to a task"
             )
         if fault.kind == "crash":
             crash()

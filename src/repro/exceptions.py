@@ -42,8 +42,3 @@ class CopyOnWriteViolationError(ReproError):
     a pipeline that works without the cache into a 0-accuracy result,
     breaking the cache's bit-for-bit determinism contract.
     """
-
-
-class ConvergenceWarning(UserWarning):
-    """Warning emitted when an iterative solver stops before converging."""
-

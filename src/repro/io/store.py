@@ -20,12 +20,7 @@ from pathlib import Path
 
 from repro.core.result import SearchResult
 from repro.exceptions import ValidationError
-from repro.io.serialization import (
-    load_search_result,
-    load_session_checkpoint,
-    save_search_result,
-    save_session_checkpoint,
-)
+from repro.io.serialization import load_search_result, save_search_result
 
 _KEY_PATTERN = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
@@ -138,41 +133,6 @@ class ResultStore:
             row["improvement_points"] = improvement
             rows.append(row)
         return rows
-
-    # -------------------------------------------------------- checkpoints
-    def checkpoint_path_for(self, key: ResultKey) -> Path:
-        """Path of the session checkpoint stored alongside ``key``.
-
-        Checkpoints live next to their run's result file with a
-        ``.checkpoint`` extension (JSON content), which keeps them out of
-        the ``*.json`` globs :meth:`keys` and :meth:`summary_rows` scan —
-        an interrupted run never shows up as a finished result.
-        """
-        path = self.path_for(key)
-        return path.with_suffix(".checkpoint")
-
-    def save_checkpoint(self, key: ResultKey, document) -> Path:
-        """Persist a ``SearchSession`` checkpoint document under ``key``."""
-        return save_session_checkpoint(document, self.checkpoint_path_for(key))
-
-    def load_checkpoint(self, key: ResultKey) -> dict:
-        """Load the checkpoint stored under ``key``."""
-        path = self.checkpoint_path_for(key)
-        if not path.exists():
-            raise ValidationError(f"no stored checkpoint for {key}")
-        return load_session_checkpoint(path)
-
-    def has_checkpoint(self, key: ResultKey) -> bool:
-        """Whether a session checkpoint is stored under ``key``."""
-        return self.checkpoint_path_for(key).exists()
-
-    def discard_checkpoint(self, key: ResultKey) -> bool:
-        """Remove ``key``'s checkpoint (e.g. after the run finished)."""
-        path = self.checkpoint_path_for(key)
-        if not path.exists():
-            return False
-        path.unlink()
-        return True
 
     def __len__(self) -> int:
         return len(self.keys())

@@ -95,13 +95,6 @@ class MetaKnowledgeStore:
         return len(self.tasks)
 
     # -------------------------------------------------------------- queries
-    def _normalised_matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        matrix = np.stack([task.metafeatures for task in self.tasks])
-        mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
-        std[std == 0] = 1.0
-        return (matrix - mean) / std, mean, std
-
     def nearest_tasks(self, X, y, *, model: str | None = None, k: int = 3,
                       metafeatures: np.ndarray | None = None,
                       random_state=0) -> list[MetaTask]:

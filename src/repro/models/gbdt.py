@@ -98,19 +98,3 @@ class GradientBoostingClassifier(Classifier):
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         check_is_fitted(self, "stages_")
         return softmax(self._raw_scores(X))
-
-    def staged_score(self, X, y) -> list[float]:
-        """Accuracy after each boosting round (used by successive-halving)."""
-        check_is_fitted(self, "stages_")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        y = np.asarray(y)
-        scores = np.tile(self.init_scores_, (X.shape[0], 1))
-        accuracies = []
-        for stage in self.stages_:
-            for class_index, tree in enumerate(stage):
-                scores[:, class_index] += self.learning_rate * tree.predict(X)
-            predictions = self.classes_[np.argmax(scores, axis=1)]
-            accuracies.append(float(np.mean(predictions == y)))
-        return accuracies

@@ -10,8 +10,9 @@ algorithm's proposals against the budget, dispatches them, feeds each
   one *wave* through ``evaluator.evaluate_tasks`` (the engine's batch
   path), and its records are observed in proposal order before the
   algorithm is asked again;
-* **completion-driven** (``driver="async"``) — up to ``n_workers``
-  evaluations stay in flight, every completion is observed the moment it
+* **completion-driven** (``driver="async"``) — up to the engine's
+  ``n_workers`` evaluations stay in flight (the engine is the one place
+  that sets dispatch depth), every completion is observed the moment it
   lands, and Pick overlaps Prep/Train: the algorithm proposes as soon as a
   worker slot frees — the scheduling model of asynchronous successive
   halving (Li et al., ASHA) generalised to every algorithm of the
@@ -42,8 +43,8 @@ The loop starts from an explicit *loop state* (iteration counter, stall
 counter, the admitted-but-unobserved queue, deferred proposals) and hands
 the state back when a :class:`~repro.search.session.SearchSession` asks
 it to pause — which is what makes every run checkpointable and
-resumable.  :meth:`AsyncSearchDriver.search` is the stateless wrapper for
-direct completion-driven use.
+resumable.  Every search reaches the loop through a session
+(``SearchAlgorithm.search`` builds one).
 """
 
 from __future__ import annotations
@@ -51,12 +52,11 @@ from __future__ import annotations
 import time
 from collections import deque
 
-from repro.core.budget import Budget, TrialBudget
+from repro.core.budget import Budget
 from repro.core.result import SearchResult
 from repro.engine.tasks import EvalTask
 from repro.telemetry.metrics import get_registry
 from repro.utils.log import get_logger
-from repro.utils.random import check_random_state
 
 log = get_logger("search.async_driver")
 
@@ -75,28 +75,16 @@ class AsyncSearchDriver:
     algorithm:
         The search algorithm whose hooks (``_setup``, ``_initial_pipelines``,
         ``_update``, ``_propose_batch``, ``_observe``) the driver calls.
-    n_workers:
-        Evaluations the completion-driven schedule keeps in flight.
-        Defaults to the worker count of the problem evaluator's execution
-        engine (1 on the serial backend).
+
+    The completion-driven schedule keeps as many evaluations in flight as
+    the problem evaluator's execution engine has workers (1 on the serial
+    backend).
     """
 
-    def __init__(self, algorithm, *, n_workers: int | None = None) -> None:
+    def __init__(self, algorithm) -> None:
         self.algorithm = algorithm
-        self.n_workers = n_workers
 
     # ----------------------------------------------------------------- API
-    def search(self, problem, budget: Budget | None = None, *,
-               max_trials: int = 50) -> SearchResult:
-        """Run the completion-driven search on ``problem``."""
-        algorithm = self.algorithm
-        budget = budget or TrialBudget(max_trials)
-        rng = check_random_state(algorithm.random_state)
-        result = SearchResult(algorithm=algorithm.name)
-        algorithm._setup(problem, rng)
-        self.drive(problem, budget, result, rng, fresh_loop_state())
-        return result
-
     def drive(self, problem, budget: Budget, result: SearchResult, rng,
               state: dict, *, control=None, barrier: bool = False) -> dict:
         """Run the search loop from ``state``; return the state to go on from.
@@ -249,8 +237,7 @@ class AsyncSearchDriver:
                 # leave, and the in-flight depth must track it.  Fixed
                 # backends return a constant, so this changes nothing
                 # for them.  A barrier run keeps nothing in flight.
-                n_workers = 1 if barrier \
-                    else self.n_workers or engine.n_workers
+                n_workers = 1 if barrier else engine.n_workers
 
                 # Fill free worker slots from the admitted backlog.
                 while queue and len(inflight) < n_workers:
@@ -410,5 +397,4 @@ class AsyncSearchDriver:
                       refunded)
 
     def __repr__(self) -> str:
-        return (f"AsyncSearchDriver({self.algorithm!r}, "
-                f"n_workers={self.n_workers!r})")
+        return f"AsyncSearchDriver({self.algorithm!r})"

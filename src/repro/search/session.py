@@ -33,9 +33,7 @@ to freeze.  The trial history and all scalars serialize as plain JSON
 through :mod:`repro.io.serialization`; the algorithm's internal state
 (surrogates, populations, rungs) is arbitrary Python and rides along as a
 pickled blob — see :func:`repro.io.serialization.encode_state_blob` for
-the trust model.  Checkpoints can also live inside a
-:class:`~repro.io.store.ResultStore` next to their run's result file
-(``store.save_checkpoint``).
+the trust model.
 """
 
 from __future__ import annotations

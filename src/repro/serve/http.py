@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.exceptions import UnknownComponentError, ValidationError
@@ -214,6 +215,23 @@ class ServeServer(ThreadingHTTPServer):
     def __init__(self, address, manager) -> None:
         super().__init__(address, ServeHandler)
         self.manager = manager
+
+    def handle_error(self, request, client_address) -> None:
+        """Log a client that hung up; let any other error print its traceback.
+
+        A client that closes its socket before the reply is written makes
+        the handler's write raise a ``ConnectionError`` (broken pipe,
+        reset, abort): that is the client's doing, so it is one debug line.
+        Anything else keeps socketserver's traceback on stderr, because
+        the package logger has no handler of its own and would hide a
+        real server bug.
+        """
+        error = sys.exc_info()[1]
+        if isinstance(error, ConnectionError):
+            log.debug("client %s hung up: %s", client_address[0],
+                      type(error).__name__)
+            return
+        super().handle_error(request, client_address)
 
 
 def build_server(manager, *, host: str = "127.0.0.1",

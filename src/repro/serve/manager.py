@@ -666,10 +666,11 @@ class SessionManager:
         Returns ``{"events": [...], "next": n, "status": ...}``; with a
         ``timeout`` the call blocks until new events arrive, the session
         reaches a terminal state, or the timeout elapses — the primitive
-        the HTTP layer turns into chunked live streaming.  A timeout that
-        is not a finite number of seconds raises :class:`ValidationError`.
+        the HTTP layer turns into chunked live streaming.  An ``after``
+        that is not an integer, or a timeout that is not a finite number
+        of seconds, raises :class:`ValidationError`.
         """
-        after = max(0, int(after))
+        after = max(0, convert_field("after", after, int))
         timeout = None if timeout is None else float(timeout)
         if timeout is not None and not math.isfinite(timeout):
             # A NaN deadline never expires and never waits: the loop would
@@ -708,9 +709,8 @@ class SessionManager:
         dispatched to the backend and not yet resolved.
         """
         backend = self.engine.backend
-        inner = getattr(backend, "inner", backend)  # unwrap chaos
-        view = {"backend": inner.name, "n_workers": inner.n_workers}
-        workers = getattr(inner, "worker_count", None)
+        view = {"backend": backend.name, "n_workers": backend.n_workers}
+        workers = getattr(backend, "worker_count", None)
         if workers is not None:
             view["workers"] = workers
         view["inflight"] = get_registry().gauge("engine.inflight").value

@@ -5,9 +5,9 @@ analysis) rests on knowing *where time goes* — Pick vs. Prep vs. Train —
 yet a search now spans async drivers, three execution backends and two
 cache layers.  This package is the one place all of that reports to:
 
-* :mod:`repro.telemetry.metrics` — named counters, gauges and histograms.
+* :mod:`repro.telemetry.metrics` — named counters and gauges.
   Per-instance counter sets (:class:`MetricSet`) back every cache-layer
-  counter (evaluator LRU, persistent eval cache, prefix-transform cache);
+  counter (evaluator memo, persistent eval cache, prefix-transform cache);
   the process-wide :class:`MetricsRegistry` (reached through
   :func:`get_registry`) holds genuinely global series such as the
   engine's in-flight depth and budget refunds.  The worker→parent
@@ -16,9 +16,10 @@ cache layers.  This package is the one place all of that reports to:
   recorded in a pool worker rides back on the result entry and is
   absorbed on merge-back.
 * :mod:`repro.telemetry.tracing` — per-trial spans (propose →
-  cache-lookup → prep → train), written to a process-safe JSONL sink,
-  readable back torn-line-tolerantly and exportable as Chrome
-  trace-event JSON for perfetto / ``about:tracing`` flame views.
+  cache-lookup → prep → train), each emitted through
+  :meth:`Tracer.emit` into a process-safe JSONL sink, readable back
+  torn-line-tolerantly and exportable as Chrome trace-event JSON for
+  perfetto / ``about:tracing`` flame views.
 
 Everything here is zero-dependency (stdlib + nothing) and dormant unless
 an :class:`~repro.core.context.ExecutionContext` asks for it via
@@ -39,7 +40,6 @@ from repro.telemetry.tracing import (
     read_trace,
     summarize_trace,
     to_chrome_trace,
-    trace_span,
 )
 
 #: the three telemetry modes an ExecutionContext accepts
@@ -68,7 +68,6 @@ __all__ = [
     "read_trace",
     "summarize_trace",
     "to_chrome_trace",
-    "trace_span",
     "TELEMETRY_MODES",
     "TRACE_FILE_NAME",
     "heartbeat_file_name",

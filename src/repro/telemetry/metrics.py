@@ -1,4 +1,4 @@
-"""Metrics: named counters, gauges and histograms with a merge protocol.
+"""Metrics: named counters and gauges with a merge protocol.
 
 Two layers, matching how the library actually counts things:
 
@@ -14,8 +14,8 @@ Two layers, matching how the library actually counts things:
   working.
 * :class:`MetricsRegistry` — the process-wide registry behind
   :func:`get_registry`, holding genuinely global series: the execution
-  engine's in-flight gauge, budget-refund counters, span histograms.
-  Series support labels (``registry.counter("x", backend="thread")``)
+  engine's in-flight gauge, budget-refund and recovery counters.
+  Series support labels (``registry.counter("x", session="s1")``)
   and the whole registry snapshots to one flat dict for heartbeats.
 
 The worker→parent shipping protocol: after each evaluation a worker
@@ -65,16 +65,6 @@ class MetricsSnapshot(dict):
         """Plain-dict form (JSON-ready)."""
         return dict(self)
 
-    @classmethod
-    def from_dict(cls, data) -> "MetricsSnapshot":
-        """Rebuild a snapshot from :meth:`to_dict` output."""
-        if not isinstance(data, dict):
-            raise ValidationError(
-                f"MetricsSnapshot.from_dict expects a dict, "
-                f"got {type(data).__name__}"
-            )
-        return cls(data)
-
 
 class MetricSet:
     """A picklable bag of named scalar metrics owned by one instance.
@@ -110,11 +100,6 @@ class MetricSet:
     def snapshot(self) -> MetricsSnapshot:
         """A point-in-time copy of every value."""
         return MetricsSnapshot(self._values)
-
-    def reset(self) -> None:
-        """Zero every known value (names are kept)."""
-        for name in self._values:
-            self._values[name] = 0
 
     def __getstate__(self) -> dict:
         return dict(self._values)
@@ -197,46 +182,14 @@ class Gauge:
             self.value -= value
 
 
-class Histogram:
-    """Scalar-summary histogram: count / sum / min / max of observations.
-
-    Enough for duration series (mean = sum/count) without committing to a
-    bucket layout; the raw per-span durations live in the trace sink.
-    """
-
-    __slots__ = ("name", "labels", "_lock", "count", "sum", "min", "max")
-
-    def __init__(self, name: str, labels: tuple, lock) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = lock
-        self.count = 0
-        self.sum = 0.0
-        self.min = None
-        self.max = None
-
-    def observe(self, value) -> None:
-        with self._lock:
-            self.count += 1
-            self.sum += value
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-
 class MetricsRegistry:
     """Process-wide named metric series with optional labels.
 
-    ``counter`` / ``gauge`` / ``histogram`` get-or-create a series; the
-    same ``(name, labels)`` always returns the same object, so hot call
-    sites can cache the handle.  A name must keep one series kind for
-    the registry's lifetime — re-requesting ``"x"`` as a gauge after it
-    was created as a counter is a programming error and raises.
+    ``counter`` / ``gauge`` get-or-create a series; the same ``(name,
+    labels)`` always returns the same object, so hot call sites can
+    cache the handle.  A name must keep one series kind for the
+    registry's lifetime — re-requesting ``"x"`` as a gauge after it was
+    created as a counter is a programming error and raises.
     """
 
     def __init__(self) -> None:
@@ -263,14 +216,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self._get(Histogram, name, labels)
-
-    def absorb(self, delta) -> None:
-        """Merge a snapshot of counter deltas (e.g. a worker's) in bulk."""
-        for name, value in (delta or {}).items():
-            self.counter(name).inc(value)
-
     @staticmethod
     def _read_series(reading: MetricsSnapshot, name: str, labels: tuple,
                      series) -> None:
@@ -279,13 +224,7 @@ class MetricsRegistry:
         if labels:
             inner = ",".join(f"{k}={v}" for k, v in labels)
             key = f"{name}{{{inner}}}"
-        if isinstance(series, Histogram):
-            reading[key + ".count"] = series.count
-            reading[key + ".sum"] = series.sum
-            if series.count:
-                reading[key + ".min"] = series.min
-                reading[key + ".max"] = series.max
-        elif isinstance(series, Gauge):
+        if isinstance(series, Gauge):
             reading[key] = series.value
             reading[key + ".high_water"] = series.high_water
         else:
@@ -294,8 +233,8 @@ class MetricsRegistry:
     def snapshot(self) -> MetricsSnapshot:
         """One flat reading of every series (heartbeat payload shape).
 
-        Labelled series flatten to ``name{k=v,...}`` keys; histograms
-        expand to ``.count`` / ``.sum`` / ``.min`` / ``.max`` readings.
+        Labelled series flatten to ``name{k=v,...}`` keys; a gauge adds
+        its ``.high_water`` reading.
         """
         with self._lock:
             reading = MetricsSnapshot()

@@ -17,21 +17,24 @@ line to ``trace.jsonl`` inside the run's telemetry directory:
   worker receiving an evaluator reopens its own descriptor and appends
   to the same file.
 
-Timestamps: ``ts`` is wall-clock (``time.time``) at span start, so
-events from different processes land on one comparable axis; ``dur`` is
-a monotonic ``perf_counter`` difference, so durations are immune to
-clock steps.  :func:`to_chrome_trace` converts a trace into Chrome
-trace-event JSON (complete ``"X"`` events, microsecond units) for
-perfetto / ``about:tracing`` flame views, and :func:`summarize_trace`
-aggregates per-phase / per-algorithm totals — the shape of the paper's
-Table 5 — for ``repro trace summary``.
+Every instrumented site spells a span the same way: it reads its clocks
+only when it has a tracer (``None`` means spans off), times the phase,
+and calls :meth:`Tracer.emit` with the start and the duration, so an
+untraced run pays one ``is None`` check per site.  Timestamps: ``ts`` is
+wall-clock (``time.time``) at span start, so events from different
+processes land on one comparable axis; ``dur`` is a monotonic
+``perf_counter`` difference, so durations are immune to clock steps.
+:func:`to_chrome_trace` converts a trace into Chrome trace-event JSON
+(complete ``"X"`` events, microsecond units) for perfetto /
+``about:tracing`` flame views, and :func:`summarize_trace` aggregates
+per-phase / per-algorithm totals — the shape of the paper's Table 5 —
+for ``repro trace summary``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 from repro.exceptions import ValidationError
@@ -53,10 +56,6 @@ class Tracer:
         self._fd: int | None = None
 
     # ------------------------------------------------------------ emitting
-    def span(self, name: str, **attrs) -> "_Span":
-        """Context manager timing a phase; emits one event on exit."""
-        return _Span(self, name, attrs)
-
     def emit(self, name: str, *, ts: float, dur: float, **attrs) -> None:
         """Write one completed span (seconds for both ``ts`` and ``dur``)."""
         record = {"name": name, "ts": ts, "dur": dur, "pid": os.getpid()}
@@ -90,45 +89,6 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer({str(self.path)!r})"
-
-
-class _Span:
-    """The context manager behind :meth:`Tracer.span` / :func:`trace_span`."""
-
-    __slots__ = ("_tracer", "name", "attrs", "_ts", "_start")
-
-    def __init__(self, tracer, name: str, attrs: dict) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.attrs = attrs
-
-    def __enter__(self) -> "_Span":
-        self._ts = time.time()
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if self._tracer is None:
-            return
-        duration = time.perf_counter() - self._start
-        if exc_type is not None:
-            self.attrs = dict(self.attrs, error=exc_type.__name__)
-        self._tracer.emit(self.name, ts=self._ts, dur=duration, **self.attrs)
-
-
-def trace_span(tracer: Tracer | None, name: str, **attrs) -> _Span:
-    """A span on ``tracer``, or a no-op timing shell when ``tracer`` is None.
-
-    The single spelling instrumented code uses::
-
-        with trace_span(self._tracer, "prep", steps=len(pipeline)):
-            ...
-
-    costs two ``perf_counter`` calls when tracing is on and close to
-    nothing when it is off — which is what keeps ``telemetry_mode="off"``
-    runs within noise of an uninstrumented build.
-    """
-    return _Span(tracer, name, attrs)
 
 
 def make_tracer(telemetry_mode: str | None,

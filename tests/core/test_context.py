@@ -119,17 +119,6 @@ class TestExecutionContext:
         finally:
             engine.close()
 
-    def test_configure_evaluator_attaches_engine(self):
-        X, y = _data()
-        problem = AutoFPProblem.from_arrays(X, y, "lr", random_state=0)
-        assert problem.evaluator.engine.backend.name == "serial"
-        ExecutionContext(n_jobs=2, backend="process").configure_evaluator(
-            problem.evaluator)
-        try:
-            assert problem.evaluator.engine.backend.name == "process"
-        finally:
-            problem.evaluator.engine.close()
-
     def test_trial_budget_defaulting(self):
         assert ExecutionContext().trial_budget().max_trials == 50
         assert ExecutionContext(default_budget=12).trial_budget().max_trials == 12

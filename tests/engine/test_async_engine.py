@@ -320,14 +320,21 @@ class TestAsyncTimeBudget:
         # evaluation past the limit.
         assert now[0] <= 3.5 + 1.0
 
-    def test_async_driver_explicit_n_workers_override(self):
-        problem, _ = _ticking_problem()
-        driver = AsyncSearchDriver(
-            make_search_algorithm("rs", random_state=0, batch_size=4),
-            n_workers=2,
-        )
-        result = driver.search(problem, max_trials=8)
+    def test_async_depth_is_the_engine_worker_count(self):
+        X, y = make_classification(n_samples=110, n_features=6, class_sep=2.0,
+                                   random_state=7)
+        engine = ExecutionEngine("process", n_workers=2)
+        problem = AutoFPProblem.from_arrays(X, y, "lr", random_state=0)
+        problem.evaluator.set_engine(engine)
+        get_registry().reset()
+        try:
+            result = make_search_algorithm(
+                "rs", random_state=0, batch_size=4,
+            ).search(problem, max_trials=8, driver="async")
+        finally:
+            engine.close()
         assert len(result) == 8
+        assert _inflight_gauge().high_water == 2
 
     def test_fractional_crumb_spent_after_inflight_drains(self):
         """Proposals hitting a fractional budget remainder while work is in

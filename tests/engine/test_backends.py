@@ -302,7 +302,8 @@ class TestEvaluationPoolLRU:
         import repro.engine.backends as backends_module
 
         monkeypatch.setattr(backends_module, "_process_pool", _FakePool)
-        backend = ProcessBackend(n_workers=2, max_eval_pools=2)
+        monkeypatch.setattr(ProcessBackend, "max_eval_pools", 2)
+        backend = ProcessBackend(n_workers=2)
         yield backend
         backend.close()
 
@@ -338,10 +339,6 @@ class TestEvaluationPoolLRU:
         backend.close()
         assert all(pool.shut_down for pool in pools)
         assert not backend._eval_pools
-
-    def test_pool_cap_validated(self):
-        with pytest.raises(ValidationError):
-            ProcessBackend(n_workers=2, max_eval_pools=0)
 
 
 class TestSharedProcessBackendResults:

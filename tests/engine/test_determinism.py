@@ -148,37 +148,31 @@ class TestRemoteBackendDeterminism:
 
     Two loopback workers on an ephemeral port lease every evaluation over
     the wire (pickled tasks, JSON-line protocol) — and the trial set must
-    still equal the serial run's, under both drivers.  Async cells drive
-    the completion loop with in-flight depth 1: that fixes the completion
-    order (the same configuration the async matrix above declares
-    reproducible) while every evaluation still round-trips through the
-    worker fleet.  The chaos cell kills a live worker mid-search
-    (``drop_worker``): membership shrinks, its leases (if any) retry on
-    the survivor, and the surviving records still converge to the
-    no-fault run.
+    still equal the serial run's, under both drivers.  Async cells cap
+    the fleet's capacity at one (``RemoteBackend``'s ``n_workers``), so
+    the completion loop keeps one evaluation in flight: that fixes the
+    completion order (the same configuration the async matrix above
+    declares reproducible) while every evaluation still round-trips
+    through the worker fleet.  The chaos cell kills a live worker
+    mid-search (``drop_worker``): membership shrinks, its leases (if any)
+    retry on the survivor, and the surviving records still converge to
+    the no-fault run.
     """
 
     def _search(self, algorithm, kwargs, problem, driver):
         searcher = make_search_algorithm(algorithm, random_state=0, **kwargs)
-        if driver == "async":
-            from repro.search.async_driver import AsyncSearchDriver
-
-            return AsyncSearchDriver(searcher, n_workers=1).search(
-                problem, max_trials=14)
-        return searcher.search(problem, max_trials=14)
+        return searcher.search(problem, max_trials=14, driver=driver)
 
     def _run_remote(self, algorithm, kwargs, driver, chaos=None):
-        from repro.engine.chaos import ChaosBackend
         from repro.engine.faults import RetryPolicy
         from repro.engine.remote import start_loopback
 
         backend, workers = start_loopback(
             2, retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0,
                                         jitter=0.0),
+            n_workers=1 if driver == "async" else None,
         )
-        if chaos is not None:
-            backend = ChaosBackend(backend, chaos)
-        engine = ExecutionEngine(backend)
+        engine = ExecutionEngine(backend, chaos=chaos)
         try:
             result = self._search(algorithm, kwargs, _make_problem(engine),
                                   driver)

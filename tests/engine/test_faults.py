@@ -27,7 +27,6 @@ from repro.core.problem import AutoFPProblem
 from repro.core.search_space import SearchSpace
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import (
-    ChaosBackend,
     EvalTask,
     EvaluationTimeoutError,
     ExecutionEngine,
@@ -108,7 +107,7 @@ def _reference_rows(n=5):
 
 
 def _chaos_engine(inner, plan):
-    return ExecutionEngine(ChaosBackend(inner, plan))
+    return ExecutionEngine(inner, chaos=plan)
 
 
 class TestRetryPolicy:
@@ -210,24 +209,90 @@ class TestFaultPlan:
         sticky = FaultInjection(pair, InjectedFault("crash", sticky=True))
         assert strip_fault(sticky) is sticky
 
+    def test_attach_wraps_only_the_planned_index(self):
+        plan = FaultPlan.from_spec("error@1")
+        pair = ("pipeline", 1.0)
+        backend = SerialBackend()
+        assert plan.attach(0, pair, backend) is pair
+        assert unwrap_work_item(plan.attach(1, pair, backend)) \
+            == (pair, InjectedFault("error"))
+        assert plan.attach(2, pair, backend) is pair
 
-class TestChaosBackendWiring:
-    def test_refuses_nesting_and_non_backends(self):
-        inner = ChaosBackend(SerialBackend(), FaultPlan())
-        with pytest.raises(ValidationError, match="nest"):
-            ChaosBackend(inner, FaultPlan())
-        with pytest.raises(ValidationError, match="ExecutionBackend"):
-            ChaosBackend("serial", FaultPlan())
+    def test_attach_drop_worker_drops_then_ships_clean(self):
+        class _Fleet:
+            dropped = 0
 
-    def test_settings_delegate_to_the_wrapped_backend(self):
+            def drop_worker(self):
+                self.dropped += 1
+
+        plan = FaultPlan.from_spec("drop_worker@1")
+        pair = ("pipeline", 1.0)
+        fleet = _Fleet()
+        assert plan.attach(0, pair, fleet) is pair
+        assert fleet.dropped == 0
+        assert plan.attach(1, pair, fleet) is pair
+        assert fleet.dropped == 1
+
+
+class TestEngineChaosWiring:
+    def test_bad_chaos_is_refused_before_a_backend_exists(self, monkeypatch):
+        import repro.engine.engine as engine_module
+
+        def no_backend(*args, **kwargs):
+            raise AssertionError("a backend was built for a refused plan")
+
+        monkeypatch.setattr(engine_module, "make_backend", no_backend)
+        with pytest.raises(ValidationError, match="fault kind must be one of"):
+            ExecutionEngine("serial", chaos="oom@1")
+        with pytest.raises(ValidationError, match="FaultPlan"):
+            ExecutionEngine("serial", chaos=SerialBackend())
+
+    def test_settings_reach_the_backend_itself(self):
         inner = SerialBackend()
-        chaos = ChaosBackend(inner, "error@0")
-        chaos.eval_timeout = 1.5
-        chaos.retry_policy = FAST_RETRY
-        assert inner.eval_timeout == 1.5
-        assert inner.retry_policy is FAST_RETRY
-        assert chaos.n_workers == 1
-        assert chaos.last_crash is None
+        engine = ExecutionEngine(inner, chaos="error@0", eval_timeout=1.5,
+                                 retry_policy=FAST_RETRY)
+        try:
+            assert engine.backend is inner
+            assert inner.eval_timeout == 1.5
+            assert inner.retry_policy is FAST_RETRY
+            assert engine.n_workers == 1
+            assert inner.last_crash is None
+        finally:
+            engine.close()
+
+    def test_only_primaries_take_plan_indices(self):
+        # The alias of an in-flight twin and a memo hit dispatch nothing,
+        # so the plan's index 1 lands on the second distinct task.
+        evaluator = _make_evaluator()
+        engine = _chaos_engine(
+            SerialBackend(retry_policy=RetryPolicy(max_attempts=1)),
+            "crash@1!",
+        )
+        first, second = _sample_tasks(2)
+        try:
+            pending = [engine.submit_task(evaluator, first)
+                       for _ in range(2)]
+            records = [engine.resolve_task(evaluator, item)
+                       for item in pending]
+            for task in (first, second):
+                records.append(engine.resolve_task(
+                    evaluator, engine.submit_task(evaluator, task)))
+        finally:
+            engine.close()
+        assert [record.failure_kind for record in records] \
+            == [None, None, None, FAILURE_KIND_CRASH]
+        assert evaluator.n_evaluations == 2
+
+    def test_drop_worker_needs_worker_membership(self):
+        # A membership fault on a backend without workers is refused at
+        # the dispatch it names, before anything is in flight.
+        engine = ExecutionEngine("serial", chaos="drop_worker@0")
+        try:
+            with pytest.raises(ValidationError, match="drop_worker"):
+                engine.submit_task(_make_evaluator(), _sample_tasks(1)[0])
+        finally:
+            engine.close()
+        assert get_registry().gauge("engine.inflight").value == 0
 
     def test_make_backend_applies_options_to_instances(self):
         backend = make_backend(SerialBackend(), eval_timeout=2.0,
@@ -252,10 +317,9 @@ class TestContextWiring:
         context = ExecutionContext(chaos="error@1", eval_timeout=2.5)
         engine = context.build_engine()
         try:
-            assert isinstance(engine.backend, ChaosBackend)
-            assert isinstance(engine.backend.inner, SerialBackend)
+            assert type(engine.backend) is SerialBackend
             assert engine.backend.eval_timeout == 2.5
-            assert engine.backend.plan.to_spec() == "error@1"
+            assert engine.chaos.to_spec() == "error@1"
         finally:
             engine.close()
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core import PipelineEvaluator
 from repro.core.search_space import SearchSpace
 from repro.datasets.synthetic import distort_features, make_classification
-from repro.engine import ChaosBackend, EvalTask, ExecutionEngine, RetryPolicy
+from repro.engine import EvalTask, ExecutionEngine, RetryPolicy
 from repro.engine.backends import make_backend
 from repro.engine.faults import (
     EvaluationTimeoutError,
@@ -312,18 +312,17 @@ class TestRecovery:
         # future fails with WorkerCrashError, the non-sticky delay is
         # stripped, and the retry lands on the survivor.
         with _Fleet(2, retry_policy=FAST_RETRY) as backend:
-            chaos = ChaosBackend(backend, "delay@0:1.0,drop_worker@1")
+            engine = ExecutionEngine(backend,
+                                     chaos="delay@0:1.0,drop_worker@1")
             evaluator = _make_evaluator()
             tasks = _sample_tasks(2)
-            slow = chaos.submit_evaluation(
-                evaluator, (tasks[0].pipeline, tasks[0].fidelity))
-            assert _wait_until(lambda: slow.running(), timeout=5.0)
-            clean = chaos.submit_evaluation(
-                evaluator, (tasks[1].pipeline, tasks[1].fidelity))
-            assert clean.result().get("failure_kind") is None
-            recovered = slow.result()
-            assert recovered.get("failure_kind") is None
-            assert recovered["accuracy"] is not None
+            slow = engine.submit_task(evaluator, tasks[0])
+            assert _wait_until(lambda: slow.future.running(), timeout=5.0)
+            clean = engine.submit_task(evaluator, tasks[1])
+            assert engine.resolve_task(evaluator, clean).failure_kind is None
+            recovered = engine.resolve_task(evaluator, slow)
+            assert recovered.failure_kind is None
+            assert recovered.accuracy is not None
             assert backend.worker_count == 1
         assert _counter("engine.retries") >= 1
         assert _counter("engine.worker_crashes") == 1
@@ -332,7 +331,7 @@ class TestRecovery:
     def test_sticky_fault_quarantines_poison_task(self):
         reference = _reference_rows(3)
         with _Fleet(2, retry_policy=FAST_RETRY) as backend:
-            engine = ExecutionEngine(ChaosBackend(backend, "error@1!"))
+            engine = ExecutionEngine(backend, chaos="error@1!")
             rows = _rows(engine.run(_make_evaluator(), _sample_tasks(3)))
         assert rows[0] == reference[0]
         assert rows[2] == reference[2]
@@ -350,7 +349,7 @@ class TestRecovery:
         reference = _reference_rows(6)
         policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
         with _Fleet(2, cores_each=2, retry_policy=policy) as backend:
-            engine = ExecutionEngine(ChaosBackend(backend, "crash@1"))
+            engine = ExecutionEngine(backend, chaos="crash@1")
             rows = _rows(engine.run(_make_evaluator(), _sample_tasks(6)))
         assert rows == reference
         assert _counter("engine.quarantined_tasks") == 0
@@ -415,7 +414,7 @@ class TestRecovery:
         reference = _reference_rows(3)
         with _Fleet(3, eval_timeout=2.0,
                     retry_policy=FAST_RETRY) as backend:
-            engine = ExecutionEngine(ChaosBackend(backend, "delay@1:6.0"))
+            engine = ExecutionEngine(backend, chaos="delay@1:6.0")
             rows = _rows(engine.run(_make_evaluator(), _sample_tasks(3)))
         assert rows[0] == reference[0]
         assert rows[2] == reference[2]

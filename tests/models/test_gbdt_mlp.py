@@ -42,13 +42,6 @@ class TestGradientBoosting:
         )
         np.testing.assert_array_equal(base.predict(X), scaled.predict(X * 500.0 - 3.0))
 
-    def test_staged_score_length_and_monotone_tail(self, small_binary_data):
-        X, y = small_binary_data
-        model = GradientBoostingClassifier(n_estimators=6).fit(X, y)
-        staged = model.staged_score(X, y)
-        assert len(staged) == 6
-        assert staged[-1] >= staged[0] - 0.05
-
     def test_subsample_under_one_still_learns(self, small_binary_data):
         X, y = small_binary_data
         model = GradientBoostingClassifier(n_estimators=10, subsample=0.7,

@@ -2,10 +2,9 @@
 
 Covers the event callbacks, graceful interruption, checkpoint/resume
 round-trips (including cross-"process" resume via the serialized document
-alone), the provenance-based problem rebuild, the fingerprint guard, and
-the ResultStore checkpoint integration.  The bit-for-bit
-interrupted-equals-uninterrupted matrix for evolution/PNAS/TPE/ASHA lives
-in ``tests/engine/test_determinism.py``.
+alone), the provenance-based problem rebuild and the fingerprint guard.
+The bit-for-bit interrupted-equals-uninterrupted matrix for
+evolution/PNAS/TPE/ASHA lives in ``tests/engine/test_determinism.py``.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.core.context import ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.exceptions import ValidationError
-from repro.io.store import ResultStore
 from repro.search import SearchSession, make_search_algorithm
 
 
@@ -319,29 +317,3 @@ class TestCheckpointResume:
         assert _trials(again) == _trials(result)
         assert resumed.problem.evaluator.n_evaluations == evaluations_before
 
-
-class TestResultStoreCheckpoints:
-    def test_checkpoints_live_beside_results_and_stay_out_of_keys(
-            self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        key = store.key("blood", "lr", "rs", tag="resume-demo")
-        session = SearchSession(_problem(),
-                                make_search_algorithm("rs", random_state=0),
-                                on_trial=lambda s, r: s.stop()
-                                if len(s.result) == 3 else None)
-        result = session.run(max_trials=8)
-        session.checkpoint(store.checkpoint_path_for(key))
-        assert store.has_checkpoint(key)
-        assert store.keys() == []  # a checkpoint is not a finished result
-
-        document = store.load_checkpoint(key)
-        assert document["algorithm"] == "rs"
-        resumed = SearchSession.resume(store.checkpoint_path_for(key),
-                                       problem=_problem())
-        final = resumed.run()
-        store.save(key, final)
-        assert store.discard_checkpoint(key)
-        assert not store.has_checkpoint(key)
-        assert [k for k in store.keys()] == [key]
-        assert len(store.load(key)) == len(final)
-        assert len(final) == 8 and len(result) == 3

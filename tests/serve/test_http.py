@@ -8,6 +8,7 @@ bit-for-bit identical to an uninterrupted run.
 """
 
 import json
+import logging
 import math
 import socket
 import threading
@@ -303,6 +304,33 @@ class TestHostileRequests:
         assert 400 <= status < 600
         assert isinstance(body["error"], str)
         assert server.client.healthz()["status"] == "ok"
+
+
+class TestHandlerErrors:
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError,
+                                       ConnectionAbortedError])
+    def test_client_hang_up_is_one_debug_line(self, served, capfd, caplog,
+                                              error):
+        # A handler writing its reply to a client that already closed the
+        # socket raises a ConnectionError inside socketserver's request
+        # loop, which then calls handle_error.
+        with caplog.at_level(logging.DEBUG, logger="repro.serve.http"):
+            try:
+                raise error("the client hung up")
+            except ConnectionError:
+                served.server.handle_error(None, ("127.0.0.1", 40000))
+        assert capfd.readouterr().err == ""
+        records = [record for record in caplog.records
+                   if record.name == "repro.serve.http"]
+        assert [record.levelno for record in records] == [logging.DEBUG]
+        assert error.__name__ in records[0].getMessage()
+
+    def test_other_handler_errors_keep_the_traceback(self, served, capfd):
+        try:
+            raise KeyError("a server bug")
+        except KeyError:
+            served.server.handle_error(None, ("127.0.0.1", 40000))
+        assert "Traceback" in capfd.readouterr().err
 
 
 class TestServerRestart:

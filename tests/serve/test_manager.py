@@ -178,6 +178,13 @@ class TestLifecycle:
             manager.events(session_id, after=10**9, timeout=timeout)
         assert time.monotonic() - start < 5.0
 
+    @pytest.mark.parametrize("after", [math.nan, math.inf, "x"],
+                             ids=["nan", "inf", "x"])
+    def test_non_integer_after_is_refused(self, manager, after):
+        session_id = manager.submit(SPEC)
+        with pytest.raises(ValidationError, match="after"):
+            manager.events(session_id, after=after)
+
     def test_huge_poll_timeout_waits_for_the_session(self, manager):
         session_id = manager.submit(SPEC)
         chunk = manager.events(session_id, after=10**9, timeout=1e300)

@@ -77,6 +77,36 @@ class TestTrialSpans:
             == pytest.approx(100.0)
 
 
+class TestCacheLookupSpans:
+    KEY = (("standard_scaler",), 1.0)
+
+    def test_each_lookup_emits_one_span(self, tmp_path):
+        context = ExecutionContext(telemetry_mode="trace",
+                                   telemetry_dir=tmp_path)
+        evaluator = _problem(context).evaluator
+        assert evaluator.cache_lookup(self.KEY) is None
+        evaluator.cache_store(self.KEY, {"accuracy": 0.5})
+        assert evaluator.cache_lookup(self.KEY) == {"accuracy": 0.5}
+        spans = read_trace(tmp_path / TRACE_FILE_NAME)
+        assert [span["name"] for span in spans] == ["cache_lookup"] * 2
+        assert all(span["ts"] > 0.0 and span["dur"] >= 0.0
+                   for span in spans)
+        assert (evaluator.cache_misses, evaluator.cache_hits) == (1, 1)
+
+    def test_untraced_lookup_reads_no_clock(self, monkeypatch):
+        import repro.core.evaluation as evaluation_module
+
+        class _NoClock:
+            def __getattr__(self, name):
+                raise AssertionError(f"untraced lookup read time.{name}")
+
+        evaluator = _problem(ExecutionContext()).evaluator
+        monkeypatch.setattr(evaluation_module, "time", _NoClock())
+        assert evaluator.cache_lookup(self.KEY) is None
+        evaluator.cache_store(self.KEY, {"accuracy": 0.5})
+        assert evaluator.cache_lookup(self.KEY) == {"accuracy": 0.5}
+
+
 class TestHeartbeat:
     def test_heartbeat_reflects_the_finished_run(self, traced_run):
         session, result, _, tmp_path = traced_run

@@ -14,7 +14,6 @@ from repro.telemetry.tracing import (
     read_trace,
     summarize_trace,
     to_chrome_trace,
-    trace_span,
 )
 
 
@@ -36,29 +35,6 @@ class TestTracerSink:
         tracer.emit("x", ts=0.0, dur=0.0)
         tracer.close()
         assert (tmp_path / "nested" / "trace.jsonl").exists()
-
-    def test_span_context_manager_times_the_block(self, tmp_path):
-        tracer = Tracer(tmp_path / "trace.jsonl")
-        with tracer.span("prep", steps=2):
-            pass
-        tracer.close()
-        (event,) = read_trace(tmp_path / "trace.jsonl")
-        assert event["name"] == "prep"
-        assert event["dur"] >= 0.0
-        assert event["attrs"] == {"steps": 2}
-
-    def test_span_records_the_exception_type(self, tmp_path):
-        tracer = Tracer(tmp_path / "trace.jsonl")
-        with pytest.raises(RuntimeError):
-            with tracer.span("train"):
-                raise RuntimeError("boom")
-        tracer.close()
-        (event,) = read_trace(tmp_path / "trace.jsonl")
-        assert event["attrs"]["error"] == "RuntimeError"
-
-    def test_trace_span_with_none_tracer_is_a_no_op(self):
-        with trace_span(None, "prep", steps=1):
-            pass  # must neither fail nor write anywhere
 
     def test_tracer_pickles_to_its_path_only(self, tmp_path):
         tracer = Tracer(tmp_path / "trace.jsonl")
