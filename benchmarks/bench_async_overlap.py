@@ -3,8 +3,9 @@
 The synchronous search skeleton evaluates each iteration's proposals as
 one barrier: with a parallel backend, every worker that finishes early
 idles until the batch's straggler returns, and the Pick step idles while
-anything at all is running.  The async driver
-(:class:`repro.search.async_driver.AsyncSearchDriver`) refills each worker
+anything at all is running.  The search loop's completion-driven
+schedule (``ExecutionContext(async_mode=True)``, run by
+:class:`repro.search.session.SearchSession`) refills each worker
 slot the moment it frees and lets the algorithm propose while other
 evaluations are still in flight — the ASHA scheduling model.
 

@@ -93,7 +93,7 @@ def compare_automl_context(X, y, model_name: str, *, dataset_name: str = "datase
     else:
         space = SearchSpace()
     auto_fp_problem = AutoFPProblem(evaluator=problem.evaluator, space=space,
-                                    name=problem.name)
+                                    name=problem.name, context=problem.context)
     auto_fp_result = make_search_algorithm(
         algorithm, random_state=random_state
     ).search(auto_fp_problem, max_trials=max_trials)

@@ -10,19 +10,14 @@ crossover and point mutation.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.budget import Budget, TrialBudget
+from repro.core.budget import Budget
 from repro.core.problem import AutoFPProblem
-from repro.core.result import SearchResult
+from repro.core.result import SearchResult, TrialRecord
 from repro.core.search_space import SearchSpace
 from repro.preprocessing.registry import default_preprocessors
-from repro.utils.log import get_logger
-from repro.utils.random import check_random_state
-
-log = get_logger("automl.tpot_fp")
+from repro.search.base import SearchAlgorithm
 
 #: the five preprocessors exposed by TPOT's FP module (Table 8)
 TPOT_PREPROCESSOR_NAMES: tuple[str, ...] = (
@@ -40,8 +35,12 @@ def tpot_search_space(max_length: int = 7) -> SearchSpace:
                        max_length=max_length)
 
 
-class GeneticProgrammingFP:
+class GeneticProgrammingFP(SearchAlgorithm):
     """Generational genetic programming over preprocessing pipelines.
+
+    Runs through the same search loop as the 15 Auto-FP algorithms:
+    generation 0 is the initial population, and every later proposal
+    batch is one generation of children bred from the survivors.
 
     Parameters
     ----------
@@ -63,79 +62,65 @@ class GeneticProgrammingFP:
                  crossover_rate: float = 0.7, mutation_rate: float = 0.4,
                  restrict_to_tpot: bool = True, max_length: int = 7,
                  random_state: int | None = 0) -> None:
+        super().__init__(random_state)
         self.population_size = int(population_size)
         self.tournament_size = int(tournament_size)
         self.crossover_rate = float(crossover_rate)
         self.mutation_rate = float(mutation_rate)
         self.restrict_to_tpot = bool(restrict_to_tpot)
         self.max_length = int(max_length)
-        self.random_state = random_state
 
     def search(self, problem: AutoFPProblem, budget: Budget | None = None,
                *, max_trials: int = 40) -> SearchResult:
         """Run the GP search and return a :class:`SearchResult`."""
-        budget = budget or TrialBudget(max_trials)
-        rng = check_random_state(self.random_state)
-        space = (
+        return super().search(problem, budget, max_trials=max_trials)
+
+    # The hooks breed in the GP's own space, never the problem's: a run
+    # (resumed ones included) stays on TPOT's five preprocessors.
+    def _setup(self, problem, rng) -> None:
+        self._space = (
             tpot_search_space(self.max_length)
             if self.restrict_to_tpot
             else SearchSpace(max_length=self.max_length)
         )
-        evaluator = problem.evaluator
-        result = SearchResult(algorithm=self.name)
+        #: (pipeline, fitness) survivors the next generation breeds from
+        self._population: list = []
+        #: (pipeline, fitness) of this generation, in evaluation order
+        self._offspring: list = []
 
-        def evaluate(pipeline, pick_time, iteration):
-            record = evaluator.evaluate(pipeline, pick_time=pick_time,
-                                        iteration=iteration)
-            result.add(record)
-            budget.consume(1.0)
-            return record.accuracy
+    def _initial_pipelines(self, space: SearchSpace, rng: np.random.Generator):
+        return self._space.sample_pipelines(self.population_size, rng)
 
-        # Generation 0: random individuals.
-        population = space.sample_pipelines(self.population_size, rng)
-        fitness = []
-        for pipeline in population:
-            if budget.exhausted():
-                break
-            fitness.append(evaluate(pipeline, 0.0, 0))
-        population = population[: len(fitness)]
+    def _observe(self, record: TrialRecord) -> None:
+        self._offspring.append((record.pipeline, record.accuracy))
 
-        generation = 0
-        while not budget.exhausted() and population:
-            generation += 1
-            pick_start = time.perf_counter()
-            children = []
-            while len(children) < self.population_size:
-                parent_a = self._select(population, fitness, rng)
-                parent_b = self._select(population, fitness, rng)
-                child = parent_a
-                if rng.random() < self.crossover_rate:
-                    child = space.crossover(parent_a, parent_b, rng)
-                if rng.random() < self.mutation_rate:
-                    child = space.mutate(child, rng)
-                children.append(child)
-            pick_time = (time.perf_counter() - pick_start) / max(1, len(children))
-
-            child_fitness = []
-            for child in children:
-                if budget.exhausted():
-                    break
-                child_fitness.append(evaluate(child, pick_time, generation))
-            children = children[: len(child_fitness)]
-
+    def _propose(self, space: SearchSpace, rng: np.random.Generator, trials):
+        survivors = self._population + self._offspring
+        if not survivors:
+            # Completion-driven with more workers than individuals: no
+            # parent is observed yet, so wait for the first completions.
+            return []
+        if self._population:
             # Elitist survival: best population_size individuals overall.
-            combined = list(zip(population + children, fitness + child_fitness))
-            combined.sort(key=lambda pair: pair[1], reverse=True)
-            combined = combined[: self.population_size]
-            population = [pipeline for pipeline, _ in combined]
-            fitness = [score for _, score in combined]
-            log.debug("generation %d: %d trials so far, best=%.4f",
-                      generation, len(result), max(fitness))
+            # Generation 1 breeds from the initial population unsorted.
+            survivors.sort(key=lambda pair: pair[1], reverse=True)
+            survivors = survivors[: self.population_size]
+        self._population, self._offspring = survivors, []
+        children = []
+        while len(children) < self.population_size:
+            parent_a = self._select(rng)
+            parent_b = self._select(rng)
+            child = parent_a
+            if rng.random() < self.crossover_rate:
+                child = self._space.crossover(parent_a, parent_b, rng)
+            if rng.random() < self.mutation_rate:
+                child = self._space.mutate(child, rng)
+            children.append(child)
+        return children
 
-        return result
-
-    def _select(self, population, fitness, rng: np.random.Generator):
+    def _select(self, rng: np.random.Generator):
+        population = self._population
         size = min(self.tournament_size, len(population))
         indices = rng.choice(len(population), size=size, replace=False)
-        best = max(indices, key=lambda i: fitness[int(i)])
-        return population[int(best)]
+        best = max(indices, key=lambda i: population[int(i)][1])
+        return population[int(best)][0]

@@ -1,12 +1,12 @@
 """The unified runtime-configuration surface: :class:`ExecutionContext`.
 
 Every runtime knob of a run — parallel backend and worker count, the
-persistent evaluation cache, prefix-transform reuse, the async driver,
-telemetry, deadlines and fault injection — lives in one frozen,
+persistent evaluation cache, prefix-transform reuse, the search loop's
+schedule, telemetry, deadlines and fault injection — lives in one frozen,
 serializable object, and every entry point (``AutoFPProblem``,
-``SearchAlgorithm.search``, ``ExperimentConfig``,
-``run_experiment``/``run_single`` and the CLI) accepts it as
-``context=``.
+``SearchSession``, ``ExperimentConfig``, ``run_experiment``/``run_single``
+and the CLI) accepts it as ``context=``; ``SearchAlgorithm.search`` uses
+the problem's.
 
 Because the context is a frozen dataclass of plain scalars it is
 
@@ -81,9 +81,10 @@ class ExecutionContext:
         Byte budget of the prefix-transform cache
         (:mod:`repro.core.prefixcache`); ``None`` disables prefix reuse.
     async_mode:
-        When True, searches run under the completion-driven
-        :class:`~repro.search.async_driver.AsyncSearchDriver` instead of
-        the synchronous barrier loop.
+        When True, the search loop
+        (:class:`~repro.search.session.SearchSession`) runs
+        completion-driven instead of in barrier waves; the one switch
+        between its two schedules.
     default_budget:
         Default number of trials when a search is started without an
         explicit budget (``None`` falls back to the entry point's own

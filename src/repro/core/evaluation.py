@@ -346,7 +346,7 @@ class PipelineEvaluator:
         parallel work can stop, one task on the serial backend — and the
         batch is cut short once it expires.  The returned
         list is then a prefix of the tasks; callers account for the
-        undispatched remainder (see ``AsyncSearchDriver.drive``).
+        undispatched remainder (see ``SearchSession._drive``).
         Count-based budgets never interrupt a batch: their admission is
         settled up front, so results stay bit-for-bit identical across
         backends and worker counts.

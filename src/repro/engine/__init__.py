@@ -26,8 +26,8 @@ the evaluator's memoization cache, so every backend produces bit-for-bit
 identical search results.  The engine's futures layer
 (:meth:`ExecutionEngine.submit_task` / :meth:`ExecutionEngine.wait_any` /
 :meth:`ExecutionEngine.resolve_task`) is its one cache-aware scheduler: the
-completion-driven search driver (:mod:`repro.search.async_driver`) uses it
-directly, and the batch API (:meth:`ExecutionEngine.run`) is a bounded
+completion-driven schedule of the search loop
+(:class:`~repro.search.session.SearchSession`) uses it directly, and the batch API (:meth:`ExecutionEngine.run`) is a bounded
 window over it.  See :mod:`repro.engine.engine` for the dispatch logic and
 :meth:`~repro.core.context.ExecutionContext.build_engine` for building
 an engine from CLI-style options.

@@ -8,7 +8,7 @@ kills, raised transient errors, hangs), and an engine built with
 (:meth:`FaultPlan.attach`) to the matching work items as it dispatches
 them.  The engine's ``submit_task`` is the only caller of
 ``backend.submit_evaluation`` — a barrier wave in LPT order, the
-completion-driven driver in submission order, both deterministic — and
+completion-driven schedule in submission order, both deterministic — and
 each primary takes the next index there, so task indices count
 primaries in one dispatch order, and two runs of the same plan hit the
 same pipelines with the same faults.  Recovery re-dispatches happen

@@ -14,8 +14,8 @@ one scheduler is the futures layer:
    primary's entry into the evaluator's memo and, with a ``cache_dir``,
    the persistent cross-run cache (one append per primary).
 
-The completion-driven search driver (:mod:`repro.search.async_driver`)
-calls these directly.  Barrier waves call :meth:`ExecutionEngine.run`, a
+The completion-driven schedule of the search loop
+(:class:`~repro.search.session.SearchSession`) calls these directly.  Barrier waves call :meth:`ExecutionEngine.run`, a
 bounded window over them: longest pipeline first, at most
 ``backend.n_workers`` primaries in flight, resolved in task order.
 

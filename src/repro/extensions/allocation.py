@@ -206,6 +206,7 @@ class AllocatedTwoStepSearch:
             round_problem = AutoFPProblem(
                 evaluator=problem.evaluator, space=configured_space,
                 name=f"{problem.name}/round-{len(history) + 1}",
+                context=problem.context,
             )
             algorithm = self.algorithm_factory(int(rng.integers(0, 2**31 - 1)))
             round_result = algorithm.search(round_problem, max_trials=plan.trials)

@@ -60,7 +60,7 @@ class OneStepSearch:
         enlarged = self.parameter_space.one_step_space()
         extended_problem = AutoFPProblem(
             evaluator=problem.evaluator, space=enlarged,
-            name=f"{problem.name}/one-step",
+            name=f"{problem.name}/one-step", context=problem.context,
         )
         result = self.algorithm.search(extended_problem, max_trials=max_trials)
         result.baseline_accuracy = problem.evaluator.baseline_accuracy()

@@ -227,7 +227,8 @@ def load_search_result(path) -> SearchResult:
 
 # ---------------------------------------------------- session checkpoints
 #: schema version of SearchSession checkpoint documents.  Version 3 holds
-#: one loop-state shape for both drivers; documents of any other version
+#: one loop-state shape for both schedules (``driver``: ``"sync"`` for
+#: barrier waves, ``"async"`` completion-driven); documents of any other version
 #: are refused rather than misread.
 SESSION_CHECKPOINT_VERSION = 3
 

@@ -103,4 +103,5 @@ def reduced_problem(problem, *, sampler: Sampler | None = None,
     evaluator = ReducedEvaluator(problem.evaluator, sampler=sampler,
                                  reduction=reduction, random_state=random_state)
     return AutoFPProblem(evaluator=evaluator, space=problem.space,
-                         name=f"{problem.name}/reduced-{evaluator.sampler_name}")
+                         name=f"{problem.name}/reduced-{evaluator.sampler_name}",
+                         context=problem.context)

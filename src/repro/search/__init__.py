@@ -1,7 +1,6 @@
 """The 15 Auto-FP search algorithms, extensions, and their unified framework."""
 
 from repro.search.asha import ASHA
-from repro.search.async_driver import AsyncSearchDriver
 from repro.search.bandit import BOHB, Hyperband
 from repro.search.bandit_extra import ThompsonSamplingSearch, UCBSearch
 from repro.search.base import SearchAlgorithm
@@ -27,7 +26,6 @@ from repro.search.traditional import Anneal, RandomSearch
 __all__ = [
     "SearchAlgorithm",
     "SearchSession",
-    "AsyncSearchDriver",
     "ASHA",
     "RandomSearch",
     "Anneal",

@@ -8,13 +8,14 @@ decision per completed evaluation instead: whenever a worker asks for a
 job, promote the best not-yet-promoted configuration that sits in the top
 ``1/eta`` of some rung — or, if no rung has a promotable configuration,
 grow the bottom rung with a fresh random one.  No barrier ever forms, so
-under the completion-driven driver (:mod:`repro.search.async_driver`)
-every worker slot is refilled the moment it frees.
+under the search loop's completion-driven schedule (the context's
+``async_mode``, see :mod:`repro.search.session`) every worker slot is
+refilled the moment it frees.
 
-The algorithm also runs under the synchronous framework skeleton, where it
+The algorithm also runs under the barrier schedule, where it
 degenerates to a sequential successive-halving variant: one proposal per
 iteration, promotions decided on whatever has completed so far.  Both
-drivers produce identical results on the serial backend.
+schedules produce identical results on the serial backend.
 """
 
 from __future__ import annotations

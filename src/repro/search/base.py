@@ -12,20 +12,20 @@ Every search algorithm follows the same iterative skeleton:
 algorithms override four of them — ``_initial_pipelines``, ``_update``,
 ``_propose`` and ``_observe`` — and inherit budget accounting, pick-time
 measurement (the "Pick" component of the bottleneck analysis) and result
-collection.  The loop itself is
-:meth:`~repro.search.async_driver.AsyncSearchDriver.drive`, run by
+collection.  The loop itself is run by
 :class:`~repro.search.session.SearchSession` (the lifecycle facade that
 also provides callbacks, interruption and checkpoint/resume);
 :meth:`SearchAlgorithm.search` is a thin wrapper constructing a session.
 
-Under the default ``"sync"`` driver, step 4 evaluates each iteration's
+Under the default barrier schedule, step 4 evaluates each iteration's
 proposals as *one wave*: algorithms that propose whole generations or
 rungs (PBT, Hyperband/BOHB, batched random search via the
 :meth:`SearchAlgorithm._propose_batch` hook) therefore parallelise
 automatically when the problem's evaluator runs on a parallel backend
 (:mod:`repro.engine`).  Records are observed in proposal order, so batched
-and serial execution produce identical search trajectories.  The
-``"async"`` driver observes each evaluation as it completes instead.
+and serial execution produce identical search trajectories.  With the
+context's ``async_mode`` the loop observes each evaluation as it
+completes instead.
 """
 
 from __future__ import annotations
@@ -76,15 +76,16 @@ class SearchAlgorithm:
 
     # ----------------------------------------------------------------- API
     def search(self, problem: AutoFPProblem, budget: Budget | None = None,
-               *, max_trials: int | None = None, driver: str | None = None,
-               context=None) -> SearchResult:
+               *, max_trials: int | None = None) -> SearchResult:
         """Run the search on ``problem`` and return a :class:`SearchResult`.
 
         A convenience wrapper over :class:`~repro.search.session.SearchSession`
         — plain searches and checkpointable sessions run through the same
         session, and so share one search loop with one implementation of
-        admission, budget accounting and driver selection.  Use a session
-        directly for progress callbacks, interruption and checkpoint/resume.
+        admission and budget accounting.  The problem's context picks the
+        loop's schedule (``async_mode``) and the default budget.  Use a
+        session directly for progress callbacks, interruption and
+        checkpoint/resume.
 
         Parameters
         ----------
@@ -96,22 +97,10 @@ class SearchAlgorithm:
         max_trials:
             Evaluation budget used when ``budget`` is not given; ``None``
             falls back to the context's ``default_budget``, then 50.
-        driver:
-            ``"sync"`` runs the search loop in barrier waves (one per
-            proposal batch), ``"async"`` completion-driven (keeping the
-            evaluator engine's workers saturated); see
-            :mod:`repro.search.async_driver`.  The default ``None`` follows
-            the context's ``async_mode`` flag.  Both drivers are
-            bit-for-bit identical under serial evaluation.
-        context:
-            Optional :class:`~repro.core.context.ExecutionContext`
-            overriding the problem's own; decides the driver and default
-            budget.
         """
         from repro.search.session import SearchSession
 
-        session = SearchSession(problem, self, context=context)
-        return session.run(budget, max_trials=max_trials, driver=driver)
+        return SearchSession(problem, self).run(budget, max_trials=max_trials)
 
     # ------------------------------------------------------------- taxonomy
     @classmethod

@@ -1,17 +1,43 @@
-"""The search-lifecycle facade: :class:`SearchSession`.
+"""The search-lifecycle facade and the one search loop: :class:`SearchSession`.
 
 ``SearchAlgorithm.search`` answers "run this search to completion"; a
 production service needs more — progress events while the search runs,
 graceful interruption, and the ability to persist a long run's state so a
 killed process can pick up exactly where it left off.  ``SearchSession``
 is that lifecycle object, in the spirit of scikit-learn's ``BaseSearchCV``
-facade over its search loops:
+facade over its search loops, and it runs the loop itself:
 
-* **step-wise driving** — every run (``SearchAlgorithm.search``
-  delegates here) goes through the one search loop,
-  :meth:`~repro.search.async_driver.AsyncSearchDriver.drive`: the
-  ``"sync"`` driver runs it in barrier waves, ``"async"``
-  completion-driven.  The session observes every trial as it completes;
+* **the search loop** — every run (``SearchAlgorithm.search`` delegates
+  here) is Algorithm 1 of the paper: admit the algorithm's proposals
+  against the budget, dispatch them, feed each
+  :class:`~repro.core.result.TrialRecord` back through the algorithm's
+  ``_observe`` hook, and ask for new proposals (``_update`` +
+  ``_propose_batch``) when work runs out.  The context's ``async_mode``
+  picks one of two schedules:
+
+  - **barrier** (the default) — every admitted proposal batch runs as one
+    *wave* through ``evaluator.evaluate_tasks`` (the engine's batch
+    path), and its records are observed in proposal order before the
+    algorithm is asked again;
+  - **completion-driven** (``async_mode=True``) — up to the engine's
+    ``n_workers`` evaluations stay in flight, every completion is
+    observed the moment it lands, and Pick overlaps Prep/Train: the
+    algorithm proposes as soon as a worker slot frees — the scheduling
+    model of asynchronous successive halving (Li et al., ASHA)
+    generalised to every algorithm of the registry.
+
+  On the serial backend both schedules are bit-for-bit identical: one
+  in-flight slot drains a proposal batch in proposal order before the
+  next ``_propose_batch``, which is the barrier's hook sequence, RNG
+  consumption and budget arithmetic.  On process/remote backends the
+  completion-driven schedule is reproducible given the same completion
+  order (completions are observed in submission order among those
+  done); barrier runs under a trial budget match the serial run on every
+  backend.  Admission clips every batch to what the budget has left.  A
+  wall-clock budget is consulted after every observed completion (or
+  between dispatch chunks of a wave): the search stops within one
+  completion of expiry and refunds the admitted-but-never-dispatched
+  backlog;
 * **events** — ``on_trial(session, record)`` after every observed trial,
   ``on_batch(session, iteration, tasks)`` after every proposal-batch
   admission, ``on_checkpoint(session, path)`` after every checkpoint
@@ -43,6 +69,7 @@ import numbers
 import pickle
 import time
 import uuid
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +88,6 @@ from repro.io.serialization import (
     trial_from_dict,
     trial_to_dict,
 )
-from repro.search.async_driver import AsyncSearchDriver, fresh_loop_state
 from repro.search.base import SearchAlgorithm
 from repro.telemetry import heartbeat_file_name
 from repro.telemetry.metrics import MetricsSnapshot, get_registry
@@ -90,8 +116,8 @@ def _is_deferred(value) -> bool:
         and type(value[2]) is int)
 
 
-#: every loop-state entry ``fresh_loop_state`` and the driver's capture
-#: write: (name, what it must be, its check)
+#: every loop-state entry the search loop's capture writes: (name, what
+#: it must be, its check)
 _LOOP_STATE_ENTRIES = (
     ("iteration", "an int", lambda value: type(value) is int),
     ("stalled", "an int", lambda value: type(value) is int),
@@ -102,7 +128,7 @@ _LOOP_STATE_ENTRIES = (
 
 
 def _check_loop_state(loop) -> None:
-    """Refuse a checkpoint's loop state unless the driver could resume it.
+    """Refuse a checkpoint's loop state unless the loop could resume it.
 
     ``None`` (a session that never ran) passes; anything else must be a
     dict holding every entry of :data:`_LOOP_STATE_ENTRIES`, so a damaged
@@ -135,7 +161,8 @@ class SearchSession:
         internal state belongs to this session once the run starts).
     context:
         Runtime configuration; defaults to the problem's own context.
-        Decides the driver (``async_mode``) and the default budget.
+        Its ``async_mode`` picks the loop's schedule, and it sets the
+        default budget.
     on_trial / on_batch / on_checkpoint:
         Optional event callbacks (see the module docstring).
     on_metrics:
@@ -192,14 +219,13 @@ class SearchSession:
 
         self.result = SearchResult(algorithm=algorithm.name)
         self.stopped = False
-        self._driver: str | None = None
         self._budget: Budget | None = None
         self._rng = None
         self._iteration = 0
         self._running = False
         #: the search loop's state between runs (queue of charged tasks,
-        #: deferred proposals, counters), as returned by
-        #: ``AsyncSearchDriver.drive``; None until the algorithm is set up
+        #: deferred proposals, counters), as returned by :meth:`_drive`;
+        #: None until the algorithm is set up
         self._state: dict | None = None
         self._checkpoint_request: Path | None = None
         self._stop_request = False
@@ -208,16 +234,14 @@ class SearchSession:
 
     # ----------------------------------------------------------------- API
     def run(self, budget: Budget | None = None, *,
-            max_trials: int | None = None,
-            driver: str | None = None) -> SearchResult:
+            max_trials: int | None = None) -> SearchResult:
         """Run (or continue) the search and return the result so far.
 
         ``budget`` defaults to the restored budget on a resumed session,
         else to ``TrialBudget(max_trials)`` with ``max_trials`` falling
-        back to the context's ``default_budget`` (then 50).  ``driver``
-        (``"sync"``/``"async"``) defaults to the session's earlier choice,
-        then to the context's ``async_mode`` flag.  Calling ``run``
-        again after :meth:`stop` continues the same search.
+        back to the context's ``default_budget`` (then 50).  The context's
+        ``async_mode`` picks the schedule (see the module docstring).
+        Calling ``run`` again after :meth:`stop` continues the same search.
         """
         if self._running:
             raise ValidationError("this session is already running")
@@ -230,20 +254,6 @@ class SearchSession:
             self._budget = budget
         elif self._budget is None:
             self._budget = self.context.trial_budget(max_trials)
-        if driver is None:
-            driver = self._driver
-        if driver is None:
-            driver = "async" if self.context.async_mode else "sync"
-        if driver not in ("sync", "async"):
-            raise ValidationError(
-                f"driver must be 'sync' or 'async', got {driver!r}"
-            )
-        if self._driver is not None and driver != self._driver:
-            raise ValidationError(
-                f"this session ran under the {self._driver!r} driver and "
-                f"cannot switch to {driver!r} mid-search"
-            )
-        self._driver = driver
         if self.checkpoint_every is not None and self.checkpoint_path is not None:
             # Fail before the search starts, not at the first periodic
             # snapshot deep inside the loop.
@@ -253,17 +263,15 @@ class SearchSession:
         self.stopped = False
         self._stop_request = False
         self._running = True
-        log.debug("run: algorithm=%s driver=%s budget=%r context=[%s]",
-                  self.algorithm.name, driver, self._budget,
-                  self.context.describe())
+        log.debug("run: algorithm=%s budget=%r context=[%s]",
+                  self.algorithm.name, self._budget, self.context.describe())
         try:
             if self._state is None:
                 self.algorithm._setup(self.problem, self._rng)
-                self._state = fresh_loop_state()
-            self._state = AsyncSearchDriver(self.algorithm).drive(
-                self.problem, self._budget, self.result, self._rng,
-                self._state, control=self, barrier=driver == "sync",
-            )
+                # a loop that has admitted nothing yet
+                self._state = {"iteration": 0, "stalled": 0, "deferred": None,
+                               "queue": [], "initial_done": False}
+            self._state = self._drive(self._state)
         finally:
             # A hard interruption (Ctrl-C, kill) does not write a
             # checkpoint here: a snapshot taken mid-batch would not be at
@@ -311,10 +319,8 @@ class SearchSession:
         return path
 
     @classmethod
-    def resume(cls, path, *, problem=None,
-               context: ExecutionContext | None = None,
-               on_trial=None, on_batch=None, on_checkpoint=None,
-               on_metrics=None, checkpoint_path=None,
+    def resume(cls, path, *, problem=None, on_trial=None, on_batch=None,
+               on_checkpoint=None, on_metrics=None, checkpoint_path=None,
                checkpoint_every: int | None = None,
                ) -> "SearchSession":
         """Restore a session from a checkpoint written by :meth:`checkpoint`.
@@ -330,12 +336,17 @@ class SearchSession:
         document's search algorithm, whose ``rng`` is not a numpy
         ``Generator`` or whose ``loop`` is neither None nor loop state
         (see :func:`_check_loop_state`) raises :class:`ValidationError`
-        naming that entry.
+        naming that entry, as does a ``driver`` other than ``"sync"`` or
+        ``"async"``, which sets the restored context's ``async_mode``.
         """
         document = load_session_checkpoint(path)
-        stored_context = ExecutionContext.from_dict(document["context"])
-        if context is None:
-            context = stored_context
+        driver = document["driver"]
+        if driver not in ("sync", "async"):
+            raise ValidationError(
+                f"checkpoint 'driver' must be 'sync' or 'async', got {driver!r}"
+            )
+        context = ExecutionContext.from_dict(document["context"]).replace(
+            async_mode=driver == "async")
         blob = decode_state_blob(document["state_blob"])
         if not isinstance(blob, dict) \
                 or not {"algorithm", "rng", "loop"} <= blob.keys():
@@ -382,7 +393,6 @@ class SearchSession:
                       # Keep the interrupted run's identity: its metric
                       # labels and heartbeat file continue seamlessly.
                       session_id=document["session_id"])
-        session._driver = document["driver"]
         budget = TrialBudget(document["budget"]["max_trials"])
         budget.used = float(document["budget"]["used"])
         session._budget = budget
@@ -395,23 +405,229 @@ class SearchSession:
         session.result.baseline_accuracy = document.get("baseline_accuracy")
         return session
 
-    # ------------------------------------------------- driver control hooks
-    def _driver_admitted(self, iteration: int, tasks) -> None:
-        """AsyncSearchDriver hook: a proposal batch was admitted."""
-        self._iteration = iteration
-        if self.on_batch is not None:
-            self.on_batch(self, iteration, list(tasks))
+    # ---------------------------------------------------------- search loop
+    def _drive(self, state: dict) -> dict:
+        """Run the search loop from ``state``; return the state to go on from.
 
-    def _driver_observed(self, record: TrialRecord, capture) -> bool:
-        """AsyncSearchDriver hook: one completion was observed.
-
-        Fires the per-trial events and services checkpoint requests and
-        periodic checkpoints.  ``capture`` snapshots the driver's loop
-        state for a checkpoint; ``None`` means the driver is already
-        pausing (drain notifications), so a checkpoint due now is deferred
-        to the post-run snapshot rather than taken of a loop mid-teardown.
-        Returns True to pause the driver.
+        ``state`` is the serializable loop state: the iteration and stall
+        counters, the admitted-but-unobserved ``queue`` of
+        ``(task, charge)`` pairs (their budget charges are already
+        consumed), proposals ``deferred`` by a fractional budget crumb,
+        and whether the initial pipelines were already admitted.  The
+        algorithm is already set up, and trials already in the result
+        count as observed.  A barrier wave that comes back short was cut
+        by a wall-clock budget; the run ends there.  On :meth:`stop` the
+        returned state resumes the search exactly where it stopped;
+        after a run that finished, it holds no work.
         """
+        algorithm, budget, result, rng = \
+            self.algorithm, self._budget, self.result, self._rng
+        space = self.problem.space
+        evaluator = self.problem.evaluator
+        engine = evaluator.engine
+        tracer = self.tracer
+        barrier = not self.context.async_mode
+        interruptible = budget.can_interrupt()
+
+        iteration, stalled = state["iteration"], state["stalled"]
+        #: proposals that could not be admitted yet (e.g. a fractional
+        #: budget crumb only spendable once everything in flight drains);
+        #: retried before the algorithm is asked again, so state the
+        #: algorithm mutated while proposing (ASHA's promoted set) is
+        #: never silently discarded.  Serial and barrier runs never defer.
+        deferred: tuple | None = state["deferred"]
+
+        #: admitted (task, key, charge) triples not yet handed to the
+        #: engine (or, under a barrier, not yet observed); restored entries
+        #: keep their original charges (consumed when first admitted)
+        queue: deque = deque(
+            (task, evaluator.cache_key(task.pipeline, task.fidelity), charge)
+            for task, charge in state["queue"]
+        )
+        #: (PendingTask, key, charge) triples in submission order
+        inflight: list = []
+        #: cache keys of queued/in-flight work, so a parallel run never
+        #: re-dispatches (or re-charges) a proposal that is already running;
+        #: empty whenever a serial or barrier run proposes
+        pending_keys: set = {key for _task, key, _charge in queue}
+
+        def admit(proposals, pick_per_proposal: float,
+                  admit_iteration: int) -> int:
+            """Admit a proposal batch, clipped to what the budget has left.
+
+            A batch of k proposals can never over-admit a count budget.  The
+            one exception is the first proposal when only a fractional trial
+            remains and no other work is anywhere — it still runs, charged
+            only the remainder, so the search always makes progress.
+            Duplicates *within* one batch are admitted and charged (the
+            engine aliases their execution); only proposals that duplicate
+            work still pending from an earlier batch are skipped, which
+            never happens when nothing is pending at proposal time.
+            """
+            already_pending = frozenset(pending_keys)
+            admitted_tasks: list[EvalTask] = []
+            for item in proposals:
+                pipeline, fidelity = algorithm._unpack_proposal(item)
+                key = evaluator.cache_key(pipeline, fidelity)
+                if key in already_pending:
+                    continue  # identical work already queued or in flight
+                if budget.exhausted():
+                    break
+                if budget.admits(fidelity):
+                    charge = fidelity
+                elif not admitted_tasks and not queue and not inflight:
+                    # Fractional leftover smaller than one proposal and no
+                    # other work anywhere: spend it rather than stalling.
+                    charge = budget.admissible(fidelity)
+                else:
+                    break
+                task = EvalTask(pipeline, fidelity=fidelity,
+                                pick_time=pick_per_proposal,
+                                iteration=admit_iteration)
+                queue.append((task, key, charge))
+                pending_keys.add(key)
+                budget.consume(charge)
+                admitted_tasks.append(task)
+            if admitted_tasks:
+                self._iteration = admit_iteration
+                if self.on_batch is not None:
+                    self.on_batch(self, admit_iteration, admitted_tasks)
+            return len(admitted_tasks)
+
+        def capture() -> dict:
+            """Serializable snapshot of the loop, for a checkpoint.
+
+            Work in flight is recorded as queued (charges intact): a resume
+            re-dispatches it in submission order, which on the deterministic
+            configurations (serial evaluation, one worker, barrier waves)
+            reproduces the uninterrupted observation order exactly.
+            """
+            outstanding = [(entry[0].task, entry[2]) for entry in inflight]
+            outstanding += [(task, charge) for task, _key, charge in queue]
+            return {"iteration": iteration, "stalled": stalled,
+                    "deferred": deferred, "queue": outstanding,
+                    "initial_done": True}
+
+        if not state["initial_done"]:
+            admit(list(algorithm._initial_pipelines(space, rng)), 0.0, 0)
+
+        paused = False
+        try:
+            while True:
+                if barrier and queue:
+                    # One wave: the whole admitted batch, observed in
+                    # proposal order.  Each record leaves the queue only
+                    # when observed, so a pause keeps the rest queued.
+                    wave = [task for task, _key, _charge in queue]
+                    records = evaluator.evaluate_tasks(wave, budget=budget)
+                    for record in records:
+                        pending_keys.discard(queue.popleft()[1])
+                        paused = self._observe_trial(record, capture)
+                        if paused:
+                            break
+                    if paused or len(records) < len(wave):
+                        break  # short: the wall-clock budget cut the wave
+
+                # Re-read capacity every cycle: an elastic backend (the
+                # remote fleet) grows and shrinks as workers join and
+                # leave, and the in-flight depth must track it.  Fixed
+                # backends return a constant, so this changes nothing
+                # for them.  A barrier run keeps nothing in flight.
+                n_workers = 1 if barrier else engine.n_workers
+
+                # Fill free worker slots from the admitted backlog.
+                while queue and len(inflight) < n_workers:
+                    task, key, charge = queue.popleft()
+                    inflight.append(
+                        (engine.submit_task(evaluator, task), key, charge)
+                    )
+
+                # Pick overlaps Prep/Train: propose as soon as a slot would
+                # go idle, even while other evaluations are still in flight.
+                if not queue and len(inflight) < n_workers \
+                        and not budget.exhausted():
+                    if deferred is not None:
+                        proposals, pick_time, deferred_iteration = deferred
+                        if admit(proposals, pick_time, deferred_iteration):
+                            deferred = None
+                            continue
+                        # Still unadmittable: wait for more completions.
+                    else:
+                        iteration += 1
+                        pick_wall = time.time() if tracer is not None else 0.0
+                        pick_start = time.perf_counter()
+                        algorithm._update(result.trials, space, rng)
+                        proposals = list(
+                            algorithm._propose_batch(space, rng, result.trials)
+                        )
+                        pick_time = time.perf_counter() - pick_start
+                        if tracer is not None:
+                            tracer.emit("propose", ts=pick_wall, dur=pick_time,
+                                        algorithm=algorithm.name,
+                                        iteration=iteration,
+                                        proposals=len(proposals))
+                        if not proposals and not inflight:
+                            stalled += 1
+                            if stalled >= 3:
+                                # The algorithm has nothing left to propose
+                                # (e.g. PNAS exhausted its beam): keep
+                                # honouring the budget with random samples,
+                                # as the paper's framework does.
+                                proposals = [space.sample_pipeline(rng)]
+                            else:
+                                continue
+                        # With work still in flight an empty proposal list is
+                        # not a stall — the algorithm is waiting for results
+                        # (e.g. a rung mid-flight); fall through and collect
+                        # completions.
+                        if proposals:
+                            stalled = 0
+                            pick_per = pick_time / len(proposals)
+                            if admit(proposals, pick_per, iteration):
+                                continue
+                            if inflight:
+                                # Nothing fit right now, but draining the
+                                # in-flight work may free the fractional
+                                # path: retry these proposals, don't re-ask.
+                                deferred = (proposals, pick_per, iteration)
+
+                if not inflight:
+                    if queue:
+                        continue
+                    break
+
+                # Observe completions in submission order among those done.
+                ready = [entry for entry in inflight if entry[0].ready()]
+                if not ready:
+                    engine.wait_any([entry[0] for entry in inflight])
+                    ready = [entry for entry in inflight if entry[0].ready()]
+                for entry in ready:
+                    inflight.remove(entry)
+                    pending, key, _charge = entry
+                    pending_keys.discard(key)
+                    paused = self._observe_trial(
+                        engine.resolve_task(evaluator, pending), capture)
+                    if paused or (interruptible and budget.interrupted()):
+                        break
+                else:
+                    continue
+                break  # paused, or the wall-clock budget expired
+        finally:
+            self._drain(queue, inflight, pause=paused)
+        return capture()
+
+    def _observe_trial(self, record: TrialRecord, capture=None) -> bool:
+        """Record one completion; True when the loop should pause.
+
+        Feeds the record to the result and the algorithm, fires the
+        per-trial events and services checkpoint requests and periodic
+        checkpoints.  ``capture`` snapshots the loop state for a
+        checkpoint; ``None`` means the loop is draining, so a checkpoint
+        due now is deferred to the post-run snapshot rather than taken of
+        a loop mid-teardown.
+        """
+        self.result.add(record)
+        self.algorithm._observe(record)
         self._trials_since_checkpoint += 1
         if self.on_trial is not None:
             self.on_trial(self, record)
@@ -425,10 +641,47 @@ class SearchSession:
                 and self._trials_since_checkpoint >= self.checkpoint_every):
             path = self.checkpoint_path
         if path is not None and capture is None:
-            self._checkpoint_request = path  # pausing: write after the run
+            self._checkpoint_request = path  # draining: write after the run
         elif path is not None:
             self._write_checkpoint(path, capture())
         return capture is not None and self._stop_request
+
+    def _drain(self, queue: deque, inflight: list, *, pause: bool) -> None:
+        """Empty the loop's in-flight work as it pauses or ends.
+
+        Cancels every in-flight task that has not started, then resolves
+        and observes the started ones like any other completion.  A pause
+        puts the cancelled tasks back at the head of the queue with their
+        charges (the serialized queue still owns them).  Any other end —
+        a finished run, a wall-clock interruption, an error — refunds them
+        and the queue, so ``budget.used`` reflects exactly the work that
+        ran.  After a run that finished there is nothing to drain.
+        """
+        evaluator = self.problem.evaluator
+        engine = evaluator.engine
+        cancelled, started = [], []
+        for pending, key, charge in inflight:
+            if engine.cancel_task(evaluator, pending):
+                cancelled.append((pending.task, key, charge))
+            else:
+                started.append(pending)
+        inflight.clear()
+        for pending in started:
+            self._observe_trial(engine.resolve_task(evaluator, pending))
+        if pause:
+            queue.extendleft(reversed(cancelled))
+            return
+        refunds = [*queue, *cancelled]
+        queue.clear()
+        for _task, _key, charge in refunds:
+            self._budget.consume(-charge)
+        if refunds:
+            # Labelled per session: an unlabelled series would show up in
+            # every session's metrics_snapshot().
+            get_registry().counter("budget.refunded_trials",
+                                   session=self.session_id).inc(len(refunds))
+            log.debug("refunded %d admitted-but-undispatched task(s)",
+                      len(refunds))
 
     # ------------------------------------------------------------ telemetry
     def metrics_snapshot(self) -> MetricsSnapshot:
@@ -559,7 +812,7 @@ class SearchSession:
         document = {
             "algorithm": self.algorithm.name,
             "session_id": self.session_id,
-            "driver": self._driver or "sync",
+            "driver": "async" if self.context.async_mode else "sync",
             "context": self.context.to_dict(),
             "problem": {
                 "name": problem.name,
@@ -584,4 +837,4 @@ class SearchSession:
     def __repr__(self) -> str:
         return (f"SearchSession(problem={self.problem.name!r}, "
                 f"algorithm={self.algorithm!r}, "
-                f"trials={len(self.result)}, driver={self._driver!r})")
+                f"trials={len(self.result)})")

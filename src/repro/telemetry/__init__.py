@@ -2,7 +2,7 @@
 
 The paper's core empirical argument (the Fig 7 / Table 5 bottleneck
 analysis) rests on knowing *where time goes* — Pick vs. Prep vs. Train —
-yet a search now spans async drivers, three execution backends and two
+yet a search now spans two loop schedules, three execution backends and two
 cache layers.  This package is the one place all of that reports to:
 
 * :mod:`repro.telemetry.metrics` — named counters and gauges.

@@ -1,5 +1,7 @@
 """Tests for the AutoML-context modules: TPOT-FP, HPO and the comparison."""
 
+import hashlib
+
 import pytest
 
 from repro.automl import (
@@ -12,7 +14,29 @@ from repro.automl import (
     tpot_search_space,
     TPOT_PREPROCESSOR_NAMES,
 )
+from repro.core.context import ExecutionContext
+from repro.core.problem import AutoFPProblem
 from repro.exceptions import UnknownComponentError
+from repro.search import SearchSession
+
+#: (dataset, model, GP kwargs, trials, sha256 of the records): the GP's
+#: trajectory — breeding, elitist survival, the order the search loop
+#: observes its generations in — must not drift
+GOLDEN_GP = [
+    ("blood", "lr", {}, 40,
+     "b2f972de55e5df71a36376866844bb4810a68b6628f58d60cde4e0d89c7f7020"),
+    ("wine", "lr", {"population_size": 4}, 13,
+     "27bfd17e1084367e657e25c632ee03ab855d2bdbbe7d9d9123c6a2cedf34fe35"),
+    ("heart", "xgb", {"restrict_to_tpot": False, "random_state": 3}, 25,
+     "30d3f05fa2909c1684a53a8aa9594e3bc87b3d88c67058b1bf8db9024913b9f6"),
+    ("vehicle", "lr", {"population_size": 5}, 7,
+     "2ad64104d52988eeb9ca5c8f40f7daa9a8d222762b7a8e4fb1f05f1db5e8279a"),
+]
+
+
+def _records(result):
+    return [(t.pipeline.spec(), t.fidelity, t.accuracy, t.iteration)
+            for t in result.trials]
 
 
 class TestTpotFP:
@@ -53,6 +77,53 @@ class TestTpotFP:
         a = GeneticProgrammingFP(random_state=9).search(lr_problem, max_trials=10)
         b = GeneticProgrammingFP(random_state=9).search(lr_problem, max_trials=10)
         assert a.best_pipeline == b.best_pipeline
+
+    def test_completion_driven_run_waits_for_parents(self, distorted_data):
+        """Three workers and two individuals: the loop asks for a
+        generation before any parent is observed."""
+        X, y = distorted_data
+        problem = AutoFPProblem.from_arrays(
+            X, y, "lr", random_state=0,
+            context=ExecutionContext(n_jobs=3, backend="process",
+                                     async_mode=True),
+        )
+        try:
+            result = GeneticProgrammingFP(population_size=2).search(
+                problem, max_trials=6)
+        finally:
+            problem.evaluator.engine.close()
+        assert len(result) == 6
+
+    @pytest.mark.parametrize("dataset,model,kwargs,trials,digest", GOLDEN_GP,
+                             ids=[f"{row[0]}-{row[1]}" for row in GOLDEN_GP])
+    def test_golden_records(self, dataset, model, kwargs, trials, digest):
+        problem = AutoFPProblem.from_registry(dataset, model, random_state=0)
+        result = GeneticProgrammingFP(**kwargs).search(problem,
+                                                       max_trials=trials)
+        assert len(result) == trials
+        assert hashlib.sha256(repr(_records(result)).encode()).hexdigest() \
+            == digest
+
+    @pytest.mark.parametrize("stop_at", [2, 5, 9])
+    def test_resumes_bit_for_bit(self, stop_at, tmp_path):
+        """Stops inside the initial population and inside generation 1;
+        the resumed run breeds in the GP's own five-preprocessor space."""
+        path = tmp_path / "gp.checkpoint"
+
+        def interrupt(session, record):
+            if len(session.result) == stop_at:
+                session.checkpoint(path)
+                session.stop()
+
+        session = SearchSession(
+            AutoFPProblem.from_registry("blood", "lr", random_state=0),
+            GeneticProgrammingFP(), on_trial=interrupt)
+        assert len(session.run(max_trials=20)) == stop_at
+        resumed = SearchSession.resume(path).run()
+        reference = GeneticProgrammingFP().search(
+            AutoFPProblem.from_registry("blood", "lr", random_state=0),
+            max_trials=20)
+        assert _records(resumed) == _records(reference)
 
 
 class TestHPO:

@@ -1,12 +1,14 @@
-"""The engine's futures layer and the completion-driven search driver.
+"""The engine's futures layer and the search loop's completion-driven schedule.
 
 Covers ``submit_task`` / ``wait_any`` / ``resolve_task`` resolved in
-completion order (the way the driver uses them) giving ``run()``'s values
+completion order (the way the search loop uses them) giving ``run()``'s values
 on every backend, ``run()`` as a window over them that gives back every
 in-flight slot even when an evaluation raises, ``close()`` cancelling
 in-flight work without orphaning workers, async ``TimeBudget``
 interruption refunding never-dispatched tasks and stopping within one
-completion, and the ``bench_async_overlap`` smoke mode.
+completion, the context's ``async_mode`` as the switch between barrier
+waves and the completion-driven schedule, and the ``bench_async_overlap``
+smoke mode.
 """
 
 import importlib.util
@@ -18,12 +20,13 @@ import pytest
 
 from repro.core import Pipeline, PipelineEvaluator
 from repro.core.budget import CompositeBudget, TimeBudget, TrialBudget
+from repro.core.context import ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.core.search_space import SearchSpace
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import BACKEND_NAMES, EvalTask, ExecutionEngine, SerialFuture
 from repro.models.linear import LogisticRegression
-from repro.search import AsyncSearchDriver, make_search_algorithm
+from repro.search import make_search_algorithm
 from repro.telemetry.metrics import get_registry
 
 BENCH_PATH = (
@@ -281,13 +284,15 @@ class TestCloseCancelsInflight:
 
 
 def _ticking_problem():
-    """Problem whose evaluations advance a fake clock by 1s each."""
+    """Completion-driven problem whose evaluations advance a fake clock by
+    1s each."""
     X, y = make_classification(n_samples=140, n_features=8, n_classes=2,
                                class_sep=2.0, random_state=2)
     X = distort_features(X, random_state=2)
     problem = AutoFPProblem.from_arrays(
         X, y, LogisticRegression(max_iter=60), space=SearchSpace(max_length=3),
         random_state=0, name="async-budget/lr",
+        context=ExecutionContext(async_mode=True),
     )
     now = [0.0]
     original = problem.evaluator._evaluate_uncached
@@ -310,7 +315,7 @@ class TestAsyncTimeBudget:
         # PBT admits its whole initial population (8) up front; the fake
         # clock expires after ~4 evaluations.
         result = make_search_algorithm("pbt", random_state=0).search(
-            problem, budget=budget, driver="async"
+            problem, budget=budget
         )
         assert 0 < len(result) < 8  # stopped mid-batch, not after it
         # Refund exactness: the trial budget charged only what actually ran
@@ -324,13 +329,16 @@ class TestAsyncTimeBudget:
         X, y = make_classification(n_samples=110, n_features=6, class_sep=2.0,
                                    random_state=7)
         engine = ExecutionEngine("process", n_workers=2)
-        problem = AutoFPProblem.from_arrays(X, y, "lr", random_state=0)
+        problem = AutoFPProblem.from_arrays(
+            X, y, "lr", random_state=0,
+            context=ExecutionContext(async_mode=True),
+        )
         problem.evaluator.set_engine(engine)
         get_registry().reset()
         try:
             result = make_search_algorithm(
                 "rs", random_state=0, batch_size=4,
-            ).search(problem, max_trials=8, driver="async")
+            ).search(problem, max_trials=8)
         finally:
             engine.close()
         assert len(result) == 8
@@ -343,12 +351,15 @@ class TestAsyncTimeBudget:
         X, y = make_classification(n_samples=110, n_features=6, class_sep=2.0,
                                    random_state=7)
         engine = ExecutionEngine("process", n_workers=2)
-        problem = AutoFPProblem.from_arrays(X, y, "lr", random_state=0)
+        problem = AutoFPProblem.from_arrays(
+            X, y, "lr", random_state=0,
+            context=ExecutionContext(async_mode=True),
+        )
         problem.evaluator.set_engine(engine)
         budget = TrialBudget(4)
         budget.consume(0.5)  # leave a fractional remainder: 3.5 trials
         result = make_search_algorithm("rs", random_state=0, batch_size=2).search(
-            problem, budget=budget, driver="async"
+            problem, budget=budget
         )
         engine.close()
         # 3 whole trials plus one fractional-crumb trial, never more.
@@ -357,38 +368,32 @@ class TestAsyncTimeBudget:
 
 
 class TestAsyncModePlumbing:
-    def test_problem_async_mode_selects_async_driver(self, monkeypatch):
-        from repro.core.context import ExecutionContext
-
+    @pytest.mark.parametrize("async_mode", [False, True])
+    def test_async_mode_is_the_schedule_switch(self, async_mode,
+                                               monkeypatch):
+        """Barrier waves go through ``evaluate_tasks``; the
+        completion-driven schedule never calls it."""
         X, y = make_classification(n_samples=110, n_features=6, class_sep=2.0,
                                    random_state=7)
         problem = AutoFPProblem.from_arrays(
             X, y, "lr", random_state=0,
-            context=ExecutionContext(async_mode=True),
+            context=ExecutionContext(async_mode=async_mode),
         )
-        calls = []
-        original = AsyncSearchDriver.drive
+        waves = []
+        original = PipelineEvaluator.evaluate_tasks
 
-        def spying(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
+        def counting(self, tasks, **kwargs):
+            waves.append(len(tasks))
+            return original(self, tasks, **kwargs)
 
-        # `drive` is the completion-driven loop shared by AsyncSearchDriver
-        # and SearchSession; a search on an async_mode problem must route
-        # through it.
-        monkeypatch.setattr(AsyncSearchDriver, "drive", spying)
-        make_search_algorithm("rs", random_state=0).search(problem, max_trials=4)
-        assert calls == [1]
-
-    def test_invalid_driver_rejected(self):
-        from repro.exceptions import ValidationError
-
-        X, y = make_classification(n_samples=110, n_features=6, class_sep=2.0,
-                                   random_state=7)
-        problem = AutoFPProblem.from_arrays(X, y, "lr", random_state=0)
-        with pytest.raises(ValidationError):
-            make_search_algorithm("rs").search(problem, max_trials=4,
-                                               driver="turbo")
+        monkeypatch.setattr(PipelineEvaluator, "evaluate_tasks", counting)
+        result = make_search_algorithm("rs", random_state=0).search(
+            problem, max_trials=4)
+        assert len(result) == 4
+        if async_mode:
+            assert waves == []
+        else:
+            assert len(waves) > 0
 
 
 class TestBenchmarkSmokeMode:

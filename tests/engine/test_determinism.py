@@ -8,13 +8,16 @@ pool or on registered remote workers — even when one of those workers
 dies mid-search.
 
 The cross-backend determinism *matrix* extends the guarantee to the
-completion-driven driver: for **every** registry algorithm (the paper's 15
+search loop's completion-driven schedule: for **every** registry algorithm (the paper's 15
 plus the extensions, including ASHA) the serial async run is bit-for-bit
 identical to the serial sync run, and process async runs are
 seed-reproducible given a fixed completion order (one worker) with trial
 values identical to what the serial evaluator computes for the same
-``(pipeline, fidelity)``.
+``(pipeline, fidelity)``.  The ``driver`` parameter of the cells below
+names the schedule, which the problem's context selects (``async_mode``).
 """
+
+import dataclasses
 
 import pytest
 
@@ -41,7 +44,7 @@ MATRIX_ALGORITHMS = ALL_ALGORITHM_NAMES + tuple(sorted(EXTENSION_ALGORITHM_CLASS
 
 
 def _make_problem(engine=None, prefix_cache_bytes=None,
-                  telemetry_mode="off", telemetry_dir=None):
+                  telemetry_mode="off", telemetry_dir=None, async_mode=False):
     from repro.core.context import ExecutionContext
 
     X, y = make_classification(n_samples=140, n_features=8, n_classes=2,
@@ -52,10 +55,17 @@ def _make_problem(engine=None, prefix_cache_bytes=None,
         random_state=0, name="determinism/lr",
         context=ExecutionContext(prefix_cache_bytes=prefix_cache_bytes,
                                  telemetry_mode=telemetry_mode,
-                                 telemetry_dir=telemetry_dir),
+                                 telemetry_dir=telemetry_dir,
+                                 async_mode=async_mode),
     )
     problem.evaluator.set_engine(engine)
     return problem
+
+
+def _scheduled(problem, driver):
+    """``problem`` on the same evaluator, searched under ``driver``."""
+    return dataclasses.replace(problem, context=problem.context.replace(
+        async_mode=driver == "async"))
 
 
 def _trial_set(result):
@@ -100,7 +110,7 @@ class TestCrossBackendDeterminismMatrix:
             matrix_problem, max_trials=8
         )
         asynchronous = make_search_algorithm(algorithm, random_state=0).search(
-            matrix_problem, max_trials=8, driver="async"
+            _scheduled(matrix_problem, "async"), max_trials=8
         )
         assert asynchronous.algorithm == sync.algorithm
         assert _trial_set(asynchronous) == _trial_set(sync)
@@ -114,8 +124,8 @@ class TestCrossBackendDeterminismMatrix:
         for _ in range(2):
             engine = ExecutionEngine(backend, n_workers=1)
             searcher = make_search_algorithm("asha", random_state=0)
-            result = searcher.search(_make_problem(engine), max_trials=10,
-                                     driver="async")
+            result = searcher.search(_make_problem(engine, async_mode=True),
+                                     max_trials=10)
             engine.close()
             runs.append(_trial_set(result))
         assert runs[0] == runs[1]
@@ -124,7 +134,7 @@ class TestCrossBackendDeterminismMatrix:
         """Scheduling may reorder trials but can never change their values."""
         engine = ExecutionEngine("process", n_workers=3)
         result = make_search_algorithm("rs", random_state=0, batch_size=4).search(
-            _make_problem(engine), max_trials=12, driver="async"
+            _make_problem(engine, async_mode=True), max_trials=12
         )
         engine.close()
         reference = _make_problem(None).evaluator
@@ -161,7 +171,7 @@ class TestRemoteBackendDeterminism:
 
     def _search(self, algorithm, kwargs, problem, driver):
         searcher = make_search_algorithm(algorithm, random_state=0, **kwargs)
-        return searcher.search(problem, max_trials=14, driver=driver)
+        return searcher.search(_scheduled(problem, driver), max_trials=14)
 
     def _run_remote(self, algorithm, kwargs, driver, chaos=None):
         from repro.engine.faults import RetryPolicy
@@ -236,8 +246,9 @@ class TestPrefixCacheDeterminism:
                 ExecutionEngine(backend, n_workers=n_workers)
             searcher = make_search_algorithm(algorithm, random_state=0, **kwargs)
             result = searcher.search(
-                _make_problem(engine, prefix_cache_bytes=prefix_cache_bytes),
-                max_trials=12, driver=driver,
+                _make_problem(engine, prefix_cache_bytes=prefix_cache_bytes,
+                              async_mode=driver == "async"),
+                max_trials=12,
             )
             if engine is not None:
                 engine.close()
@@ -295,7 +306,8 @@ def uninterrupted():
         if (algorithm, driver) not in runs:
             result = make_search_algorithm(
                 algorithm, random_state=0, **CHECKPOINT_KWARGS.get(algorithm, {})
-            ).search(_make_problem(None), max_trials=12, driver=driver)
+            ).search(_make_problem(None, async_mode=driver == "async"),
+                     max_trials=12)
             runs[algorithm, driver] = (_trial_set(result), result.best_accuracy)
         return runs[algorithm, driver]
 
@@ -323,15 +335,16 @@ class TestCheckpointResumeDeterminism:
                 session.stop()
 
         session = SearchSession(
-            _make_problem(None),
+            _make_problem(None, async_mode=driver == "async"),
             make_search_algorithm(algorithm, random_state=0,
                                   **CHECKPOINT_KWARGS.get(algorithm, {})),
             on_trial=interrupt,
         )
-        partial = session.run(max_trials=12, driver=driver)
+        partial = session.run(max_trials=12)
         assert len(partial) == stop_at
         # Resume against a *fresh* problem (cold caches), as a new process
-        # would after loading the document.
+        # would after loading the document; the checkpoint's ``driver``
+        # restores the schedule.
         resumed = SearchSession.resume(path, problem=_make_problem(None))
         return resumed.run()
 
@@ -470,8 +483,9 @@ class TestTelemetryDeterminism:
             searcher = make_search_algorithm("pbt", random_state=0)
             result = searcher.search(
                 _make_problem(engine, telemetry_mode=mode,
-                              telemetry_dir=directory),
-                max_trials=12, driver=driver,
+                              telemetry_dir=directory,
+                              async_mode=driver == "async"),
+                max_trials=12,
             )
             if engine is not None:
                 engine.close()

@@ -511,13 +511,14 @@ class TestSerialProcessParity:
             == [1] * expected
 
 
-def _make_problem():
+def _make_problem(async_mode=False):
     X, y = make_classification(n_samples=120, n_features=6, class_sep=2.0,
                                random_state=3)
     X = distort_features(X, random_state=3)
     return AutoFPProblem.from_arrays(
         X, y, LogisticRegression(max_iter=40), space=SearchSpace(max_length=3),
         random_state=0, name="faults/lr",
+        context=ExecutionContext(async_mode=async_mode),
     )
 
 
@@ -710,12 +711,12 @@ class TestProcessRecovery:
         engine = _chaos_engine(
             ProcessBackend(n_workers=2, retry_policy=policy), plan
         )
-        problem = _make_problem()
+        problem = _make_problem(async_mode=True)
         problem.evaluator.set_engine(engine)
         searcher = make_search_algorithm("rs", random_state=0, batch_size=4)
         children = set(multiprocessing.active_children())
         try:
-            result = searcher.search(problem, max_trials=12, driver="async")
+            result = searcher.search(problem, max_trials=12)
         finally:
             engine.close()
         assert len(result) == 12

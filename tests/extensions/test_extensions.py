@@ -1,8 +1,12 @@
 """Tests for the parameter-extended search spaces and One-step / Two-step."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.context import ExecutionContext
+from repro.core.problem import AutoFPProblem
 from repro.extensions import (
     OneStepSearch,
     ParameterizedSpace,
@@ -12,6 +16,7 @@ from repro.extensions import (
     low_cardinality_space,
 )
 from repro.search import PBT, RandomSearch
+from repro.telemetry.tracing import read_trace
 
 
 class TestParameterizedSpaces:
@@ -108,6 +113,29 @@ class TestStrategies:
         for outcome in comparison.values():
             assert outcome.best_accuracy >= 0.0
             assert outcome.result.baseline_accuracy is not None
+
+    @pytest.mark.parametrize("strategy", ["one_step", "two_step"])
+    def test_searches_run_under_the_problem_context(self, strategy, tmp_path):
+        """The derived problems keep their parent's context: a traced,
+        completion-driven parent gives a trace with a span per trial and
+        per proposal and no barrier waves."""
+        problem = AutoFPProblem.from_registry(
+            "blood", "lr", random_state=0,
+            context=ExecutionContext(telemetry_mode="trace",
+                                     telemetry_dir=tmp_path, async_mode=True),
+        )
+        space = low_cardinality_space(max_length=3)
+        if strategy == "one_step":
+            searcher = OneStepSearch(RandomSearch(random_state=0), space)
+        else:
+            searcher = TwoStepSearch(
+                lambda seed: RandomSearch(random_state=seed), space,
+                trials_per_round=3, random_state=0)
+        searcher.search(problem, max_trials=6)
+        spans = Counter(event["name"]
+                        for event in read_trace(tmp_path / "trace.jsonl"))
+        assert (spans["trial"], spans["propose"], spans["engine.batch"]) \
+            == (6, 6, 0)
 
     def test_high_cardinality_one_step_dominated_by_quantile(self, lr_problem):
         """In the high-cardinality One-step space most sampled steps are

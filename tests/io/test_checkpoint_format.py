@@ -171,6 +171,17 @@ class TestMalformedSections:
         with pytest.raises(ValidationError, match=f"'{name}' entry"):
             SearchSession.resume(checkpoint, problem=_problem())
 
+    def test_an_unknown_driver_is_refused_by_name(self, checkpoint):
+        _rewrite(checkpoint, lambda document: document.update(driver="turbo"))
+        with pytest.raises(ValidationError, match="driver"):
+            SearchSession.resume(checkpoint, problem=_problem())
+
+    @pytest.mark.parametrize("driver", ["sync", "async"])
+    def test_the_driver_sets_the_restored_schedule(self, checkpoint, driver):
+        _rewrite(checkpoint, lambda document: document.update(driver=driver))
+        resumed = SearchSession.resume(checkpoint, problem=_problem())
+        assert resumed.context.async_mode is (driver == "async")
+
     def test_a_removed_backend_is_refused_by_name(self, checkpoint):
         _rewrite(checkpoint, lambda document: document["context"].update(
             backend="thread", n_jobs=2))

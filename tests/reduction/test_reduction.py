@@ -114,3 +114,4 @@ class TestReducedEvaluator:
         assert isinstance(problem.evaluator, ReducedEvaluator)
         assert "reduced" in problem.name
         assert problem.space is full_problem.space
+        assert problem.context is full_problem.context

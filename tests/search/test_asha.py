@@ -1,5 +1,7 @@
 """ASHA: asynchronous successive halving with rung promotion on completion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,9 +83,11 @@ class TestSearchBehaviour:
     def test_async_process_run_saturates_and_matches_values(self, problem):
         engine = ExecutionEngine("process", n_workers=3)
         problem.evaluator.set_engine(engine)
+        completion_driven = dataclasses.replace(
+            problem, context=problem.context.replace(async_mode=True))
         try:
-            result = ASHA(random_state=0).search(problem, max_trials=10,
-                                                 driver="async")
+            result = ASHA(random_state=0).search(completion_driven,
+                                                 max_trials=10)
         finally:
             problem.evaluator.set_engine(None)
             engine.close()

@@ -171,7 +171,7 @@ class TestConcurrentDeterminism:
     @pytest.mark.parametrize("driver", ["sync", "async"])
     def test_refunds_never_reach_a_bystander_session(self, driver):
         owner = SearchSession(
-            _problem(ExecutionContext()),
+            _problem(ExecutionContext(async_mode=driver == "async")),
             make_search_algorithm("pbt", random_state=0),
             session_id=f"refunder-{driver}",
         )
@@ -188,8 +188,7 @@ class TestConcurrentDeterminism:
         evaluator._evaluate_uncached = ticking
         # PBT admits its 8-wide initial population at once; the clock
         # expires after 4 evaluations and the rest is refunded.
-        result = owner.run(TimeBudget(3.5, clock=lambda: now[0]),
-                           driver=driver)
+        result = owner.run(TimeBudget(3.5, clock=lambda: now[0]))
         assert len(result) == 4
         assert owner.metrics_snapshot()["budget.refunded_trials"] == 4
         assert "budget.refunded_trials" not in bystander.metrics_snapshot()

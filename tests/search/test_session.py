@@ -49,14 +49,6 @@ class TestSessionBasics:
         )
         assert len(session.run()) == 7
 
-    def test_context_async_mode_selects_the_async_driver(self):
-        session = SearchSession(
-            _problem(), make_search_algorithm("rs", random_state=0),
-            context=ExecutionContext(async_mode=True),
-        )
-        session.run(max_trials=4)
-        assert session._driver == "async"
-
     def test_events_fire_per_trial_and_per_batch(self):
         trials, batches = [], []
         session = SearchSession(
@@ -70,20 +62,6 @@ class TestSessionBasics:
         assert sum(n for _, n in batches) == 10
         assert batches[0][0] == 0  # the initial-population batch
 
-    def test_driver_cannot_switch_mid_search(self):
-        session = SearchSession(_problem(),
-                                make_search_algorithm("rs", random_state=0),
-                                on_trial=lambda s, r: s.stop())
-        session.run(max_trials=6, driver="sync")
-        with pytest.raises(ValidationError):
-            session.run(driver="async")
-
-    def test_invalid_driver_rejected(self):
-        session = SearchSession(_problem(),
-                                make_search_algorithm("rs", random_state=0))
-        with pytest.raises(ValidationError):
-            session.run(max_trials=4, driver="turbo")
-
 
 class TestStopAndContinue:
     @pytest.mark.parametrize("driver", ["sync", "async"])
@@ -92,15 +70,16 @@ class TestStopAndContinue:
             if len(session.result) == 4:
                 session.stop()
 
-        session = SearchSession(_problem(),
+        context = ExecutionContext(async_mode=driver == "async")
+        session = SearchSession(_problem(context=context),
                                 make_search_algorithm("tevo_h", random_state=0),
                                 on_trial=stop_at_four)
-        partial = session.run(max_trials=10, driver=driver)
+        partial = session.run(max_trials=10)
         assert session.stopped and len(partial) == 4
         session.on_trial = None
         full = session.run()
         reference = make_search_algorithm("tevo_h", random_state=0).search(
-            _problem(), max_trials=10, driver=driver)
+            _problem(context=context), max_trials=10)
         assert _trials(full) == _trials(reference)
 
     def test_stop_mid_batch_parks_pending_records(self):
@@ -123,7 +102,7 @@ class TestStopAndContinue:
 class _InterruptedAfterFirstCompletion(TrialBudget):
     """A trial budget that interrupts the search at its first completion.
 
-    The driver asks ``interrupted()`` only after observing a completion,
+    The search loop asks ``interrupted()`` only after observing a completion,
     so every later evaluation still in flight is drained deterministically.
     """
 
@@ -142,13 +121,13 @@ class TestInterruptionDrain:
         # on_trial like every other trial.
         seen = []
         session = SearchSession(
-            _problem(context=ExecutionContext(n_jobs=2, backend="process")),
+            _problem(context=ExecutionContext(n_jobs=2, backend="process",
+                                              async_mode=True)),
             make_search_algorithm("rs", random_state=0),
             on_trial=lambda s, record: seen.append(record),
         )
         try:
-            result = session.run(
-                budget=_InterruptedAfterFirstCompletion(20), driver="async")
+            result = session.run(budget=_InterruptedAfterFirstCompletion(20))
         finally:
             session.problem.evaluator.engine.close()
         assert len(result) == 2
