@@ -58,7 +58,9 @@ def main() -> None:
     #    can be read from REPRO_* environment variables
     #    (ExecutionContext.from_env()) or a JSON file (`repro search
     #    --context run.json`), and configures problems, searches, whole
-    #    experiment grids and the CLI alike:
+    #    experiment grids and the CLI alike.  It says only how a run
+    #    executes (the seed and trial budget stay plain arguments,
+    #    random_state= and max_trials=):
     #
     #    * n_jobs/backend fan evaluation batches (PBT generations,
     #      Hyperband rungs) out to worker processes — results are

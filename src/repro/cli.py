@@ -42,7 +42,10 @@ driven without writing Python:
 Runtime configuration resolves into one
 :class:`~repro.core.context.ExecutionContext` per invocation, layered as
 ``REPRO_*`` environment variables < ``--context FILE`` (a JSON document of
-context fields) < explicit flags.  ``search`` and ``compare`` accept
+context fields) < explicit flags.  Each context flag's argparse ``dest``
+is its field name (:data:`CONTEXT_FLAGS`), so the flags given form one
+dict of fields; ``--seed`` and ``--max-trials`` are plain arguments of
+each command, not context fields.  ``search`` and ``compare`` accept
 ``--n-jobs`` and ``--backend`` (serial / process / remote) to run
 evaluation batches in parallel; ``experiment`` accepts them too, but fans
 its grid out on a process pool of ``--n-jobs`` workers, not on a backend,
@@ -59,7 +62,9 @@ Long searches are resumable: ``repro search --checkpoint run.checkpoint``
 snapshots the session every ``--checkpoint-every`` trials, and
 ``--resume`` continues a killed run from that file — bit-for-bit identical
 to a run that was never interrupted (see
-:class:`~repro.search.session.SearchSession`).
+:class:`~repro.search.session.SearchSession`).  The resumed run uses the
+checkpoint's stored context, its schedule included; a note names every
+context flag (and ``--context``) it ignores.
 
 Every command writes plain text to stdout and returns a process exit code,
 so the CLI composes with shell pipelines and CI jobs.
@@ -124,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_async_option(command) -> None:
         command.add_argument("--async", dest="async_mode", action="store_true",
+                             default=None,
                              help="completion-driven search scheduling: keep "
                                   "--n-jobs evaluations in flight and propose "
                                   "while earlier ones still run (identical "
@@ -135,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "evaluation cache (default: no persistence)")
 
     def add_prefix_cache_option(command) -> None:
-        command.add_argument("--prefix-cache-mb", type=float, default=None,
-                             metavar="MB",
+        command.add_argument("--prefix-cache-mb", dest="prefix_cache_bytes",
+                             type=float, default=None, metavar="MB",
                              help="byte budget (in MiB) for the in-memory "
                                   "prefix-transform cache: pipelines sharing "
                                   "a step prefix only pay Prep for their "
@@ -146,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_telemetry_options(command) -> None:
         from repro.telemetry import TELEMETRY_MODES
 
-        command.add_argument("--telemetry", choices=TELEMETRY_MODES,
-                             default=None,
+        command.add_argument("--telemetry", dest="telemetry_mode",
+                             choices=TELEMETRY_MODES, default=None,
                              help="observability level: counters (metrics "
                                   "snapshots + heartbeat) or trace (adds "
                                   "per-phase span events; needs "
@@ -342,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--algorithm", default="rs",
                         help="search algorithm name (default rs)")
     submit.add_argument("--max-trials", type=int, default=None,
-                        help="evaluation budget (default: the server's "
-                             "default budget)")
+                        help="evaluation budget (default 20)")
     submit.add_argument("--seed", type=int, default=0, help="random seed")
     submit.add_argument("--scale", type=float, default=1.0,
                         help="dataset scale factor (default 1.0)")
@@ -468,11 +473,31 @@ def _cmd_algorithms(args, out) -> int:
     return 0
 
 
-def _prefix_cache_bytes(args) -> int | None:
-    """Convert the ``--prefix-cache-mb`` option to a byte budget."""
-    if getattr(args, "prefix_cache_mb", None) is None:
-        return None
-    return int(args.prefix_cache_mb * 1024 * 1024)
+#: the flag that sets each ExecutionContext field; the field name is the
+#: flag's argparse ``dest``, and an absent flag parses to None
+CONTEXT_FLAGS = {
+    "n_jobs": "--n-jobs",
+    "backend": "--backend",
+    "remote_coordinator": "--remote-coordinator",
+    "worker_timeout": "--worker-timeout",
+    "async_mode": "--async",
+    "cache_dir": "--cache-dir",
+    "prefix_cache_bytes": "--prefix-cache-mb",
+    "telemetry_mode": "--telemetry",
+    "telemetry_dir": "--telemetry-dir",
+}
+
+
+def _flag_overrides(args) -> dict:
+    """The context fields this invocation's flags set (a blank is unset)."""
+    from repro.core.context import mib_to_bytes
+
+    overrides = {name: getattr(args, name) for name in CONTEXT_FLAGS
+                 if getattr(args, name, None) not in (None, "")}
+    if "prefix_cache_bytes" in overrides:
+        overrides["prefix_cache_bytes"] = mib_to_bytes(
+            "--prefix-cache-mb", overrides["prefix_cache_bytes"])
+    return overrides
 
 
 def _resolve_context(args):
@@ -486,27 +511,7 @@ def _resolve_context(args):
     if getattr(args, "context", None):
         data = json.loads(Path(args.context).read_text(encoding="utf-8"))
         context = context.layer(data)
-    overrides: dict = {}
-    if getattr(args, "n_jobs", None) is not None:
-        overrides["n_jobs"] = args.n_jobs
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
-    if getattr(args, "cache_dir", None):
-        overrides["cache_dir"] = args.cache_dir
-    if getattr(args, "async_mode", False):
-        overrides["async_mode"] = True
-    prefix_bytes = _prefix_cache_bytes(args)
-    if prefix_bytes is not None:
-        overrides["prefix_cache_bytes"] = prefix_bytes
-    if getattr(args, "telemetry", None) is not None:
-        overrides["telemetry_mode"] = args.telemetry
-    if getattr(args, "telemetry_dir", None):
-        overrides["telemetry_dir"] = args.telemetry_dir
-    if getattr(args, "remote_coordinator", None):
-        overrides["remote_coordinator"] = args.remote_coordinator
-    if getattr(args, "worker_timeout", None) is not None:
-        overrides["worker_timeout"] = args.worker_timeout
-    return context.replace(**overrides) if overrides else context
+    return context.layer(_flag_overrides(args))
 
 
 def _remote_address(engine) -> str | None:
@@ -526,16 +531,8 @@ def _cmd_search(args, out) -> int:
         if checkpoint is None:
             out.write("error: --resume needs --checkpoint FILE\n")
             return 2
-        ignored = [flag for flag, given in (
-            ("--context", args.context is not None),
-            ("--n-jobs", args.n_jobs is not None),
-            ("--backend", args.backend is not None),
-            ("--cache-dir", bool(args.cache_dir)),
-            ("--async", args.async_mode),
-            ("--prefix-cache-mb", args.prefix_cache_mb is not None),
-            ("--telemetry", args.telemetry is not None),
-            ("--telemetry-dir", bool(args.telemetry_dir)),
-        ) if given]
+        ignored = ["--context"] if args.context is not None else []
+        ignored += [CONTEXT_FLAGS[name] for name in _flag_overrides(args)]
         if ignored:
             # Don't silently run under a different configuration than the
             # user asked for: the stored context governs a resumed run.

@@ -15,8 +15,15 @@ Because the context is a frozen dataclass of plain scalars it is
 * **picklable** — shipped to process-pool grid workers inside
   ``ExperimentConfig``,
 * **JSON-round-trippable** — ``to_dict``/``from_dict`` put it in session
-  checkpoints and config files, and :meth:`from_env` reads the same knobs
-  from ``REPRO_*`` environment variables for container deployments.
+  checkpoints (a checkpoint's stored context is its one record of the
+  schedule) and config files.
+
+It is read one way: :meth:`from_env` fills fields through one
+variable→field table (:data:`ENV_FIELDS`), CLI flags use field names as
+their argparse ``dest``, and :meth:`layer` puts a ``--context`` file or
+a serve submission on top; every value goes through its field's own
+conversion.  It holds only how a run executes: entry points take the
+seed and trial count as plain arguments.
 
 The context is *declarative*: it never holds live resources.
 :meth:`build_engine` constructs the execution engine it describes, with
@@ -30,16 +37,10 @@ number of problems/evaluators.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 from repro.exceptions import ValidationError
-
-#: sentinel distinguishing "``random_state`` not passed" from an explicit
-#: value, so entry points can default it to the context's ``seed``
-_UNSET = object()
-
-#: environment variables read by :meth:`ExecutionContext.from_env`
-_ENV_PREFIX = "REPRO_"
 
 #: spellings of a boolean environment variable, compared case-insensitively
 _ENV_TRUE = ("1", "true", "yes", "on")
@@ -61,6 +62,57 @@ def convert_field(name: str, value, kind):
         ) from None
 
 
+def convert_seconds(name: str, value) -> float:
+    """``value`` as a timeout in seconds, or a :class:`ValidationError`.
+
+    Positive and at most :data:`threading.TIMEOUT_MAX`: a longer wait
+    overflows the platform's clock, and a NaN deadline never passes.
+    """
+    seconds = convert_field(name, value, float)
+    if not 0 < seconds <= threading.TIMEOUT_MAX:
+        raise ValidationError(
+            f"{name} must be a positive number of seconds up to "
+            f"{threading.TIMEOUT_MAX:g}, got {value!r}"
+        )
+    return seconds
+
+
+def mib_to_bytes(name: str, mib) -> int:
+    """``mib`` MiB in whole bytes, or a ValidationError naming ``name``."""
+    return convert_field(name, mib,
+                         lambda value: int(float(value) * 1024 * 1024))
+
+
+def _env_flag(name: str, raw: str) -> bool:
+    """A boolean variable's text; only the listed spellings are read."""
+    flag = raw.lower()
+    if flag not in _ENV_TRUE + _ENV_FALSE:
+        raise ValidationError(f"{name} must be one of "
+                              f"{list(_ENV_TRUE + _ENV_FALSE)}, got {raw!r}")
+    return flag in _ENV_TRUE
+
+
+#: the field each ``REPRO_*`` environment variable sets in
+#: :meth:`ExecutionContext.from_env`
+ENV_FIELDS = {
+    "REPRO_BACKEND": "backend",
+    "REPRO_N_JOBS": "n_jobs",
+    "REPRO_CACHE_DIR": "cache_dir",
+    "REPRO_PREFIX_CACHE_MB": "prefix_cache_bytes",
+    "REPRO_ASYNC": "async_mode",
+    "REPRO_TELEMETRY": "telemetry_mode",
+    "REPRO_TELEMETRY_DIR": "telemetry_dir",
+    "REPRO_EVAL_TIMEOUT": "eval_timeout",
+    "REPRO_CHAOS": "chaos",
+    "REPRO_REMOTE_COORDINATOR": "remote_coordinator",
+    "REPRO_WORKER_TIMEOUT": "worker_timeout",
+}
+
+#: ``parse(field, text)`` of the variables whose text is not the field's
+#: value; every other variable's text goes to the field's own conversion
+_ENV_PARSERS = {"REPRO_PREFIX_CACHE_MB": mib_to_bytes, "REPRO_ASYNC": _env_flag}
+
+
 @dataclass(frozen=True)
 class ExecutionContext:
     """Every runtime knob of a run, bundled into one immutable object.
@@ -70,7 +122,7 @@ class ExecutionContext:
     backend:
         Execution backend name (``"serial"``/``"process"``/``"remote"``)
         or ``None`` to auto-select from ``n_jobs`` (process when parallel,
-        serial otherwise — see :func:`repro.engine.resolve_backend_name`).
+        serial otherwise — see :meth:`backend_name`).
     n_jobs:
         Parallel workers (``-1`` = one per CPU core, ``None``/``1`` =
         serial).
@@ -85,14 +137,6 @@ class ExecutionContext:
         (:class:`~repro.search.session.SearchSession`) runs
         completion-driven instead of in barrier waves; the one switch
         between its two schedules.
-    default_budget:
-        Default number of trials when a search is started without an
-        explicit budget (``None`` falls back to the entry point's own
-        default, currently 50).
-    seed:
-        Default random seed used by entry points whose caller did not pass
-        ``random_state`` explicitly; ``None`` keeps each entry point's own
-        default.
     telemetry_mode:
         Observability level: ``"off"`` (default, no overhead),
         ``"counters"`` (metrics snapshots + heartbeat files) or
@@ -132,8 +176,6 @@ class ExecutionContext:
     cache_dir: str | None = None
     prefix_cache_bytes: int | None = None
     async_mode: bool = False
-    default_budget: int | None = None
-    seed: int | None = None
     telemetry_mode: str = "off"
     telemetry_dir: str | None = None
     eval_timeout: float | None = None
@@ -173,16 +215,6 @@ class ExecutionContext:
                 )
             object.__setattr__(self, "prefix_cache_bytes",
                                prefix_bytes or None)
-        if self.default_budget is not None:
-            budget = convert_field("default_budget", self.default_budget, int)
-            if budget < 1:
-                raise ValidationError(
-                    f"default_budget must be at least 1, got {budget}"
-                )
-            object.__setattr__(self, "default_budget", budget)
-        if self.seed is not None:
-            object.__setattr__(self, "seed",
-                               convert_field("seed", self.seed, int))
         if not isinstance(self.async_mode, bool):
             # bool("false") is True: only a real bool says what was meant.
             raise ValidationError(
@@ -199,14 +231,8 @@ class ExecutionContext:
             object.__setattr__(self, "telemetry_dir", convert_field(
                 "telemetry_dir", self.telemetry_dir, os.fspath))
         if self.eval_timeout is not None:
-            eval_timeout = convert_field("eval_timeout", self.eval_timeout,
-                                         float)
-            if eval_timeout <= 0:
-                raise ValidationError(
-                    f"eval_timeout must be a positive number of seconds or "
-                    f"None, got {self.eval_timeout!r}"
-                )
-            object.__setattr__(self, "eval_timeout", eval_timeout)
+            object.__setattr__(self, "eval_timeout", convert_seconds(
+                "eval_timeout", self.eval_timeout))
         if self.chaos is not None:
             from repro.engine.chaos import FaultPlan
 
@@ -223,14 +249,8 @@ class ExecutionContext:
                 self, "remote_coordinator",
                 format_address(parse_address(self.remote_coordinator)))
         if self.worker_timeout is not None:
-            worker_timeout = convert_field("worker_timeout",
-                                           self.worker_timeout, float)
-            if worker_timeout <= 0:
-                raise ValidationError(
-                    f"worker_timeout must be a positive number of seconds "
-                    f"or None, got {self.worker_timeout!r}"
-                )
-            object.__setattr__(self, "worker_timeout", worker_timeout)
+            object.__setattr__(self, "worker_timeout", convert_seconds(
+                "worker_timeout", self.worker_timeout))
 
     # -------------------------------------------------------- serialization
     def to_dict(self) -> dict:
@@ -259,89 +279,28 @@ class ExecutionContext:
         return cls(**data)
 
     @classmethod
-    def from_env(cls, environ=None, *,
-                 base: "ExecutionContext | None" = None) -> "ExecutionContext":
-        """Read the context from ``REPRO_*`` environment variables.
+    def from_env(cls, environ=None) -> "ExecutionContext":
+        """The context that the ``REPRO_*`` variables of :data:`ENV_FIELDS` set.
 
-        Recognised variables (unset ones keep ``base``'s value, or the
-        field default): ``REPRO_BACKEND``, ``REPRO_N_JOBS``,
-        ``REPRO_CACHE_DIR``, ``REPRO_PREFIX_CACHE_MB`` (MiB, converted to
-        bytes), ``REPRO_ASYNC`` (``1``/``true``/``yes``/``on`` enable,
-        ``0``/``false``/``no``/``off`` disable),
-        ``REPRO_MAX_TRIALS`` (``default_budget``), ``REPRO_SEED``,
-        ``REPRO_TELEMETRY`` (``off``/``counters``/``trace``),
-        ``REPRO_TELEMETRY_DIR``, ``REPRO_EVAL_TIMEOUT`` (seconds),
-        ``REPRO_CHAOS`` (fault-plan spec), ``REPRO_REMOTE_COORDINATOR``
-        (``host:port``) and ``REPRO_WORKER_TIMEOUT`` (seconds).
+        Unset or blank variables keep the field default.  A variable's
+        stripped text goes to its field's own conversion, except
+        ``REPRO_PREFIX_CACHE_MB`` (MiB, converted to bytes) and
+        ``REPRO_ASYNC`` (``1``/``true``/``yes``/``on`` enable,
+        ``0``/``false``/``no``/``off`` disable).  A bad value raises a
+        :class:`ValidationError` naming the variable.
         """
         environ = os.environ if environ is None else environ
-        overrides: dict = {}
-
-        def read(name: str):
-            value = environ.get(_ENV_PREFIX + name, "")
-            return value if value.strip() else None
-
-        if read("BACKEND") is not None:
-            overrides["backend"] = read("BACKEND").strip()
-        for name, field_name in (("N_JOBS", "n_jobs"),
-                                 ("MAX_TRIALS", "default_budget"),
-                                 ("SEED", "seed")):
-            raw = read(name)
-            if raw is not None:
-                try:
-                    overrides[field_name] = int(raw)
-                except ValueError:
-                    raise ValidationError(
-                        f"{_ENV_PREFIX}{name} must be an integer, got {raw!r}"
-                    ) from None
-        if read("CACHE_DIR") is not None:
-            overrides["cache_dir"] = read("CACHE_DIR").strip()
-        raw = read("PREFIX_CACHE_MB")
-        if raw is not None:
+        context = cls()
+        for variable, name in ENV_FIELDS.items():
+            raw = environ.get(variable, "").strip()
+            if not raw:
+                continue
+            parse = _ENV_PARSERS.get(variable, lambda name, text: text)
             try:
-                overrides["prefix_cache_bytes"] = int(float(raw) * 1024 * 1024)
-            except ValueError:
-                raise ValidationError(
-                    f"{_ENV_PREFIX}PREFIX_CACHE_MB must be a number, "
-                    f"got {raw!r}"
-                ) from None
-        raw = read("ASYNC")
-        if raw is not None:
-            flag = raw.strip().lower()
-            if flag not in _ENV_TRUE + _ENV_FALSE:
-                raise ValidationError(
-                    f"{_ENV_PREFIX}ASYNC must be one of "
-                    f"{list(_ENV_TRUE + _ENV_FALSE)}, got {raw!r}"
-                )
-            overrides["async_mode"] = flag in _ENV_TRUE
-        if read("TELEMETRY") is not None:
-            overrides["telemetry_mode"] = read("TELEMETRY").strip().lower()
-        if read("TELEMETRY_DIR") is not None:
-            overrides["telemetry_dir"] = read("TELEMETRY_DIR").strip()
-        raw = read("EVAL_TIMEOUT")
-        if raw is not None:
-            try:
-                overrides["eval_timeout"] = float(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"{_ENV_PREFIX}EVAL_TIMEOUT must be a number of seconds, "
-                    f"got {raw!r}"
-                ) from None
-        if read("CHAOS") is not None:
-            overrides["chaos"] = read("CHAOS").strip()
-        if read("REMOTE_COORDINATOR") is not None:
-            overrides["remote_coordinator"] = read("REMOTE_COORDINATOR").strip()
-        raw = read("WORKER_TIMEOUT")
-        if raw is not None:
-            try:
-                overrides["worker_timeout"] = float(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"{_ENV_PREFIX}WORKER_TIMEOUT must be a number of "
-                    f"seconds, got {raw!r}"
-                ) from None
-        base = base if base is not None else cls()
-        return base.replace(**overrides) if overrides else base
+                context = context.replace(**{name: parse(name, raw)})
+            except ValidationError as error:
+                raise ValidationError(f"{variable}: {error}") from None
+        return context
 
     def replace(self, **changes) -> "ExecutionContext":
         """A copy with ``changes`` applied (contexts are immutable)."""
@@ -368,10 +327,16 @@ class ExecutionContext:
 
     # ------------------------------------------------------------ resources
     def backend_name(self) -> str:
-        """The effective backend name after ``n_jobs`` defaulting."""
-        from repro.engine import resolve_backend_name
+        """The effective backend name after ``n_jobs`` defaulting.
 
-        return resolve_backend_name(self.n_jobs, self.backend)
+        An unset backend resolves to ``"process"`` when ``n_jobs`` asks
+        for parallelism, because pipeline evaluation is CPU-bound, and to
+        ``"serial"`` otherwise; a chosen one, ``"serial"`` included, is
+        kept.
+        """
+        if self.backend is not None:
+            return self.backend
+        return "process" if self.n_jobs not in (None, 1) else "serial"
 
     def build_engine(self):
         """Build the execution engine this context describes.
@@ -415,24 +380,6 @@ class ExecutionContext:
             "telemetry_dir": self.telemetry_dir,
         }
 
-    # ------------------------------------------------------------- defaults
-    def seed_or(self, default):
-        """This context's default seed, or ``default`` when unset."""
-        return self.seed if self.seed is not None else default
-
-    def trial_budget(self, max_trials: int | None = None):
-        """A :class:`~repro.core.budget.TrialBudget` for one search run.
-
-        ``max_trials`` (when given) wins over the context's
-        ``default_budget``; with neither set, 50 trials — the historical
-        ``SearchAlgorithm.search`` default.
-        """
-        from repro.core.budget import TrialBudget
-
-        if max_trials is None:
-            max_trials = self.default_budget if self.default_budget else 50
-        return TrialBudget(max_trials)
-
     def describe(self) -> str:
         """One-line human-readable summary (CLI banners, logs)."""
         parts = [f"backend={self.backend_name()}",
@@ -442,10 +389,6 @@ class ExecutionContext:
             parts.append(f"cache_dir={self.cache_dir}")
         if self.prefix_cache_bytes is not None:
             parts.append(f"prefix_cache={self.prefix_cache_bytes}B")
-        if self.default_budget is not None:
-            parts.append(f"default_budget={self.default_budget}")
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
         if self.telemetry_mode != "off":
             telemetry = f"telemetry={self.telemetry_mode}"
             if self.telemetry_dir is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.context import _UNSET, ExecutionContext
+from repro.core.context import ExecutionContext
 from repro.core.evaluation import PipelineEvaluator
 from repro.core.search_space import SearchSpace
 from repro.models.base import Classifier
@@ -50,7 +50,7 @@ class AutoFPProblem:
     @classmethod
     def from_arrays(cls, X, y, model: Classifier | str, *,
                     space: SearchSpace | None = None, valid_size: float = 0.2,
-                    fast_model: bool = True, random_state=_UNSET,
+                    fast_model: bool = True, random_state=0,
                     name: str = "auto-fp",
                     context: ExecutionContext | None = None,
                     ) -> "AutoFPProblem":
@@ -66,12 +66,9 @@ class AutoFPProblem:
         completion-driven.  A process-backed engine keeps a worker pool
         alive between batches — call ``problem.evaluator.engine.close()``
         when done with the problem to release it eagerly (it is also
-        released at interpreter exit).  ``random_state`` defaults to the
-        context's ``seed`` (0 when neither is set).
+        released at interpreter exit).
         """
         context = context if context is not None else ExecutionContext()
-        if random_state is _UNSET:
-            random_state = context.seed_or(0)
         if isinstance(model, str):
             model = make_classifier(model, fast=fast_model)
         evaluator = PipelineEvaluator.from_dataset(
@@ -84,15 +81,13 @@ class AutoFPProblem:
     @classmethod
     def from_registry(cls, dataset_name: str, model: Classifier | str, *,
                       space: SearchSpace | None = None, scale: float = 1.0,
-                      fast_model: bool = True, random_state=_UNSET,
+                      fast_model: bool = True, random_state=0,
                       context: ExecutionContext | None = None,
                       ) -> "AutoFPProblem":
         """Build a problem from a named dataset of the benchmark registry."""
         from repro.datasets.registry import load_dataset
 
         context = context if context is not None else ExecutionContext()
-        if random_state is _UNSET:
-            random_state = context.seed_or(0)
         X, y = load_dataset(dataset_name, scale=scale)
         model_name = model if isinstance(model, str) else type(model).__name__
         problem = cls.from_arrays(

@@ -53,11 +53,7 @@ from repro.engine.backends import (
     make_backend,
 )
 from repro.engine.chaos import FaultPlan
-from repro.engine.engine import (
-    ExecutionEngine,
-    PendingTask,
-    resolve_backend_name,
-)
+from repro.engine.engine import ExecutionEngine, PendingTask
 from repro.engine.remote import (
     Coordinator,
     RemoteBackend,
@@ -92,7 +88,6 @@ __all__ = [
     "default_worker_count",
     "make_backend",
     "ExecutionEngine",
-    "resolve_backend_name",
     "FaultPlan",
     "InjectedFault",
     "RetryPolicy",

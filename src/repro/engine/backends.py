@@ -73,6 +73,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.core.context import convert_seconds
 from repro.engine.faults import (
     CRASH_EXIT_CODE,
     FAILURE_KIND_CRASH,
@@ -100,13 +101,7 @@ def default_worker_count() -> int:
 def _validate_eval_timeout(eval_timeout):
     if eval_timeout is None:
         return None
-    eval_timeout = float(eval_timeout)
-    if eval_timeout <= 0:
-        raise ValidationError(
-            f"eval_timeout must be a positive number of seconds, "
-            f"got {eval_timeout!r}"
-        )
-    return eval_timeout
+    return convert_seconds("eval_timeout", eval_timeout)
 
 
 def _trace_retry(evaluator, attempt: int, error_name: str) -> None:

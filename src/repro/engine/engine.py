@@ -388,17 +388,3 @@ class ExecutionEngine:
 
     def __repr__(self) -> str:
         return f"ExecutionEngine(backend={self.backend!r})"
-
-
-def resolve_backend_name(n_jobs: int | None = None,
-                         backend: str | None = None) -> str:
-    """The single defaulting rule for CLI-style ``n_jobs``/``backend`` options.
-
-    An unset backend (``None``) resolves to ``"process"`` when ``n_jobs``
-    asks for parallelism, because pipeline evaluation is CPU-bound, and to
-    ``"serial"`` otherwise.  An explicitly chosen backend — including
-    ``"serial"`` — is returned unchanged.
-    """
-    if backend is not None:
-        return backend
-    return "process" if n_jobs not in (None, 1) else "serial"

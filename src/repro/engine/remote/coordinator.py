@@ -30,6 +30,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 
+from repro.core.context import convert_seconds
 from repro.engine.faults import (
     EvaluationTimeoutError,
     TransientEvaluationError,
@@ -43,7 +44,7 @@ from repro.engine.remote.protocol import (
     read_message,
     send_message,
 )
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import ReproError
 from repro.telemetry.metrics import get_registry
 
 log = logging.getLogger(__name__)
@@ -132,13 +133,8 @@ class Coordinator:
 
     def __init__(self, bind=("127.0.0.1", 0), *, worker_timeout=None,
                  on_worker_death=None):
-        timeout = (DEFAULT_WORKER_TIMEOUT if worker_timeout is None
-                   else float(worker_timeout))
-        if timeout <= 0:
-            raise ValidationError(
-                f"worker_timeout must be positive, got {worker_timeout!r}"
-            )
-        self.worker_timeout = timeout
+        self.worker_timeout = DEFAULT_WORKER_TIMEOUT if worker_timeout is None \
+            else convert_seconds("worker_timeout", worker_timeout)
         self._on_worker_death = on_worker_death
         self._lock = threading.Lock()
         self._membership = threading.Condition(self._lock)

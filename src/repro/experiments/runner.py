@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.analysis.bottleneck import BottleneckReport, analyze_result
 from repro.analysis.ranking import Scenario, average_rankings
-from repro.core.context import _UNSET, ExecutionContext
+from repro.core.context import ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.core.result import SearchResult
 from repro.core.search_space import SearchSpace
@@ -81,7 +81,7 @@ class ExperimentOutcome:
 
 
 def run_single(dataset: str, model: str, algorithm: str, *, max_trials: int = 25,
-               random_state=_UNSET, fast_model: bool = True,
+               random_state=0, fast_model: bool = True,
                dataset_scale: float = 1.0,
                space: SearchSpace | None = None,
                context: ExecutionContext | None = None,
@@ -95,8 +95,6 @@ def run_single(dataset: str, model: str, algorithm: str, *, max_trials: int = 25
     ``prefix_cache_bytes`` reuses fitted pipeline prefixes.
     """
     context = context if context is not None else ExecutionContext()
-    if random_state is _UNSET:
-        random_state = context.seed_or(0)
     X, y = load_dataset(dataset, scale=dataset_scale)
     classifier = make_classifier(model, fast=fast_model)
     problem = AutoFPProblem.from_arrays(

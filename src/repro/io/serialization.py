@@ -6,6 +6,11 @@ the piece that makes the reproduction's results equally portable.  Search
 results round-trip through plain JSON documents (no pickling), and tabular
 experiment summaries round-trip through CSV, so downstream analysis does not
 need the library at all.
+
+Session checkpoints are JSON documents of format version 4: the trial
+history, budget, problem provenance and execution context (whose
+``async_mode`` records the schedule) plus one pickled state blob.  A
+document of any other version is refused; older ones are not migrated.
 """
 
 from __future__ import annotations
@@ -226,11 +231,11 @@ def load_search_result(path) -> SearchResult:
 
 
 # ---------------------------------------------------- session checkpoints
-#: schema version of SearchSession checkpoint documents.  Version 3 holds
-#: one loop-state shape for both schedules (``driver``: ``"sync"`` for
-#: barrier waves, ``"async"`` completion-driven); documents of any other version
-#: are refused rather than misread.
-SESSION_CHECKPOINT_VERSION = 3
+#: schema version of SearchSession checkpoint documents.  Version 4 holds
+#: one loop-state shape for both schedules, and its stored context's
+#: ``async_mode`` is the one record of which ran; documents of any other
+#: version are refused rather than misread.
+SESSION_CHECKPOINT_VERSION = 4
 
 #: the ``kind`` marker distinguishing checkpoints from result documents
 SESSION_CHECKPOINT_KIND = "search-session-checkpoint"
@@ -242,7 +247,6 @@ _CHECKPOINT_SECTIONS = (
     ("context", dict),
     ("problem", dict),
     ("session_id", str),
-    ("driver", str),
     ("budget", dict),
     ("budget.max_trials", (int, float)),
     ("budget.used", (int, float)),

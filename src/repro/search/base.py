@@ -83,9 +83,8 @@ class SearchAlgorithm:
         — plain searches and checkpointable sessions run through the same
         session, and so share one search loop with one implementation of
         admission and budget accounting.  The problem's context picks the
-        loop's schedule (``async_mode``) and the default budget.  Use a
-        session directly for progress callbacks, interruption and
-        checkpoint/resume.
+        loop's schedule (``async_mode``).  Use a session directly for
+        progress callbacks, interruption and checkpoint/resume.
 
         Parameters
         ----------
@@ -96,7 +95,7 @@ class SearchAlgorithm:
             :class:`TrialBudget` of ``max_trials`` evaluations.
         max_trials:
             Evaluation budget used when ``budget`` is not given; ``None``
-            falls back to the context's ``default_budget``, then 50.
+            means 50.
         """
         from repro.search.session import SearchSession
 

@@ -44,8 +44,9 @@ facade over its search loops, and it runs the loop itself:
   write;
 * **checkpoint / resume** — :meth:`checkpoint` snapshots the run after
   any completed trial (trial history, budget remainder, RNG stream, the
-  algorithm's internal state and the loop's admitted-but-unobserved
-  work) into one JSON document;
+  algorithm's internal state, the loop's admitted-but-unobserved work
+  and the execution context, whose ``async_mode`` is the one record of
+  the schedule) into one JSON document;
   :meth:`SearchSession.resume` restores it — in the same process or a
   fresh one — and :meth:`run` continues the search **bit-for-bit
   identically** to a run that was never interrupted (enforced by the
@@ -161,8 +162,7 @@ class SearchSession:
         internal state belongs to this session once the run starts).
     context:
         Runtime configuration; defaults to the problem's own context.
-        Its ``async_mode`` picks the loop's schedule, and it sets the
-        default budget.
+        Its ``async_mode`` picks the loop's schedule.
     on_trial / on_batch / on_checkpoint:
         Optional event callbacks (see the module docstring).
     on_metrics:
@@ -238,9 +238,9 @@ class SearchSession:
         """Run (or continue) the search and return the result so far.
 
         ``budget`` defaults to the restored budget on a resumed session,
-        else to ``TrialBudget(max_trials)`` with ``max_trials`` falling
-        back to the context's ``default_budget`` (then 50).  The context's
-        ``async_mode`` picks the schedule (see the module docstring).
+        else to ``TrialBudget(max_trials)``, 50 trials when ``max_trials``
+        is None.  The context's ``async_mode`` picks the schedule (see the
+        module docstring).
         Calling ``run`` again after :meth:`stop` continues the same search.
         """
         if self._running:
@@ -253,7 +253,8 @@ class SearchSession:
                 )
             self._budget = budget
         elif self._budget is None:
-            self._budget = self.context.trial_budget(max_trials)
+            self._budget = TrialBudget(50 if max_trials is None
+                                       else max_trials)
         if self.checkpoint_every is not None and self.checkpoint_path is not None:
             # Fail before the search starts, not at the first periodic
             # snapshot deep inside the loop.
@@ -336,17 +337,11 @@ class SearchSession:
         document's search algorithm, whose ``rng`` is not a numpy
         ``Generator`` or whose ``loop`` is neither None nor loop state
         (see :func:`_check_loop_state`) raises :class:`ValidationError`
-        naming that entry, as does a ``driver`` other than ``"sync"`` or
-        ``"async"``, which sets the restored context's ``async_mode``.
+        naming that entry.  The stored context, ``async_mode`` included,
+        is the restored run's configuration.
         """
         document = load_session_checkpoint(path)
-        driver = document["driver"]
-        if driver not in ("sync", "async"):
-            raise ValidationError(
-                f"checkpoint 'driver' must be 'sync' or 'async', got {driver!r}"
-            )
-        context = ExecutionContext.from_dict(document["context"]).replace(
-            async_mode=driver == "async")
+        context = ExecutionContext.from_dict(document["context"])
         blob = decode_state_blob(document["state_blob"])
         if not isinstance(blob, dict) \
                 or not {"algorithm", "rng", "loop"} <= blob.keys():
@@ -812,7 +807,6 @@ class SearchSession:
         document = {
             "algorithm": self.algorithm.name,
             "session_id": self.session_id,
-            "driver": "async" if self.context.async_mode else "sync",
             "context": self.context.to_dict(),
             "problem": {
                 "name": problem.name,

@@ -93,8 +93,7 @@ TERMINAL_STATES: frozenset = frozenset({"done", "failed", "cancelled"})
 #: resources (backend, n_jobs, cache_dir, telemetry_dir) belong to the
 #: server: one shared engine and one shared cache root is the whole point.
 SUBMIT_CONTEXT_FIELDS: tuple[str, ...] = (
-    "prefix_cache_bytes", "async_mode", "telemetry_mode", "default_budget",
-    "seed",
+    "prefix_cache_bytes", "async_mode", "telemetry_mode",
 )
 
 #: manifest file name inside each session's state directory
@@ -104,12 +103,12 @@ MANIFEST_FILE_NAME = "session.json"
 CHECKPOINT_FILE_NAME = "checkpoint.json"
 
 
-def normalize_spec(payload, *, default_max_trials: int = 20) -> dict:
+def normalize_spec(payload) -> dict:
     """Validate and default a submission payload into a canonical spec.
 
     Required: ``dataset`` (registry name).  Optional: ``model`` (default
-    ``"lr"``), ``algorithm`` (default ``"rs"``), ``max_trials``,
-    ``seed``, ``scale``, ``tenant`` and a partial ``context`` dict of
+    ``"lr"``), ``algorithm`` (default ``"rs"``), ``max_trials`` (default
+    20), ``seed``, ``scale``, ``tenant`` and a partial ``context`` dict of
     :data:`SUBMIT_CONTEXT_FIELDS`.  Unknown keys are refused — a typo'd
     field must not silently run with defaults.
     """
@@ -130,7 +129,7 @@ def normalize_spec(payload, *, default_max_trials: int = 20) -> dict:
         raise ValidationError("a submission needs a registry dataset name "
                               "under 'dataset'")
     max_trials = convert_field(
-        "max_trials", payload.get("max_trials", default_max_trials), int)
+        "max_trials", payload.get("max_trials", 20), int)
     if max_trials < 1:
         raise ValidationError(f"max_trials must be at least 1, got {max_trials}")
     context = payload.get("context") or {}
@@ -356,8 +355,7 @@ class SessionManager:
         spec and :class:`AdmissionError` when the tenant's quota cannot
         admit ``max_trials`` more trials.
         """
-        default_budget = self.base_context.default_budget or 20
-        spec = normalize_spec(payload, default_max_trials=default_budget)
+        spec = normalize_spec(payload)
         # Validate names eagerly so a bad submission fails at submit time,
         # not minutes later on a worker thread.
         from repro.datasets import get_dataset_info

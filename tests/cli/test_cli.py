@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CONTEXT_FLAGS, _flag_overrides, build_parser, main
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -233,6 +233,15 @@ class TestPrefixCacheOption:
                                                       "execution"))]
         assert strip(on_output) == strip(off_output)
 
+    @pytest.mark.parametrize("size", ["inf", "nan"])
+    def test_an_unreadable_size_is_a_one_line_error(self, size):
+        code, output = run_cli(
+            "search", "--dataset", "blood", "--max-trials", "2",
+            "--prefix-cache-mb", size)
+        assert code == 2
+        assert output.startswith("error: --prefix-cache-mb")
+        assert len(output.splitlines()) == 1
+
     def test_zero_budget_disables_the_cache_cleanly(self):
         code, output = run_cli(
             "search", "--dataset", "blood", "--algorithm", "rs",
@@ -338,6 +347,37 @@ class TestCheckpointResumeOptions:
         for label in ("best acc", "best pipeline", "trials"):
             assert pick(resume_output, label) == pick(ref_output, label)
 
+    def test_resume_note_names_every_ignored_context_flag(self, tmp_path):
+        checkpoint = str(tmp_path / "run.checkpoint")
+        code, _ = run_cli("search", "--dataset", "blood", "--algorithm", "rs",
+                          "--max-trials", "3", "--scale", "0.5",
+                          "--checkpoint", checkpoint, "--checkpoint-every", "1")
+        assert code == 0
+        code, output = run_cli(
+            "search", "--resume", "--checkpoint", checkpoint,
+            "--worker-timeout", "5", "--remote-coordinator", "127.0.0.1:9",
+            "--n-jobs", "2")
+        assert code == 0
+        note = output.splitlines()[0]
+        assert note.startswith("note")
+        for flag in ("--n-jobs", "--remote-coordinator", "--worker-timeout"):
+            assert flag in note
+        assert "backend=serial" in output  # the stored context ran
+
+    def test_every_context_flag_sets_its_field(self):
+        args = build_parser().parse_args([
+            "search", "--n-jobs", "2", "--backend", "remote",
+            "--remote-coordinator", "8125", "--worker-timeout", "4",
+            "--async", "--cache-dir", "c", "--prefix-cache-mb", "1",
+            "--telemetry", "trace", "--telemetry-dir", "t"])
+        assert _flag_overrides(args) == {
+            "n_jobs": 2, "backend": "remote", "remote_coordinator": "8125",
+            "worker_timeout": 4.0, "async_mode": True, "cache_dir": "c",
+            "prefix_cache_bytes": 1 << 20, "telemetry_mode": "trace",
+            "telemetry_dir": "t"}
+        assert set(_flag_overrides(args)) == set(CONTEXT_FLAGS)
+        assert _flag_overrides(build_parser().parse_args(["search"])) == {}
+
     def test_resume_without_checkpoint_is_an_error(self):
         code, output = run_cli("search", "--resume")
         assert code == 2
@@ -355,3 +395,12 @@ class TestCheckpointResumeOptions:
         )
         assert code == 0
         assert "backend=process" in output and "n_jobs=2" in output
+
+    def test_environment_configures_the_run(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        monkeypatch.setenv("REPRO_N_JOBS", "2")
+        code, output = run_cli(
+            "search", "--dataset", "blood", "--algorithm", "rs",
+            "--max-trials", "4", "--scale", "0.4")
+        assert code == 0
+        assert "execution    : backend=process n_jobs=2" in output

@@ -7,9 +7,12 @@ per-knob keywords the context replaced (``n_jobs=``, ``backend=``,
 every entry point.
 """
 
+import threading
+from dataclasses import fields
+
 import pytest
 
-from repro.core.context import ExecutionContext
+from repro.core.context import ENV_FIELDS, ExecutionContext
 from repro.core.problem import AutoFPProblem
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import ExecutionEngine
@@ -40,7 +43,7 @@ class TestExecutionContext:
     def test_dict_round_trip(self):
         context = ExecutionContext(backend="process", n_jobs=3,
                                    cache_dir="/tmp/c", prefix_cache_bytes=1024,
-                                   async_mode=True, default_budget=20, seed=7)
+                                   async_mode=True, eval_timeout=2.5)
         assert ExecutionContext.from_dict(context.to_dict()) == context
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -54,20 +57,31 @@ class TestExecutionContext:
             ExecutionContext(backend="thread")
         with pytest.raises(ValidationError):
             ExecutionContext(n_jobs=0)
-        with pytest.raises(ValidationError):
-            ExecutionContext(default_budget=0)
         # 0 prefix bytes normalises to "disabled", and Paths become strings.
         assert ExecutionContext(prefix_cache_bytes=0).prefix_cache_bytes is None
 
     @pytest.mark.parametrize("field, value", [
         ("n_jobs", "abc"), ("prefix_cache_bytes", [1]),
-        ("default_budget", float("inf")), ("seed", "abc"),
         ("eval_timeout", "soon"), ("worker_timeout", [1]), ("cache_dir", 5),
         ("telemetry_dir", 5), ("async_mode", "false"), ("async_mode", 1),
+        ("eval_timeout", float("nan")), ("eval_timeout", float("inf")),
+        ("eval_timeout", 1e300), ("worker_timeout", float("nan")),
+        ("worker_timeout", float("inf")), ("worker_timeout", 1e300),
     ])
     def test_unreadable_field_is_named(self, field, value):
         with pytest.raises(ValidationError, match=field):
             ExecutionContext(**{field: value})
+
+    def test_the_longest_platform_wait_is_a_valid_timeout(self):
+        context = ExecutionContext(eval_timeout=threading.TIMEOUT_MAX,
+                                   worker_timeout=threading.TIMEOUT_MAX)
+        assert context.eval_timeout == context.worker_timeout \
+            == threading.TIMEOUT_MAX
+
+    def test_every_field_is_an_execution_knob_with_a_variable(self):
+        assert sorted(ENV_FIELDS.values()) \
+            == sorted(field.name for field in fields(ExecutionContext))
+        assert len(ENV_FIELDS) == 11
 
     def test_context_is_hashable_and_frozen(self):
         context = ExecutionContext(n_jobs=2, backend="process")
@@ -77,25 +91,38 @@ class TestExecutionContext:
 
     def test_from_env_reads_every_knob(self):
         environ = {
-            "REPRO_BACKEND": "process",
+            "REPRO_BACKEND": "remote",
             "REPRO_N_JOBS": "3",
             "REPRO_CACHE_DIR": "/tmp/cache",
             "REPRO_PREFIX_CACHE_MB": "1.5",
             "REPRO_ASYNC": "true",
-            "REPRO_MAX_TRIALS": "30",
-            "REPRO_SEED": "9",
+            "REPRO_TELEMETRY": " trace ",
+            "REPRO_TELEMETRY_DIR": "/tmp/tel",
+            "REPRO_EVAL_TIMEOUT": "2.5",
+            "REPRO_CHAOS": "crash@1",
+            "REPRO_REMOTE_COORDINATOR": "8125",
+            "REPRO_WORKER_TIMEOUT": "4",
         }
         context = ExecutionContext.from_env(environ)
         assert context == ExecutionContext(
-            backend="process", n_jobs=3, cache_dir="/tmp/cache",
+            backend="remote", n_jobs=3, cache_dir="/tmp/cache",
             prefix_cache_bytes=int(1.5 * 1024 * 1024), async_mode=True,
-            default_budget=30, seed=9,
+            telemetry_mode="trace", telemetry_dir="/tmp/tel",
+            eval_timeout=2.5, chaos="crash@1",
+            remote_coordinator="127.0.0.1:8125", worker_timeout=4.0,
         )
         assert ExecutionContext.from_env({}) == ExecutionContext()
-        with pytest.raises(ValidationError):
+        assert ExecutionContext.from_env({"REPRO_N_JOBS": "  "}) \
+            == ExecutionContext()
+        with pytest.raises(ValidationError, match="REPRO_N_JOBS"):
             ExecutionContext.from_env({"REPRO_N_JOBS": "many"})
-        with pytest.raises(ValidationError, match="backend"):
+        with pytest.raises(ValidationError, match="REPRO_BACKEND.*backend"):
             ExecutionContext.from_env({"REPRO_BACKEND": "thread"})
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "lots", "-1"])
+    def test_an_unreadable_prefix_cache_size_names_the_variable(self, raw):
+        with pytest.raises(ValidationError, match="REPRO_PREFIX_CACHE_MB"):
+            ExecutionContext.from_env({"REPRO_PREFIX_CACHE_MB": raw})
 
     @pytest.mark.parametrize("raw, expected", [
         ("1", True), ("true", True), (" YES ", True), ("On", True),
@@ -119,28 +146,20 @@ class TestExecutionContext:
         finally:
             engine.close()
 
-    def test_trial_budget_defaulting(self):
-        assert ExecutionContext().trial_budget().max_trials == 50
-        assert ExecutionContext(default_budget=12).trial_budget().max_trials == 12
-        assert ExecutionContext(default_budget=12).trial_budget(7).max_trials == 7
-
-    def test_seed_or(self):
-        assert ExecutionContext().seed_or(4) == 4
-        assert ExecutionContext(seed=11).seed_or(4) == 11
+    def test_explicit_serial_is_not_upgraded(self):
+        assert ExecutionContext(n_jobs=4, backend="serial").backend_name() \
+            == "serial"
+        assert ExecutionContext(n_jobs=4).backend_name() == "process"
+        # the serial backend runs one worker whatever n_jobs asks for
+        engine = ExecutionContext(n_jobs=4, backend="serial").build_engine()
+        assert engine.backend.name == "serial"
+        assert engine.n_workers == 1
 
     def test_describe_mentions_the_active_knobs(self):
         text = ExecutionContext(n_jobs=2, backend="process", async_mode=True,
                                 cache_dir="/tmp/c").describe()
         assert "backend=process" in text and "driver=async" in text
         assert "cache_dir=/tmp/c" in text
-
-
-    def test_context_seed_is_the_default_random_state(self):
-        X, y = _data()
-        seeded = AutoFPProblem.from_arrays(
-            X, y, "lr", context=ExecutionContext(seed=5))
-        explicit = AutoFPProblem.from_arrays(X, y, "lr", random_state=5)
-        assert seeded.evaluator.fingerprint() == explicit.evaluator.fingerprint()
 
 
 #: the per-knob keywords ExecutionContext replaced, with sample values

@@ -213,16 +213,6 @@ class TestBuildEngine:
             assert engine.backend.name == "process"
             assert engine.n_workers == 3
 
-    def test_explicit_serial_is_not_upgraded(self):
-        from repro.engine import resolve_backend_name
-
-        assert resolve_backend_name(4, "serial") == "serial"
-        assert resolve_backend_name(4, None) == "process"
-        # the serial backend runs one worker whatever n_jobs asks for
-        engine = ExecutionContext(n_jobs=4, backend="serial").build_engine()
-        assert engine.backend.name == "serial"
-        assert engine.n_workers == 1
-
     def test_engine_context_manager_closes_backend(self):
         closed = []
 

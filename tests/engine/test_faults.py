@@ -16,6 +16,7 @@ stay in the tier-1 default selection.
 """
 
 import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.core.problem import AutoFPProblem
 from repro.core.search_space import SearchSpace
 from repro.datasets.synthetic import distort_features, make_classification
 from repro.engine import (
+    Coordinator,
     EvalTask,
     EvaluationTimeoutError,
     ExecutionEngine,
@@ -302,6 +304,15 @@ class TestEngineChaosWiring:
         with pytest.raises(ValidationError, match="eval_timeout"):
             make_backend("serial", eval_timeout=-1.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 1e300])
+    def test_a_timeout_the_platform_cannot_wait_on_is_refused(self, seconds):
+        # NaN never expires and a wait past threading.TIMEOUT_MAX overflows
+        for name in ("serial", "process"):
+            with pytest.raises(ValidationError, match="eval_timeout"):
+                make_backend(name, eval_timeout=seconds)
+        with pytest.raises(ValidationError, match="worker_timeout"):
+            Coordinator(worker_timeout=seconds)
+
 
 class TestContextWiring:
     def test_chaos_spec_normalized_and_validated(self):
@@ -322,6 +333,19 @@ class TestContextWiring:
             assert engine.chaos.to_spec() == "error@1"
         finally:
             engine.close()
+
+    def test_the_longest_timeout_runs_on_process_workers(self):
+        problem = AutoFPProblem.from_registry(
+            "blood", "lr", scale=0.4,
+            context=ExecutionContext(n_jobs=2,
+                                     eval_timeout=threading.TIMEOUT_MAX),
+        )
+        try:
+            result = make_search_algorithm("rs", random_state=0).search(
+                problem, max_trials=3)
+        finally:
+            problem.evaluator.engine.close()
+        assert [t.failure_kind for t in result.trials] == [None] * 3
 
     def test_serial_search_honours_eval_timeout(self):
         # A deadline no evaluation can meet: every serial trial times out,

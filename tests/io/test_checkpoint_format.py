@@ -1,6 +1,7 @@
 """Session-checkpoint format: one version loads, everything else refuses.
 
-Version 3 carries one loop-state shape for both drivers and keeps no
+Version 4 carries one loop-state shape for both schedules, records the
+schedule only in the stored context's ``async_mode`` and keeps no
 migrations.  A document of any other version, or one missing (or
 mistyping) a section ``SearchSession.resume`` reads, or a state blob
 whose entries are not what the checkpoint wrote, must raise
@@ -33,9 +34,8 @@ from repro.io.serialization import (
 from repro.search import SearchSession, make_search_algorithm
 
 #: every section resume reads; dotted names are nested
-SECTIONS = ("algorithm", "context", "problem", "session_id", "driver",
-            "budget", "budget.max_trials", "budget.used", "trials",
-            "state_blob")
+SECTIONS = ("algorithm", "context", "problem", "session_id", "budget",
+            "budget.max_trials", "budget.used", "trials", "state_blob")
 
 
 def _problem():
@@ -86,13 +86,13 @@ def _replace_blob_entry(path, name, value):
 class TestFormatVersion:
     def test_current_checkpoint_resumes_identically(self, checkpoint):
         assert load_session_checkpoint(checkpoint)["format_version"] \
-            == SESSION_CHECKPOINT_VERSION == 3
+            == SESSION_CHECKPOINT_VERSION == 4
         resumed = SearchSession.resume(checkpoint, problem=_problem())
         reference = make_search_algorithm("tpe", random_state=0).search(
             _problem(), max_trials=10)
         assert _trials(resumed.run()) == _trials(reference)
 
-    @pytest.mark.parametrize("version", [0, 1, 2])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3])
     def test_older_versions_are_refused_by_name(self, checkpoint, version):
         def downgrade(document):
             if version == 0:  # v0 predates the version stamp
@@ -171,16 +171,13 @@ class TestMalformedSections:
         with pytest.raises(ValidationError, match=f"'{name}' entry"):
             SearchSession.resume(checkpoint, problem=_problem())
 
-    def test_an_unknown_driver_is_refused_by_name(self, checkpoint):
-        _rewrite(checkpoint, lambda document: document.update(driver="turbo"))
-        with pytest.raises(ValidationError, match="driver"):
-            SearchSession.resume(checkpoint, problem=_problem())
-
-    @pytest.mark.parametrize("driver", ["sync", "async"])
-    def test_the_driver_sets_the_restored_schedule(self, checkpoint, driver):
-        _rewrite(checkpoint, lambda document: document.update(driver=driver))
+    @pytest.mark.parametrize("schedule", ["sync", "async"])
+    def test_the_stored_context_sets_the_restored_schedule(self, checkpoint,
+                                                          schedule):
+        _rewrite(checkpoint, lambda document: document["context"].update(
+            async_mode=schedule == "async"))
         resumed = SearchSession.resume(checkpoint, problem=_problem())
-        assert resumed.context.async_mode is (driver == "async")
+        assert resumed.context.async_mode is (schedule == "async")
 
     def test_a_removed_backend_is_refused_by_name(self, checkpoint):
         _rewrite(checkpoint, lambda document: document["context"].update(

@@ -42,12 +42,10 @@ class TestSessionBasics:
             _problem(), max_trials=10)
         assert _trials(via_session) == _trials(direct)
 
-    def test_default_budget_comes_from_the_context(self):
-        session = SearchSession(
-            _problem(), make_search_algorithm("rs", random_state=0),
-            context=ExecutionContext(default_budget=7),
-        )
-        assert len(session.run()) == 7
+    def test_run_without_a_budget_runs_fifty_trials(self):
+        session = SearchSession(_problem(),
+                                make_search_algorithm("rs", random_state=0))
+        assert len(session.run()) == 50
 
     def test_events_fire_per_trial_and_per_batch(self):
         trials, batches = [], []

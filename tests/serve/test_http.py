@@ -250,7 +250,8 @@ class TestHostileRequests:
         ({"dataset": "blood", "algorithm": "nope"}, "nope"),
         ({"dataset": "blood", "max_trials": "abc"}, "max_trials"),
         ({"dataset": "blood", "scale": [1]}, "scale"),
-        ({"dataset": "blood", "context": {"seed": "abc"}}, "seed"),
+        ({"dataset": "blood", "context": {"prefix_cache_bytes": "abc"}},
+         "prefix_cache_bytes"),
         ({"dataset": "blood", "context": {"async_mode": "false"}},
          "async_mode"),
     ])

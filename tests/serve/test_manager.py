@@ -123,6 +123,11 @@ class TestSpecValidation:
             normalize_spec({"dataset": "blood",
                             "context": {"n_jobs": 8, "backend": "process"}})
 
+    def test_seed_and_budget_are_spec_fields_not_context_fields(self):
+        with pytest.raises(ValidationError, match="may not set"):
+            normalize_spec({"dataset": "blood",
+                            "context": {"seed": 5, "default_budget": 3}})
+
     @given(payload=submissions)
     @settings(max_examples=300, deadline=None)
     def test_any_json_submission_is_admitted_or_a_4xx(self, payload):
