@@ -196,10 +196,10 @@ def main() -> None:
     # 9. Keeping the contracts.  Everything above leans on invariants the
     #    code can silently lose: seeded generators threaded as parameters
     #    (else resume stops being bit-for-bit), copy-on-write transforms
-    #    (else the prefix cache hands out corrupted arrays), MetricSet
-    #    counters (else telemetry goes blind), atomic writes (else a
-    #    killed run poisons its own checkpoint).  `repro lint` is an AST
-    #    pass that enforces them statically:
+    #    (else the prefix cache hands out corrupted arrays), counters as
+    #    int attributes or registry series (else telemetry goes blind),
+    #    atomic writes (else a killed run poisons its own checkpoint).
+    #    `repro lint` is an AST pass that enforces them statically:
     #      RPR001 determinism   RPR002 copy-on-write  RPR003 counter dicts
     #      RPR004 silent except RPR005 lock discipline
     #      RPR006 atomic writes RPR007 explicit encoding

@@ -506,10 +506,15 @@ def _resolve_context(args):
     from pathlib import Path
 
     from repro.core.context import ExecutionContext
+    from repro.exceptions import ValidationError
 
     context = ExecutionContext.from_env()
     if getattr(args, "context", None):
-        data = json.loads(Path(args.context).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(args.context).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as error:
+            raise ValidationError(
+                f"cannot read --context {args.context}: {error}") from error
         context = context.layer(data)
     return context.layer(_flag_overrides(args))
 

@@ -58,7 +58,6 @@ from repro.core.result import TrialRecord
 from repro.exceptions import ValidationError
 from repro.models.base import Classifier
 from repro.models.metrics import accuracy_score, train_test_split
-from repro.telemetry.metrics import MetricSet, metric_property
 from repro.telemetry.tracing import make_tracer
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_X_y
@@ -137,16 +136,6 @@ class PipelineEvaluator:
         ``None`` (default) disables prefix reuse.
     """
 
-    #: metrics of the evaluator's own memoization layer, telemetry-backed;
-    #: the classic attribute spellings remain as properties below
-    COUNTER_NAMES: tuple[str, ...] = (
-        "cache_hits", "cache_misses", "n_evaluations",
-    )
-
-    cache_hits = metric_property("cache_hits")
-    cache_misses = metric_property("cache_misses")
-    n_evaluations = metric_property("n_evaluations")
-
     def __init__(self, X_train, y_train, X_valid, y_valid, model: Classifier,
                  *, random_state=None, engine=None, cache_dir=None,
                  prefix_cache_bytes: int | None = None,
@@ -158,7 +147,10 @@ class PipelineEvaluator:
         self.model = model
         #: the memo: ``(pipeline spec, fidelity)`` -> cache entry
         self._cache: dict = {}
-        self.metrics = MetricSet(self.COUNTER_NAMES)
+        #: memo lookups answered and missed, and evaluations run here
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.n_evaluations = 0
         self._rng = check_random_state(random_state)
         if isinstance(random_state, (int, np.integer)):
             self._subsample_seed = int(random_state)
@@ -236,11 +228,12 @@ class PipelineEvaluator:
         return self._tracer
 
     def __getstate__(self) -> dict:
-        # Workers evaluate serially and start with a cold cache: shipping
-        # the parent's (potentially large) cache or its engine would only
-        # inflate the pickle and risk nested worker pools.  The disk-cache
-        # handle is dropped too — workers only run _evaluate_uncached, and
-        # the parent merges each result back to disk as it resolves.
+        # Workers evaluate serially and start with a cold cache and zeroed
+        # counters: shipping the parent's (potentially large) cache or its
+        # engine would only inflate the pickle and risk nested worker
+        # pools.  The disk-cache handle is dropped too — workers only run
+        # _evaluate_uncached, and the parent merges each result back to
+        # disk as it resolves.
         # The prefix cache is likewise dropped: __setstate__ rebuilds a
         # fresh one per process, and because the process backend ships the
         # evaluator once through the pool initializer, each worker's cache
@@ -252,7 +245,7 @@ class PipelineEvaluator:
         state["_cache"] = {}
         state["_disk_cache"] = None
         state["_prefix_cache"] = None
-        state["metrics"] = MetricSet(self.COUNTER_NAMES)
+        state.update(cache_hits=0, cache_misses=0, n_evaluations=0)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -436,9 +429,9 @@ class PipelineEvaluator:
         """Strip a worker's counter delta from ``entry`` and absorb it.
 
         Workers count prefix reuse in *private* caches;
-        :meth:`evaluate_in_worker` attaches a :class:`MetricsSnapshot` of
-        the worker cache's counter change since its previous shipment to
-        the returned cache entry under the reserved
+        :meth:`evaluate_in_worker` attaches the worker cache's
+        :meth:`~repro.core.prefixcache.PrefixTransformCache.counters_delta`
+        to the returned cache entry under the reserved
         :data:`METRICS_DELTA_KEY`.  The engine routes every entry through
         here before caching it, so the delta lands in this evaluator's own
         prefix-cache counters, and so in :meth:`cache_info`, but never in
@@ -449,6 +442,12 @@ class PipelineEvaluator:
         if delta:
             self._prefix_cache.absorb(delta)
         return entry
+
+    def counters(self) -> dict:
+        """The memo's counters: lookups hit and missed, evaluations run."""
+        return {"cache_hits": self.cache_hits,
+                "cache_misses": self.cache_misses,
+                "n_evaluations": self.n_evaluations}
 
     def cache_info(self) -> dict:
         """Hit/miss counters and the memo's size, for bottleneck reports.

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.telemetry.metrics import MetricSet, metric_property
 
 @dataclass(frozen=True)
 class PrefixEntry:
@@ -82,6 +81,14 @@ class PrefixTransformCache:
         whole budget is not stored at all.
     """
 
+    #: the monotonic counters, which a worker's cache ships to the parent
+    #: (the gauges ``bytes_held`` and ``entries`` describe one address
+    #: space and are not shipped)
+    COUNTER_NAMES: tuple[str, ...] = (
+        "hits", "misses", "insertions", "evictions", "steps_reused",
+        "failed_short_circuits",
+    )
+
     def __init__(self, max_bytes: int) -> None:
         max_bytes = int(max_bytes)
         if max_bytes < 1:
@@ -92,11 +99,15 @@ class PrefixTransformCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, PrefixEntry]" = OrderedDict()
         self.bytes_held = 0
-        #: monotonic counters, telemetry-backed; the classic attribute
-        #: spellings (``cache.hits`` etc.) remain as properties below
-        self.metrics = MetricSet(self.COUNTER_NAMES)
+        #: the counters of COUNTER_NAMES
+        self.hits = 0
+        self.misses = 0
+        self.insertions = 0
+        self.evictions = 0
+        self.steps_reused = 0
+        self.failed_short_circuits = 0
         #: the counters as of the last :meth:`counters_delta` call
-        self._mark = self.metrics.snapshot()
+        self._mark = self._read_counters()
 
     # ------------------------------------------------------------------- API
     def longest_prefix(self, spec: tuple) -> tuple[int, PrefixEntry | None]:
@@ -142,25 +153,14 @@ class PrefixTransformCache:
         self._insert(prefix_spec, PrefixEntry(X_train=None, X_valid=None,
                                               failed=True))
 
-    #: the monotonic counters that are meaningful to merge across processes
-    #: (gauges like ``bytes_held``/``entries`` describe one address space
-    #: and are deliberately excluded)
-    COUNTER_NAMES: tuple[str, ...] = (
-        "hits", "misses", "insertions", "evictions", "steps_reused",
-        "failed_short_circuits",
-    )
-
-    hits = metric_property("hits")
-    misses = metric_property("misses")
-    insertions = metric_property("insertions")
-    evictions = metric_property("evictions")
-    steps_reused = metric_property("steps_reused")
-    failed_short_circuits = metric_property("failed_short_circuits")
+    def _read_counters(self) -> dict:
+        # callers hold the lock, except __init__, before any thread has it
+        return {name: getattr(self, name) for name in self.COUNTER_NAMES}
 
     def counters(self) -> dict:
-        """Snapshot of the monotonic counters (one consistent read)."""
+        """The monotonic counters (one consistent read)."""
         with self._lock:
-            return self.metrics.snapshot()
+            return self._read_counters()
 
     def counters_delta(self) -> dict:
         """Counter change since the previous call (non-zero only).
@@ -170,33 +170,25 @@ class PrefixTransformCache:
         evaluations split the cache's increments with no overlap.
         """
         with self._lock:
-            now = self.metrics.snapshot()
-            delta, self._mark = now.diff(self._mark), now
-        return delta
+            now, mark = self._read_counters(), self._mark
+            self._mark = now
+        return {name: now[name] - mark[name] for name in now
+                if now[name] != mark[name]}
 
-    def absorb(self, delta) -> None:
+    def absorb(self, delta: dict) -> None:
         """Add a worker cache's :meth:`counters_delta` onto these counters.
 
         Only a parent absorbs, and a parent never ships a delta of its own,
         so absorbed increments are never shipped on again.
         """
         with self._lock:
-            self.metrics.merge(delta)
+            for name in self.COUNTER_NAMES:
+                setattr(self, name, getattr(self, name) + delta.get(name, 0))
 
     def info(self) -> dict:
-        """Counters for ``PipelineEvaluator.cache_info()`` and reports."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "insertions": self.insertions,
-                "evictions": self.evictions,
-                "steps_reused": self.steps_reused,
-                "failed_short_circuits": self.failed_short_circuits,
-                "entries": len(self._entries),
-                "bytes_held": self.bytes_held,
-                "max_bytes": self.max_bytes,
-            }
+        """Counters and gauges for ``PipelineEvaluator.cache_info()``."""
+        return {**self.counters(), "entries": len(self),
+                "bytes_held": self.bytes_held, "max_bytes": self.max_bytes}
 
     def __len__(self) -> int:
         with self._lock:

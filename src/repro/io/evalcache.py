@@ -47,7 +47,6 @@ import zlib
 from pathlib import Path
 
 from repro.exceptions import ValidationError
-from repro.telemetry.metrics import MetricSet, metric_property
 
 #: cache-format version; bump to invalidate old on-disk layouts
 FORMAT_VERSION = 1
@@ -138,20 +137,13 @@ class PersistentEvalCache:
         #: the index: key token -> entry, for every loaded shard
         self._entries: dict[str, dict] = {}
         self._loaded_shards: set[int] = set()
-        #: monotonic counters, telemetry-backed; the classic attribute
-        #: spellings (``cache.hits`` etc.) remain as properties below
-        self.metrics = MetricSet(self.COUNTER_NAMES)
+        #: lookups hit and missed, lines appended, and torn or garbled
+        #: lines skipped while loading shards
+        self.hits = 0
+        self.misses = 0
+        self.writes = 0
+        self.skipped_lines = 0
         self._adopt_meta()
-
-    #: the monotonic counters this cache maintains
-    COUNTER_NAMES: tuple[str, ...] = (
-        "hits", "misses", "writes", "skipped_lines",
-    )
-
-    hits = metric_property("hits")
-    misses = metric_property("misses")
-    writes = metric_property("writes")
-    skipped_lines = metric_property("skipped_lines")
 
     # ------------------------------------------------------------------ API
     def get(self, key: tuple) -> dict | None:

@@ -247,7 +247,8 @@ DEFAULT_PROFILES: tuple = (
     # The lint test fixtures violate the rules on purpose.
     RuleProfile("lint-fixtures", "tests/lint/fixtures/", skip=True),
     # The telemetry package is the one place allowed to *implement*
-    # counter storage (RPR003 exists to funnel everyone else into it).
+    # counter storage: its registry (RPR003 sends everyone else to int
+    # attributes or to that registry).
     RuleProfile("telemetry", "repro/telemetry/",
                 disable=frozenset({"RPR003"})),
     # Tests, benchmarks and examples run outside the library's COW,

@@ -10,8 +10,8 @@ scale:
 * RPR002 — copy-on-write: transform paths must not mutate their input
   arrays in place (the prefix cache stores them read-only and shared
   memory will soon map them across processes).
-* RPR003 — telemetry: counters live on ``MetricSet`` / the registry, not
-  in private dicts (the PR 6 guard, generalized).
+* RPR003 — telemetry: a counter is an ``int`` attribute of its owner or
+  a registry series, never a private dict of counts.
 * RPR004 — no bare or silent broad excepts: a swallowed error is a wrong
   benchmark number nobody can explain.
 * RPR005 — lock discipline: classes that own a ``_lock`` mutate shared
@@ -318,15 +318,15 @@ class CowDisciplineRule(Rule):
 # ------------------------------------------------------------------- RPR003
 @register_rule
 class PrivateCounterRule(Rule):
-    """Counters belong on MetricSet / the registry, not in private dicts."""
+    """A counter is an int attribute or a registry series, not a dict."""
 
     rule_id = "RPR003"
     title = "telemetry: no private counter dicts"
     rationale = (
-        "PR 6 centralized every counter on repro.telemetry.metrics so "
-        "worker deltas merge, snapshots stay consistent and heartbeats "
-        "see one source of truth; a private dict counter store is "
-        "invisible to all of that"
+        "a counter that is an int attribute of its owner is read by name "
+        "in cache_info() and heartbeats, and a process-wide one is a "
+        "repro.telemetry.metrics registry series; a private dict of "
+        "counts is a second, unreported way to count"
     )
     node_types = (ast.Assign, ast.AnnAssign)
 
@@ -357,9 +357,9 @@ class PrivateCounterRule(Rule):
                             for fragment in self._FRAGMENTS)):
                 ctx.report(self, node,
                            f"self.{target.attr} = {{...}} is an ad-hoc "
-                           "counter store — use repro.telemetry.metrics."
-                           "MetricSet (instance counters) or "
-                           "get_registry() (process-wide series)")
+                           "counter store — give each counter an int "
+                           "attribute (self.hits = 0) or use a "
+                           "repro.telemetry.metrics.get_registry() series")
 
 
 # ------------------------------------------------------------------- RPR004

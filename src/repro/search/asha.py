@@ -38,7 +38,8 @@ class ASHA(SearchAlgorithm):
         Reduction factor: the top ``1/eta`` of every rung is promotable.
     min_fidelity:
         Fraction of the training rows used in the bottom rung; each rung
-        above multiplies it by ``eta`` (capped at 1.0, the top rung).
+        above multiplies it by ``eta``, and the top rung is 1.0 (see
+        :func:`~repro.search.bandit.rung_ladder`).
     random_state:
         Seed for the random configurations grown into the bottom rung.
     """
@@ -60,14 +61,11 @@ class ASHA(SearchAlgorithm):
 
     # ---------------------------------------------------------------- setup
     def _setup(self, problem, rng) -> None:
-        fidelities = list(self._ladder)
-        if fidelities[-1] < 1.0 - 1e-9:
-            fidelities.append(1.0)  # always finish at full fidelity
-        self._fidelities: list[float] = fidelities
+        self._fidelities: list[float] = list(self._ladder)
         #: per rung: spec -> (accuracy, pipeline) of completed evaluations
-        self._rungs: list[dict] = [{} for _ in fidelities]
+        self._rungs: list[dict] = [{} for _ in self._fidelities]
         #: per rung: specs already promoted out of it (never re-promoted)
-        self._promoted: list[set] = [set() for _ in fidelities]
+        self._promoted: list[set] = [set() for _ in self._fidelities]
 
     # -------------------------------------------------------------- helpers
     def _promotable(self) -> tuple[int, tuple, Pipeline] | None:

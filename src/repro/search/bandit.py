@@ -30,15 +30,21 @@ def rung_ladder(eta: float, min_fidelity: float) -> list[float]:
     Rung ``k`` trains on ``min(1, min_fidelity * eta**k)`` of the training
     rows, for ``k = 0 .. s_max`` with ``s_max = floor(log_eta(1 /
     min_fidelity))`` — the ``r * eta**k`` budget schedule of successive
-    halving.  Raises :class:`ValidationError` unless ``eta > 1`` and
-    ``0 < min_fidelity <= 1``.
+    halving.  When that top rung falls short of the full training set
+    (``eta=2, min_fidelity=1/9`` tops out at 8/9), a rung at 1.0 is
+    appended, so every search can finish at full fidelity.  Raises
+    :class:`ValidationError` unless ``eta > 1`` and ``0 < min_fidelity
+    <= 1``.
     """
     if eta <= 1:
         raise ValidationError("eta must be greater than 1")
     if not 0.0 < min_fidelity <= 1.0:
         raise ValidationError("min_fidelity must be in (0, 1]")
     s_max = max(0, int(math.floor(math.log(1.0 / min_fidelity, eta))))
-    return [min(1.0, min_fidelity * eta ** k) for k in range(s_max + 1)]
+    ladder = [min(1.0, min_fidelity * eta ** k) for k in range(s_max + 1)]
+    if ladder[-1] < 1.0 - 1e-9:
+        ladder.append(1.0)
+    return ladder
 
 
 @dataclass

@@ -91,7 +91,7 @@ from repro.io.serialization import (
 )
 from repro.search.base import SearchAlgorithm
 from repro.telemetry import heartbeat_file_name
-from repro.telemetry.metrics import MetricsSnapshot, get_registry
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import make_tracer
 from repro.utils.log import get_logger
 from repro.utils.random import check_random_state
@@ -168,9 +168,8 @@ class SearchSession:
     on_metrics:
         Optional callback ``on_metrics(session, snapshot)`` fired after
         every observed trial when the context's ``telemetry_mode`` is not
-        ``"off"``; ``snapshot`` is a
-        :class:`~repro.telemetry.metrics.MetricsSnapshot` combining the
-        process registry with the evaluator's cache counters (see
+        ``"off"``; ``snapshot`` is a flat ``dict`` combining the process
+        registry with the evaluator's cache counters (see
         :meth:`metrics_snapshot`).
     checkpoint_path:
         Default path for :meth:`checkpoint` and automatic checkpoints.
@@ -679,7 +678,7 @@ class SearchSession:
                       len(refunds))
 
     # ------------------------------------------------------------ telemetry
-    def metrics_snapshot(self) -> MetricsSnapshot:
+    def metrics_snapshot(self) -> dict:
         """One flat reading of everything observable about this run.
 
         Combines the process-wide registry (engine in-flight depth, budget
@@ -693,15 +692,11 @@ class SearchSession:
         snapshot = get_registry().snapshot_for(session=self.session_id)
         evaluator = getattr(self.problem, "evaluator", None)
         if evaluator is not None:
-            snapshot = snapshot.merge({
-                f"evaluator.{name}": value
-                for name, value in evaluator.metrics.snapshot().items()
-            })
+            for name, value in evaluator.counters().items():
+                snapshot[f"evaluator.{name}"] = value
             if evaluator.prefix_cache is not None:
-                snapshot = snapshot.merge({
-                    f"prefix.{name}": value
-                    for name, value in evaluator.prefix_cache.counters().items()
-                })
+                for name, value in evaluator.prefix_cache.counters().items():
+                    snapshot[f"prefix.{name}"] = value
         snapshot["session.trials"] = len(self.result)
         snapshot["session.iteration"] = self._iteration
         return snapshot
@@ -732,7 +727,7 @@ class SearchSession:
                 snapshot = self.metrics_snapshot()
             self._write_heartbeat(snapshot)
 
-    def _write_heartbeat(self, snapshot: MetricsSnapshot) -> None:
+    def _write_heartbeat(self, snapshot: dict) -> None:
         """Atomically refresh this session's heartbeat file.
 
         Liveness-probe shaped: one small JSON document a supervisor (or a
@@ -751,7 +746,7 @@ class SearchSession:
                               if len(self.result) else None),
             "budget_used": getattr(self._budget, "used", None),
             "time": time.time(),
-            "metrics": snapshot.to_dict(),
+            "metrics": snapshot,
         }
         path = Path(self.context.telemetry_dir) \
             / heartbeat_file_name(self.session_id)

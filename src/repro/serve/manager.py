@@ -234,10 +234,11 @@ class _FairScheduler:
         validated: dict = {}
         for tenant, weight in dict(weights or {}).items():
             weight = float(weight)
-            if weight <= 0:
+            # NaN or inf would make a finish tag no other tenant's beats
+            if not 0 < weight < math.inf:
                 raise ValidationError(
-                    f"tenant weights must be > 0, got {weight:g} for "
-                    f"tenant {str(tenant)!r}"
+                    f"tenant weights must be finite and > 0, got "
+                    f"{weight:g} for tenant {str(tenant)!r}"
                 )
             validated[str(tenant)] = weight
         self.weights = validated
@@ -726,7 +727,7 @@ class SessionManager:
                 entry["heartbeat"] = heartbeat
             per_session[record.session_id] = entry
         return {
-            "registry": get_registry().snapshot().to_dict(),
+            "registry": get_registry().snapshot(),
             "engine": self.engine_view(),
             "sessions": per_session,
         }

@@ -5,16 +5,14 @@ analysis) rests on knowing *where time goes* — Pick vs. Prep vs. Train —
 yet a search now spans two loop schedules, three execution backends and two
 cache layers.  This package is the one place all of that reports to:
 
-* :mod:`repro.telemetry.metrics` — named counters and gauges.
-  Per-instance counter sets (:class:`MetricSet`) back every cache-layer
-  counter (evaluator memo, persistent eval cache, prefix-transform cache);
-  the process-wide :class:`MetricsRegistry` (reached through
-  :func:`get_registry`) holds genuinely global series such as the
-  engine's in-flight depth and budget refunds.  The worker→parent
-  counter shipping of the process backend generalizes into the
-  :class:`MetricsSnapshot` ``diff()``/``merge()`` protocol: any metric
-  recorded in a pool worker rides back on the result entry and is
-  absorbed on merge-back.
+* :mod:`repro.telemetry.metrics` — the process-wide
+  :class:`MetricsRegistry` (reached through :func:`get_registry`) of
+  named counters and gauges, such as the engine's in-flight depth and
+  budget refunds; it reads out as one flat ``dict``.  Cache-layer
+  counters (evaluator memo, persistent eval cache, prefix-transform
+  cache) are plain ``int`` attributes of their owners, and a pool or
+  remote worker's prefix-cache counts ride back on each result entry
+  for the parent to add on.
 * :mod:`repro.telemetry.tracing` — per-trial spans (propose →
   cache-lookup → prep → train), each emitted through
   :meth:`Tracer.emit` into a process-safe JSONL sink, readable back
@@ -27,13 +25,7 @@ an :class:`~repro.core.context.ExecutionContext` asks for it via
 ``telemetry_dir``.
 """
 
-from repro.telemetry.metrics import (
-    MetricSet,
-    MetricsRegistry,
-    MetricsSnapshot,
-    get_registry,
-    metric_property,
-)
+from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.telemetry.tracing import (
     Tracer,
     make_tracer,
@@ -58,11 +50,8 @@ def heartbeat_file_name(session_id: str) -> str:
 
 
 __all__ = [
-    "MetricSet",
     "MetricsRegistry",
-    "MetricsSnapshot",
     "get_registry",
-    "metric_property",
     "Tracer",
     "make_tracer",
     "read_trace",

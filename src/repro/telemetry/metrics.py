@@ -1,31 +1,19 @@
-"""Metrics: named counters and gauges with a merge protocol.
+"""Metrics: the process-wide registry of named counters and gauges.
 
-Two layers, matching how the library actually counts things:
+:class:`MetricsRegistry` (reached through :func:`get_registry`) holds the
+genuinely global series: the execution engine's in-flight gauge, and the
+budget-refund and recovery counters.  Series support labels
+(``registry.counter("x", session="s1")``), and the whole registry reads
+out as one flat ``dict`` for heartbeats and ``/metrics``.
 
-* :class:`MetricSet` — a small, picklable bag of named scalar counters
-  owned by *one instance* (a prefix cache, a persistent eval cache, an
-  evaluator's memo).  Instance ownership is deliberate: tests and
-  ``cache_info()`` reports reason about *this evaluator's* hits, not a
-  process-wide aggregate, and a pickled evaluator must carry its counter
-  storage into pool workers.  The class exposes plain ``inc``/``get``
-  plus :meth:`snapshot`; :func:`metric_property` grafts classic
-  attribute access (``cache.hits``, ``cache.hits += 1``) onto a
-  ``MetricSet``-backed class so every historical call site keeps
-  working.
-* :class:`MetricsRegistry` — the process-wide registry behind
-  :func:`get_registry`, holding genuinely global series: the execution
-  engine's in-flight gauge, budget-refund and recovery counters.
-  Series support labels (``registry.counter("x", session="s1")``)
-  and the whole registry snapshots to one flat dict for heartbeats.
-
-The worker→parent shipping protocol: after each evaluation a worker
-ships its prefix cache's change since the previous shipment
-(``now.diff(mark)``, a :class:`MetricsSnapshot`) back on the result
-entry under a reserved key, and the parent absorbs it with
-:meth:`MetricSet.merge` — so reuse that happened in another address
-space still shows up in the parent's reports.  ``MetricsSnapshot`` is a
-``dict`` subclass: JSON-serializable, picklable, and directly usable by
-every call site that handled the old plain-dict counter deltas.
+Counters owned by one instance are plain ``int`` attributes of their
+owner instead: an evaluator's memo hits, a prefix cache's reused steps, a
+persistent eval cache's writes.  A report reasons about *this*
+evaluator's counts, not a process-wide aggregate, and a pickled evaluator
+arrives in a worker with its counters at zero.  A process or remote
+worker's prefix cache ships its counter changes back on each result
+entry, and the parent adds them on
+(:meth:`repro.core.prefixcache.PrefixTransformCache.absorb`).
 """
 
 from __future__ import annotations
@@ -35,108 +23,6 @@ import threading
 from repro.exceptions import ValidationError
 
 
-class MetricsSnapshot(dict):
-    """A point-in-time reading of named scalar metrics.
-
-    A plain ``dict`` of ``name -> number`` plus the two protocol
-    operations: :meth:`diff` (what changed since an earlier snapshot —
-    the payload a pool worker ships to its parent) and :meth:`merge`
-    (combine readings from several sources into one).
-    """
-
-    def diff(self, earlier) -> "MetricsSnapshot":
-        """Non-zero changes since ``earlier`` (missing names count as 0)."""
-        earlier = earlier or {}
-        delta = MetricsSnapshot()
-        for name in set(self) | set(earlier):
-            change = self.get(name, 0) - earlier.get(name, 0)
-            if change:
-                delta[name] = change
-        return delta
-
-    def merge(self, other) -> "MetricsSnapshot":
-        """A new snapshot with ``other``'s values added onto this one's."""
-        merged = MetricsSnapshot(self)
-        for name, value in (other or {}).items():
-            merged[name] = merged.get(name, 0) + value
-        return merged
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-ready)."""
-        return dict(self)
-
-
-class MetricSet:
-    """A picklable bag of named scalar metrics owned by one instance.
-
-    Values are created on first touch (initial value 0), so a set can be
-    declared with its known names up front — which keeps snapshots
-    stable — while still accepting names shipped from elsewhere (worker
-    deltas of a newer series).  Increments are plain dict writes: the
-    owning object's own lock (when it has one) already serializes them,
-    and a torn read only ever costs report precision, never correctness.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, names=()) -> None:
-        self._values: dict = {name: 0 for name in names}
-
-    def inc(self, name: str, value=1) -> None:
-        """Add ``value`` to ``name`` (creating it at 0 first)."""
-        self._values[name] = self._values.get(name, 0) + value
-
-    def get(self, name: str, default=0):
-        return self._values.get(name, default)
-
-    def set(self, name: str, value) -> None:
-        self._values[name] = value
-
-    def merge(self, delta) -> None:
-        """Absorb a snapshot/dict of deltas into this set (in place)."""
-        for name, value in (delta or {}).items():
-            self._values[name] = self._values.get(name, 0) + value
-
-    def snapshot(self) -> MetricsSnapshot:
-        """A point-in-time copy of every value."""
-        return MetricsSnapshot(self._values)
-
-    def __getstate__(self) -> dict:
-        return dict(self._values)
-
-    def __setstate__(self, state: dict) -> None:
-        self._values = dict(state)
-
-    def __contains__(self, name) -> bool:
-        return name in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __repr__(self) -> str:
-        return f"MetricSet({self._values!r})"
-
-
-def metric_property(name: str, attr: str = "metrics") -> property:
-    """Attribute-style access to one metric of an instance's MetricSet.
-
-    ``hits = metric_property("hits")`` on a class with ``self.metrics``
-    makes ``obj.hits`` read — and ``obj.hits += 1`` / ``obj.hits = 0``
-    write — the underlying metric, so classes migrating their ad-hoc
-    integer counters onto a :class:`MetricSet` keep their historical
-    public attribute surface byte-for-byte.
-    """
-
-    def fget(self):
-        return getattr(self, attr).get(name)
-
-    def fset(self, value) -> None:
-        getattr(self, attr).set(name, value)
-
-    return property(fget, fset, doc=f"the {name!r} metric (registry-backed)")
-
-
-# --------------------------------------------------------------- registry
 class Counter:
     """A monotonically increasing registry series."""
 
@@ -217,7 +103,7 @@ class MetricsRegistry:
         return self._get(Gauge, name, labels)
 
     @staticmethod
-    def _read_series(reading: MetricsSnapshot, name: str, labels: tuple,
+    def _read_series(reading: dict, name: str, labels: tuple,
                      series) -> None:
         """Flatten one series into ``reading`` under its labelled key."""
         key = name
@@ -230,19 +116,19 @@ class MetricsRegistry:
         else:
             reading[key] = series.value
 
-    def snapshot(self) -> MetricsSnapshot:
+    def snapshot(self) -> dict:
         """One flat reading of every series (heartbeat payload shape).
 
         Labelled series flatten to ``name{k=v,...}`` keys; a gauge adds
         its ``.high_water`` reading.
         """
         with self._lock:
-            reading = MetricsSnapshot()
+            reading: dict = {}
             for (name, labels), series in self._series.items():
                 self._read_series(reading, name, labels, series)
             return reading
 
-    def snapshot_for(self, **labels) -> MetricsSnapshot:
+    def snapshot_for(self, **labels) -> dict:
         """A reading restricted to one label owner (e.g. one session).
 
         A series is included when it either does not carry any of the
@@ -254,7 +140,7 @@ class MetricsRegistry:
         plain historical name — and never sees another owner's series.
         """
         with self._lock:
-            reading = MetricsSnapshot()
+            reading: dict = {}
             for (name, series_labels), series in self._series.items():
                 carried = dict(series_labels)
                 if any(key in carried and carried[key] != value
@@ -278,8 +164,7 @@ class MetricsRegistry:
         return f"MetricsRegistry(series={len(self)})"
 
 
-#: the process-wide registry; module-level so pool workers get their own
-#: (per-process) instance whose deltas ship back via MetricsSnapshot
+#: the process-wide registry; module-level, so each pool worker has its own
 _REGISTRY = MetricsRegistry()
 
 

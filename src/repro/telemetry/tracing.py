@@ -110,22 +110,23 @@ def make_tracer(telemetry_mode: str | None,
 def read_trace(path) -> list[dict]:
     """Read a JSONL trace back into event dicts, tolerating torn lines.
 
-    A line that is truncated (crash or kill mid-write) or garbled is
-    skipped, never fatal — the same contract as the eval-cache replay —
-    so a trace from an interrupted run still loads.
+    A line that is truncated (crash or kill mid-write) or garbled, bytes
+    that are not UTF-8 included, is skipped, never fatal — the same
+    contract as the eval-cache replay, which also decodes each line on
+    its own — so a trace from an interrupted run still loads.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = path.read_bytes().splitlines()
     except OSError as error:
         raise ValidationError(f"cannot read trace at {path}: {error}") from error
     events: list[dict] = []
-    for line in text.splitlines():
+    for line in lines:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+            record = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
             continue
         if isinstance(record, dict) and isinstance(record.get("name"), str) \
                 and "ts" in record and "dur" in record:

@@ -396,6 +396,21 @@ class TestCheckpointResumeOptions:
         assert code == 0
         assert "backend=process" in output and "n_jobs=2" in output
 
+    @pytest.mark.parametrize(
+        "content", [None, b'{"n_jobs": ', b"\xff\xfe{}", b"[" * 100_000],
+        ids=["missing", "malformed", "not-utf8", "too-deep"])
+    def test_an_unreadable_context_file_is_a_one_line_error(self, tmp_path,
+                                                            content):
+        context_file = tmp_path / "run-context.json"
+        if content is not None:
+            context_file.write_bytes(content)
+        code, output = run_cli(
+            "search", "--dataset", "blood", "--max-trials", "2",
+            "--context", str(context_file))
+        assert code == 2
+        assert output.startswith(f"error: cannot read --context {context_file}")
+        assert len(output.splitlines()) == 1
+
     def test_environment_configures_the_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_N_JOBS", "2")

@@ -1,14 +1,12 @@
-# Compliant counterpart for RPR003: counters live on a MetricSet.
-from repro.telemetry.metrics import MetricSet, metric_property
+# Compliant counterpart for RPR003: each counter is an int attribute.
 
 
-class CacheWithMetricSet:
-    COUNTER_NAMES = ("hits", "misses")
-
+class CacheWithIntCounters:
     def __init__(self) -> None:
-        self.metrics = MetricSet(self.COUNTER_NAMES)
+        self.hits = 0
+        self.misses = 0
         # Unrelated dict state is fine; only counter-named dicts are flagged.
         self._entries: dict = {}
 
-    hits = metric_property("hits")
-    misses = metric_property("misses")
+    def counters(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses}

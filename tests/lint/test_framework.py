@@ -77,7 +77,7 @@ class TestProfiles:
         assert {f.rule for f in in_library} == {"RPR006", "RPR007"}
 
     def test_telemetry_package_may_implement_counters(self):
-        source = ("class MetricSet:\n"
+        source = ("class MetricsRegistry:\n"
                   "    def __init__(self):\n"
                   "        self._counters = {}\n")
         allowed = lint_source(source, path="src/repro/telemetry/metrics.py")

@@ -397,6 +397,12 @@ class TestFairScheduling:
         with pytest.raises(ValidationError, match="> 0"):
             _FairScheduler({"acme": -1.5})
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_weights_must_be_finite(self, weight):
+        from repro.serve.manager import _FairScheduler
+        with pytest.raises(ValidationError, match="finite.*'acme'"):
+            _FairScheduler({"acme": float(weight)})
+
     def test_flooding_tenant_cannot_starve_a_light_one(self):
         from repro.serve.manager import _FairScheduler
         scheduler = _FairScheduler()

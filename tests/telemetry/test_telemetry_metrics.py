@@ -1,107 +1,19 @@
-"""Metrics layer: MetricSet / MetricsSnapshot / MetricsRegistry.
+"""Counting: the process-wide registry and the cache layers' int counters.
 
-Covers the worker→parent shipping protocol (snapshot, diff, merge), the
-attribute-compatibility shim (:func:`metric_property`), pickling of a
-``MetricSet`` across process boundaries, the process-wide registry's
-series semantics (labels, kind stability, flat snapshots), and that the
-library's counter owners keep their counters on metric sets.
+Covers the registry's series semantics (labels, kind stability, flat
+snapshots), the prefix cache's worker→parent counter shipping
+(``counters_delta`` / ``absorb``) on its own and across a real process
+pool, and that a pickled evaluator starts its counters at zero.
 """
 
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.core.prefixcache import PrefixTransformCache
 from repro.exceptions import ValidationError
-from repro.telemetry.metrics import (
-    MetricSet,
-    MetricsRegistry,
-    MetricsSnapshot,
-    get_registry,
-    metric_property,
-)
-
-
-class TestMetricsSnapshot:
-    def test_diff_reports_only_nonzero_changes(self):
-        before = MetricsSnapshot({"hits": 2, "misses": 5, "idle": 1})
-        after = MetricsSnapshot({"hits": 7, "misses": 5, "new": 3})
-        assert after.diff(before) == {"hits": 5, "new": 3, "idle": -1}
-
-    def test_diff_against_none_is_the_snapshot_itself(self):
-        after = MetricsSnapshot({"hits": 2, "zero": 0})
-        assert after.diff(None) == {"hits": 2}
-
-    def test_merge_adds_values_and_keeps_sources_intact(self):
-        mine = MetricsSnapshot({"hits": 1})
-        theirs = MetricsSnapshot({"hits": 2, "misses": 4})
-        merged = mine.merge(theirs)
-        assert merged == {"hits": 3, "misses": 4}
-        assert mine == {"hits": 1} and theirs == {"hits": 2, "misses": 4}
-
-    def test_round_trips_through_plain_dict(self):
-        snapshot = MetricsSnapshot({"a": 1, "b": 2.5})
-        plain = snapshot.to_dict()
-        assert plain == {"a": 1, "b": 2.5} and type(plain) is dict
-        assert MetricsSnapshot(plain) == snapshot
-
-    def test_diff_then_merge_reconstructs_the_later_reading(self):
-        """The shipping protocol identity: before.merge(after.diff(before)) == after."""
-        before = MetricsSnapshot({"hits": 3, "misses": 1})
-        after = MetricsSnapshot({"hits": 9, "misses": 1, "evictions": 2})
-        assert before.merge(after.diff(before)) == after
-
-
-class TestMetricSet:
-    def test_declared_names_start_at_zero(self):
-        metrics = MetricSet(("hits", "misses"))
-        assert metrics.get("hits") == 0
-        assert "misses" in metrics and len(metrics) == 2
-
-    def test_inc_set_get(self):
-        metrics = MetricSet()
-        metrics.inc("hits")
-        metrics.inc("hits", 4)
-        metrics.set("bytes", 123)
-        assert metrics.get("hits") == 5 and metrics.get("bytes") == 123
-        assert metrics.get("unknown") == 0
-
-    def test_merge_absorbs_foreign_names(self):
-        metrics = MetricSet(("hits",))
-        metrics.merge({"hits": 2, "prefix.steps_reused": 7})
-        assert metrics.get("hits") == 2
-        assert metrics.get("prefix.steps_reused") == 7
-
-    def test_snapshot_is_a_detached_copy(self):
-        metrics = MetricSet(("hits",))
-        snapshot = metrics.snapshot()
-        metrics.inc("hits")
-        assert snapshot["hits"] == 0 and metrics.get("hits") == 1
-
-    def test_pickle_round_trip(self):
-        metrics = MetricSet(("hits",))
-        metrics.inc("hits", 2)
-        clone = pickle.loads(pickle.dumps(metrics))
-        assert clone.snapshot() == metrics.snapshot()
-        clone.inc("hits")  # the clone has its own storage
-        assert metrics.get("hits") == 2
-
-
-class TestMetricProperty:
-    class _Cache:
-        metrics: MetricSet
-        hits = metric_property("hits")
-        misses = metric_property("misses")
-
-        def __init__(self):
-            self.metrics = MetricSet(("hits", "misses"))
-
-    def test_reads_and_writes_go_through_the_metric_set(self):
-        cache = self._Cache()
-        cache.hits += 1
-        cache.hits += 1
-        cache.misses = 10
-        assert cache.hits == 2
-        assert cache.metrics.snapshot() == {"hits": 2, "misses": 10}
+from repro.telemetry.metrics import MetricsRegistry, get_registry
 
 
 class TestMetricsRegistry:
@@ -146,8 +58,66 @@ class TestMetricsRegistry:
         assert get_registry() is get_registry()
 
 
+class TestPrefixCounterShipping:
+    """A worker cache's counter deltas, as the parent absorbs them."""
+
+    def test_delta_reports_only_nonzero_changes(self):
+        cache = PrefixTransformCache(max_bytes=200)
+        assert cache.counters_delta() == {}
+        cache.longest_prefix(("a",))
+        assert cache.counters_delta() == {"misses": 1}
+        assert cache.counters_delta() == {}
+        cache.store(("a",), np.zeros((4, 2)), np.zeros((4, 2)))
+        cache.longest_prefix(("a", "b", "c"))
+        assert cache.counters_delta() == {"insertions": 1, "hits": 1,
+                                          "steps_reused": 1}
+
+    def test_absorbing_each_delta_reconstructs_the_later_reading(self):
+        worker = PrefixTransformCache(max_bytes=200)
+        parent = PrefixTransformCache(max_bytes=200)
+        X = np.zeros((4, 2))  # 128 bytes an entry: two exceed the budget
+        steps = [
+            lambda: worker.longest_prefix(("a", "b")),     # miss
+            lambda: worker.store(("a",), X, X.copy()),     # insertion
+            lambda: worker.longest_prefix(("a", "b")),     # hit, 1 step
+            lambda: worker.store_failure(("c",)),          # insertion
+            lambda: worker.longest_prefix(("c", "d")),     # short circuit
+            lambda: worker.store(("e",), X, X.copy()),     # eviction
+        ]
+        for step in steps:
+            step()
+            parent.absorb(worker.counters_delta())
+            assert parent.counters() == worker.counters()
+        assert all(worker.counters().values())
+        # The parent's gauges stay its own: no arrays were shipped.
+        assert parent.info()["entries"] == 0 and parent.bytes_held == 0
+
+
+def test_a_pickled_evaluator_starts_with_zeroed_counters(distorted_data):
+    from repro.core.evaluation import PipelineEvaluator
+    from repro.core.pipeline import Pipeline
+    from repro.models.linear import LogisticRegression
+
+    X, y = distorted_data
+    evaluator = PipelineEvaluator.from_dataset(
+        X, y, LogisticRegression(max_iter=40), random_state=0)
+    pipeline = Pipeline.from_names(("standard_scaler",))
+    evaluator.evaluate(pipeline)
+    evaluator.evaluate(pipeline)
+    counted = {"cache_hits": 1, "cache_misses": 1, "n_evaluations": 1}
+    assert evaluator.counters() == counted
+
+    clone = pickle.loads(pickle.dumps(evaluator))
+    assert clone.counters() == {"cache_hits": 0, "cache_misses": 0,
+                                "n_evaluations": 0}
+    clone.evaluate(pipeline)
+    assert clone.counters() == {"cache_hits": 0, "cache_misses": 1,
+                                "n_evaluations": 1}
+    assert evaluator.counters() == counted  # the clone counts on its own
+
+
 class TestWorkerDeltaShippingUnderProcessBackend:
-    """The diff/merge protocol end to end across a real process pool."""
+    """The counters_delta/absorb protocol end to end across a process pool."""
 
     def _pipelines(self):
         from repro.core.pipeline import Pipeline
@@ -177,7 +147,7 @@ class TestWorkerDeltaShippingUnderProcessBackend:
         finally:
             engine.close()
         # The reuse happened in another address space; the shipped
-        # MetricsSnapshot deltas must still surface in the parent.
+        # counter deltas must still surface in the parent.
         merged = evaluator.prefix_cache.counters()
         assert merged.get("hits", 0) >= 3
         assert merged.get("steps_reused", 0) >= 6
@@ -185,21 +155,3 @@ class TestWorkerDeltaShippingUnderProcessBackend:
         assert info["prefix_hits"] == merged["hits"]
         assert info["steps_reused"] == merged["steps_reused"]
 
-
-def test_library_counters_live_on_metric_sets():
-    """The migrated classes expose their counters through a MetricSet."""
-    from repro.core.evaluation import PipelineEvaluator
-    from repro.core.prefixcache import PrefixTransformCache
-    from repro.io.evalcache import PersistentEvalCache
-    from repro.telemetry.metrics import MetricSet
-
-    for owner in (PipelineEvaluator, PrefixTransformCache, PersistentEvalCache):
-        names = getattr(owner, "COUNTER_NAMES")
-        assert names, f"{owner.__name__} declares no counter names"
-        for name in names:
-            assert isinstance(getattr(owner, name), property), (
-                f"{owner.__name__}.{name} is not a metric_property"
-            )
-
-    cache = PrefixTransformCache(max_bytes=1024)
-    assert isinstance(cache.metrics, MetricSet)

@@ -63,6 +63,14 @@ class TestReadTrace:
         assert [(e["name"], e["ts"]) for e in events] == [("prep", 1.0),
                                                           ("train", 4.0)]
 
+    def test_lines_that_are_not_utf8_or_nest_too_deep_are_skipped(
+            self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        good = json.dumps({"name": "trial", "ts": 1.0, "dur": 0.5})
+        path.write_bytes(good.encode("utf-8") + b"\n\xff\xfe garbage\n"
+                         + b"[" * 100_000 + b"\n")
+        assert [e["name"] for e in read_trace(path)] == ["trial"]
+
     def test_missing_file_raises_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             read_trace(tmp_path / "absent.jsonl")
